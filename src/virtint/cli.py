@@ -8,6 +8,7 @@ inconclusive analysis (search bounds hit).
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import itertools
 import os
@@ -54,8 +55,12 @@ class _Printer:
 
 
 def _read(path: str) -> str:
+    """Read a UTF-8 text file; undecodable bytes raise an OSError naming it."""
     with open(path, "r", encoding="utf-8") as fp:
-        return fp.read()
+        try:
+            return fp.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(errno.EILSEQ, "not valid UTF-8 (%s)" % exc.reason, path) from exc
 
 
 def _sha256(path: str) -> str:

@@ -7,6 +7,7 @@ output for identical input.
 from __future__ import annotations
 
 import json
+import re
 import xml.etree.ElementTree as ET
 
 from .integrate import AnalysisReport
@@ -16,6 +17,7 @@ from .translate import TranslationUnit
 REPORT_SCHEMA = "virtint-report/1"
 TAPAAL_DIALECT = "tapaal-3.x"
 _TAPAAL_NS = "http://www.informatik.hu-berlin.de/top/pnml/ptNetb"
+_NON_WORD = re.compile(r"\W")
 
 
 def _dot_quote(s: str) -> str:
@@ -69,7 +71,8 @@ def guard_inscription(guard: Guard) -> str:
 
 
 def _xml_id(raw: str) -> str:
-    return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in raw)
+    """Replace every character that is not alphanumeric or '_' by '_'."""
+    return _NON_WORD.sub("_", raw)
 
 
 def to_tapaal_xml(tu: TranslationUnit) -> str:

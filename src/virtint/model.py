@@ -141,7 +141,17 @@ def _sut_events(tcsd: Tcsd) -> tuple[Event, ...]:
     return tcsd.base.events.get(tcsd.sut, ())
 
 
-def _parse_items(events, i, j, frags) -> list:
+def _operand_index(fragments) -> dict[str, dict[str, list[int]]]:
+    """Event id -> fragment id -> numbers of the operands that list the event."""
+    index: dict[str, dict[str, list[int]]] = {}
+    for f in fragments:
+        for x, op in enumerate(f.operands):
+            for eid in dict.fromkeys(op.events):
+                index.setdefault(eid, {}).setdefault(f.id, []).append(x)
+    return index
+
+
+def _parse_items(events, i, j, frags, operands_of) -> list:
     items = []
     k = i
     while k < j:
@@ -165,11 +175,7 @@ def _parse_items(events, i, j, frags) -> list:
         membership = []
         for n in range(k + 1, end):
             inner = events[n]
-            owners = [
-                x
-                for x, op in enumerate(frag.operands)
-                if inner.id in set(op.events)
-            ]
+            owners = operands_of.get(inner.id, {}).get(frag.id, [])
             if len(owners) != 1:
                 raise LayoutError(
                     "event %s is in %d operands of fragment %s"
@@ -189,7 +195,8 @@ def _parse_items(events, i, j, frags) -> list:
             slices.append((lo, pos))
         if pos != end:
             raise LayoutError("fragment %s has stray interior events" % frag.id)
-        operand_items = [_parse_items(events, lo, hi, frags) for lo, hi in slices]
+        operand_items = [_parse_items(events, lo, hi, frags, operands_of)
+                         for lo, hi in slices]
         items.append(FragmentNode(frag, e, events[end], operand_items))
         k = end + 1
     return items
@@ -202,7 +209,8 @@ def sut_regions(tcsd: Tcsd) -> list:
     ``validate`` reports that as a ``fragment-layout`` violation.
     """
     events = _sut_events(tcsd)
-    return _parse_items(events, 0, len(events), _index_fragments(tcsd))
+    frags = _index_fragments(tcsd)
+    return _parse_items(events, 0, len(events), frags, _operand_index(frags.values()))
 
 
 def _flatten(items, out):
@@ -344,6 +352,21 @@ def _descendants(fragments: tuple[Fragment, ...]) -> dict[str, set[str]]:
     return out
 
 
+def _drawn_out_of_order(partitions, pos) -> bool:
+    """Whether some line draws a partition at or below one with a later timestamp."""
+    cuts: dict[str, list[tuple[int, int]]] = {}
+    for p in partitions:
+        for eid in p.events:
+            inst, n = pos[eid]
+            cuts.setdefault(inst, []).append((n, p.timestamp))
+    for line in cuts.values():
+        line.sort()
+        for (n1, t1), (n2, t2) in zip(line, line[1:]):
+            if t2 < t1 or (n1 == n2 and t1 != t2):
+                return True
+    return False
+
+
 def validate(tcsd: Tcsd) -> ValidationResult:
     """Check every well-formedness clause of a raw diagram.
 
@@ -419,16 +442,22 @@ def validate(tcsd: Tcsd) -> ValidationResult:
         for f in base.fragments
     }
     frags = list(base.fragments)
-    for a in range(len(frags)):
-        for b in range(a + 1, len(frags)):
-            f1, f2 = frags[a], frags[b]
-            if f1.id in desc[f2.id] or f2.id in desc[f1.id]:
-                continue
-            shared = frag_events[f1.id] & frag_events[f2.id]
-            if shared:
-                _add(v, "no-shared-events", [f1.id, f2.id],
-                     "disjoint fragments share events %s" % ",".join(sorted(shared)))
-    by_id = {f.id: f for f in base.fragments}
+    frag_pos = {f.id: n for n, f in enumerate(frags)}
+    operands_of = _operand_index(frags)
+    # Events listed by the same fragments share the same fragment pairs, so
+    # each distinct owner tuple is checked once.
+    by_owners: dict[tuple[str, ...], list[str]] = {}
+    for eid, owners in operands_of.items():
+        by_owners.setdefault(tuple(owners), []).append(eid)
+    shared: dict[tuple[int, int], set[str]] = {}
+    for owners, eids in by_owners.items():
+        for x, f1 in enumerate(owners):
+            for f2 in owners[x + 1:]:
+                if f1 not in desc[f2] and f2 not in desc[f1]:
+                    shared.setdefault((frag_pos[f1], frag_pos[f2]), set()).update(eids)
+    for a, b in sorted(shared):
+        _add(v, "no-shared-events", [frags[a].id, frags[b].id],
+             "disjoint fragments share events %s" % ",".join(sorted(shared[a, b])))
     for f in base.fragments:
         for x, op in enumerate(f.operands):
             have = set(op.events)
@@ -440,8 +469,9 @@ def validate(tcsd: Tcsd) -> ValidationResult:
                          % (x, ",".join(sorted(missing))))
 
     # SUT-line layout must parse into a region tree (translation precondition).
+    sut_line = _sut_events(tcsd)
     try:
-        sut_regions(tcsd)
+        _parse_items(sut_line, 0, len(sut_line), _index_fragments(tcsd), operands_of)
     except LayoutError as exc:
         _add(v, "fragment-layout", [tcsd.sut], str(exc))
 
@@ -477,29 +507,25 @@ def validate(tcsd: Tcsd) -> ValidationResult:
             if eid in part_of:
                 _add(v, "completeness", [eid], "event shared between partition lines")
             part_of[eid] = n
-    ordered = sorted(tcsd.partitions, key=lambda p: p.timestamp)
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            p1, p2 = ordered[a], ordered[b]
-            if p1.timestamp == p2.timestamp:
-                continue
-            for e1 in p1.events:
-                i1, n1 = pos[e1]
-                for e2 in p2.events:
-                    i2, n2 = pos[e2]
-                    if i1 == i2 and n1 >= n2:
-                        _add(v, "ordering", [e1, e2],
-                             "partition at %d is drawn after partition at %d on line %s"
-                             % (p1.timestamp, p2.timestamp, i1))
-    all_operand_events: dict[str, str] = {}
-    for f in base.fragments:
-        for op in f.operands:
-            for eid in op.events:
-                all_operand_events.setdefault(eid, f.id)
+    if _drawn_out_of_order(tcsd.partitions, pos):
+        ordered = sorted(tcsd.partitions, key=lambda p: p.timestamp)
+        for a in range(len(ordered)):
+            for b in range(a + 1, len(ordered)):
+                p1, p2 = ordered[a], ordered[b]
+                if p1.timestamp == p2.timestamp:
+                    continue
+                for e1 in p1.events:
+                    i1, n1 = pos[e1]
+                    for e2 in p2.events:
+                        i2, n2 = pos[e2]
+                        if i1 == i2 and n1 >= n2:
+                            _add(v, "ordering", [e1, e2],
+                                 "partition at %d is drawn after partition at %d on line %s"
+                                 % (p1.timestamp, p2.timestamp, i1))
     for p in tcsd.partitions:
         for eid in p.events:
-            if eid in all_operand_events:
-                _add(v, "no-fragment-cutting", [eid, all_operand_events[eid]],
+            if eid in operands_of:
+                _add(v, "no-fragment-cutting", [eid, next(iter(operands_of[eid]))],
                      "partition event lies inside a fragment operand")
 
     # Timeouts.
@@ -513,18 +539,15 @@ def validate(tcsd: Tcsd) -> ValidationResult:
         if sn >= en:
             _add(v, "timeout-ordered", [c.start, c.end],
                  "timeout start must precede its end")
-        for f in base.fragments:
-            for x, op in enumerate(f.operands):
-                s_in = c.start in set(op.events)
-                e_in = c.end in set(op.events)
-                if s_in != e_in:
-                    _add(v, "timeout-same-fragment", [c.start, c.end, f.id],
-                         "endpoints split across operand %d of fragment %s" % (x, f.id))
+        s_ops, e_ops = operands_of.get(c.start, {}), operands_of.get(c.end, {})
+        for fid in sorted(s_ops.keys() | e_ops.keys(), key=frag_pos.get):
+            for x in sorted(set(s_ops.get(fid, ())) ^ set(e_ops.get(fid, ()))):
+                _add(v, "timeout-same-fragment", [c.start, c.end, fid],
+                     "endpoints split across operand %d of fragment %s" % (x, fid))
         if kind[c.start] == PARTITION or kind[c.end] == PARTITION:
             _add(v, "timeout-partition-span", [c.start, c.end],
                  "timeout anchored on a partition event")
         else:
-            sut_line = base.events[tcsd.sut]
             for e in sut_line[min(sn, en) + 1:max(sn, en)]:
                 if e.kind == PARTITION:
                     _add(v, "timeout-partition-span", [c.start, c.end, e.id],

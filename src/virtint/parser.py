@@ -73,6 +73,10 @@ _PUNCT = {"{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA", "=": "EQUALS
 
 _STMT_KEYWORDS = ("msg", "at", "timeout", "par", "alt", "opt", "strict", "loop")
 
+# Deepest block nesting accepted.  Parsing, validation and translation recurse
+# per level; this keeps them well below the interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 @dataclass
 class Token:
@@ -213,6 +217,9 @@ class _Cursor:
 
 @dataclass
 class _Collector:
+    # Each line's length when the block opened: the block's events are
+    # always the suffix of every line from there on.
+    starts: dict[str, int]
     events: list[str] = field(default_factory=list)
     frags: list[str] = field(default_factory=list)
 
@@ -230,6 +237,7 @@ class _DiagramBuilder:
         self.timeouts: list[Timeout] = []
         self.spans: dict[str, SourceSpan] = {}
         self.collectors: list[_Collector] = []
+        self.strict_ids: set[str] = set()
         self._e = 0
         self._f = 0
 
@@ -266,17 +274,10 @@ class _DiagramBuilder:
 _ANCHOR_KINDS = (model.SEND, model.RECEIVE, model.FRAGMENT_ENTER, model.FRAGMENT_EXIT)
 
 
-def _anchor_events(b: _DiagramBuilder, created: set[str]) -> list[str]:
-    """SUT events a timeout may anchor on, in line order."""
-    strict_ids = {f.id for f in b.fragments if f.operator == "strict"}
-    out = []
-    for e in b.lines[b.sut]:
-        if e.id not in created or e.kind not in _ANCHOR_KINDS:
-            continue
-        if e.fragment in strict_ids:
-            continue
-        out.append(e.id)
-    return out
+def _anchor_events(b: _DiagramBuilder, coll: _Collector) -> list[str]:
+    """SUT events of a block a timeout may anchor on, in line order."""
+    return [e.id for e in b.lines[b.sut][coll.starts[b.sut]:]
+            if e.kind in _ANCHOR_KINDS and e.fragment not in b.strict_ids]
 
 
 def _parse_statement(c: _Cursor, b: _DiagramBuilder):
@@ -314,7 +315,10 @@ def _parse_statement(c: _Cursor, b: _DiagramBuilder):
         c.advance()
         bound, _ = c.expect_int("timeout bound", minimum=1)
         coll = _parse_block(c, b)
-        anchors = _anchor_events(b, set(coll.events))
+        # A timeout is no fragment: what it nests belongs to the enclosing operand.
+        if b.collectors:
+            b.collectors[-1].frags.extend(coll.frags)
+        anchors = _anchor_events(b, coll)
         if not anchors:
             raise ParseError(c.span(tok), "timeout block contains no SUT event to anchor on")
         b.timeouts.append(Timeout(anchors[0], anchors[-1], bound))
@@ -351,15 +355,16 @@ def _finish_fragment(c, b, tok, operand_colls, operator, loop_bound):
     operands = tuple(
         Operand(tuple(coll.events), tuple(coll.frags)) for coll in operand_colls
     )
-    body = {eid for coll in operand_colls for eid in coll.events}
     span = c.span(tok)
     for inst in b.instances:
-        positions = [n for n, e in enumerate(b.lines[inst]) if e.id in body]
-        if not positions:
+        start = operand_colls[0].starts[inst]
+        if start == len(b.lines[inst]):
             continue
-        b.new_event(inst, model.FRAGMENT_ENTER, span, fid, at=min(positions))
-        b.new_event(inst, model.FRAGMENT_EXIT, span, fid, at=max(positions) + 2)
+        b.new_event(inst, model.FRAGMENT_ENTER, span, fid, at=start)
+        b.new_event(inst, model.FRAGMENT_EXIT, span, fid)
     b.fragments.append(Fragment(fid, operator, operands, loop_bound))
+    if operator == "strict":
+        b.strict_ids.add(fid)
     if b.collectors:
         b.collectors[-1].frags.append(fid)
     b.spans[fid] = span
@@ -367,9 +372,11 @@ def _finish_fragment(c, b, tok, operand_colls, operator, loop_bound):
 
 def _parse_block(c: _Cursor, b: _DiagramBuilder) -> _Collector:
     """Parse ``{ STMT* }`` and collect the events/fragments created inside."""
-    coll = _Collector()
+    brace = c.expect("LBRACE")
+    if len(b.collectors) >= MAX_NESTING:
+        raise ParseError(c.span(brace), "blocks nested deeper than %d" % MAX_NESTING)
+    coll = _Collector({inst: len(evs) for inst, evs in b.lines.items()})
     b.collectors.append(coll)
-    c.expect("LBRACE")
     while c.peek().kind != "RBRACE":
         if c.peek().kind == "EOF":
             raise ParseError(c.span(), "unexpected end of input", expected=("}",))

@@ -155,3 +155,21 @@ def all_clause_cases():
         good = parser.parse_tcsd(good_src).tcsd
         cases.append((clause, bad, good))
     return cases
+
+
+def overlapping_fragments():
+    """Fragments f, g, h overlap pairwise, h also overlaps f's child k, and
+    the timeout's endpoints are split across both operands of g."""
+    sut = [Event("s%d" % n, "S", "send") for n in (1, 2, 3, 4)]
+    test = [Event("r%d" % n, "A", "receive") for n in (1, 2, 3, 4)]
+    return _diagram(
+        sut, test,
+        messages=[Message("s%d" % n, "m%d" % n, "r%d" % n) for n in (1, 2, 3, 4)],
+        fragments=[
+            Fragment("f", "opt", (Operand(("s1", "r1", "s2", "r2"), ("k",)),)),
+            Fragment("g", "par", (Operand(("s2", "r2", "s3")), Operand(("s4", "r4")))),
+            Fragment("h", "opt", (Operand(("r1", "s3", "r3")),)),
+            Fragment("k", "opt", (Operand(("s1", "r1")),)),
+        ],
+        timeouts=[Timeout("s3", "s4", 5)],
+    )

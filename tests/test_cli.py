@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import FIXTURES
-from virtint import cli
+from virtint import cli, parser
 
 
 def run_cli(capsys, *args, env=None):
@@ -51,6 +51,42 @@ def test_validate_reports_cut_fragment(capsys):
     code, out = run_cli(capsys, "validate", path)
     assert code == 1
     assert "no-fragment-cutting" in out
+
+
+def _nested_strict(depth):
+    return ("tcsd Deep { sut S test A " + "strict { " * depth
+            + "msg A -> S : x msg S -> A : y" + " }" * depth + " }\n")
+
+
+def test_validate_rejects_nesting_beyond_limit(tmp_path, capsys):
+    path = tmp_path / "deep.tcsd"
+    path.write_text(_nested_strict(1500), encoding="utf-8")
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    column = len("tcsd Deep { sut S test A ") + parser.MAX_NESTING * len("strict { ") + 8
+    assert out.strip() == "%s:1:%d: blocks nested deeper than %d" % (
+        path, column, parser.MAX_NESTING)
+    assert "Traceback" not in out
+
+
+def test_nesting_at_limit_validates_and_translates(tmp_path, capsys):
+    path = tmp_path / "deep.tcsd"
+    path.write_text(_nested_strict(parser.MAX_NESTING), encoding="utf-8")
+    code, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0
+    code, _ = run_cli(capsys, "translate", str(path), "--dot", str(tmp_path / "d.dot"))
+    assert code == 0
+
+
+def test_non_utf8_input_is_io_error_naming_the_path(tmp_path, capsys):
+    path = tmp_path / "latin.tcsd"
+    path.write_bytes(b"tcsd L { sut S test A msg A -> S : caf\xff }\n")
+    for args in (["validate", str(path)], ["translate", str(path)],
+                 ["check", str(path), "--arch", BSCU_ARCH],
+                 ["check", BSCU[0], "--arch", str(path)]):
+        code, out = run_cli(capsys, *args)
+        assert code == 2, args
+        assert str(path) in out and "UTF-8" in out, out
 
 
 def test_validate_missing_file_is_io_error(capsys):

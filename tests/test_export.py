@@ -2,6 +2,8 @@ import json
 import re
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from virtint import export, integrate, model, parser, tapn, translate
 from virtint.tapn import Guard, Tapn, Transition, TransportArc
 from virtint.translate import TranslationUnit
@@ -84,6 +86,23 @@ def test_tapaal_partition_inscription():
 def test_tapaal_deterministic():
     unit = _unit("tcsd T { sut S test A msg A -> S : x at 5 }")
     assert export.to_tapaal_xml(unit) == export.to_tapaal_xml(unit)
+
+
+def _xml_id_reference(raw):
+    return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in raw)
+
+
+@pytest.mark.parametrize("raw", [
+    "p_12", "t:enter.f1", "a-b c", 'x"y<z>&', "", "__",
+    "Ström", "naïve→x", "日本語", "٣٤", "²Ⅻ", "e\u0301", "\U0001F600", "\u200bzw",
+])
+def test_xml_id_matches_per_character_rule(raw):
+    assert export._xml_id(raw) == _xml_id_reference(raw)
+
+
+def test_xml_id_matches_per_character_rule_on_every_code_point():
+    every = "".join(map(chr, range(0x110000)))
+    assert export._xml_id(every) == _xml_id_reference(every)
 
 
 def _report(sources, arch_src):

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+from clause_fixtures import overlapping_fragments
 from gen import random_tcsd_source
 from virtint import model, parser
 from virtint.model import (Event, Fragment, Message, Operand, PartitionLine,
-                           SequenceDiagram, Tcsd)
+                           SequenceDiagram, Tcsd, Violation)
 
 
 def _parse(src):
@@ -193,3 +194,26 @@ def test_operand_count_rule(operator, n_ops):
                                    loop_bound=2 if operator == "loop" else None),))
     res = model.validate(Tcsd(sd, "S", (), ()))
     assert "operand-count" in {v.clause for v in res.violations}
+
+
+def test_overlapping_fragments_violations_in_order():
+    res = model.validate(overlapping_fragments())
+    detail = "endpoints split across operand %d of fragment %s"
+    assert res.violations == [
+        Violation("no-shared-events", ("f", "g"), "disjoint fragments share events r2,s2"),
+        Violation("no-shared-events", ("f", "h"), "disjoint fragments share events r1"),
+        Violation("no-shared-events", ("g", "h"), "disjoint fragments share events s3"),
+        Violation("no-shared-events", ("h", "k"), "disjoint fragments share events r1"),
+        Violation("timeout-same-fragment", ("s3", "s4", "g"), detail % (0, "g")),
+        Violation("timeout-same-fragment", ("s3", "s4", "g"), detail % (1, "g")),
+        Violation("timeout-same-fragment", ("s3", "s4", "h"), detail % (0, "h")),
+    ]
+
+
+def test_fragment_nested_in_timeout_inside_operand_validates_clean():
+    raw = _parse("tcsd T { sut S test A test B opt { msg S -> A : a timeout 3 {"
+                 " msg S -> A : b opt { msg S -> B : c } msg A -> S : d } } }")
+    res = model.validate(raw)
+    assert res.ok, res.violations
+    inner, outer = raw.base.fragments
+    assert outer.operands[0].children == (inner.id,)

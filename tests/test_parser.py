@@ -150,6 +150,27 @@ def test_round_trip_on_random_sources():
         assert canonical_form(first) == canonical_form(second), src
 
 
+def test_fragment_borders_bracket_exactly_the_operand_events():
+    rng = random.Random(2024)
+    for n in range(150):
+        tcsd = parser.parse_tcsd(random_tcsd_source(rng, "B%d" % n, max_sut_events=30,
+                                                    max_depth=4)).tcsd
+        for f in tcsd.base.fragments:
+            body = {eid for op in f.operands for eid in op.events}
+            for inst, line in tcsd.base.events.items():
+                ids = [e.id for e in line]
+                borders = [k for k, e in enumerate(line) if e.fragment == f.id]
+                inside = {e.id for e in line} & body
+                if not inside:
+                    assert borders == []
+                    continue
+                enter, exit_ = borders
+                assert line[enter].kind == "fragment-enter"
+                assert line[exit_].kind == "fragment-exit"
+                assert set(ids[enter + 1:exit_]) == inside
+                assert exit_ - enter - 1 == len(inside)
+
+
 def test_round_trip_after_validation_normalization():
     src = "tcsd T { sut S test A msg A -> S : x at 7 }"
     checked = model.validate(parser.parse_tcsd(src).tcsd)
