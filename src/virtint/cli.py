@@ -134,11 +134,11 @@ def cmd_translate(args, out: _Printer) -> int:
     unit = translate.translate(checked.tcsd)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fp:
-            fp.write(export.to_dot(unit.net, unit.m0))
+            fp.writelines(export.dot_lines(unit.net, unit.m0))
         out.line("wrote %s" % args.dot)
     if args.tapaal:
         with open(args.tapaal, "w", encoding="utf-8") as fp:
-            fp.write(export.to_tapaal_xml(unit))
+            fp.writelines(export.tapaal_xml_lines(unit))
         out.line("wrote %s" % args.tapaal)
     if not args.dot and not args.tapaal:
         out.line(export.to_dot(unit.net, unit.m0))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import re
-import xml.etree.ElementTree as ET
 
 from .integrate import AnalysisReport
 from .tapn import Guard, Marking, Tapn
@@ -18,6 +17,11 @@ REPORT_SCHEMA = "virtint-report/1"
 TAPAAL_DIALECT = "tapaal-3.x"
 _TAPAAL_NS = "http://www.informatik.hu-berlin.de/top/pnml/ptNetb"
 _NON_WORD = re.compile(r"\W")
+# What ElementTree escapes in an attribute value.
+_ATTR_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\r": "&#13;", "\n": "&#10;", "\t": "&#09;",
+})
 
 
 def _dot_quote(s: str) -> str:
@@ -29,37 +33,37 @@ def _dot_label(*parts: str) -> str:
     return '"%s"' % "\\n".join(escaped)
 
 
-def to_dot(net: Tapn, marking: Marking | None = None) -> str:
-    """Render the net for graphviz; transport arcs get diamond arrowheads."""
+def dot_lines(net: Tapn, marking: Marking | None = None):
+    """Yield the graphviz drawing line by line; transport arcs get diamond arrowheads."""
     marking = marking or {}
-    lines = ["digraph %s {" % _dot_quote(net.name), "  rankdir=LR;"]
+    yield "digraph %s {\n" % _dot_quote(net.name)
+    yield "  rankdir=LR;\n"
     for p in net.places:
         ages = marking.get(p, ())
         if ages:
             label = _dot_label(p, "%d @ %s" % (len(ages), ",".join(str(a) for a in ages)))
-            lines.append("  %s [shape=doublecircle, label=%s];"
-                         % (_dot_quote(p), label))
+            yield "  %s [shape=doublecircle, label=%s];\n" % (_dot_quote(p), label)
         else:
-            lines.append("  %s [shape=circle, label=%s];"
-                         % (_dot_quote(p), _dot_quote(p)))
+            yield "  %s [shape=circle, label=%s];\n" % (_dot_quote(p), _dot_quote(p))
     for t in net.transitions:
         label = _dot_label(t.id) if t.label is None else _dot_label(t.id, t.label)
-        lines.append("  %s [shape=box, label=%s];"
-                     % (_dot_quote(t.id), label))
+        yield "  %s [shape=box, label=%s];\n" % (_dot_quote(t.id), label)
     for a in net.input_arcs:
-        lines.append("  %s -> %s [label=%s];"
-                     % (_dot_quote(a.place), _dot_quote(a.transition),
-                        _dot_quote(str(a.guard))))
+        yield "  %s -> %s [label=%s];\n" % (
+            _dot_quote(a.place), _dot_quote(a.transition), _dot_quote(str(a.guard)))
     for a in net.output_arcs:
-        lines.append("  %s -> %s;" % (_dot_quote(a.transition), _dot_quote(a.place)))
+        yield "  %s -> %s;\n" % (_dot_quote(a.transition), _dot_quote(a.place))
     for a in net.transport_arcs:
-        lines.append("  %s -> %s [label=%s, arrowhead=diamond];"
-                     % (_dot_quote(a.source), _dot_quote(a.transition),
-                        _dot_quote(str(a.guard))))
-        lines.append("  %s -> %s [arrowhead=diamond];"
-                     % (_dot_quote(a.transition), _dot_quote(a.target)))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield "  %s -> %s [label=%s, arrowhead=diamond];\n" % (
+            _dot_quote(a.source), _dot_quote(a.transition), _dot_quote(str(a.guard)))
+        yield "  %s -> %s [arrowhead=diamond];\n" % (
+            _dot_quote(a.transition), _dot_quote(a.target))
+    yield "}\n"
+
+
+def to_dot(net: Tapn, marking: Marking | None = None) -> str:
+    """Render the net for graphviz (the joined ``dot_lines``)."""
+    return "".join(dot_lines(net, marking))
 
 
 def guard_inscription(guard: Guard) -> str:
@@ -75,59 +79,61 @@ def _xml_id(raw: str) -> str:
     return _NON_WORD.sub("_", raw)
 
 
-def to_tapaal_xml(tu: TranslationUnit) -> str:
-    """Interchange XML for the external timed-net tool (pinned 3.x shape).
+def tapaal_xml_lines(tu: TranslationUnit):
+    """Yield the interchange XML for the external timed-net tool line by line.
 
-    Places carry their initial token count and the explicit default
-    invariant; transport arcs pair their input and output side with a
-    shared interval.  A reachability query for the target marking is
-    appended.  Loading the file in the external tool is a manual step.
+    The document has the pinned 3.x shape.  Places carry their initial
+    token count and the explicit default invariant; transport arcs pair
+    their input and output side with a shared interval.  A reachability
+    query for the target marking is appended.  Loading the file in the
+    external tool is a manual step.
+
+    Ids pass through ``_xml_id`` and every other value except the label
+    is built from digits and fixed text, so only the label is escaped.
+    The layout is that of an ElementTree document indented by two spaces.
     """
     net = tu.net
     counts = {p: len(ages) for p, ages in tu.m0.items()}
-    root = ET.Element("pnml", {"xmlns": _TAPAAL_NS})
-    root.append(ET.Comment("format: %s" % TAPAAL_DIALECT))
-    net_el = ET.SubElement(root, "net", {
-        "active": "true", "id": _xml_id(net.name), "type": "P/T net",
-    })
-    for n, p in enumerate(net.places):
-        ET.SubElement(net_el, "place", {
-            "id": _xml_id(p), "name": _xml_id(p),
-            "initialMarking": str(counts.get(p, 0)),
-            "invariant": "< inf",
-            "positionX": str(120 * n), "positionY": "0",
-        })
-    for n, t in enumerate(net.transitions):
-        ET.SubElement(net_el, "transition", {
-            "id": _xml_id(t.id), "name": _xml_id(t.id),
-            "label": t.label if t.label is not None else "",
-            "positionX": str(120 * n), "positionY": "160",
-        })
-    for a in net.input_arcs:
-        ET.SubElement(net_el, "inputArc", {
-            "source": _xml_id(a.place), "target": _xml_id(a.transition),
-            "inscription": guard_inscription(a.guard), "weight": "1",
-        })
-    for a in net.output_arcs:
-        ET.SubElement(net_el, "outputArc", {
-            "source": _xml_id(a.transition), "target": _xml_id(a.place),
-            "weight": "1",
-        })
-    for a in net.transport_arcs:
-        ET.SubElement(net_el, "transportArc", {
-            "source": _xml_id(a.source), "transition": _xml_id(a.transition),
-            "target": _xml_id(a.target),
-            "inscription": guard_inscription(a.guard), "weight": "1",
-        })
-    queries = ET.SubElement(root, "queries")
-    terms = []
-    for p in net.places:
-        terms.append("%s = %d" % (_xml_id(p), tu.target.get(p, 0)))
-    query = ET.SubElement(queries, "query", {"name": "target-reachability"})
-    query.text = "EF (%s)" % " and ".join(terms)
-    ET.indent(root)
-    body = ET.tostring(root, encoding="unicode")
-    return '<?xml version="1.0" encoding="utf-8"?>\n' + body + "\n"
+    yield '<?xml version="1.0" encoding="utf-8"?>\n'
+    yield '<pnml xmlns="%s">\n' % _TAPAAL_NS
+    yield "  <!--format: %s-->\n" % TAPAAL_DIALECT
+    net_tag = '<net active="true" id="%s" type="P/T net"' % _xml_id(net.name)
+    if not (net.places or net.transitions or net.input_arcs or net.output_arcs
+            or net.transport_arcs):
+        yield "  %s />\n" % net_tag
+    else:
+        yield "  %s>\n" % net_tag
+        for n, p in enumerate(net.places):
+            pid = _xml_id(p)
+            yield ('    <place id="%s" name="%s" initialMarking="%d" invariant="&lt; inf"'
+                   ' positionX="%d" positionY="0" />\n' % (pid, pid, counts.get(p, 0), 120 * n))
+        for n, t in enumerate(net.transitions):
+            tid = _xml_id(t.id)
+            label = "" if t.label is None else t.label.translate(_ATTR_ESCAPES)
+            yield ('    <transition id="%s" name="%s" label="%s"'
+                   ' positionX="%d" positionY="160" />\n' % (tid, tid, label, 120 * n))
+        for a in net.input_arcs:
+            yield ('    <inputArc source="%s" target="%s" inscription="%s" weight="1" />\n'
+                   % (_xml_id(a.place), _xml_id(a.transition), guard_inscription(a.guard)))
+        for a in net.output_arcs:
+            yield ('    <outputArc source="%s" target="%s" weight="1" />\n'
+                   % (_xml_id(a.transition), _xml_id(a.place)))
+        for a in net.transport_arcs:
+            yield ('    <transportArc source="%s" transition="%s" target="%s"'
+                   ' inscription="%s" weight="1" />\n'
+                   % (_xml_id(a.source), _xml_id(a.transition), _xml_id(a.target),
+                      guard_inscription(a.guard)))
+        yield "  </net>\n"
+    yield "  <queries>\n"
+    yield '    <query name="target-reachability">EF (%s)</query>\n' % " and ".join(
+        "%s = %d" % (_xml_id(p), tu.target.get(p, 0)) for p in net.places)
+    yield "  </queries>\n"
+    yield "</pnml>\n"
+
+
+def to_tapaal_xml(tu: TranslationUnit) -> str:
+    """Interchange XML for the external timed-net tool (the joined ``tapaal_xml_lines``)."""
+    return "".join(tapaal_xml_lines(tu))
 
 
 def build_report_document(report: AnalysisReport, inputs=()) -> dict:

@@ -138,6 +138,12 @@ class Tapn:
             if (arc.transition, arc.target) in normal_out:
                 raise ValueError("%s->%s is both a normal and a transport arc"
                                  % (arc.transition, arc.target))
+        fed = {a.transition for a in self.input_arcs}
+        fed.update(a.transition for a in self.transport_arcs)
+        for t in self.transitions:
+            if t.id not in fed:
+                # Such a transition is always enabled: no search would end.
+                raise ValueError("transition %s has no incoming arc" % t.id)
 
     def label_of(self, tid: str) -> str | None:
         for t in self.transitions:
@@ -440,9 +446,13 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
 
     The target names the exact token count per place (token ages do not
     matter); every unlisted place must be empty.  Search is breadth-first
-    over (delay, fire) successors, so a returned witness has a minimal
-    number of steps.  Unreachable results carry the dead markings found,
-    which feed the deadlock diagnostics.
+    over (delay, fire) successors, so without ``max_total_delay`` a
+    returned witness has a minimal number of steps.  With it, each state
+    keeps the least total delay of the paths found to it and is expanded
+    again when a path with less delay reaches it, so the bound cuts only
+    paths that no cheaper path to the same state makes unnecessary.
+    Unreachable results carry the dead markings found, which feed the
+    deadlock diagnostics.
     """
     _reject_open_guards(net)
     for p in target:
@@ -463,9 +473,13 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
 
     parents: dict = {start: None}
     queue = deque([(start, 0)])
-    dead: list = []
+    dead: dict = {}  # dead states in discovery order
     peak = 1
-    truncated = False
+    truncated = False  # max_states was hit
+    # Under max_total_delay: each state's least total delay, and the states
+    # whose expansion at that delay had to skip a delay past the bound.
+    best = None if max_total_delay is None else {start: 0}
+    clipped: set = set()
 
     def build_trace(state):
         steps = []
@@ -479,6 +493,11 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
     while queue:
         peak = max(peak, len(queue))
         state, total_delay = queue.popleft()
+        if best is not None:
+            if total_delay > best[state]:
+                continue  # queued again with less delay
+            clipped.discard(state)
+            dead.pop(state, None)
         expanded = False
         images = set()
         for d in range(sn.cap + 1):
@@ -486,16 +505,17 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
             if img in images:
                 continue
             images.add(img)
-            if max_total_delay is not None and total_delay + d > max_total_delay:
-                truncated = True
+            if best is not None and total_delay + d > max_total_delay:
+                clipped.add(state)
                 continue
             for ti, (tid, label) in enumerate(sn.trans):
                 for binding in sn.fire_bindings(img, ti):
                     expanded = True
                     succ = sn.fire(img, ti, binding)
                     if succ in parents:
-                        continue
-                    if len(parents) >= max_states:
+                        if best is None or total_delay + d >= best[succ]:
+                            continue
+                    elif len(parents) >= max_states:
                         truncated = True
                         continue
                     consumed = tuple(
@@ -504,14 +524,16 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
                     )
                     step = TraceStep(d, tid, label, consumed)
                     parents[succ] = (state, step)
+                    if best is not None:
+                        best[succ] = total_delay + d
                     if matches(succ):
                         return ReachResult(REACHABLE, build_trace(succ), [],
                                            len(parents), peak)
                     queue.append((succ, total_delay + d))
         if not expanded:
-            dead.append(state)
+            dead[state] = None
 
-    verdict = BOUND_EXCEEDED if truncated else UNREACHABLE
+    verdict = BOUND_EXCEEDED if truncated or clipped else UNREACHABLE
     frontier = [sn.decode(s) for s in dead]
     return ReachResult(verdict, None, frontier, len(parents), peak)
 

@@ -24,6 +24,8 @@ MESSAGE = "message"
 PARTITION_STEP = "partition"
 FRAGMENT_ENTER = "fragment-enter"
 FRAGMENT_EXIT = "fragment-exit"
+# Largest net a diagram may unroll to; loops multiply their body's size.
+MAX_TRANSITIONS = 100_000
 
 
 class TranslationError(Exception):
@@ -50,8 +52,10 @@ class TranslationUnit:
 
 
 class _Builder:
-    def __init__(self, name: str):
-        self.prefix = name
+    """The net of one diagram, built by a fold over its SUT region tree."""
+
+    def __init__(self, tcsd: Tcsd):
+        self.prefix = tcsd.base.name
         self.places: list[str] = []
         self.transitions: list[Transition] = []
         self.input_arcs: list[InputArc] = []
@@ -59,6 +63,22 @@ class _Builder:
         self.transport_arcs: list[TransportArc] = []
         self.kinds: dict[str, str] = {}
         self.waits: set[str] = set()
+        self.event_map: dict[str, list[str]] = {}
+        self.timeouts = tcsd.timeouts
+        self.open_waits: dict[int, str] = {}
+        self.msg_by_event = {}
+        for m in tcsd.base.messages:
+            self.msg_by_event[m.send] = m
+            self.msg_by_event[m.receive] = m
+        self.delta_by_event = {}
+        for p in tcsd.partitions:
+            for eid in p.events:
+                self.delta_by_event[eid] = p.timestamp
+        self.starts: dict[str, list[int]] = {}
+        self.ends: dict[str, list[int]] = {}
+        for n, c in enumerate(tcsd.timeouts):
+            self.starts.setdefault(c.start, []).append(n)
+            self.ends.setdefault(c.end, []).append(n)
 
     def place(self) -> str:
         pid = "%s.P%d" % (self.prefix, len(self.places))
@@ -81,6 +101,81 @@ class _Builder:
             transport_arcs=tuple(self.transport_arcs),
         )
 
+    def attach(self, event_id: str, tid: str):
+        self.event_map.setdefault(event_id, []).append(tid)
+        for n in self.ends.get(event_id, ()):
+            if n not in self.open_waits:
+                raise TranslationError(
+                    "timeout ending at %s was never started" % event_id)
+            wait = self.open_waits.pop(n)
+            self.input_arcs.append(InputArc(wait, tid, tapn.at_most(self.timeouts[n].bound)))
+        for n in self.starts.get(event_id, ()):
+            wait = self.place()
+            self.waits.add(wait)
+            self.output_arcs.append(OutputArc(tid, wait))
+            self.open_waits[n] = wait
+
+    def transport_step(self, p: str, label: str | None, kind: str,
+                       guard: Guard) -> tuple[str, str]:
+        t = self.transition(label, kind)
+        p2 = self.place()
+        self.transport_arcs.append(TransportArc(p, t, p2, guard))
+        return t, p2
+
+    def emit_items(self, items, p: str, in_branch: bool = False) -> str:
+        for item in items:
+            if isinstance(item, EventNode):
+                e = item.event
+                if e.kind in (model.SEND, model.RECEIVE):
+                    msg = self.msg_by_event.get(e.id)
+                    if msg is None:
+                        raise TranslationError("message event %s has no message" % e.id)
+                    t, p = self.transport_step(p, msg.label, MESSAGE, ANY_AGE)
+                    self.attach(e.id, t)
+                elif e.kind == model.PARTITION:
+                    if in_branch:
+                        # Branch tokens carry no global clock; the validator
+                        # rejects partitions inside operands before this.
+                        raise TranslationError(
+                            "partition event %s inside a fragment operand" % e.id)
+                    d = self.delta_by_event.get(e.id)
+                    if d is None:
+                        raise TranslationError("partition event %s has no line" % e.id)
+                    t, p = self.transport_step(p, None, PARTITION_STEP, tapn.exact(d))
+                    self.attach(e.id, t)
+                else:
+                    raise TranslationError("unexpected %s event %s on the SUT walk"
+                                           % (e.kind, e.id))
+                continue
+            f = item.fragment
+            if f.operator == "strict":
+                for eid in (item.enter.id, item.exit.id):
+                    if eid in self.starts or eid in self.ends:
+                        raise TranslationError(
+                            "timeout anchored on strict fragment border %s" % eid)
+                p = self.emit_items(item.operand_items[0], p, in_branch)
+                continue
+            tfs, pmid = self.transport_step(p, None, FRAGMENT_ENTER, ANY_AGE)
+            self.attach(item.enter.id, tfs)
+            tfe = self.transition(None, FRAGMENT_EXIT)
+            pend = self.place()
+            self.transport_arcs.append(TransportArc(pmid, tfe, pend, ANY_AGE))
+            if f.operator == "loop":
+                branch = self.place()
+                self.output_arcs.append(OutputArc(tfs, branch))
+                cur = branch
+                for _ in range(f.loop_bound):
+                    cur = self.emit_items(item.operand_items[0], cur, True)
+                self.input_arcs.append(InputArc(cur, tfe, ANY_AGE))
+            else:
+                for op_items in item.operand_items:
+                    branch = self.place()
+                    self.output_arcs.append(OutputArc(tfs, branch))
+                    cur = self.emit_items(op_items, branch, True)
+                    self.input_arcs.append(InputArc(cur, tfe, ANY_AGE))
+            self.attach(item.exit.id, tfe)
+            p = pend
+        return p
 
 def _check_timeout_shape(tcsd: Tcsd, walk: model.SutWalk):
     pos = {e.id: n for n, e in enumerate(walk.events)}
@@ -100,122 +195,53 @@ def _check_timeout_shape(tcsd: Tcsd, walk: model.SutWalk):
                 % (c1.start, c1.end, c2.start, c2.end))
 
 
+def _unrolled_transitions(items) -> int:
+    """Transitions that ``_Builder.emit_items`` builds for a region list."""
+    n = 0
+    for item in items:
+        if isinstance(item, EventNode):
+            n += 1
+            continue
+        f = item.fragment
+        if f.operator == "strict":
+            n += _unrolled_transitions(item.operand_items[0])
+        elif f.operator == "loop":
+            if f.loop_bound is None:
+                raise TranslationError("loop %s has no constant bound" % f.id)
+            n += 2 + f.loop_bound * _unrolled_transitions(item.operand_items[0])
+        else:
+            n += 2 + sum(_unrolled_transitions(op) for op in item.operand_items)
+    return n
+
+
 def translate(tcsd: Tcsd) -> TranslationUnit:
     """Build the net, its initial marking and its target for one diagram.
 
     Expects the normalized diagram produced by ``model.validate``; the
     construction is a deterministic fold over the SUT walk, so identical
-    inputs yield identical nets.
+    inputs yield identical nets.  Raises TranslationError, before building
+    anything, when the net with every loop unrolled would have more than
+    ``MAX_TRANSITIONS`` transitions.
     """
-    walk = model.sut_walk(tcsd)
-    _check_timeout_shape(tcsd, walk)
+    _check_timeout_shape(tcsd, model.sut_walk(tcsd))
+    regions = model.sut_regions(tcsd)
+    count = 1 + _unrolled_transitions(regions)  # the start step comes first
+    if count > MAX_TRANSITIONS:
+        raise TranslationError(
+            "unrolling the loops of %s gives %d transitions, more than the limit of %d"
+            % (tcsd.base.name, count, MAX_TRANSITIONS))
 
-    base = tcsd.base
-    msg_by_event = {}
-    for m in base.messages:
-        msg_by_event[m.send] = m
-        msg_by_event[m.receive] = m
-    delta_by_event = {}
-    for p in tcsd.partitions:
-        for eid in p.events:
-            delta_by_event[eid] = p.timestamp
-    starts: dict[str, list[int]] = {}
-    ends: dict[str, list[int]] = {}
-    for n, c in enumerate(tcsd.timeouts):
-        starts.setdefault(c.start, []).append(n)
-        ends.setdefault(c.end, []).append(n)
-
-    b = _Builder(base.name)
-    event_map: dict[str, list[str]] = {}
-    open_waits: dict[int, str] = {}
-
-    def attach(event_id: str, tid: str):
-        event_map.setdefault(event_id, []).append(tid)
-        for n in ends.get(event_id, ()):
-            if n not in open_waits:
-                raise TranslationError(
-                    "timeout ending at %s was never started" % event_id)
-            wait = open_waits.pop(n)
-            b.input_arcs.append(InputArc(wait, tid, tapn.at_most(tcsd.timeouts[n].bound)))
-        for n in starts.get(event_id, ()):
-            wait = b.place()
-            b.waits.add(wait)
-            b.output_arcs.append(OutputArc(tid, wait))
-            open_waits[n] = wait
-
-    def transport_step(p: str, label: str | None, kind: str, guard: Guard) -> tuple[str, str]:
-        t = b.transition(label, kind)
-        p2 = b.place()
-        b.transport_arcs.append(TransportArc(p, t, p2, guard))
-        return t, p2
-
-    def emit_items(items, p: str, in_branch: bool = False) -> str:
-        for item in items:
-            if isinstance(item, EventNode):
-                e = item.event
-                if e.kind in (model.SEND, model.RECEIVE):
-                    msg = msg_by_event.get(e.id)
-                    if msg is None:
-                        raise TranslationError("message event %s has no message" % e.id)
-                    t, p = transport_step(p, msg.label, MESSAGE, ANY_AGE)
-                    attach(e.id, t)
-                elif e.kind == model.PARTITION:
-                    if in_branch:
-                        # Branch tokens carry no global clock; the validator
-                        # rejects partitions inside operands before this.
-                        raise TranslationError(
-                            "partition event %s inside a fragment operand" % e.id)
-                    d = delta_by_event.get(e.id)
-                    if d is None:
-                        raise TranslationError("partition event %s has no line" % e.id)
-                    t, p = transport_step(p, None, PARTITION_STEP, tapn.exact(d))
-                    attach(e.id, t)
-                else:
-                    raise TranslationError("unexpected %s event %s on the SUT walk"
-                                           % (e.kind, e.id))
-                continue
-            f = item.fragment
-            if f.operator == "strict":
-                for eid in (item.enter.id, item.exit.id):
-                    if eid in starts or eid in ends:
-                        raise TranslationError(
-                            "timeout anchored on strict fragment border %s" % eid)
-                p = emit_items(item.operand_items[0], p, in_branch)
-                continue
-            tfs, pmid = transport_step(p, None, FRAGMENT_ENTER, ANY_AGE)
-            attach(item.enter.id, tfs)
-            tfe = b.transition(None, FRAGMENT_EXIT)
-            pend = b.place()
-            b.transport_arcs.append(TransportArc(pmid, tfe, pend, ANY_AGE))
-            if f.operator == "loop":
-                if f.loop_bound is None:
-                    raise TranslationError("loop %s has no constant bound" % f.id)
-                branch = b.place()
-                b.output_arcs.append(OutputArc(tfs, branch))
-                cur = branch
-                for _ in range(f.loop_bound):
-                    cur = emit_items(item.operand_items[0], cur, True)
-                b.input_arcs.append(InputArc(cur, tfe, ANY_AGE))
-            else:
-                for op_items in item.operand_items:
-                    branch = b.place()
-                    b.output_arcs.append(OutputArc(tfs, branch))
-                    cur = emit_items(op_items, branch, True)
-                    b.input_arcs.append(InputArc(cur, tfe, ANY_AGE))
-            attach(item.exit.id, tfe)
-            p = pend
-        return p
-
+    b = _Builder(tcsd)
     p_pre = b.place()
     t_start = b.transition(None, START)
     p0 = b.place()
     b.input_arcs.append(InputArc(p_pre, t_start, ANY_AGE))
     b.output_arcs.append(OutputArc(t_start, p0))
 
-    final = emit_items(model.sut_regions(tcsd), p0)
-    if open_waits:
+    final = b.emit_items(regions, p0)
+    if b.open_waits:
         raise TranslationError("timeouts %s never reached their end anchor"
-                               % sorted(open_waits))
+                               % sorted(b.open_waits))
 
     net = b.net()
     net.check()
@@ -224,7 +250,7 @@ def translate(tcsd: Tcsd) -> TranslationUnit:
         net=net,
         m0={p_pre: (0,)},
         target={final: 1},
-        event_map={k: tuple(v) for k, v in event_map.items()},
+        event_map={k: tuple(v) for k, v in b.event_map.items()},
         transition_kinds=dict(b.kinds),
         wait_places=frozenset(b.waits),
     )

@@ -1,10 +1,13 @@
 import json
+import random
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from virtint import export, integrate, model, parser, tapn, translate
+from conftest import FIXTURES, ROOT
+from gen import random_tcsd_source
+from virtint import cli, export, integrate, model, parser, tapn, translate
 from virtint.tapn import Guard, Tapn, Transition, TransportArc
 from virtint.translate import TranslationUnit
 
@@ -86,6 +89,143 @@ def test_tapaal_partition_inscription():
 def test_tapaal_deterministic():
     unit = _unit("tcsd T { sut S test A msg A -> S : x at 5 }")
     assert export.to_tapaal_xml(unit) == export.to_tapaal_xml(unit)
+
+
+def _to_dot_reference(net, marking=None):
+    """The list-building DOT renderer the streaming writer replaced."""
+    q = export._dot_quote
+    marking = marking or {}
+    lines = ["digraph %s {" % q(net.name), "  rankdir=LR;"]
+    for p in net.places:
+        ages = marking.get(p, ())
+        if ages:
+            label = export._dot_label(p, "%d @ %s" % (len(ages), ",".join(str(a) for a in ages)))
+            lines.append("  %s [shape=doublecircle, label=%s];" % (q(p), label))
+        else:
+            lines.append("  %s [shape=circle, label=%s];" % (q(p), q(p)))
+    for t in net.transitions:
+        label = export._dot_label(t.id) if t.label is None else export._dot_label(t.id, t.label)
+        lines.append("  %s [shape=box, label=%s];" % (q(t.id), label))
+    for a in net.input_arcs:
+        lines.append("  %s -> %s [label=%s];" % (q(a.place), q(a.transition), q(str(a.guard))))
+    for a in net.output_arcs:
+        lines.append("  %s -> %s;" % (q(a.transition), q(a.place)))
+    for a in net.transport_arcs:
+        lines.append("  %s -> %s [label=%s, arrowhead=diamond];"
+                     % (q(a.source), q(a.transition), q(str(a.guard))))
+        lines.append("  %s -> %s [arrowhead=diamond];" % (q(a.transition), q(a.target)))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _to_tapaal_xml_reference(tu):
+    """The ElementTree serialiser the streaming writer replaced."""
+    xml_id = export._xml_id
+    net = tu.net
+    counts = {p: len(ages) for p, ages in tu.m0.items()}
+    root = ET.Element("pnml", {"xmlns": export._TAPAAL_NS})
+    root.append(ET.Comment("format: %s" % export.TAPAAL_DIALECT))
+    net_el = ET.SubElement(root, "net", {
+        "active": "true", "id": xml_id(net.name), "type": "P/T net",
+    })
+    for n, p in enumerate(net.places):
+        ET.SubElement(net_el, "place", {
+            "id": xml_id(p), "name": xml_id(p),
+            "initialMarking": str(counts.get(p, 0)),
+            "invariant": "< inf",
+            "positionX": str(120 * n), "positionY": "0",
+        })
+    for n, t in enumerate(net.transitions):
+        ET.SubElement(net_el, "transition", {
+            "id": xml_id(t.id), "name": xml_id(t.id),
+            "label": t.label if t.label is not None else "",
+            "positionX": str(120 * n), "positionY": "160",
+        })
+    for a in net.input_arcs:
+        ET.SubElement(net_el, "inputArc", {
+            "source": xml_id(a.place), "target": xml_id(a.transition),
+            "inscription": export.guard_inscription(a.guard), "weight": "1",
+        })
+    for a in net.output_arcs:
+        ET.SubElement(net_el, "outputArc", {
+            "source": xml_id(a.transition), "target": xml_id(a.place),
+            "weight": "1",
+        })
+    for a in net.transport_arcs:
+        ET.SubElement(net_el, "transportArc", {
+            "source": xml_id(a.source), "transition": xml_id(a.transition),
+            "target": xml_id(a.target),
+            "inscription": export.guard_inscription(a.guard), "weight": "1",
+        })
+    queries = ET.SubElement(root, "queries")
+    terms = []
+    for p in net.places:
+        terms.append("%s = %d" % (xml_id(p), tu.target.get(p, 0)))
+    query = ET.SubElement(queries, "query", {"name": "target-reachability"})
+    query.text = "EF (%s)" % " and ".join(terms)
+    ET.indent(root)
+    body = ET.tostring(root, encoding="unicode")
+    return '<?xml version="1.0" encoding="utf-8"?>\n' + body + "\n"
+
+
+def _assert_matches_references(unit):
+    xml = export.to_tapaal_xml(unit)
+    assert xml == _to_tapaal_xml_reference(unit)
+    ET.fromstring(xml)
+    assert export.to_dot(unit.net, unit.m0) == _to_dot_reference(unit.net, unit.m0)
+
+
+VALID_FIXTURES = sorted(p for p in FIXTURES.glob("*/*.tcsd") if p.parent.name != "invalid")
+
+
+@pytest.mark.parametrize("path", VALID_FIXTURES,
+                         ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_writers_match_references_on_fixtures(path):
+    _assert_matches_references(_unit(path.read_text(encoding="utf-8")))
+
+
+def test_writers_match_references_on_generated_diagrams():
+    rng = random.Random(31)
+    for n in range(60):
+        src = random_tcsd_source(rng, "G%d" % n, max_sut_events=30, max_depth=3)
+        _assert_matches_references(_unit(src))
+
+
+def test_writers_escape_labels_like_the_references():
+    src = ('tcsd T { sut S test A msg A -> S : "a&b<c>d\\"e\tf\rg\\\nh" '
+           'msg S -> A : "Ström → 日本 \U0001F600" msg A -> S : "&amp;" }')
+    unit = _unit(src)
+    labels = [t.label for t in unit.net.transitions if t.label]
+    assert labels == ['a&b<c>d"e\tf\rg\nh', "Ström → 日本 \U0001F600", "&amp;"]
+    _assert_matches_references(unit)
+    ns = "{%s}" % export._TAPAAL_NS
+    parsed = [t.get("label") for t in
+              ET.fromstring(export.to_tapaal_xml(unit)).iter(ns + "transition")]
+    assert [lab for lab in parsed if lab] == labels
+
+
+def test_writers_match_references_on_empty_net():
+    net = Tapn("empty", (), (), (), (), ())
+    unit = TranslationUnit(tcsd=None, net=net, m0={}, target={}, event_map={},
+                           transition_kinds={}, wait_places=frozenset())
+    _assert_matches_references(unit)
+
+
+def test_writers_match_golden_files():
+    unit = _unit((FIXTURES / "bscu" / "tc_switch.tcsd").read_text(encoding="utf-8"))
+    golden = ROOT / "tests" / "golden"
+    assert export.to_dot(unit.net, unit.m0).encode() == (golden / "tc_switch.dot").read_bytes()
+    assert export.to_tapaal_xml(unit).encode() == (golden / "tc_switch.xml").read_bytes()
+
+
+def test_translate_files_equal_the_string_writers(tmp_path, capsys):
+    path = FIXTURES / "bscu" / "tc_switch.tcsd"
+    dot, xml = tmp_path / "net.dot", tmp_path / "net.xml"
+    assert cli.main(["translate", str(path), "--dot", str(dot), "--tapaal", str(xml)]) == 0
+    capsys.readouterr()
+    unit = _unit(path.read_text(encoding="utf-8"))
+    assert dot.read_bytes() == export.to_dot(unit.net, unit.m0).encode()
+    assert xml.read_bytes() == export.to_tapaal_xml(unit).encode()
 
 
 def _xml_id_reference(raw):

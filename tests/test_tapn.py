@@ -225,3 +225,70 @@ def test_engine_matches_naive_oracle_sample():
         engine = tapn.reachable(net, m0, target)
         assert engine.verdict in ("reachable", "unreachable")
         assert (engine.verdict == "reachable") == naive_reachable(net, m0, target), i
+
+
+def test_transition_without_incoming_arc_rejected():
+    with pytest.raises(ValueError, match="t has no incoming arc"):
+        _net(["q"], [Transition("t")], output_arcs=[OutputArc("t", "q")])
+
+
+def _detour_net():
+    # t1 reaches q only after waiting 5; t2;t3 reach it at once.  t4 then
+    # needs q's token aged exactly 3, so the cheapest run waits 3 in total.
+    return _net(
+        ["p", "q", "r", "s"],
+        [Transition(t) for t in ("t1", "t2", "t3", "t4")],
+        input_arcs=[InputArc("p", "t1", Guard(5)), InputArc("p", "t2"),
+                    InputArc("r", "t3"), InputArc("q", "t4", Guard(3, 3))],
+        output_arcs=[OutputArc("t1", "q"), OutputArc("t2", "r"),
+                     OutputArc("t3", "q"), OutputArc("t4", "s")],
+    )
+
+
+def test_max_delay_keeps_the_least_delay_per_state():
+    net = _detour_net()
+    res = tapn.reachable(net, {"p": (0,)}, {"s": 1}, max_total_delay=6)
+    assert res.verdict == "reachable"
+    assert sum(step.delay for step in res.trace) == 3
+    final = tapn.replay(net, {"p": (0,)}, res.trace)
+    assert tapn.marking_counts(final) == {"s": 1}
+    res = tapn.reachable(net, {"p": (0,)}, {"s": 1}, max_total_delay=2)
+    assert res.verdict == "bound-exceeded"
+
+
+def test_max_delay_cuts_only_paths_a_cheaper_one_does_not_replace():
+    # As the detour net, with a two-step cheap path to q, so that q is
+    # expanded at delay 5 (and cut by the bound) before the path that
+    # reaches it at delay 0 arrives.  Two tokens never reach s, and no
+    # state needs more than 6 ticks at its least delay.
+    net = _net(
+        ["p", "q", "r", "u", "s"],
+        [Transition(t) for t in ("t1", "t2", "t3", "t4", "t5")],
+        input_arcs=[InputArc("p", "t1", Guard(5)), InputArc("p", "t2"),
+                    InputArc("r", "t3"), InputArc("u", "t5"),
+                    InputArc("q", "t4", Guard(3, 3))],
+        output_arcs=[OutputArc("t1", "q"), OutputArc("t2", "r"), OutputArc("t3", "u"),
+                     OutputArc("t5", "q"), OutputArc("t4", "s")],
+    )
+    res = tapn.reachable(net, {"p": (0,)}, {"s": 2}, max_total_delay=6)
+    assert res.verdict == "unreachable"
+    assert res.frontier == [{"s": (0,)}]
+
+
+def test_max_delay_verdict_is_monotone_and_witnesses_respect_it():
+    rng = random.Random(21)
+    for _ in range(25):
+        net, m0, target = random_tapn(rng)
+        unbounded = tapn.reachable(net, m0, target).verdict
+        previous = None
+        for bound in range(0, 2 * tapn.max_guard_constant(net) + 3):
+            res = tapn.reachable(net, m0, target, max_total_delay=bound)
+            if previous == "reachable":
+                assert res.verdict == "reachable"
+            if res.verdict == "reachable":
+                assert sum(step.delay for step in res.trace) <= bound
+                final = tapn.replay(net, m0, res.trace)
+                assert tapn.marking_counts(final) == {p: n for p, n in target.items() if n}
+            elif unbounded == "reachable":
+                assert res.verdict == "bound-exceeded"
+            previous = res.verdict

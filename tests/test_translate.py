@@ -1,9 +1,11 @@
+import gc
 import random
+import time
 
 import pytest
 
 from gen import random_tcsd_source
-from virtint import model, parser, tapn, translate
+from virtint import cli, model, parser, tapn, translate
 from virtint.model import (Event, Message, SequenceDiagram, Tcsd, Timeout)
 from virtint.translate import TranslationError
 
@@ -232,3 +234,70 @@ def test_solo_nets_always_feasible_sample():
         unit = _unit(src)
         res = tapn.reachable(unit.net, unit.m0, unit.target)
         assert res.verdict == "reachable", src
+
+
+def _nested_loops(n):
+    return "tcsd L { sut S test A loop %d { loop %d { loop %d { msg A -> S : x } } } }" % (n, n, n)
+
+
+def _refuse_to_build(tcsd):
+    raise AssertionError("the unrolled net was built")
+
+
+def test_unroll_limit_fails_fast_through_the_cli(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(translate, "_Builder", _refuse_to_build)
+    diagram = tmp_path / "huge.tcsd"
+    diagram.write_text(_nested_loops(1000), encoding="utf-8")
+    arch = tmp_path / "huge.arch"
+    arch.write_text("architecture H { components C, D bind L { sut = C  A -> D } }",
+                    encoding="utf-8")
+    started = time.perf_counter()
+    assert cli.main(["translate", str(diagram), "--dot", str(tmp_path / "x.dot")]) == 1
+    assert cli.main(["check", str(diagram), "--arch", str(arch)]) == 1
+    assert time.perf_counter() - started < 1.0
+    out = capsys.readouterr().out.splitlines()
+    expected = ("translation failed: unrolling the loops of L gives 1002002004 "
+                "transitions, more than the limit of 100000")
+    assert out == [expected, expected]
+    assert not (tmp_path / "x.dot").exists()
+
+
+def test_unroll_below_the_limit_translates():
+    unit = _unit(_nested_loops(40))
+    assert len(unit.net.transitions) == 67_284
+
+
+def test_unrolled_count_equals_built_transitions():
+    rng = random.Random(77)
+    for n in range(200):
+        src = random_tcsd_source(rng, "C%d" % n, max_sut_events=30, max_depth=4)
+        tcsd = model.validate(parser.parse_tcsd(src).tcsd).tcsd
+        unit = translate.translate(tcsd)
+        count = 1 + translate._unrolled_transitions(model.sut_regions(tcsd))
+        assert count == len(unit.net.transitions), src
+
+
+def test_unroll_limit_is_inclusive(monkeypatch):
+    src = "tcsd L { sut S test A loop 3 { msg A -> S : x msg S -> A : y } %s}"
+    monkeypatch.setattr(translate, "MAX_TRANSITIONS", 10)
+    # start, the implicit time-0 partition step, enter, 2 per round, exit
+    assert len(_unit(src % "").net.transitions) == 10
+    with pytest.raises(TranslationError, match="gives 11 transitions, more than the limit of 10"):
+        _unit(src % "msg A -> S : z ")
+
+
+def test_translate_leaves_no_reference_cycles(fixtures_dir):
+    tcsds = []
+    for path in sorted(fixtures_dir.glob("*/*.tcsd")):
+        checked = model.validate(parser.parse_tcsd(path.read_text(encoding="utf-8")).tcsd)
+        if checked.ok:
+            tcsds.append(checked.tcsd)
+    assert len(tcsds) == 10
+    gc.collect()
+    gc.disable()
+    try:
+        for tcsd in tcsds:
+            translate.translate(tcsd)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
