@@ -110,10 +110,17 @@ def cmd_validate(args, out: _Printer) -> int:
 def _check_output_paths(args, inputs, out: _Printer):
     outputs = [p for p in (getattr(args, "dot", None), getattr(args, "tapaal", None),
                            getattr(args, "report", None)) if p]
+    inputs = {os.path.abspath(i) for i in inputs}
+    written = set()
     for path in outputs:
-        if os.path.abspath(path) in {os.path.abspath(i) for i in inputs}:
+        target = os.path.abspath(path)
+        if target in inputs:
             out.bad("output path %s would overwrite an input" % path)
             return False
+        if target in written:
+            out.bad("output path %s is named by two outputs" % path)
+            return False
+        written.add(target)
     return True
 
 

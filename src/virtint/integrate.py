@@ -1,12 +1,12 @@
 """Merge per-component nets and decide whether their test cases can agree.
 
 Instance lines are mapped onto architecture components; two message
-occurrences are compatible when their labels match and their sender and
-receiver lines map to the same components.  Compatible transitions are
-merged pairwise, every maximum matching of same-class occurrences is
-tried, and each merged net is checked for reachability of the union
-target.  An unreachable target is classified by relaxing all guards:
-still unreachable means the message orders themselves conflict, reachable
+occurrences may synchronize when their labels match and their sender and
+receiver lines map to the same components.  Such transitions are merged
+pairwise, every maximum matching of same-class occurrences is tried,
+and each merged net is checked for reachability of the union target.
+An unreachable target is classified by relaxing all guards: still
+unreachable means the message orders themselves conflict, reachable
 means only the timing does.
 """
 
@@ -73,26 +73,6 @@ def build_instance_map(arch: Architecture, tcsds: list[Tcsd]) -> InstanceMap:
 
 
 @dataclass(frozen=True)
-class MessageOccurrence:
-    tcsd: str
-    sender_instance: str
-    label: str
-    receiver_instance: str
-
-
-def compatible(m1: MessageOccurrence, m2: MessageOccurrence, imap: InstanceMap) -> bool:
-    """True when both endpoints map to the same components and labels match."""
-    if m1.tcsd == m2.tcsd:
-        raise ValueError("compatibility is defined across distinct diagrams")
-    if m1.label != m2.label:
-        return False
-    return (imap.component_of(m1.tcsd, m1.sender_instance)
-            == imap.component_of(m2.tcsd, m2.sender_instance)
-            and imap.component_of(m1.tcsd, m1.receiver_instance)
-            == imap.component_of(m2.tcsd, m2.receiver_instance))
-
-
-@dataclass(frozen=True)
 class SyncMatching:
     pairs: tuple[tuple[str, str], ...]
 
@@ -136,8 +116,9 @@ def enumerate_matchings(units: list[TranslationUnit], imap: InstanceMap,
                         policy: str = MAXIMAL):
     """Yield every combination of synchronization points, deterministically.
 
-    Per unit pair and per compatible occurrence class, all maximum
-    injective matchings are produced and combined by cartesian product.
+    Per unit pair and per occurrence class (sender component, label,
+    receiver component), all maximum injective matchings are produced and
+    combined by cartesian product.
     ``strict`` requires equal occurrence counts for every class whose
     endpoints are the pair's two components and errors otherwise;
     ``maximal`` leaves surplus occurrences free-firing.
@@ -342,10 +323,7 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
             "two diagrams test the same component: %s"
             % sorted(c for c in suts if suts.count(c) > 1))
 
-    label_of = {}
-    for u in units:
-        for t in u.net.transitions:
-            label_of[t.id] = t.label
+    labels = {t.id: t.label for u in units for t in u.net.transitions}
 
     stream = enumerate_matchings(units, imap, policy)
     matchings = list(itertools.islice(stream, max_matchings))
@@ -354,7 +332,7 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
     verdicts: list[Verdict] = []
     for matching in matchings:
         merged = merge(units, matching)
-        pair_labels = tuple(label_of[a] for a, _ in matching.pairs)
+        pair_labels = tuple(labels[a] for a, _ in matching.pairs)
         timed = tapn.reachable(merged.net, merged.m0, merged.target,
                                max_states=max_states,
                                max_total_delay=max_total_delay)

@@ -5,7 +5,8 @@ test), per-line ordered event lists, messages between a test line and the
 SUT line, a forest of interaction fragments (strict/par/opt/alt/loop),
 absolute-time partition lines and relative timeouts.  ``validate`` checks
 every well-formedness clause and returns a normalized, immutable diagram;
-``sut_walk`` exposes the SUT-line event order the translator consumes.
+``sut_regions`` parses its SUT line into the region tree the translator
+folds over.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ PARTITION = "partition"
 EVENT_KINDS = (SEND, RECEIVE, FRAGMENT_ENTER, FRAGMENT_EXIT, PARTITION)
 
 OPERATORS = ("strict", "par", "opt", "alt", "loop")
-# Operators whose enter/exit events become net transitions; strict adds nothing.
-BRANCHING_OPERATORS = ("par", "opt", "alt", "loop")
 
 
 @dataclass(frozen=True)
@@ -211,59 +210,6 @@ def sut_regions(tcsd: Tcsd) -> list:
     events = _sut_events(tcsd)
     frags = _index_fragments(tcsd)
     return _parse_items(events, 0, len(events), frags, _operand_index(frags.values()))
-
-
-def _flatten(items, out):
-    for item in items:
-        if isinstance(item, EventNode):
-            out.append(item.event)
-        else:
-            out.append(item.enter)
-            for op in item.operand_items:
-                _flatten(op, out)
-            out.append(item.exit)
-
-
-class SutWalk:
-    """Ordered cursor over the SUT-line events of a validated diagram."""
-
-    def __init__(self, tcsd: Tcsd):
-        self._items = sut_regions(tcsd)
-        flat: list[Event] = []
-        _flatten(self._items, flat)
-        self.events: tuple[Event, ...] = tuple(flat)
-        self._pos = {e.id: n for n, e in enumerate(self.events)}
-        self._operand_spans: dict[tuple[str, int], tuple[Event, ...]] = {}
-        self._collect_spans(self._items)
-
-    def _collect_spans(self, items):
-        for item in items:
-            if isinstance(item, FragmentNode):
-                for x, op_items in enumerate(item.operand_items):
-                    flat: list[Event] = []
-                    _flatten(op_items, flat)
-                    self._operand_spans[(item.fragment.id, x)] = tuple(flat)
-                    self._collect_spans(op_items)
-
-    def __iter__(self):
-        return iter(self.events)
-
-    def next(self, event_id: str) -> Event | None:
-        n = self._pos[event_id]
-        return self.events[n + 1] if n + 1 < len(self.events) else None
-
-    def first(self, fragment_id: str, operand: int) -> Event | None:
-        span = self._operand_spans[(fragment_id, operand)]
-        return span[0] if span else None
-
-    def last(self, fragment_id: str, operand: int) -> Event | None:
-        span = self._operand_spans[(fragment_id, operand)]
-        return span[-1] if span else None
-
-
-def sut_walk(tcsd: Tcsd) -> SutWalk:
-    """Walk the SUT line in declared order (operands visited sequentially)."""
-    return SutWalk(tcsd)
 
 
 # --------------------------------------------------------------------------

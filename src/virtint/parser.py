@@ -19,6 +19,7 @@ same ids.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from . import model
@@ -73,6 +74,9 @@ _PUNCT = {"{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA", "=": "EQUALS
 
 _STMT_KEYWORDS = ("msg", "at", "timeout", "par", "alt", "opt", "strict", "loop")
 
+# Characters XML 1.0 cannot carry: a label holding one has no TAPAAL export.
+_XML_FORBIDDEN = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]").match
+
 # Deepest block nesting accepted.  Parsing, validation and translation recurse
 # per level; this keeps them well below the interpreter's recursion limit.
 MAX_NESTING = 100
@@ -124,13 +128,18 @@ def _lex(text: str, filename: str) -> list[Token]:
                     raise ParseError(SourceSpan(filename, start_line, start_col),
                                      "unterminated string literal")
                 if text[i] == "\\" and i + 1 < n:
-                    out.append(text[i + 1])
-                    i += 2
-                    col += 2
-                else:
-                    out.append(text[i])
                     i += 1
                     col += 1
+                ch = text[i]
+                if _XML_FORBIDDEN(ch):
+                    raise ParseError(SourceSpan(filename, line, col),
+                                     "character U+%04X is not allowed in a string"
+                                     % ord(ch))
+                out.append(ch)
+                i += 1
+                col += 1
+                if ch == "\n":  # an escaped newline: the string goes on below
+                    line, col = line + 1, 1
             if i >= n:
                 raise ParseError(SourceSpan(filename, start_line, start_col),
                                  "unterminated string literal")
@@ -473,7 +482,8 @@ def parse_architecture(source: str, filename: str = "<arch>") -> Architecture:
 def _label_text(label: str) -> str:
     if label and all(ch.isalnum() or ch == "_" for ch in label):
         return label
-    return '"%s"' % label.replace("\\", "\\\\").replace('"', '\\"')
+    escaped = label.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\\n")
+    return '"%s"' % escaped
 
 
 def format_tcsd(tcsd: Tcsd) -> str:

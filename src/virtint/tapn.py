@@ -145,12 +145,6 @@ class Tapn:
                 # Such a transition is always enabled: no search would end.
                 raise ValueError("transition %s has no incoming arc" % t.id)
 
-    def label_of(self, tid: str) -> str | None:
-        for t in self.transitions:
-            if t.id == tid:
-                return t.label
-        raise KeyError(tid)
-
 
 Marking = dict[str, tuple[int, ...]]
 TargetSpec = dict[str, int]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import model, tapn
-from .model import EventNode, FragmentNode, Tcsd
+from .model import EventNode, Tcsd
 from .tapn import (ANY_AGE, Guard, InputArc, Marking, OutputArc, Tapn, TargetSpec,
                    Transition, TransportArc)
 
@@ -45,10 +45,6 @@ class TranslationUnit:
     @property
     def name(self) -> str:
         return self.net.name
-
-    @property
-    def label_map(self) -> dict[str, str | None]:
-        return {t.id: t.label for t in self.net.transitions}
 
 
 class _Builder:
@@ -177,22 +173,29 @@ class _Builder:
             p = pend
         return p
 
-def _check_timeout_shape(tcsd: Tcsd, walk: model.SutWalk):
-    pos = {e.id: n for n, e in enumerate(walk.events)}
-    spans = []
-    for c in tcsd.timeouts:
-        spans.append((pos[c.start], pos[c.end], c))
-    for i in range(len(spans)):
-        for j in range(i + 1, len(spans)):
-            s1, e1, c1 = spans[i]
-            s2, e2, c2 = spans[j]
-            if e1 <= s2 or e2 <= s1:
-                continue  # disjoint or chained at one event
-            if (s1 <= s2 and e2 <= e1) or (s2 <= s1 and e1 <= e2):
-                continue  # properly nested
+
+def _check_timeout_shape(tcsd: Tcsd):
+    """Reject two timeouts that overlap without one nesting in the other.
+
+    Positions are read off the raw SUT line, which is the region tree
+    flattened.  One pass over the spans sorted by (start, -end) keeps a
+    stack of open spans, each nested in the one below: spans ending at or
+    before the current start close, and the current span must end within
+    the innermost one still open.  Spans sharing only an anchor are chained.
+    """
+    pos = {e.id: n for n, e in enumerate(tcsd.base.events.get(tcsd.sut, ()))}
+    spans = sorted(((pos[c.start], pos[c.end], c) for c in tcsd.timeouts),
+                   key=lambda span: (span[0], -span[1]))
+    open_spans = []
+    for start, end, c in spans:
+        while open_spans and open_spans[-1][1] <= start:
+            open_spans.pop()
+        if open_spans and end > open_spans[-1][1]:
+            outer = open_spans[-1][2]
             raise TranslationError(
                 "timeouts %s..%s and %s..%s overlap without nesting"
-                % (c1.start, c1.end, c2.start, c2.end))
+                % (outer.start, outer.end, c.start, c.end))
+        open_spans.append((start, end, c))
 
 
 def _unrolled_transitions(items) -> int:
@@ -218,13 +221,14 @@ def translate(tcsd: Tcsd) -> TranslationUnit:
     """Build the net, its initial marking and its target for one diagram.
 
     Expects the normalized diagram produced by ``model.validate``; the
-    construction is a deterministic fold over the SUT walk, so identical
-    inputs yield identical nets.  Raises TranslationError, before building
-    anything, when the net with every loop unrolled would have more than
-    ``MAX_TRANSITIONS`` transitions.
+    construction is a deterministic fold over the region tree of
+    ``model.sut_regions``, built once, so identical inputs yield identical
+    nets.  Raises TranslationError, before building anything, when the net
+    with every loop unrolled would have more than ``MAX_TRANSITIONS``
+    transitions.
     """
-    _check_timeout_shape(tcsd, model.sut_walk(tcsd))
     regions = model.sut_regions(tcsd)
+    _check_timeout_shape(tcsd)
     count = 1 + _unrolled_transitions(regions)  # the start step comes first
     if count > MAX_TRANSITIONS:
         raise TranslationError(
@@ -253,34 +257,4 @@ def translate(tcsd: Tcsd) -> TranslationUnit:
         event_map={k: tuple(v) for k, v in b.event_map.items()},
         transition_kinds=dict(b.kinds),
         wait_places=frozenset(b.waits),
-    )
-
-
-@dataclass
-class StructuralReport:
-    transition_counts: dict[str, int]  # per construction kind
-    labeled_transitions: int
-    branch_depth: int
-    c_max: int
-
-
-def structural_report(tu: TranslationUnit) -> StructuralReport:
-    counts: dict[str, int] = {}
-    for kind in tu.transition_kinds.values():
-        counts[kind] = counts.get(kind, 0) + 1
-    labeled = sum(1 for t in tu.net.transitions if t.label is not None)
-
-    def depth(items):
-        best = 0
-        for item in items:
-            if isinstance(item, FragmentNode):
-                inner = 1 + max((depth(op) for op in item.operand_items), default=0)
-                best = max(best, inner)
-        return best
-
-    return StructuralReport(
-        transition_counts=counts,
-        labeled_transitions=labeled,
-        branch_depth=depth(model.sut_regions(tu.tcsd)),
-        c_max=tapn.max_guard_constant(tu.net),
     )

@@ -125,6 +125,30 @@ def test_translate_refuses_overwriting_input(capsys):
     assert "overwrite" in out
 
 
+def test_translate_refuses_two_outputs_on_one_file(tmp_path, capsys):
+    out_path = tmp_path / "out.x"
+    code, out = run_cli(capsys, "translate", BSCU[2], "--dot", str(out_path),
+                        "--tapaal", str(tmp_path / ".." / tmp_path.name / "out.x"))
+    assert code == 2
+    assert "two outputs" in out
+    assert "wrote" not in out
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("label,column", [("x\x01y", 16), ("x\\\x01y", 17),
+                                          ("x\ufffey", 16)])
+def test_translate_rejects_label_xml_cannot_hold(tmp_path, capsys, label, column):
+    src = tmp_path / "bad.tcsd"
+    src.write_text('tcsd T { sut S test A\nmsg A -> S : "%s" }' % label,
+                   encoding="utf-8")
+    xml = tmp_path / "bad.xml"
+    code, out = run_cli(capsys, "translate", str(src), "--tapaal", str(xml))
+    assert code == 1
+    assert "%s:2:%d:" % (src, column) in out
+    assert "not allowed" in out
+    assert not xml.exists()
+
+
 def test_check_bscu_reports_ordering_deadlock(capsys):
     code, out = run_cli(capsys, "check", *BSCU, "--arch", BSCU_ARCH)
     assert code == 1

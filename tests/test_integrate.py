@@ -5,9 +5,8 @@ import pytest
 
 from conftest import load_arch, load_tcsd
 from virtint import integrate, model, parser, tapn, translate
-from virtint.integrate import (IntegrationError, MessageOccurrence, SyncMatching,
-                               build_instance_map, check_consistency, compatible,
-                               enumerate_matchings, merge)
+from virtint.integrate import (IntegrationError, SyncMatching, build_instance_map,
+                               check_consistency, enumerate_matchings, merge)
 from virtint.tapn import TraceStep
 
 
@@ -35,41 +34,41 @@ def _pair(body_a, body_b):
     )
 
 
+def _synchronised(body_a, body_b):
+    """Whether the single messages of TA and TB are matched with each other."""
+    units, imap = _pair(body_a, body_b)
+    [matching] = enumerate_matchings(units, imap)
+    return bool(matching.pairs)
+
+
 def test_compatible_requires_matching_components_and_label():
-    units, imap = _pair("msg S -> B : CMD1", "msg C -> R : CMD1")
-    m1 = MessageOccurrence("TA", "S", "CMD1", "B")
-    m2 = MessageOccurrence("TB", "C", "CMD1", "R")
-    assert compatible(m1, m2, imap)
-    assert compatible(m2, m1, imap)
-    assert not compatible(m1, MessageOccurrence("TB", "C", "CMD2", "R"), imap)
+    # S -> B and C -> R both run from CompA to CompB.
+    assert _synchronised("msg S -> B : CMD1", "msg C -> R : CMD1")
+    assert not _synchronised("msg S -> B : CMD1", "msg C -> R : CMD2")
     # Sender lines map to different components.
-    assert not compatible(m1, MessageOccurrence("TB", "R", "CMD1", "C"), imap)
-
-
-def test_compatible_rejects_same_diagram():
-    _, imap = _pair("msg S -> B : x", "msg C -> R : x")
-    occ = MessageOccurrence("TA", "S", "x", "B")
-    with pytest.raises(ValueError):
-        compatible(occ, occ, imap)
+    assert not _synchronised("msg S -> B : CMD1", "msg R -> C : CMD1")
 
 
 def test_compatible_unbound_instance_errors():
-    _, imap = _pair("msg S -> B : x", "msg C -> R : x")
-    with pytest.raises(IntegrationError):
-        compatible(MessageOccurrence("TA", "S", "x", "B"),
-                   MessageOccurrence("TB", "Ghost", "x", "R"), imap)
+    units, imap = _pair("msg S -> B : x", "msg C -> R : x")
+    ghost = model.validate(parser.parse_tcsd(
+        "tcsd TB { sut R test Ghost msg Ghost -> R : x }").tcsd).tcsd
+    with pytest.raises(IntegrationError, match="Ghost"):
+        list(enumerate_matchings([units[0], translate.translate(ghost)], imap))
 
 
 def test_symmetry_on_random_occurrences():
-    _, imap = _pair("msg S -> B : x", "msg C -> R : x")
     rng = random.Random(3)
-    insts = {"TA": ["S", "B"], "TB": ["R", "C"]}
     for _ in range(50):
-        m1 = MessageOccurrence("TA", rng.choice(insts["TA"]),
-                               rng.choice("xy"), rng.choice(insts["TA"]))
-        m2 = MessageOccurrence("TB", rng.choice(insts["TB"]),
-                               rng.choice("xy"), rng.choice(insts["TB"]))
-        assert compatible(m1, m2, imap) == compatible(m2, m1, imap)
+        label_a, label_b = rng.choice("xy"), rng.choice("xy")
+        a_sends, b_sends = rng.random() < 0.5, rng.random() < 0.5
+        body_a = ("msg S -> B : %s" if a_sends else "msg B -> S : %s") % label_a
+        body_b = ("msg C -> R : %s" if b_sends else "msg R -> C : %s") % label_b
+        units, imap = _pair(body_a, body_b)
+        [ab] = enumerate_matchings(units, imap)
+        [ba] = enumerate_matchings(units[::-1], imap)
+        assert sorted(ab.pairs) == sorted((b, a) for a, b in ba.pairs)
+        assert bool(ab.pairs) == (label_a == label_b and a_sends == b_sends)
 
 
 def test_single_occurrence_yields_single_matching():
@@ -217,7 +216,8 @@ def _reach_args(merged):
 
 def _project(trace, unit, matching):
     """Project a merged witness onto one component's transitions."""
-    mine = {t.id for t in unit.net.transitions}
+    label_of = {t.id: t.label for t in unit.net.transitions}
+    mine = set(label_of)
     merged_of = {}
     for a, b in matching.pairs:
         mid = "+".join(sorted((a, b)))
@@ -236,7 +236,7 @@ def _project(trace, unit, matching):
             continue
         consumed = tuple((p, a) for p, a in step.consumed if p in unit.net.places)
         out.append(TraceStep(step.delay + pending, tid,
-                             unit.net.label_of(tid), consumed))
+                             label_of[tid], consumed))
         pending = 0
     return out
 

@@ -96,27 +96,45 @@ def test_dangling_reference_reports_malformed_only():
     assert {v.clause for v in res.violations} == {"malformed"}
 
 
+def _flatten(items):
+    """The region tree in SUT-line order: borders around their operands."""
+    out = []
+    for item in items:
+        if isinstance(item, model.EventNode):
+            out.append(item.event)
+        else:
+            out.append(item.enter)
+            for op in item.operand_items:
+                out.extend(_flatten(op))
+            out.append(item.exit)
+    return out
+
+
 def test_sut_walk_total_order():
     res = model.validate(_parse(
         "tcsd T { sut S test A msg A -> S : a msg S -> A : b msg A -> S : c }"))
-    walk = model.sut_walk(res.tcsd)
-    kinds = [e.kind for e in walk.events]
+    regions = model.sut_regions(res.tcsd)
+    assert all(isinstance(item, model.EventNode) for item in regions)
+    kinds = [e.kind for e in _flatten(regions)]
     assert kinds == ["partition", "receive", "send", "receive"]
-    assert walk.next(walk.events[-1].id) is None
-    assert walk.next(walk.events[0].id) == walk.events[1]
 
 
 def test_sut_walk_visits_operands_sequentially():
     res = model.validate(_parse(
         "tcsd T { sut S test A par { op { msg A -> S : a } op { msg A -> S : b } } }"))
     tcsd = res.tcsd
-    walk = model.sut_walk(tcsd)
-    kinds = [e.kind for e in walk.events]
+    flat = _flatten(model.sut_regions(tcsd))
+    kinds = [e.kind for e in flat]
     assert kinds == ["partition", "fragment-enter", "receive", "receive",
                      "fragment-exit"]
-    frag = tcsd.base.fragments[0]
-    assert walk.first(frag.id, 0).id != walk.first(frag.id, 1).id
-    assert walk.last(frag.id, 1) == walk.events[3]
+    [par] = [item for item in model.sut_regions(tcsd)
+             if isinstance(item, model.FragmentNode)]
+    assert par.fragment == tcsd.base.fragments[0]
+    # One slice per operand, in operand order, each holding its own event.
+    slices = [_flatten(op) for op in par.operand_items]
+    assert slices == [[flat[2]], [flat[3]]]
+    for x, op_events in enumerate(slices):
+        assert {e.id for e in op_events} <= set(par.fragment.operands[x].events)
 
 
 def test_sut_walk_nested_fragment_visited_inside_outer_operand():
@@ -125,23 +143,35 @@ def test_sut_walk_nested_fragment_visited_inside_outer_operand():
         " op { msg A -> S : a }"
         " op { par { op { msg A -> S : b } op { msg A -> S : c } } msg A -> S : d }"
         " } }"))
-    walk = model.sut_walk(res.tcsd)
+    regions = model.sut_regions(res.tcsd)
     labels = []
     msg_by_event = {m.receive: m.label for m in res.tcsd.base.messages}
-    for e in walk.events:
+    for e in _flatten(regions):
         labels.append(msg_by_event.get(e.id, e.kind[:5]))
     assert labels == ["parti", "fragm", "a", "fragm", "b", "c", "fragm", "d",
                       "fragm"]
+    alt = regions[1]
+    assert alt.fragment.operator == "alt"
+    first, second = alt.operand_items
+    assert not any(isinstance(item, model.FragmentNode) for item in first)
+    # The par sits inside the alt's second operand, ahead of d.
+    inner, d = second
+    assert inner.fragment.operator == "par"
+    assert msg_by_event[d.event.id] == "d"
+    assert [[msg_by_event[n.event.id] for n in op] for op in inner.operand_items] \
+        == [["b"], ["c"]]
 
 
 def test_sut_walk_covers_each_sut_event_once():
+    # The translator reads SUT event positions off the raw line, which
+    # holds only because the flattened region tree is that line.
     rng = random.Random(44)
     for n in range(25):
         res = model.validate(_parse(random_tcsd_source(rng, "W%d" % n)))
         tcsd = res.tcsd
-        walk = model.sut_walk(tcsd)
+        flat = _flatten(model.sut_regions(tcsd))
         line = tcsd.base.events[tcsd.sut]
-        assert [e.id for e in walk.events] == [e.id for e in line]
+        assert [e.id for e in flat] == [e.id for e in line]
 
 
 def test_interleaved_operands_rejected_as_layout():

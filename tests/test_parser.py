@@ -186,3 +186,39 @@ def test_comments_and_quoted_labels():
     assert tcsd.base.messages[0].label == "weird label {x}"
     reparsed = parser.parse_tcsd(parser.format_tcsd(tcsd)).tcsd
     assert canonical_form(tcsd) == canonical_form(reparsed)
+
+
+@pytest.mark.parametrize("ch", ["\x00", "\x08", "\x0b", "\x0c", "\x0e", "\x1f",
+                                "\ud800", "\udfff", "\ufffe", "\uffff"])
+@pytest.mark.parametrize("escape", ["", "\\"])
+def test_labels_reject_characters_xml_cannot_hold(ch, escape):
+    src = 'tcsd T { sut S test A\n  msg A -> S : "ab%s%s" }' % (escape, ch)
+    with pytest.raises(ParseError) as err:
+        parser.parse_tcsd(src)
+    assert (err.value.span.line, err.value.span.column) == (2, 19 + len(escape))
+    assert "U+%04X" % ord(ch) in str(err.value)
+
+
+def test_labels_keep_characters_xml_can_hold():
+    label = "\t\r\n\x7f\ud7ff\ue000\ufffd\U00010000"
+    src = 'tcsd T { sut S test A msg A -> S : "\t\r\\\n\x7f\ud7ff\ue000\ufffd\U00010000" }'
+    assert parser.parse_tcsd(src).tcsd.base.messages[0].label == label
+
+
+def test_escaped_newline_in_label_counts_the_line():
+    src = 'tcsd T { sut S test A msg A -> S : "a\\\nb" msg A -> S : @ }'
+    with pytest.raises(ParseError) as err:
+        parser.parse_tcsd(src)
+    assert str(err.value.span) == "<tcsd>:2:17"
+    res = parser.parse_tcsd(src.replace("@", "c"))
+    assert res.spans[res.tcsd.base.messages[1].send].line == 2
+
+
+def test_round_trip_of_label_with_newline():
+    src = 'tcsd T { sut S test A msg A -> S : "a\\\nb\\\\" msg S -> A : c }'
+    tcsd = parser.parse_tcsd(src).tcsd
+    assert tcsd.base.messages[0].label == "a\nb\\"
+    printed = parser.format_tcsd(tcsd)
+    reparsed = parser.parse_tcsd(printed).tcsd
+    assert canonical_form(tcsd) == canonical_form(reparsed)
+    assert parser.format_tcsd(reparsed) == printed

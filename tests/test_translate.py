@@ -1,6 +1,7 @@
 import gc
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -52,14 +53,13 @@ def test_partition_at_zero_gets_exact_zero_guard():
 def test_structural_report_counts():
     unit = _unit("tcsd T { sut S test A "
                  "msg A -> S : a msg S -> A : b msg A -> S : c at 3 at 9 }")
-    rep = translate.structural_report(unit)
-    assert rep.labeled_transitions == 3
+    counts = Counter(unit.transition_kinds.values())
+    assert sum(1 for t in unit.net.transitions if t.label is not None) == 3
     # Two explicit partitions plus the implicit one at time 0.
-    assert rep.transition_counts["partition"] == 3
-    assert rep.transition_counts["start"] == 1
-    assert rep.transition_counts["message"] == 3
-    assert rep.branch_depth == 0
-    assert rep.c_max == 9
+    assert counts["partition"] == 3
+    assert counts["start"] == 1
+    assert counts["message"] == 3
+    assert tapn.max_guard_constant(unit.net) == 9
 
 
 def test_par_fragment_branches():
@@ -75,8 +75,6 @@ def test_par_fragment_branches():
     rejoin_transport = [a for a in unit.net.transport_arcs if a.transition == tfe]
     assert len(rejoin_normal) == 2
     assert len(rejoin_transport) == 1
-    rep = translate.structural_report(unit)
-    assert rep.branch_depth == 1
 
 
 def test_loop_zero_keeps_border_transitions():
@@ -130,8 +128,9 @@ def test_timeout_shares_anchor_transition():
     feeder = [a for a in unit.net.output_arcs if a.place == wait]
     drain = [a for a in unit.net.input_arcs if a.place == wait]
     assert len(feeder) == 1 and len(drain) == 1
-    assert unit.net.label_of(feeder[0].transition) == "go"
-    assert unit.net.label_of(drain[0].transition) == "done"
+    label_of = {t.id: t.label for t in unit.net.transitions}
+    assert label_of[feeder[0].transition] == "go"
+    assert label_of[drain[0].transition] == "done"
     assert str(drain[0].guard) == "[0,5]"
 
 
@@ -177,6 +176,64 @@ def test_chained_timeouts_allowed():
     # The shared anchor consumes the first wait token and feeds the second.
     shared = [t.id for t in unit.net.transitions if t.label == "m1"]
     assert len(shared) == 1
+
+
+def _overlap_pairwise(spans):
+    """Reference rule: some two spans overlap without nesting or chaining."""
+    for i in range(len(spans)):
+        for j in range(i + 1, len(spans)):
+            (s1, e1), (s2, e2) = spans[i], spans[j]
+            if e1 <= s2 or e2 <= s1:
+                continue
+            if (s1 <= s2 and e2 <= e1) or (s2 <= s1 and e1 <= e2):
+                continue
+            return True
+    return False
+
+
+def test_timeout_shape_agrees_with_pairwise_rule():
+    line = tuple(Event("s%d" % n, "S", "send") for n in range(8))
+    sd = SequenceDiagram("X", ("S",), {"S": line}, (), ())
+    rng = random.Random(5)
+    rejected = 0
+    for _ in range(5000):
+        spans = []
+        for _ in range(rng.randint(0, 6)):
+            start = rng.randrange(7)
+            spans.append((start, rng.randrange(start + 1, 8)))
+        timeouts = tuple(Timeout("s%d" % a, "s%d" % b, 5) for a, b in spans)
+        tcsd = Tcsd(sd, "S", (), timeouts)
+        if _overlap_pairwise(spans):
+            rejected += 1
+            with pytest.raises(TranslationError, match="overlap without nesting"):
+                translate._check_timeout_shape(tcsd)
+        else:
+            translate._check_timeout_shape(tcsd)
+    assert 1000 < rejected < 4000
+
+
+def test_translate_builds_one_region_tree(fixtures_dir, monkeypatch):
+    calls = []
+    real = model.sut_regions
+
+    def counting(tcsd):
+        calls.append(tcsd.base.name)
+        return real(tcsd)
+
+    monkeypatch.setattr(model, "sut_regions", counting)
+    rng = random.Random(12)
+    sources = [p.read_text(encoding="utf-8") for p in sorted(fixtures_dir.rglob("*.tcsd"))]
+    sources += [random_tcsd_source(rng, "R%d" % n) for n in range(20)]
+    translated = 0
+    for src in sources:
+        checked = model.validate(parser.parse_tcsd(src).tcsd)
+        if not checked.ok:
+            continue
+        calls.clear()
+        translate.translate(checked.tcsd)
+        assert calls == [checked.tcsd.base.name]
+        translated += 1
+    assert translated > 20
 
 
 def test_one_safety_without_fragments():
