@@ -55,8 +55,12 @@ class _Printer:
 
 
 def _read(path: str) -> str:
-    """Read a UTF-8 text file; undecodable bytes raise an OSError naming it."""
-    with open(path, "r", encoding="utf-8") as fp:
+    """Read a UTF-8 text file; undecodable bytes raise an OSError naming it.
+
+    Line endings are passed through untranslated: the lexer owns them, so
+    a carriage return inside a quoted label stays part of the label.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fp:
         try:
             return fp.read()
         except UnicodeDecodeError as exc:

@@ -292,11 +292,12 @@ def _blocking_labels(net: Tapn, frontier) -> tuple[str, ...]:
     every dead marking disables all transitions, so any labeled transition
     whose input side is partly supplied is a stuck synchronization point.
     """
+    incoming, _ = tapn.transition_arcs(net)
     found: set[str] = set()
     for t in net.transitions:
         if t.label is None:
             continue
-        sources = [tapn._arc_source(a) for a in tapn.incoming_arcs(net, t.id)]
+        sources = [tapn._arc_source(a) for a in incoming[t.id]]
         for m in frontier:
             if any(m.get(p) for p in sources):
                 found.add(t.label)

@@ -95,7 +95,8 @@ def _lex(text: str, filename: str) -> list[Token]:
     line, col, i, n = 1, 1, 0, len(text)
     while i < n:
         ch = text[i]
-        if ch == "\n":
+        # Outside strings a line ends with LF, CRLF or a lone CR.
+        if ch == "\n" or (ch == "\r" and not text.startswith("\n", i + 1)):
             line += 1
             col = 1
             i += 1
@@ -105,7 +106,7 @@ def _lex(text: str, filename: str) -> list[Token]:
             col += 1
             continue
         if ch == "#":
-            while i < n and text[i] != "\n":
+            while i < n and text[i] not in "\r\n":
                 i += 1
             continue
         start_line, start_col = line, col
@@ -127,10 +128,14 @@ def _lex(text: str, filename: str) -> list[Token]:
                 if text[i] == "\n":
                     raise ParseError(SourceSpan(filename, start_line, start_col),
                                      "unterminated string literal")
-                if text[i] == "\\" and i + 1 < n:
+                ch = text[i]
+                if ch == "\\" and i + 1 < n:
                     i += 1
                     col += 1
-                ch = text[i]
+                    ch = text[i]
+                    if ch == "\r":  # an escaped CRLF or CR line end reads as LF
+                        i += text.startswith("\n", i + 1)
+                        ch = "\n"
                 if _XML_FORBIDDEN(ch):
                     raise ParseError(SourceSpan(filename, line, col),
                                      "character U+%04X is not allowed in a string"

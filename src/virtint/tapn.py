@@ -11,6 +11,18 @@ so states store ages capped at C+1 and single-step delays range over
 0..C+1; this keeps the state space finite without losing reachability.
 Finite right-open guards ``[a,b)`` are representable but rejected at
 analysis time.
+
+A search state is sparse: only its marked places, as ``(place index,
+ages)`` pairs sorted by index, so firing, hashing and the target test cost
+the marked places, not the whole net.  Delays never change which places
+are marked, so a state's successors come only from the transitions whose
+source places are all marked.  For each of them the engine computes the
+delays at which every guard can hold (a token of age a < C+1 meets
+``[lo,hi]`` after d = lo-a..hi-a; a capped token meets only ``[lo,oo)``),
+and it images only those delays, in ascending order, up to the first
+delay at which every age-relevant token is capped.  Later delays would
+repeat that image.  The successors and their order are those of imaging
+every delay 0..C+1 and trying every transition on each image.
 """
 
 from __future__ import annotations
@@ -161,13 +173,26 @@ def delay(m: Marking, d: int) -> Marking:
     return {p: tuple(a + d for a in ages) for p, ages in m.items()}
 
 
+def transition_arcs(net: Tapn):
+    """Per transition id, its incoming arcs and its normal output places.
+
+    Built in one pass over the arcs.  Incoming arcs come normal arcs
+    first, each kind in net order; a binding lists one age per incoming
+    arc in this order.
+    """
+    incoming: dict[str, list[InputArc | TransportArc]] = {
+        t.id: [] for t in net.transitions}
+    outputs: dict[str, list[str]] = {t.id: [] for t in net.transitions}
+    for arc in itertools.chain(net.input_arcs, net.transport_arcs):
+        incoming.setdefault(arc.transition, []).append(arc)
+    for arc in net.output_arcs:
+        outputs.setdefault(arc.transition, []).append(arc.place)
+    return incoming, outputs
+
+
 def incoming_arcs(net: Tapn, tid: str):
     """Incoming arcs of a transition, normal arcs first, in net order."""
-    arcs: list[InputArc | TransportArc] = [
-        a for a in net.input_arcs if a.transition == tid
-    ]
-    arcs.extend(a for a in net.transport_arcs if a.transition == tid)
-    return arcs
+    return transition_arcs(net)[0].get(tid, [])
 
 
 def _arc_source(arc) -> str:
@@ -204,10 +229,10 @@ def enabled(net: Tapn, m: Marking):
     ``incoming_arcs``.
     """
     m = normalize_marking(m)
+    incoming, _ = transition_arcs(net)
     result = []
     for t in net.transitions:
-        arcs = incoming_arcs(net, t.id)
-        for binding in _bindings(arcs, m):
+        for binding in _bindings(incoming[t.id], m):
             result.append((t.id, binding))
     return result
 
@@ -217,8 +242,12 @@ def fire(net: Tapn, m: Marking, tid: str, binding) -> Marking:
 
     Raises ValueError when the binding is not enabled in m.
     """
+    incoming, outputs = transition_arcs(net)
+    return _fire(incoming.get(tid, []), outputs.get(tid, []), m, tid, binding)
+
+
+def _fire(arcs, outputs, m: Marking, tid: str, binding) -> Marking:
     m = normalize_marking(m)
-    arcs = incoming_arcs(net, tid)
     if len(binding) != len(arcs):
         raise ValueError("binding arity %d does not match %d incoming arcs"
                          % (len(binding), len(arcs)))
@@ -233,9 +262,7 @@ def fire(net: Tapn, m: Marking, tid: str, binding) -> Marking:
         pool[age] -= 1
         if isinstance(arc, TransportArc):
             produced.append((arc.target, age))
-    for arc in net.output_arcs:
-        if arc.transition == tid:
-            produced.append((arc.place, 0))
+    produced.extend((place, 0) for place in outputs)
     new = {p: list(ages) for p, ages in m.items()}
     for arc, age in zip(arcs, binding):
         new[_arc_source(arc)].remove(age)
@@ -288,6 +315,13 @@ BOUND_EXCEEDED = "bound-exceeded"
 
 
 class _SearchNet:
+    """The net compiled for search: places and transitions by index.
+
+    A state holds only its marked places, as ``(place index, ages)`` pairs
+    sorted by index, with ages sorted and capped (age-irrelevant places
+    store age 0).
+    """
+
     def __init__(self, net: Tapn):
         self.net = net
         self.places = list(net.places)
@@ -299,13 +333,17 @@ class _SearchNet:
         # transport target idx or -1) in incoming_arcs order, plus normal
         # output place idxs.  Finite bounds are closed here; open finite
         # guards are rejected before any search starts.
+        incoming, outputs = transition_arcs(net)
         self.inc: list[list[tuple[int, int, int | None, int]]] = []
         self.out: list[list[int]] = []
         self.distinct_sources: list[bool] = []
-        for t in net.transitions:
-            arcs = incoming_arcs(net, t.id)
+        # Per transition its distinct source places, and per place the
+        # transitions reading it, in index order.
+        self.sources: list[tuple[int, ...]] = []
+        self.consumers: list[list[int]] = [[] for _ in self.places]
+        for ti, t in enumerate(net.transitions):
             row = []
-            for arc in arcs:
+            for arc in incoming[t.id]:
                 g = arc.guard
                 if isinstance(arc, InputArc):
                     row.append((self.pidx[arc.place], g.lower, g.upper, -1))
@@ -313,56 +351,104 @@ class _SearchNet:
                     row.append((self.pidx[arc.source], g.lower, g.upper,
                                 self.pidx[arc.target]))
             self.inc.append(row)
-            sources = [pi for pi, _, _, _ in row]
-            self.distinct_sources.append(len(set(sources)) == len(sources))
-            self.out.append([self.pidx[a.place] for a in net.output_arcs
-                             if a.transition == t.id])
+            sources = tuple(dict.fromkeys(pi for pi, _, _, _ in row))
+            self.sources.append(sources)
+            self.distinct_sources.append(len(sources) == len(row))
+            for pi in sources:
+                self.consumers[pi].append(ti)
+            self.out.append([self.pidx[p] for p in outputs[t.id]])
         # Token ages only matter in places read through a non-trivial guard,
         # directly or further down a transport-arc chain.  Everywhere else
         # the canonical state stores age 0: an exact quotient, since every
         # guard touching those tokens accepts any age.
         relevant = [False] * len(self.places)
-        for arc in list(net.input_arcs) + list(net.transport_arcs):
+        for arc in itertools.chain(net.input_arcs, net.transport_arcs):
             if arc.guard.lower > 0 or arc.guard.upper is not None:
                 relevant[self.pidx[_arc_source(arc)]] = True
-        changed = True
-        while changed:
-            changed = False
-            for arc in net.transport_arcs:
-                src, tgt = self.pidx[arc.source], self.pidx[arc.target]
-                if relevant[tgt] and not relevant[src]:
+        feeders: dict[int, list[int]] = {}
+        for arc in net.transport_arcs:
+            feeders.setdefault(self.pidx[arc.target], []).append(self.pidx[arc.source])
+        stack = [pi for pi, r in enumerate(relevant) if r]
+        while stack:
+            for src in feeders.get(stack.pop(), ()):
+                if not relevant[src]:
                     relevant[src] = True
-                    changed = True
+                    stack.append(src)
         self.age_relevant = relevant
 
     def encode(self, m: Marking):
-        vec = [()] * len(self.places)
+        state = []
         for p, ages in normalize_marking(m).items():
             i = self.pidx[p]
             if self.age_relevant[i]:
-                vec[i] = tuple(min(a, self.cap) for a in ages)
+                state.append((i, tuple(min(a, self.cap) for a in ages)))
             else:
-                vec[i] = (0,) * len(ages)
-        return tuple(vec)
+                state.append((i, (0,) * len(ages)))
+        state.sort()
+        return tuple(state)
 
     def decode(self, state) -> Marking:
-        return {self.places[i]: ages for i, ages in enumerate(state) if ages}
+        return {self.places[i]: ages for i, ages in state}
 
-    def delayed(self, state, d):
+    def saturation(self, marks) -> int:
+        """The least delay after which no delay changes the state: every
+        age-relevant token is capped by then (0 when there is none)."""
+        rel = self.age_relevant
+        youngest = [ages[0] for pi, ages in marks.items() if rel[pi]]
+        return self.cap - min(youngest) if youngest else 0
+
+    def candidates(self, marks) -> list[int]:
+        """Transitions whose source places are all marked, in index order.
+
+        Delays never change which places are marked, so no other
+        transition can fire after any delay.
+        """
+        found = set()
+        for pi in marks:
+            for ti in self.consumers[pi]:
+                if ti not in found and all(s in marks for s in self.sources[ti]):
+                    found.add(ti)
+        return sorted(found)
+
+    def window(self, marks, ti, horizon: int) -> int:
+        """Bit set of the delays 0..horizon at which every incoming arc of
+        ti finds a token meeting its guard."""
         cap = self.cap
         rel = self.age_relevant
-        return tuple(
-            tuple(min(a + d, cap) for a in ages) if rel[i] else ages
-            for i, ages in enumerate(state)
-        )
+        full = (2 << horizon) - 1
+        mask = full
+        for pi, lo, hi, _ in self.inc[ti]:
+            if not rel[pi]:
+                continue  # its guard accepts any age
+            arc_mask = 0
+            for a in marks[pi]:
+                if a >= cap:  # a capped token meets only [lo,oo)
+                    if hi is None:
+                        arc_mask = full
+                        break
+                    continue
+                first = max(lo - a, 0)
+                last = horizon if hi is None else min(hi - a, horizon)
+                if first <= last:
+                    arc_mask |= ((2 << last) - 1) ^ ((1 << first) - 1)
+            mask &= arc_mask
+            if not mask:
+                break
+        return mask
 
-    def fire_bindings(self, state, ti):
+    def delayed(self, marks, d):
+        if d == 0:
+            return marks
+        cap = self.cap
+        rel = self.age_relevant
+        return {pi: tuple(min(a + d, cap) for a in ages) if rel[pi] else ages
+                for pi, ages in marks.items()}
+
+    def fire_bindings(self, marks, ti):
         row = self.inc[ti]
         candidates = []
         for pi, lo, hi, _ in row:
-            ages = state[pi]
-            if not ages:
-                return ()
+            ages = marks[pi]
             if hi is None:
                 cands = [a for a in dict.fromkeys(ages) if a >= lo]
             else:
@@ -379,7 +465,7 @@ class _SearchNet:
         for pi, _, _, _ in row:
             if pi not in pools:
                 counts: dict[int, int] = {}
-                for a in state[pi]:
+                for a in marks[pi]:
                     counts[a] = counts.get(a, 0) + 1
                 pools[pi] = counts
         out = []
@@ -403,13 +489,13 @@ class _SearchNet:
         rec(0)
         return out
 
-    def fire(self, state, ti, binding):
-        vec = list(state)
+    def fire(self, marks, ti, binding):
+        new = dict(marks)
         touched: dict[int, list[int]] = {}
 
         def pool(pi):
             if pi not in touched:
-                touched[pi] = list(vec[pi])
+                touched[pi] = list(new.get(pi, ()))
             return touched[pi]
 
         for (pi, _, _, tgt), age in zip(self.inc[ti], binding):
@@ -419,9 +505,12 @@ class _SearchNet:
         for pi in self.out[ti]:
             pool(pi).append(0)
         for pi, ages in touched.items():
-            ages.sort()
-            vec[pi] = tuple(ages)
-        return tuple(vec)
+            if ages:
+                ages.sort()
+                new[pi] = tuple(ages)
+            else:
+                del new[pi]
+        return tuple(sorted(new.items()))
 
 
 def _reject_open_guards(net: Tapn):
@@ -453,13 +542,12 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
         if p not in net.places:
             raise ValueError("target names unknown place %r" % p)
     sn = _SearchNet(net)
-    tvec = [0] * len(sn.places)
-    for p, n in target.items():
-        tvec[sn.pidx[p]] = n
-    tvec = tuple(tvec)
+    goal = tuple(sorted((sn.pidx[p], n) for p, n in target.items() if n))
 
     def matches(state):
-        return all(len(ages) == n for ages, n in zip(state, tvec))
+        return len(state) == len(goal) and all(
+            pi == gi and len(ages) == n
+            for (pi, ages), (gi, n) in zip(state, goal))
 
     start = sn.encode(m0)
     if matches(start):
@@ -492,17 +580,30 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
                 continue  # queued again with less delay
             clipped.discard(state)
             dead.pop(state, None)
+        # Images past the saturation delay repeat its image, so the
+        # bound clips this state iff the saturation delay lies past it.
+        marks = dict(state)
+        horizon = sn.saturation(marks)
+        if best is not None and total_delay + horizon > max_total_delay:
+            clipped.add(state)
+            horizon = max_total_delay - total_delay
+        windows = []
+        if horizon >= 0:
+            windows = [(ti, sn.window(marks, ti, horizon))
+                       for ti in sn.candidates(marks)]
+        pending = 0
+        for _, window in windows:
+            pending |= window
         expanded = False
-        images = set()
-        for d in range(sn.cap + 1):
-            img = sn.delayed(state, d)
-            if img in images:
-                continue
-            images.add(img)
-            if best is not None and total_delay + d > max_total_delay:
-                clipped.add(state)
-                continue
-            for ti, (tid, label) in enumerate(sn.trans):
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            d = low.bit_length() - 1
+            img = sn.delayed(marks, d)
+            for ti, window in windows:
+                if not window >> d & 1:
+                    continue
+                tid, label = sn.trans[ti]
                 for binding in sn.fire_bindings(img, ti):
                     expanded = True
                     succ = sn.fire(img, ti, binding)
@@ -552,10 +653,11 @@ def replay(net: Tapn, m0: Marking, trace) -> Marking:
     when a step cannot fire.
     """
     cap = max_guard_constant(net) + 1
+    incoming, outputs = transition_arcs(net)
     m = normalize_marking(m0)
     for step in trace:
         m = delay(m, step.delay)
-        arcs = incoming_arcs(net, step.transition)
+        arcs = incoming.get(step.transition, [])
         if len(arcs) != len(step.consumed):
             raise ReplayError("step arity mismatch on %s" % step.transition)
         pools = {p: Counter(m.get(p, ())) for p in {_arc_source(a) for a in arcs}}
@@ -579,7 +681,8 @@ def replay(net: Tapn, m0: Marking, trace) -> Marking:
             pool[pick] -= 1
             binding.append(pick)
         try:
-            m = fire(net, m, step.transition, tuple(binding))
+            m = _fire(arcs, outputs.get(step.transition, []), m,
+                      step.transition, tuple(binding))
         except ValueError as exc:
             raise ReplayError(str(exc)) from exc
     return m

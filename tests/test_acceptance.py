@@ -157,18 +157,19 @@ def test_criterion_7_determinism_and_round_trip(tmp_path):
         xml = tmp_path / ("%s.xml" % tag)
         rep = tmp_path / ("%s.json" % tag)
         subprocess.run(
-            [sys.executable, "-m", "virtint.cli", "translate",
+            [sys.executable, "-m", "virtint", "translate",
              str(FIXTURES / "bscu" / "tc_switch.tcsd"),
              "--dot", str(dot), "--tapaal", str(xml)],
             check=True, capture_output=True)
         proc = subprocess.run(
-            [sys.executable, "-m", "virtint.cli", "check",
+            [sys.executable, "-m", "virtint", "check",
              *[str(FIXTURES / "bscu" / n) for n in
                ("tc_command1.tcsd", "tc_monitor1.tcsd", "tc_switch.tcsd")],
              "--arch", str(FIXTURES / "bscu" / "bscu.arch"),
              "--report", str(rep)],
             capture_output=True)
         assert proc.returncode == 1, proc.stdout
+        assert proc.stderr == b"", proc.stderr
         stdout = b"\n".join(line for line in proc.stdout.splitlines()
                             if not line.startswith(b"wrote "))
         return dot.read_bytes(), xml.read_bytes(), rep.read_bytes(), stdout

@@ -254,3 +254,45 @@ def test_bad_bounds_rejected(capsys):
     code, out = run_cli(capsys, "check", *BSCU, "--arch", BSCU_ARCH,
                         "--max-states", "0")
     assert code == 2
+
+
+CR_LABEL = 'tcsd T {\n  sut S\n  test A\n  msg A -> S : "a\rb"\n}\n'
+
+
+def test_carriage_return_in_label_is_kept(tmp_path, capsys):
+    path = tmp_path / "cr.tcsd"
+    path.write_bytes(CR_LABEL.encode())
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 0, out
+    xml = tmp_path / "cr.xml"
+    assert run_cli(capsys, "translate", str(path), "--tapaal", str(xml))[0] == 0
+    labels = {e.get("label") for e in ET.parse(xml).iter()}
+    assert "a\rb" in labels
+
+
+def test_crlf_and_cr_files_report_the_lf_positions(tmp_path, capsys):
+    # Parse errors after a comment and after an escaped line end, and
+    # validation errors after a comment.
+    commented = "# c\ntcsd T {\n  sut S\n  test A\n  msg A -> S : @\n}\n"
+    escaped = ('tcsd T {\n  sut S\n  test A\n  msg A -> S : "x\\\ny"\n'
+               '  msg A -> S : @\n}\n')
+    invalid = (FIXTURES / "invalid" / "double_partition.tcsd").read_text(encoding="utf-8")
+    path = tmp_path / "file.tcsd"
+    for text, expected in (
+            (commented, "file.tcsd:5:16: unexpected character '@'"),
+            (escaped, "file.tcsd:6:16: unexpected character '@'"),
+            (invalid, "file.tcsd:6:6: uniqueness")):
+        outputs = []
+        for ending in ("\n", "\r\n", "\r"):
+            path.write_bytes(text.replace("\n", ending).encode())
+            outputs.append(run_cli(capsys, "validate", str(path)))
+        assert outputs[0][0] == 1 and expected in outputs[0][1], outputs[0]
+        assert all(output == outputs[0] for output in outputs), outputs
+
+
+def test_formatted_label_with_carriage_return_validates(tmp_path, capsys):
+    tcsd = parser.parse_tcsd(CR_LABEL).tcsd
+    path = tmp_path / "formatted.tcsd"
+    path.write_bytes(parser.format_tcsd(tcsd).encode())
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 0, out

@@ -218,6 +218,31 @@ def test_writers_match_golden_files():
     assert export.to_tapaal_xml(unit).encode() == (golden / "tc_switch.xml").read_bytes()
 
 
+# Fixture set -> (diagrams, architecture, extra options, exit code).
+GOLDEN_REPORTS = {
+    "bscu": (["tc_command1", "tc_monitor1", "tc_switch"], "bscu", [], 1),
+    "bscu_repaired": (["tc_command1", "tc_monitor1", "tc_switch"], "bscu", [], 0),
+    "timing": (["window_a", "window_b"], "windows", [], 1),
+    "require_all": (["tc_twice_a", "tc_twice_b"], "twice", ["--require-all"], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_reports_match_golden_files(name, tmp_path, monkeypatch, capsys):
+    # Pins verdicts, witnesses, blocking labels and states_explored.  The
+    # golden files were written from the repository root with these
+    # relative paths, which the report records.
+    files, arch, extra, code = GOLDEN_REPORTS[name]
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "report.json"
+    argv = ["check", *("fixtures/%s/%s.tcsd" % (name, f) for f in files),
+            "--arch", "fixtures/%s/%s.arch" % (name, arch), *extra, "--report", str(out)]
+    assert cli.main(argv) == code
+    capsys.readouterr()
+    golden = ROOT / "tests" / "golden" / ("%s.report.json" % name)
+    assert out.read_bytes() == golden.read_bytes()
+
+
 def test_translate_files_equal_the_string_writers(tmp_path, capsys):
     path = FIXTURES / "bscu" / "tc_switch.tcsd"
     dot, xml = tmp_path / "net.dot", tmp_path / "net.xml"

@@ -1,10 +1,14 @@
 import random
+import time
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from gen import random_tapn
+import tapn_reference
+from gen import _random_guard, random_tapn
 from oracle import naive_reachable
-from virtint import tapn
+from virtint import integrate, model, parser, tapn, translate
 from virtint.tapn import (Guard, InputArc, OutputArc, Tapn, Transition,
                           TransportArc, UnsupportedGuardError)
 
@@ -292,3 +296,66 @@ def test_max_delay_verdict_is_monotone_and_witnesses_respect_it():
             elif unbounded == "reachable":
                 assert res.verdict == "bound-exceeded"
             previous = res.verdict
+
+
+def _differential_nets(n_seeds):
+    """Seeded random nets with guard constants 0..8.  Each comes a second
+    time with one normal input arc doubled under a fresh guard, so that a
+    transition reads two tokens of one place (the multiset binding path)."""
+    for seed in range(n_seeds):
+        rng = random.Random(seed)
+        max_const = seed % 9
+        net, m0, target = random_tapn(rng, max_const=max_const, max_tokens=4)
+        yield rng, net, m0, target
+        if net.input_arcs:
+            arc = rng.choice(net.input_arcs)
+            extra = InputArc(arc.place, arc.transition, _random_guard(rng, max_const))
+            yield rng, replace(net, input_arcs=net.input_arcs + (extra,)), m0, target
+
+
+def test_engine_matches_reference_engine():
+    # The reference images every delay 0..C+1 of dense states and tries
+    # every transition on each image; the engine must give the very same
+    # result: verdict, trace with consumed ages, frontier and counters.
+    verdicts = {name: Counter() for name in ("none", "delay", "states", "both")}
+    shared = 0
+    for rng, net, m0, target in _differential_nets(2000):
+        shared += len({a.place for a in net.input_arcs}) < len(net.input_arcs)
+        bound = rng.randint(0, 2 * tapn.max_guard_constant(net) + 2)
+        states = rng.randint(1, 40)
+        for name, kwargs in (("none", {}),
+                             ("delay", {"max_total_delay": bound}),
+                             ("states", {"max_states": states}),
+                             ("both", {"max_total_delay": bound, "max_states": states})):
+            got = tapn.reachable(net, m0, target, **kwargs)
+            assert got == tapn_reference.reachable(net, m0, target, **kwargs), kwargs
+            verdicts[name][got.verdict] += 1
+    assert shared >= 1500
+    assert set(verdicts["none"]) == {"reachable", "unreachable"}
+    for name in ("delay", "states", "both"):
+        assert len(verdicts[name]) == 3, (name, verdicts[name])
+
+
+def _chain_unit(messages):
+    lines = ["tcsd Chain {", "  sut S", "  test T"]
+    lines += ["  msg %s : m%d" % ("T -> S" if i % 2 == 0 else "S -> T", i)
+              for i in range(messages)]
+    src = "\n".join(lines + ["}"]) + "\n"
+    return translate.translate(model.validate(parser.parse_tcsd(src).tcsd).tcsd)
+
+
+def test_long_chain_search_replay_and_blocking_are_linear():
+    # Each step of a 4000-message chain must cost its own arcs, not the
+    # whole net: scanning every arc per state or step took over 20 s.
+    unit = _chain_unit(4000)
+    net = unit.net
+    every_place = {p: (0,) for p in net.places}
+    t0 = time.perf_counter()
+    res = tapn.reachable(net, unit.m0, unit.target)
+    final = tapn.replay(net, unit.m0, res.trace)
+    blocking = integrate._blocking_labels(net, [every_place])
+    elapsed = time.perf_counter() - t0
+    assert res.verdict == "reachable" and res.states_explored == len(net.places)
+    assert tapn.marking_counts(final) == unit.target
+    assert blocking == tuple(sorted("m%d" % i for i in range(4000)))
+    assert elapsed < 5.0, elapsed
