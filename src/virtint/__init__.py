@@ -2,12 +2,14 @@
 
 The pipeline: ``parser`` reads the textual DSLs, ``model`` validates the
 diagrams, ``translate`` compiles each one into a timed-arc Petri net,
-``integrate`` merges nets over an architecture and decides consistency,
-``export`` serializes nets and reports, ``cli`` wires it all together.
+``integrate`` merges nets over an architecture and decides consistency
+(``tapn`` searches them, ``stp`` reads their causal order), ``export``
+serializes nets and reports, ``cli`` wires it all together.
 """
 
-from . import cli, export, integrate, model, parser, tapn, translate
+from . import cli, export, integrate, model, parser, stp, tapn, translate
 
 __version__ = "0.1.0"
 
-__all__ = ["cli", "export", "integrate", "model", "parser", "tapn", "translate"]
+__all__ = ["cli", "export", "integrate", "model", "parser", "stp", "tapn",
+           "translate"]

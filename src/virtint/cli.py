@@ -14,7 +14,7 @@ import itertools
 import os
 import sys
 
-from . import export, integrate, model, parser, translate
+from . import export, integrate, model, parser, tapn, translate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -178,6 +178,12 @@ def _run_check(units, imap, args, out: _Printer):
                 "+%d %s" % (s.delay, s.label or s.transition) for s in v.witness
             )
         (out.good if v.status == integrate.CONSISTENT else out.bad)(line)
+    if any(v.status == integrate.BOUND_EXCEEDED for v in report.verdicts):
+        constant = max(tapn.max_guard_constant(u.net) for u in units)
+        if constant > tapn.MAX_GUARD_CONSTANT:
+            out.warn("guard constant %d exceeds the search limit "
+                     "MAX_GUARD_CONSTANT = %d; no search was run"
+                     % (constant, tapn.MAX_GUARD_CONSTANT))
     if report.matchings_truncated:
         out.warn("matching enumeration truncated at --max-matchings=%d"
                  % args.max_matchings)

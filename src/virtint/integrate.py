@@ -7,7 +7,9 @@ pairwise, every maximum matching of same-class occurrences is tried,
 and each merged net is checked for reachability of the union target.
 An unreachable target is classified by relaxing all guards: still
 unreachable means the message orders themselves conflict, reachable
-means only the timing does.
+means only the timing does.  The relaxed question is answered from the
+merged net's causal order (``stp``) when that is exact, and by a search
+otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from . import tapn
+from . import stp, tapn
 from .model import Tcsd
 from .parser import Architecture
 from .tapn import Tapn, TraceStep, Transition
@@ -345,12 +347,15 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
             verdicts.append(Verdict(BOUND_EXCEEDED, matching, pair_labels,
                                     None, (), timed.states_explored))
             continue
-        untimed = tapn.untimed_reachable(merged.net, merged.m0, merged.target,
-                                         max_states=max_states,
-                                         max_total_delay=max_total_delay)
-        if untimed.verdict == tapn.REACHABLE:
+        untimed = stp.untimed_verdict(merged.net, merged.m0, merged.target,
+                                      max_states, max_total_delay)
+        if untimed is None:
+            untimed = tapn.untimed_reachable(merged.net, merged.m0, merged.target,
+                                             max_states=max_states,
+                                             max_total_delay=max_total_delay).verdict
+        if untimed == tapn.REACHABLE:
             status = TIMING_CONFLICT
-        elif untimed.verdict == tapn.UNREACHABLE:
+        elif untimed == tapn.UNREACHABLE:
             status = ORDERING_DEADLOCK
         else:
             status = BOUND_EXCEEDED

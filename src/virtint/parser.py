@@ -152,9 +152,9 @@ def _lex(text: str, filename: str) -> list[Token]:
             col += 1
             tokens.append(Token("STRING", "".join(out), start_line, start_col))
             continue
-        if ch == "-" or ch.isdigit():
+        if ch == "-" or ch.isdecimal():  # the digits int() reads
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             word = text[i:j]
             if word == "-":

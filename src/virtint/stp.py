@@ -1,0 +1,124 @@
+"""Untimed questions on marked graphs, answered from their causal order.
+
+The translator only emits marked graphs, and merging fuses transitions
+without adding places: each place has at most one producing and one
+consuming arc.  Give each place at most one initial token, and only a
+place without a producer, and every transition fires at most once.  If
+the target is the marking left after every transition fired, once per
+place, and each transition has a causal path (output place, its
+consumer, ...) to a target place, then reaching the target means firing
+every transition.  So, guards aside, the target is reachable exactly
+when Kahn's algorithm orders every transition along the producer ->
+consumer places (Commoner, Holt, Even & Pnueli, "Marked directed
+graphs", 1971).
+
+The search this replaces also stops at ``max_states`` states, one per
+set of fired transitions that is closed under causes.  A partition of the
+ordered transitions into causal chains bounds that number by the product
+of (chain length + 1); only below ``max_states`` is the answer the
+search's.  Everything else is left to the search.
+"""
+
+from __future__ import annotations
+
+from .tapn import REACHABLE, UNREACHABLE, Marking, TargetSpec, Tapn
+
+
+def causal_order(net: Tapn, m0: Marking, target: TargetSpec):
+    """(transitions in a causal order, each one's causes) for a marked
+    graph of the shape above, or None when the net is not one.
+
+    The order lists only the transitions Kahn's algorithm can order; a
+    transition's causes are the producers of its unmarked input places
+    (None for such a place that nothing produces).
+    """
+    producer: dict[str, str] = {}
+    consumer: dict[str, str] = {}
+    inputs: dict[str, list[str]] = {t.id: [] for t in net.transitions}
+    for place, tid in [(a.place, a.transition) for a in net.input_arcs] + [
+            (a.source, a.transition) for a in net.transport_arcs]:
+        if place in consumer:
+            return None
+        consumer[place] = tid
+        inputs[tid].append(place)
+    for tid, place in [(a.transition, a.place) for a in net.output_arcs] + [
+            (a.transition, a.target) for a in net.transport_arcs]:
+        if place in producer:
+            return None
+        producer[place] = tid
+    marked = set()
+    for place, ages in m0.items():
+        if len(ages) > 1 or (ages and place in producer):
+            return None
+        if ages:
+            marked.add(place)
+    final = {p for p in net.places
+             if p not in consumer and (p in producer or p in marked)}
+    if any(n not in (0, 1) for n in target.values()) or \
+            {p for p, n in target.items() if n} != final:
+        return None
+    # Every transition must lead to a target place: walk back from them.
+    reached = set()
+    stack = [producer[p] for p in final if p in producer]
+    while stack:
+        tid = stack.pop()
+        if tid not in reached:
+            reached.add(tid)
+            stack.extend(producer[p] for p in inputs[tid] if p in producer)
+    if len(reached) != len(net.transitions):
+        return None
+    # Kahn's algorithm; an input place that is neither marked nor
+    # produced keeps its consumer out of the order for good.
+    causes = {tid: [producer.get(p) for p in places if p not in marked]
+              for tid, places in inputs.items()}
+    waiting = {tid: len(c) for tid, c in causes.items()}
+    order = [tid for tid in inputs if not waiting[tid]]
+    outputs: dict[str, list[str]] = {tid: [] for tid in inputs}
+    for place, tid in producer.items():
+        if place in consumer:
+            outputs[tid].append(consumer[place])
+    for tid in order:  # grows while it is walked
+        for nxt in outputs[tid]:
+            waiting[nxt] -= 1
+            if not waiting[nxt]:
+                order.append(nxt)
+    return order, causes
+
+
+def _ideal_bound(order, causes, limit: int) -> int:
+    """An upper bound on the cause-closed subsets of ``order``, or a value
+    above ``limit`` once the bound passes it.
+
+    Each transition extends a chain that ends in one of its causes, or
+    starts a chain; a cause-closed set meets every chain in a prefix.
+    """
+    length: dict[str, int] = {}  # chain tail -> chain length
+    for tid in order:
+        tail = next((c for c in causes[tid] if c in length), None)
+        length[tid] = length.pop(tail) + 1 if tail is not None else 1
+    bound = 1
+    for n in length.values():
+        bound *= n + 1
+        if bound > limit:
+            break
+    return bound
+
+
+def untimed_verdict(net: Tapn, m0: Marking, target: TargetSpec,
+                    max_states: int = 1_000_000,
+                    max_total_delay: int | None = None) -> str | None:
+    """The verdict of ``tapn.untimed_reachable`` with the same arguments,
+    or None when the causal order does not settle it.
+
+    Widened guards leave no age that matters, so the search never delays
+    and a bound ``max_total_delay >= 0`` never cuts it.
+    """
+    if max_total_delay is not None and max_total_delay < 0:
+        return None
+    found = causal_order(net, m0, target)
+    if found is None:
+        return None
+    order, causes = found
+    if _ideal_bound(order, causes, max_states) > max_states:
+        return None
+    return REACHABLE if len(order) == len(net.transitions) else UNREACHABLE

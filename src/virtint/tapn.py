@@ -23,6 +23,17 @@ and it images only those delays, in ascending order, up to the first
 delay at which every age-relevant token is capped.  Later delays would
 repeat that image.  The successors and their order are those of imaging
 every delay 0..C+1 and trying every transition on each image.
+
+The untimed structure is paid for once per *shape*, a state's marked
+places with their token counts, not once per state: many timed states
+share a shape.  Per search and per shape the engine keeps the candidate
+transitions, and per candidate a firing plan: which state entries its
+guards read, the successor's shape, and, when each source holds one token
+and each produced token lands in an empty place (always so in the marked
+graphs the translator emits), where each entry of the successor comes
+from.  Such a successor is assembled from the delayed image without
+copying, sorting or enumerating bindings; any other firing enumerates its
+bindings in the same loop.  Trace steps are built only for a witness.
 """
 
 from __future__ import annotations
@@ -313,50 +324,116 @@ REACHABLE = "reachable"
 UNREACHABLE = "unreachable"
 BOUND_EXCEEDED = "bound-exceeded"
 
+# Largest guard constant the search takes on.  Its delay windows are bit
+# sets of up to C+2 bits, so a constant of 10**12 would ask for terabytes;
+# above this limit ``reachable`` answers bound-exceeded without searching.
+MAX_GUARD_CONSTANT = 1_000_000
+
+
+class _Shape:
+    """The untimed part of search states: their marked places, with counts.
+
+    Delays never change a shape, and firing a transition from one shape
+    always gives the same successor shape, so what depends on the shape
+    alone is worked out once per search, on the shape's first expansion.
+    """
+
+    __slots__ = ("key", "relevant", "goal", "plans")
+
+    def __init__(self, key, relevant, goal):
+        self.key = key  # ((place index, token count), ...) sorted by index
+        self.relevant = relevant  # entry indexes of the age-relevant places
+        self.goal = goal  # whether the shape is the target's
+        self.plans = None  # a _Plan per candidate transition, in index order
+
+
+class _Plan:
+    """How one transition fires from one shape.
+
+    ``guards`` holds (entry index, lower, upper or None) per incoming arc
+    whose source is age-relevant; ``succ`` is the successor's shape, or
+    None when the arcs need more tokens than the shape holds.  When every
+    source holds one token, the sources are distinct and every produced
+    token lands in an otherwise empty place, the delay window already
+    proves the single binding and the successor is assembled: ``sources``
+    gives the entry each incoming arc consumes, and each entry of
+    ``layout`` is a kept entry of the delayed image (index >= 0) or the
+    new one-token entry ``~index`` of ``new``, made from (place index,
+    entry whose age is transported, or -1 for age 0).  Any other plan has
+    ``layout`` None, and its bindings are enumerated.
+    """
+
+    __slots__ = ("ti", "guards", "succ", "sources", "layout", "new")
+
+    def __init__(self, ti, guards, succ, sources=None, layout=None, new=None):
+        self.ti = ti
+        self.guards = guards
+        self.succ = succ
+        self.sources = sources
+        self.layout = layout
+        self.new = new
+
+
+_AGE_0 = (0,)
+
 
 class _SearchNet:
     """The net compiled for search: places and transitions by index.
 
     A state holds only its marked places, as ``(place index, ages)`` pairs
     sorted by index, with ages sorted and capped (age-irrelevant places
-    store age 0).
+    store age 0).  Shapes are interned per search in ``shapes``.
     """
 
-    def __init__(self, net: Tapn):
+    def __init__(self, net: Tapn, target: TargetSpec):
         self.net = net
         self.places = list(net.places)
         self.pidx = {p: i for i, p in enumerate(self.places)}
+        self.goal = tuple(sorted((self.pidx[p], n) for p, n in target.items() if n))
         self.cmax = max_guard_constant(net)
         self.cap = self.cmax + 1
         self.trans = [(t.id, t.label) for t in net.transitions]
         # Per transition: incoming (source idx, lower, upper or None,
-        # transport target idx or -1) in incoming_arcs order, plus normal
-        # output place idxs.  Finite bounds are closed here; open finite
-        # guards are rejected before any search starts.
+        # transport target idx or -1) in incoming_arcs order, normal output
+        # place idxs, and the tokens it produces as (place idx, source idx
+        # of a transport arc or -1).  Finite bounds are closed here; open
+        # finite guards are rejected before any search starts.
         incoming, outputs = transition_arcs(net)
         self.inc: list[list[tuple[int, int, int | None, int]]] = []
         self.out: list[list[int]] = []
+        self.produced: list[list[tuple[int, int]]] = []
         self.distinct_sources: list[bool] = []
+        # Whether a transition reads distinct places and writes distinct
+        # places: then one token per source fires it in exactly one way.
+        self.distinct_arcs: list[bool] = []
         # Per transition its distinct source places, and per place the
         # transitions reading it, in index order.
         self.sources: list[tuple[int, ...]] = []
         self.consumers: list[list[int]] = [[] for _ in self.places]
         for ti, t in enumerate(net.transitions):
             row = []
+            produced = []
             for arc in incoming[t.id]:
                 g = arc.guard
                 if isinstance(arc, InputArc):
                     row.append((self.pidx[arc.place], g.lower, g.upper, -1))
                 else:
-                    row.append((self.pidx[arc.source], g.lower, g.upper,
-                                self.pidx[arc.target]))
+                    src, tgt = self.pidx[arc.source], self.pidx[arc.target]
+                    row.append((src, g.lower, g.upper, tgt))
+                    produced.append((tgt, src))
+            out = [self.pidx[p] for p in outputs[t.id]]
+            produced += [(pi, -1) for pi in out]
             self.inc.append(row)
+            self.out.append(out)
+            self.produced.append(produced)
             sources = tuple(dict.fromkeys(pi for pi, _, _, _ in row))
             self.sources.append(sources)
             self.distinct_sources.append(len(sources) == len(row))
+            self.distinct_arcs.append(
+                len(sources) == len(row)
+                and len({pi for pi, _ in produced}) == len(produced))
             for pi in sources:
                 self.consumers[pi].append(ti)
-            self.out.append([self.pidx[p] for p in outputs[t.id]])
         # Token ages only matter in places read through a non-trivial guard,
         # directly or further down a transport-arc chain.  Everywhere else
         # the canonical state stores age 0: an exact quotient, since every
@@ -375,6 +452,7 @@ class _SearchNet:
                     relevant[src] = True
                     stack.append(src)
         self.age_relevant = relevant
+        self.shapes: dict[tuple, _Shape] = {}
 
     def encode(self, m: Marking):
         state = []
@@ -390,38 +468,81 @@ class _SearchNet:
     def decode(self, state) -> Marking:
         return {self.places[i]: ages for i, ages in state}
 
-    def saturation(self, marks) -> int:
+    def shape(self, key) -> _Shape:
+        found = self.shapes.get(key)
+        if found is None:
+            rel = self.age_relevant
+            found = self.shapes[key] = _Shape(
+                key, tuple(k for k, (pi, _) in enumerate(key) if rel[pi]),
+                key == self.goal)
+        return found
+
+    def saturation(self, state, shape) -> int:
         """The least delay after which no delay changes the state: every
         age-relevant token is capped by then (0 when there is none)."""
-        rel = self.age_relevant
-        youngest = [ages[0] for pi, ages in marks.items() if rel[pi]]
-        return self.cap - min(youngest) if youngest else 0
+        if not shape.relevant:
+            return 0
+        return self.cap - min([state[k][1][0] for k in shape.relevant])
 
-    def candidates(self, marks) -> list[int]:
+    def candidates(self, marked) -> list[int]:
         """Transitions whose source places are all marked, in index order.
 
         Delays never change which places are marked, so no other
         transition can fire after any delay.
         """
         found = set()
-        for pi in marks:
+        for pi in marked:
             for ti in self.consumers[pi]:
-                if ti not in found and all(s in marks for s in self.sources[ti]):
+                if ti not in found and all(s in marked for s in self.sources[ti]):
                     found.add(ti)
         return sorted(found)
 
-    def window(self, marks, ti, horizon: int) -> int:
-        """Bit set of the delays 0..horizon at which every incoming arc of
-        ti finds a token meeting its guard."""
-        cap = self.cap
+    def plans(self, shape) -> list[_Plan]:
+        if shape.plans is None:
+            index = {pi: k for k, (pi, _) in enumerate(shape.key)}
+            shape.plans = [self._plan(shape, index, ti)
+                           for ti in self.candidates(index)]
+        return shape.plans
+
+    def _plan(self, shape, index, ti) -> _Plan:
         rel = self.age_relevant
+        key = shape.key
+        guards = tuple([(index[pi], lo, hi) for pi, lo, hi, _ in self.inc[ti]
+                        if rel[pi]])
+        sources = self.sources[ti]
+        produced = self.produced[ti]
+        if (self.distinct_arcs[ti] and all(key[index[pi]][1] == 1 for pi in sources)
+                and all(pi in sources or pi not in index for pi, _ in produced)):
+            slots = [(pi, k) for k, (pi, _) in enumerate(key) if pi not in sources]
+            slots += [(pi, ~j) for j, (pi, _) in enumerate(produced)]
+            slots.sort()
+            layout = tuple([k for _, k in slots])
+            succ = self.shape(tuple([key[k] if k >= 0 else (pi, 1)
+                                     for pi, k in slots]))
+            return _Plan(ti, guards, succ,
+                         sources=tuple([index[pi] for pi, _, _, _ in self.inc[ti]]),
+                         layout=layout,
+                         new=tuple([(pi, index[src] if src >= 0 and rel[pi] else -1)
+                                    for pi, src in produced]))
+        counts = dict(key)
+        for pi, _, _, _ in self.inc[ti]:
+            counts[pi] -= 1
+        if min(counts.values()) < 0:
+            return _Plan(ti, guards, None)  # no binding exists
+        for pi, _ in produced:
+            counts[pi] = counts.get(pi, 0) + 1
+        return _Plan(ti, guards,
+                     self.shape(tuple(sorted((pi, n) for pi, n in counts.items() if n))))
+
+    def window(self, state, guards, horizon: int) -> int:
+        """Bit set of the delays 0..horizon at which every incoming arc of
+        a plan finds a token meeting its guard."""
+        cap = self.cap
         full = (2 << horizon) - 1
         mask = full
-        for pi, lo, hi, _ in self.inc[ti]:
-            if not rel[pi]:
-                continue  # its guard accepts any age
+        for k, lo, hi in guards:
             arc_mask = 0
-            for a in marks[pi]:
+            for a in state[k][1]:
                 if a >= cap:  # a capped token meets only [lo,oo)
                     if hi is None:
                         arc_mask = full
@@ -436,13 +557,21 @@ class _SearchNet:
                 break
         return mask
 
-    def delayed(self, marks, d):
-        if d == 0:
-            return marks
+    def delayed(self, state, shape, d):
+        """The state's entries after a delay of d (a list unless d is 0)."""
+        if not d:
+            return state
+        img = list(state)
         cap = self.cap
-        rel = self.age_relevant
-        return {pi: tuple(min(a + d, cap) for a in ages) if rel[pi] else ages
-                for pi, ages in marks.items()}
+        for k in shape.relevant:
+            pi, ages = img[k]
+            if len(ages) == 1:
+                if ages[0] < cap:
+                    a = ages[0] + d
+                    img[k] = (pi, (a if a < cap else cap,))
+            elif ages[0] < cap:
+                img[k] = (pi, tuple([a + d if a + d < cap else cap for a in ages]))
+        return img
 
     def fire_bindings(self, marks, ti):
         row = self.inc[ti]
@@ -512,6 +641,20 @@ class _SearchNet:
                 del new[pi]
         return tuple(sorted(new.items()))
 
+    def fire_all(self, plan, img):
+        """(successor, binding) pairs of a plan without a layout, in
+        binding order."""
+        marks = dict(img)
+        return [(self.fire(marks, plan.ti, b), b)
+                for b in self.fire_bindings(marks, plan.ti)]
+
+    def trace_step(self, ti, d, binding) -> TraceStep:
+        tid, label = self.trans[ti]
+        rel = self.age_relevant
+        consumed = tuple((self.places[pi], age if rel[pi] else None)
+                         for (pi, _, _, _), age in zip(self.inc[ti], binding))
+        return TraceStep(d, tid, label, consumed)
+
 
 def _reject_open_guards(net: Tapn):
     for arc in list(net.input_arcs) + list(net.transport_arcs):
@@ -541,20 +684,18 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
     for p in target:
         if p not in net.places:
             raise ValueError("target names unknown place %r" % p)
-    sn = _SearchNet(net)
-    goal = tuple(sorted((sn.pidx[p], n) for p, n in target.items() if n))
-
-    def matches(state):
-        return len(state) == len(goal) and all(
-            pi == gi and len(ages) == n
-            for (pi, ages), (gi, n) in zip(state, goal))
-
+    sn = _SearchNet(net, target)
     start = sn.encode(m0)
-    if matches(start):
+    start_shape = sn.shape(tuple((pi, len(ages)) for pi, ages in start))
+    if start_shape.goal:
         return ReachResult(REACHABLE, [], [], 1, 1)
+    if sn.cmax > MAX_GUARD_CONSTANT:
+        return ReachResult(BOUND_EXCEEDED, None, [], 1, 1)
 
+    # Per stored state: None for the start, else (parent, delay,
+    # transition index, binding); trace steps are built only for a witness.
     parents: dict = {start: None}
-    queue = deque([(start, 0)])
+    queue = deque([(start, start_shape, 0)])
     dead: dict = {}  # dead states in discovery order
     peak = 1
     truncated = False  # max_states was hit
@@ -566,15 +707,16 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
     def build_trace(state):
         steps = []
         while parents[state] is not None:
-            prev, step = parents[state]
-            steps.append(step)
+            prev, d, ti, binding = parents[state]
+            steps.append(sn.trace_step(ti, d, binding))
             state = prev
         steps.reverse()
         return steps
 
     while queue:
-        peak = max(peak, len(queue))
-        state, total_delay = queue.popleft()
+        if len(queue) > peak:
+            peak = len(queue)
+        state, shape, total_delay = queue.popleft()
         if best is not None:
             if total_delay > best[state]:
                 continue  # queued again with less delay
@@ -582,49 +724,52 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
             dead.pop(state, None)
         # Images past the saturation delay repeat its image, so the
         # bound clips this state iff the saturation delay lies past it.
-        marks = dict(state)
-        horizon = sn.saturation(marks)
+        horizon = sn.saturation(state, shape)
         if best is not None and total_delay + horizon > max_total_delay:
             clipped.add(state)
             horizon = max_total_delay - total_delay
         windows = []
-        if horizon >= 0:
-            windows = [(ti, sn.window(marks, ti, horizon))
-                       for ti in sn.candidates(marks)]
         pending = 0
-        for _, window in windows:
-            pending |= window
+        if horizon >= 0:
+            for plan in sn.plans(shape):
+                window = sn.window(state, plan.guards, horizon)
+                if window:
+                    windows.append((plan, window))
+                    pending |= window
         expanded = False
         while pending:
             low = pending & -pending
             pending ^= low
             d = low.bit_length() - 1
-            img = sn.delayed(marks, d)
-            for ti, window in windows:
+            img = sn.delayed(state, shape, d)
+            for plan, window in windows:
                 if not window >> d & 1:
                     continue
-                tid, label = sn.trans[ti]
-                for binding in sn.fire_bindings(img, ti):
+                if plan.layout is not None:
+                    # The window proves the single binding: assemble.
+                    new = [(pi, (img[k][1][0],) if k >= 0 else _AGE_0)
+                           for pi, k in plan.new]
+                    fired = ((tuple([img[k] if k >= 0 else new[~k]
+                                     for k in plan.layout]), None),)
+                else:
+                    fired = sn.fire_all(plan, img)
+                for succ, binding in fired:
                     expanded = True
-                    succ = sn.fire(img, ti, binding)
                     if succ in parents:
                         if best is None or total_delay + d >= best[succ]:
                             continue
                     elif len(parents) >= max_states:
                         truncated = True
                         continue
-                    consumed = tuple(
-                        (sn.places[pi], age if sn.age_relevant[pi] else None)
-                        for (pi, _, _, _), age in zip(sn.inc[ti], binding)
-                    )
-                    step = TraceStep(d, tid, label, consumed)
-                    parents[succ] = (state, step)
+                    if binding is None:
+                        binding = tuple([img[k][1][0] for k in plan.sources])
+                    parents[succ] = (state, d, plan.ti, binding)
                     if best is not None:
                         best[succ] = total_delay + d
-                    if matches(succ):
+                    if plan.succ.goal:
                         return ReachResult(REACHABLE, build_trace(succ), [],
                                            len(parents), peak)
-                    queue.append((succ, total_delay + d))
+                    queue.append((succ, plan.succ, total_delay + d))
         if not expanded:
             dead[state] = None
 

@@ -1,18 +1,22 @@
 """Seeded random generators for diagrams and nets used by the property tests."""
 
+import itertools
 import random
 
+from virtint import integrate, model, parser, translate
 from virtint.tapn import (Guard, InputArc, OutputArc, Tapn, TargetSpec,
                           Transition, TransportArc, delay, enabled, fire,
                           marking_counts, normalize_marking)
 
 
 def random_tcsd_source(rng: random.Random, name: str, max_sut_events: int = 12,
-                       max_depth: int = 2) -> str:
+                       max_depth: int = 2, label_pool: int = 0) -> str:
     """A syntactically and semantically valid random diagram program.
 
     Partitions ascend and stay at the top level, timeouts nest properly,
     fragment depth and the SUT event count respect the given limits.
+    Labels are m1, m2, ... in order, or drawn from m1..m<label_pool>
+    when that is set.
     """
     tests = ["A", "B"][: rng.randint(1, 2)]
     state = {
@@ -22,6 +26,8 @@ def random_tcsd_source(rng: random.Random, name: str, max_sut_events: int = 12,
     }
 
     def fresh_label():
+        if label_pool:
+            return "m%d" % rng.randint(1, label_pool)
         state["label"] += 1
         return "m%d" % state["label"]
 
@@ -163,3 +169,37 @@ def _target_from_run(rng: random.Random, net: Tapn, m0) -> TargetSpec:
         tid, binding = rng.choice(options)
         m = fire(net, m, tid, binding)
     return marking_counts(m)
+
+
+_PAIR_ARCH = """
+architecture Pair {
+  components X, Y, Z
+  bind TA { sut = X  A -> Y  B -> Z }
+  bind TB { sut = Y  A -> X  B -> Z }
+}
+"""
+
+
+def random_diagram_pair(rng: random.Random, max_sut_events: int = 8,
+                        max_depth: int = 2):
+    """Translated units TA and TB plus their instance map.
+
+    Both diagrams come from ``random_tcsd_source`` and draw their labels
+    from one small pool.  TA's ``S -> A`` and TB's ``A -> S`` both run from
+    X to Y (and the reverse), so such messages with one label synchronise.
+    """
+    pool = rng.randint(1, 4)
+    tcsds = [model.validate(parser.parse_tcsd(random_tcsd_source(
+        rng, name, max_sut_events, max_depth, pool)).tcsd).tcsd for name in ("TA", "TB")]
+    imap = integrate.build_instance_map(parser.parse_architecture(_PAIR_ARCH), tcsds)
+    return [translate.translate(t) for t in tcsds], imap
+
+
+def random_merged_units(rng: random.Random, max_sut_events: int = 8,
+                        max_depth: int = 2, max_matchings: int = 4):
+    """The merged units of a ``random_diagram_pair``, one per matching (at
+    most ``max_matchings``)."""
+    units, imap = random_diagram_pair(rng, max_sut_events, max_depth)
+    matchings = itertools.islice(integrate.enumerate_matchings(units, imap),
+                                 max_matchings)
+    return [integrate.merge(units, m) for m in matchings]

@@ -1,10 +1,12 @@
+import json
 import os
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from conftest import FIXTURES
-from virtint import cli, parser
+from virtint import cli, parser, tapn
 
 
 def run_cli(capsys, *args, env=None):
@@ -296,3 +298,65 @@ def test_formatted_label_with_carriage_return_validates(tmp_path, capsys):
     path.write_bytes(parser.format_tcsd(tcsd).encode())
     code, out = run_cli(capsys, "validate", str(path))
     assert code == 0, out
+
+
+def test_non_decimal_digits_are_a_parse_error(tmp_path, capsys):
+    # "²" is a digit to str.isdigit but not to int(): it used to reach
+    # int() and end in a ValueError traceback.
+    path = tmp_path / "sup.tcsd"
+    path.write_text("tcsd T { sut S test A at ² msg A -> S : x }\n",
+                    encoding="utf-8")
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 1
+    assert "sup.tcsd:1:26: unexpected character '²'" in out
+    code, out = run_cli(capsys, "check", str(path), str(path), "--arch", BSCU_ARCH)
+    assert code == 2
+    assert "sup.tcsd:1:26: unexpected character '²'" in out
+    for ch in "¹³①⑴":
+        with pytest.raises(parser.ParseError, match="1:26"):
+            parser.parse_tcsd("tcsd T { sut S test A at %s msg A -> S : x }" % ch)
+    # Decimal digits of any script are what int() reads.
+    tcsd = parser.parse_tcsd("tcsd T { sut S test A at ٣ msg A -> S : x }").tcsd
+    assert parser.format_tcsd(tcsd) == parser.format_tcsd(
+        parser.parse_tcsd("tcsd T { sut S test A at 3 msg A -> S : x }").tcsd)
+
+
+def _timing_with(tmp_path, window_a, window_b):
+    """The timing fixture with its partition times replaced."""
+    paths = []
+    for name, old, new in (("window_a.tcsd", "at 2\n", "at %d\n" % window_a),
+                           ("window_b.tcsd", "at 6\n", "at %d\n" % window_b)):
+        text = (FIXTURES / "timing" / name).read_text(encoding="utf-8")
+        assert old in text
+        path = tmp_path / name
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        paths.append(str(path))
+    return paths + ["--arch", str(FIXTURES / "timing" / "windows.arch")]
+
+
+def test_guard_constant_above_the_search_limit_is_inconclusive(tmp_path, capsys):
+    # Delay windows are bit sets as wide as the largest constant: 2e12
+    # used to ask for about 250 GB and die with a MemoryError.
+    report = tmp_path / "r.json"
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "check", *_timing_with(tmp_path, 2 * 10**12, 6 * 10**7),
+                        "--report", str(report))
+    elapsed = time.perf_counter() - t0
+    assert code == 3, out
+    assert ("guard constant 2000000000000 exceeds the search limit "
+            "MAX_GUARD_CONSTANT = 1000000; no search was run") in out
+    assert "overall: inconclusive" in out
+    [verdict] = json.loads(report.read_text())["verdicts"]
+    assert verdict["status"] == "bound-exceeded" and verdict["states_explored"] == 1
+    assert elapsed < 1.0, elapsed
+
+
+def test_guard_constant_limit_is_inclusive(tmp_path, capsys, monkeypatch):
+    args = _timing_with(tmp_path, 2, 6)
+    monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 6)
+    code, out = run_cli(capsys, "check", *args)
+    assert code == 1 and "timing conflict" in out and "MAX_GUARD" not in out
+    monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 5)
+    code, out = run_cli(capsys, "check", *args)
+    assert code == 3
+    assert "guard constant 6 exceeds the search limit MAX_GUARD_CONSTANT = 5" in out

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import tapn_reference
-from gen import _random_guard, random_tapn
+from gen import _random_guard, random_merged_units, random_tapn
 from oracle import naive_reachable
 from virtint import integrate, model, parser, tapn, translate
 from virtint.tapn import (Guard, InputArc, OutputArc, Tapn, Transition,
@@ -124,6 +124,18 @@ def test_reachable_exact_delay():
     res = tapn.reachable(net, {"p": (0,)}, {"q": 1})
     assert res.verdict == "reachable"
     assert [(s.delay, s.transition) for s in res.trace] == [(5, "t")]
+
+
+def test_guard_constant_above_the_limit_is_bound_exceeded(monkeypatch):
+    net = _net(["p", "q"], [Transition("t")],
+               transport_arcs=[TransportArc("p", "t", "q", Guard(5, 5))])
+    monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 4)
+    assert tapn.reachable(net, {"p": (0,)}, {"q": 1}) == tapn.ReachResult(
+        "bound-exceeded", None, [], 1, 1)
+    # A start that already is the target needs no search.
+    assert tapn.reachable(net, {"p": (0,)}, {"p": 1}).verdict == "reachable"
+    monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 5)
+    assert tapn.reachable(net, {"p": (0,)}, {"q": 1}).verdict == "reachable"
 
 
 def _mutual_wait_net():
@@ -333,6 +345,28 @@ def test_engine_matches_reference_engine():
     assert shared >= 1500
     assert set(verdicts["none"]) == {"reachable", "unreachable"}
     for name in ("delay", "states", "both"):
+        assert len(verdicts[name]) == 3, (name, verdicts[name])
+
+
+def test_engine_matches_reference_engine_on_merged_diagram_pairs():
+    # The nets every check searches: merged translator nets, where every
+    # place holds at most one token, so nearly every firing is assembled
+    # from a shape's plan instead of enumerated.
+    verdicts = {name: Counter() for name in ("none", "delay", "states")}
+    for seed in range(120):
+        rng = random.Random(seed)
+        for unit in random_merged_units(rng, max_sut_events=6):
+            net, m0, target = unit.net, unit.m0, unit.target
+            bound = rng.randint(0, 2 * tapn.max_guard_constant(net) + 2)
+            for name, kwargs in (("none", {}),
+                                 ("delay", {"max_total_delay": bound}),
+                                 ("states", {"max_states": rng.randint(1, 60)})):
+                got = tapn.reachable(net, m0, target, **kwargs)
+                assert got == tapn_reference.reachable(net, m0, target, **kwargs), (
+                    seed, kwargs)
+                verdicts[name][got.verdict] += 1
+    assert set(verdicts["none"]) == {"reachable", "unreachable"}
+    for name in ("delay", "states"):
         assert len(verdicts[name]) == 3, (name, verdicts[name])
 
 
