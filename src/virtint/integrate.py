@@ -15,7 +15,7 @@ otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import stp, tapn
 from .model import Tcsd
@@ -36,8 +36,7 @@ class IntegrationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class InstanceMap:
+class InstanceMap(NamedTuple):
     """Total map from (diagram, instance line) to architecture component."""
 
     relation: dict[tuple[str, str], str]
@@ -74,8 +73,7 @@ def build_instance_map(arch: Architecture, tcsds: list[Tcsd]) -> InstanceMap:
     return InstanceMap(relation, suts)
 
 
-@dataclass(frozen=True)
-class SyncMatching:
+class SyncMatching(NamedTuple):
     pairs: tuple[tuple[str, str], ...]
 
 
@@ -229,11 +227,11 @@ def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUn
     for u in units:
         places.extend(u.net.places)
         transitions.extend(t for t in u.net.transitions if t.id not in rename)
-        input_arcs.extend(replace(a, transition=rename.get(a.transition, a.transition))
+        input_arcs.extend(a._replace(transition=rename.get(a.transition, a.transition))
                           for a in u.net.input_arcs)
-        output_arcs.extend(replace(a, transition=rename.get(a.transition, a.transition))
+        output_arcs.extend(a._replace(transition=rename.get(a.transition, a.transition))
                            for a in u.net.output_arcs)
-        transport_arcs.extend(replace(a, transition=rename.get(a.transition, a.transition))
+        transport_arcs.extend(a._replace(transition=rename.get(a.transition, a.transition))
                               for a in u.net.transport_arcs)
         m0.update(u.m0)
         target.update(u.target)
@@ -262,8 +260,7 @@ def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUn
     )
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     status: str  # consistent | ordering-deadlock | timing-conflict | bound-exceeded
     matching: SyncMatching
     pair_labels: tuple[str, ...]  # label per matching pair
@@ -272,8 +269,7 @@ class Verdict:
     states_explored: int
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     overall: str  # consistent | inconsistent | inconclusive
     verdicts: list[Verdict]
     policy: str

@@ -11,7 +11,7 @@ folds over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 SEND = "send"
 RECEIVE = "receive"
@@ -24,8 +24,7 @@ EVENT_KINDS = (SEND, RECEIVE, FRAGMENT_ENTER, FRAGMENT_EXIT, PARTITION)
 OPERATORS = ("strict", "par", "opt", "alt", "loop")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One occurrence on an instance line."""
 
     id: str
@@ -34,39 +33,34 @@ class Event:
     fragment: str | None = None  # set for fragment-enter/exit only
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     send: str
     label: str
     receive: str
 
 
-@dataclass(frozen=True)
-class Operand:
+class Operand(NamedTuple):
     """One operand of a fragment: its events (all lines) and direct children."""
 
     events: tuple[str, ...]
     children: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Fragment:
+class Fragment(NamedTuple):
     id: str
     operator: str
     operands: tuple[Operand, ...]
     loop_bound: int | None = None
 
 
-@dataclass(frozen=True)
-class PartitionLine:
+class PartitionLine(NamedTuple):
     """A horizontal cut at absolute time ``timestamp``, one event per line."""
 
     events: tuple[str, ...]
     timestamp: int
 
 
-@dataclass(frozen=True)
-class Timeout:
+class Timeout(NamedTuple):
     """At most ``bound`` ticks may pass between two SUT events."""
 
     start: str
@@ -74,8 +68,7 @@ class Timeout:
     bound: int
 
 
-@dataclass(frozen=True)
-class SequenceDiagram:
+class SequenceDiagram(NamedTuple):
     name: str
     instances: tuple[str, ...]
     events: dict[str, tuple[Event, ...]]  # instance -> ordered event list
@@ -83,16 +76,14 @@ class SequenceDiagram:
     fragments: tuple[Fragment, ...]
 
 
-@dataclass(frozen=True)
-class Tcsd:
+class Tcsd(NamedTuple):
     base: SequenceDiagram
     sut: str
     partitions: tuple[PartitionLine, ...]
     timeouts: tuple[Timeout, ...]
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     clause: str
     elements: tuple[str, ...]
     detail: str
@@ -101,8 +92,7 @@ class Violation:
         return "%s: %s [%s]" % (self.clause, self.detail, " ".join(self.elements))
 
 
-@dataclass
-class ValidationResult:
+class ValidationResult(NamedTuple):
     violations: list[Violation]
     tcsd: Tcsd | None = None  # normalized diagram, present iff ok
 
@@ -119,13 +109,11 @@ class LayoutError(Exception):
 # Region tree: the SUT line parsed into nested fragment operands.
 
 
-@dataclass
-class EventNode:
+class EventNode(NamedTuple):
     event: Event
 
 
-@dataclass
-class FragmentNode:
+class FragmentNode(NamedTuple):
     fragment: Fragment
     enter: Event
     exit: Event
@@ -507,7 +495,7 @@ def validate(tcsd: Tcsd) -> ValidationResult:
 def _normalize(tcsd: Tcsd) -> Tcsd:
     partitions = sorted(tcsd.partitions, key=lambda p: p.timestamp)
     if partitions and partitions[0].timestamp == 0:
-        return replace(tcsd, partitions=tuple(partitions))
+        return tcsd._replace(partitions=tuple(partitions))
     base = tcsd.base
     taken = {e.id for evs in base.events.values() for e in evs}
     new_events = dict(base.events)
@@ -520,8 +508,5 @@ def _normalize(tcsd: Tcsd) -> Tcsd:
         tau_events.append(eid)
         new_events[inst] = (Event(eid, inst, PARTITION),) + new_events.get(inst, ())
     tau0 = PartitionLine(tuple(tau_events), 0)
-    return replace(
-        tcsd,
-        base=replace(base, events=new_events),
-        partitions=(tau0,) + tuple(partitions),
-    )
+    return tcsd._replace(base=base._replace(events=new_events),
+                         partitions=(tau0,) + tuple(partitions))

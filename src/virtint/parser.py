@@ -20,14 +20,13 @@ same ids.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 from . import model
 from .model import Event, Fragment, Message, Operand, PartitionLine, SequenceDiagram, Tcsd, Timeout
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     file: str
     line: int
     column: int
@@ -36,22 +35,19 @@ class SourceSpan:
         return "%s:%d:%d" % (self.file, self.line, self.column)
 
 
-@dataclass(frozen=True)
-class Binding:
+class Binding(NamedTuple):
     tcsd: str
     sut_component: str
     instance_map: dict[str, str]
 
 
-@dataclass(frozen=True)
-class Architecture:
+class Architecture(NamedTuple):
     name: str
     components: tuple[str, ...]
     bindings: dict[str, Binding]
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     tcsd: Tcsd
     spans: dict[str, SourceSpan]
 
@@ -82,16 +78,16 @@ _XML_FORBIDDEN = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uff
 MAX_NESTING = 100
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT KEYWORD INT STRING ARROW LBRACE RBRACE COLON COMMA EQUALS EOF
     value: str
     line: int
     column: int
 
 
-def _lex(text: str, filename: str) -> list[Token]:
-    tokens = []
+def _lex(text: str, filename: str) -> Iterator[Token]:
+    """Yield the tokens of ``text`` as the parser asks for them, ending
+    with EOF; a lexical error is raised when the parser reaches it."""
     line, col, i, n = 1, 1, 0, len(text)
     while i < n:
         ch = text[i]
@@ -111,12 +107,12 @@ def _lex(text: str, filename: str) -> list[Token]:
             continue
         start_line, start_col = line, col
         if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(Token("ARROW", "->", start_line, start_col))
+            yield Token("ARROW", "->", start_line, start_col)
             i += 2
             col += 2
             continue
         if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, start_line, start_col))
+            yield Token(_PUNCT[ch], ch, start_line, start_col)
             i += 1
             col += 1
             continue
@@ -150,7 +146,7 @@ def _lex(text: str, filename: str) -> list[Token]:
                                  "unterminated string literal")
             i += 1
             col += 1
-            tokens.append(Token("STRING", "".join(out), start_line, start_col))
+            yield Token("STRING", "".join(out), start_line, start_col)
             continue
         if ch == "-" or ch.isdecimal():  # the digits int() reads
             j = i + 1
@@ -160,7 +156,7 @@ def _lex(text: str, filename: str) -> list[Token]:
             if word == "-":
                 raise ParseError(SourceSpan(filename, start_line, start_col),
                                  "stray '-'")
-            tokens.append(Token("INT", word, start_line, start_col))
+            yield Token("INT", word, start_line, start_col)
             col += j - i
             i = j
             continue
@@ -170,33 +166,41 @@ def _lex(text: str, filename: str) -> list[Token]:
                 j += 1
             word = text[i:j]
             kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, start_line, start_col))
+            yield Token(kind, word, start_line, start_col)
             col += j - i
             i = j
             continue
         raise ParseError(SourceSpan(filename, start_line, start_col),
                          "unexpected character %r" % ch)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+    yield Token("EOF", "", line, col)
 
 
 class _Cursor:
-    def __init__(self, tokens, filename):
+    """The parser's view of the token stream: the current token only.
+
+    The grammar is LL(1), so no more is ever needed.  A consumed token's
+    successor is lexed on the next ``peek``, so errors are raised in the
+    order the parser meets them, which is source order.
+    """
+
+    def __init__(self, tokens: Iterator[Token], filename):
         self.tokens = tokens
         self.filename = filename
-        self.i = 0
+        self.tok: Token | None = None  # None once consumed
 
     def peek(self) -> Token:
-        return self.tokens[self.i]
+        if self.tok is None:
+            self.tok = next(self.tokens)
+        return self.tok
 
     def span(self, tok: Token | None = None) -> SourceSpan:
         tok = tok or self.peek()
         return SourceSpan(self.filename, tok.line, tok.column)
 
     def advance(self) -> Token:
-        tok = self.tokens[self.i]
+        tok = self.peek()
         if tok.kind != "EOF":
-            self.i += 1
+            self.tok = None
         return tok
 
     def at_keyword(self, word) -> bool:
@@ -229,13 +233,12 @@ class _Cursor:
         return value, self.advance()
 
 
-@dataclass
-class _Collector:
+class _Collector(NamedTuple):
     # Each line's length when the block opened: the block's events are
     # always the suffix of every line from there on.
     starts: dict[str, int]
-    events: list[str] = field(default_factory=list)
-    frags: list[str] = field(default_factory=list)
+    events: list[str]
+    frags: list[str]
 
 
 class _DiagramBuilder:
@@ -389,7 +392,7 @@ def _parse_block(c: _Cursor, b: _DiagramBuilder) -> _Collector:
     brace = c.expect("LBRACE")
     if len(b.collectors) >= MAX_NESTING:
         raise ParseError(c.span(brace), "blocks nested deeper than %d" % MAX_NESTING)
-    coll = _Collector({inst: len(evs) for inst, evs in b.lines.items()})
+    coll = _Collector({inst: len(evs) for inst, evs in b.lines.items()}, [], [])
     b.collectors.append(coll)
     while c.peek().kind != "RBRACE":
         if c.peek().kind == "EOF":

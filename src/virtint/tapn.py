@@ -40,27 +40,33 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
 class UnsupportedGuardError(Exception):
     """The engine cannot analyse nets with finite right-open guards."""
 
 
-@dataclass(frozen=True)
-class Guard:
+class _GuardFields(NamedTuple):
     lower: int
     upper: int | None = None  # None means unbounded
     upper_closed: bool = True
 
-    def __post_init__(self):
-        if self.lower < 0:
+
+class Guard(_GuardFields):
+    """An age interval; the constructor checks it.  ``_replace`` would skip
+    the checks, so build a changed guard with ``Guard(...)``."""
+
+    __slots__ = ()
+
+    def __new__(cls, lower: int, upper: int | None = None, upper_closed: bool = True):
+        if lower < 0:
             raise ValueError("guard lower bound must be >= 0")
-        if self.upper is None:
-            # An unbounded interval is always right-open.
-            object.__setattr__(self, "upper_closed", False)
-        elif self.upper < self.lower:
+        if upper is None:
+            upper_closed = False  # an unbounded interval is always right-open
+        elif upper < lower:
             raise ValueError("guard upper bound below lower bound")
+        return super().__new__(cls, lower, upper, upper_closed)
 
     def contains(self, age: int) -> bool:
         if age < self.lower:
@@ -87,35 +93,30 @@ def at_most(delta: int) -> Guard:
     return Guard(0, delta)
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     id: str
     label: str | None = None  # None renders as the silent label
 
 
-@dataclass(frozen=True)
-class InputArc:
+class InputArc(NamedTuple):
     place: str
     transition: str
     guard: Guard = ANY_AGE
 
 
-@dataclass(frozen=True)
-class OutputArc:
+class OutputArc(NamedTuple):
     transition: str
     place: str
 
 
-@dataclass(frozen=True)
-class TransportArc:
+class TransportArc(NamedTuple):
     source: str
     transition: str
     target: str
     guard: Guard = ANY_AGE
 
 
-@dataclass(frozen=True)
-class Tapn:
+class Tapn(NamedTuple):
     name: str
     places: tuple[str, ...]
     transitions: tuple[Transition, ...]
@@ -294,15 +295,13 @@ def max_guard_constant(net: Tapn) -> int:
 
 def widen_guards(net: Tapn) -> Tapn:
     """Copy of the net with every guard relaxed to allow any age."""
-    return replace(
-        net,
-        input_arcs=tuple(replace(a, guard=ANY_AGE) for a in net.input_arcs),
-        transport_arcs=tuple(replace(a, guard=ANY_AGE) for a in net.transport_arcs),
+    return net._replace(
+        input_arcs=tuple(a._replace(guard=ANY_AGE) for a in net.input_arcs),
+        transport_arcs=tuple(a._replace(guard=ANY_AGE) for a in net.transport_arcs),
     )
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     delay: int
     transition: str
     label: str | None
@@ -311,8 +310,7 @@ class TraceStep:
     consumed: tuple[tuple[str, int | None], ...]
 
 
-@dataclass
-class ReachResult:
+class ReachResult(NamedTuple):
     verdict: str  # reachable | unreachable | bound-exceeded
     trace: list[TraceStep] | None
     frontier: list[Marking]

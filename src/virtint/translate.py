@@ -12,7 +12,7 @@ drains it through a ``[0,d]`` guard at its end anchor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import model, tapn
 from .model import EventNode, Tcsd
@@ -32,8 +32,7 @@ class TranslationError(Exception):
     pass
 
 
-@dataclass
-class TranslationUnit:
+class TranslationUnit(NamedTuple):
     tcsd: Tcsd | None  # None for merged units
     net: Tapn
     m0: Marking

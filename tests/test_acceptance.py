@@ -113,8 +113,7 @@ def test_criterion_5_timing_conflict_classification():
     assert naive_reachable(widened, merged.m0, merged.target, step_bound=bound)
 
     # Widening every guard flips the verdict to consistent.
-    from dataclasses import replace
-    widened_units = [replace(u, net=tapn.widen_guards(u.net)) for u in units]
+    widened_units = [u._replace(net=tapn.widen_guards(u.net)) for u in units]
     relaxed = integrate.check_consistency(widened_units, imap)
     assert relaxed.overall == "consistent"
     print("PASS criterion 5: window fixture is a timing conflict; widened "

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from canon import canonical_form
 from conftest import FIXTURES
@@ -222,3 +224,60 @@ def test_round_trip_of_label_with_newline():
     reparsed = parser.parse_tcsd(printed).tcsd
     assert canonical_form(tcsd) == canonical_form(reparsed)
     assert parser.format_tcsd(reparsed) == printed
+
+
+@pytest.mark.parametrize("parse,src,error", [
+    (parser.parse_tcsd, 'tcsd X { sut S bogus "a\nb" }',
+     "<tcsd>:1:16: found 'bogus' (expected test)"),
+    (parser.parse_tcsd, "tcsd X { sut S test T msg T -> S : a } } \u00b2",
+     "<tcsd>:1:40: found '}' (expected end of input)"),
+    (parser.parse_tcsd, "tcsd X { sut S test T msg T -> Q : a \u00b2",
+     "<tcsd>:1:32: unknown instance 'Q'"),
+    (parser.parse_architecture, "architecture A { components C, C \u00b2",
+     "<arch>:1:32: duplicate component 'C'"),
+])
+def test_first_error_in_source_order_wins(parse, src, error):
+    # Tokens are lexed as the parser reaches them, so a lexical error
+    # further on (the unterminated string, the stray superscript two)
+    # does not hide an earlier parse error.
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == error
+
+
+_FIXTURE_SOURCES = [path.read_text(encoding="utf-8")
+                    for path in sorted(FIXTURES.rglob("*.tcsd"))]
+# Pieces of the grammar and characters the lexer treats specially.
+_PIECES = st.sampled_from([
+    "{", "}", ":", "->", "-", ",", "=", '"', "\\", "#", "\n", "\r", " ", "\t",
+    "0", "7", "-3", "\u00b2", "\u0663", "x", "_", "\u00e9", "\x00", "\ufffe", "@",
+    "msg", "at", "timeout", "par", "alt", "op", "opt", "strict", "loop",
+    "test", "sut", "tcsd", "A", "S",
+])
+# (position, characters cut there or None for the rest of the source,
+# text put there); a negative position is the end of the source.
+_EDITS = st.lists(st.tuples(st.integers(-1, 10**6), st.integers(0, 6) | st.none(),
+                            st.lists(_PIECES, max_size=3).map("".join)),
+                  min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(_FIXTURE_SOURCES) - 1), _EDITS)
+@example(0, [(-1, 0, "-")])  # the input ends inside a token
+@example(0, [(-1, 0, '"\\')])
+@example(0, [(-1, 0, "\r")])
+@example(0, [(_FIXTURE_SOURCES[0].index(" : ") + 3, 4, '"a\\"b\\\\c"')])  # label a"b\c
+def test_mutated_fixtures_raise_only_parse_errors_and_round_trip(k, edits):
+    src = _FIXTURE_SOURCES[k]
+    for at, cut, text in edits:
+        at = at % (len(src) + 1) if at >= 0 else len(src)
+        src = src[:at] + text + ("" if cut is None else src[at + cut:])
+    try:
+        first = parser.parse_tcsd(src, filename="m.tcsd").tcsd
+    except ParseError as exc:
+        assert exc.span.file == "m.tcsd"
+        assert exc.span.line >= 1 and exc.span.column >= 1
+        return
+    if model.validate(first).ok:
+        second = parser.parse_tcsd(parser.format_tcsd(first)).tcsd
+        assert canonical_form(first) == canonical_form(second), src

@@ -1,7 +1,6 @@
 import random
 import time
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -33,6 +32,12 @@ def test_guard_membership():
         Guard(4, 2)
     with pytest.raises(ValueError):
         Guard(-1)
+
+
+def test_unbounded_guard_is_right_open():
+    assert Guard(2, None, True).upper_closed is False
+    assert Guard(2, upper_closed=True) == Guard(2) == (2, None, False)
+    assert Guard(2, 5).upper_closed is True
 
 
 def test_enabled_window():
@@ -322,7 +327,7 @@ def _differential_nets(n_seeds):
         if net.input_arcs:
             arc = rng.choice(net.input_arcs)
             extra = InputArc(arc.place, arc.transition, _random_guard(rng, max_const))
-            yield rng, replace(net, input_arcs=net.input_arcs + (extra,)), m0, target
+            yield rng, net._replace(input_arcs=net.input_arcs + (extra,)), m0, target
 
 
 def test_engine_matches_reference_engine():
