@@ -5,11 +5,13 @@ occurrences may synchronize when their labels match and their sender and
 receiver lines map to the same components.  Such transitions are merged
 pairwise, every maximum matching of same-class occurrences is tried,
 and each merged net is checked for reachability of the union target.
-An unreachable target is classified by relaxing all guards: still
-unreachable means the message orders themselves conflict, reachable
-means only the timing does.  The relaxed question is answered from the
-merged net's causal order (``stp``) when that is exact, and by a search
-otherwise.
+A merged net whose causal order and difference constraints (``stp``)
+show the target reachable is consistent without a search, with the
+search's own witness; every other one is searched.  An unreachable
+target is classified by relaxing all guards: still unreachable means
+the message orders themselves conflict, reachable means only the timing
+does.  The relaxed question is answered from the same causal order when
+that is exact, and by a second search otherwise.
 """
 
 from __future__ import annotations
@@ -312,7 +314,9 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
 
     A matching is consistent when the merged target is reachable; an
     unreachable matching is a timing conflict if the relaxed net reaches
-    the target and an ordering deadlock otherwise.  The overall verdict
+    the target and an ordering deadlock otherwise.  ``max_states`` bounds
+    the searches only: a consistent verdict decided from the difference
+    constraints reports ``states_explored`` 0.  The overall verdict
     accepts the first consistent matching unless ``require_all`` is set.
     """
     names = [u.name for u in units]
@@ -332,6 +336,14 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
     for matching in matchings:
         merged = merge(units, matching)
         pair_labels = tuple(labels[a] for a, _ in matching.pairs)
+        found = stp.causal_order(merged.net, merged.m0, merged.target)
+        if found is not None:
+            witness = stp.earliest_witness(merged.net, merged.m0, found,
+                                           max_total_delay)
+            if witness is not None:
+                verdicts.append(Verdict(CONSISTENT, matching, pair_labels,
+                                        witness, (), 0))
+                continue
         timed = tapn.reachable(merged.net, merged.m0, merged.target,
                                max_states=max_states,
                                max_total_delay=max_total_delay)
@@ -343,8 +355,8 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
             verdicts.append(Verdict(BOUND_EXCEEDED, matching, pair_labels,
                                     None, (), timed.states_explored))
             continue
-        untimed = stp.untimed_verdict(merged.net, merged.m0, merged.target,
-                                      max_states, max_total_delay)
+        untimed = None if found is None else stp.untimed_verdict(
+            merged.net, merged.m0, merged.target, max_states, max_total_delay, found)
         if untimed is None:
             untimed = tapn.untimed_reachable(merged.net, merged.m0, merged.target,
                                              max_states=max_states,

@@ -1,4 +1,4 @@
-"""Untimed questions on marked graphs, answered from their causal order.
+"""Marked graphs decided from their causal order and difference constraints.
 
 The translator only emits marked graphs, and merging fuses transitions
 without adding places: each place has at most one producing and one
@@ -12,16 +12,31 @@ when Kahn's algorithm orders every transition along the producer ->
 consumer places (Commoner, Holt, Even & Pnueli, "Marked directed
 graphs", 1971).
 
-The search this replaces also stops at ``max_states`` states, one per
-set of fired transitions that is closed under causes.  A partition of the
-ordered transitions into causal chains bounds that number by the product
-of (chain length + 1); only below ``max_states`` is the answer the
-search's.  Everything else is left to the search.
+With the guards, reaching the target means giving each transition a
+firing time t >= 0 that meets difference constraints: t_prod <= t_cons
+per place, and lo <= a0 + t_cons - t_origin <= hi per guard [lo,hi] on a
+token that was made at t_origin (kept along transport arcs; time 0 for an
+initial token of age a0).  They are feasible exactly when their graph
+has no positive cycle (a Simple Temporal Problem: Dechter, Meiri & Pearl,
+AIJ 1991), and Bellman-Ford then finds the earliest schedule, the least
+time of each transition.  Firing by that schedule, ties broken by
+transition index, is the least (delay, transition) sequence to the
+target, which is the witness the breadth-first search returns.  The
+bounds are integers, so the discrete-time answer is the dense-time one.
+
+The search also stops at ``max_states`` states, one per set of fired
+transitions that is closed under causes when the guards are relaxed.  A
+partition of the ordered transitions into causal chains bounds that
+number by the product of (chain length + 1); only below ``max_states`` is
+the relaxed answer the search's.  Everything else is left to the search.
 """
 
 from __future__ import annotations
 
-from .tapn import REACHABLE, UNREACHABLE, Marking, TargetSpec, Tapn
+import heapq
+
+from . import tapn
+from .tapn import REACHABLE, UNREACHABLE, Marking, TargetSpec, Tapn, TraceStep
 
 
 def causal_order(net: Tapn, m0: Marking, target: TargetSpec):
@@ -104,18 +119,95 @@ def _ideal_bound(order, causes, limit: int) -> int:
     return bound
 
 
+def earliest_witness(net: Tapn, m0: Marking, found,
+                     max_total_delay: int | None = None) -> list[TraceStep] | None:
+    """The witness ``tapn.reachable`` returns when ``found``, the net's
+    ``causal_order``, lists every transition and the difference
+    constraints (every t <= ``max_total_delay`` too, when given) are
+    feasible; None otherwise, or when the search would refuse the guard
+    constants.  Open guards raise as in the search."""
+    tapn._reject_open_guards(net)
+    order, causes = found
+    cmax = tapn.max_guard_constant(net)
+    if len(order) != len(net.transitions) or cmax > tapn.MAX_GUARD_CONSTANT:
+        return None
+    node = {t.id: v for v, t in enumerate(net.transitions, 1)}  # node 0: time 0
+    incoming, outputs = tapn.transition_arcs(net)
+    origin = {p: (0, ages[0]) for p, ages in m0.items() if ages}  # (node, age there)
+    made: dict[str, int] = {}  # place -> producer node
+    reads: dict[str, list] = {}  # per transition (place, origin node, age there)
+    edges = []  # (u, v, c): t_v >= t_u + c
+    for tid in order:
+        v = node[tid]
+        reads[tid] = []
+        for arc in incoming[tid]:
+            p = tapn._arc_source(arc)
+            o, a0 = origin[p]
+            reads[tid].append((p, o, a0))
+            if p in made:
+                edges.append((made[p], v, 0))
+            if arc.guard.lower > a0:
+                edges.append((o, v, arc.guard.lower - a0))
+            if arc.guard.upper is not None:
+                edges.append((v, o, a0 - arc.guard.upper))
+            if isinstance(arc, tapn.TransportArc):
+                origin[arc.target], made[arc.target] = (o, a0), v
+        for p in outputs[tid]:
+            origin[p], made[p] = (v, 0), v
+        if max_total_delay is not None:
+            edges.append((v, 0, -max_total_delay))
+    # Bellman-Ford for the least times >= 0; time 0 may not move.
+    t = [0] * (len(node) + 1)
+    for _ in range(len(t)):
+        changed = False
+        for u, v, c in edges:
+            if t[u] + c > t[v]:
+                t[v] = t[u] + c
+                changed = True
+        if not changed:
+            break
+    else:
+        return None  # a positive cycle
+    if t[0]:
+        return None
+    relevant = tapn.age_relevant(net)
+    after: dict[str, list[str]] = {tid: [] for tid in causes}
+    waiting = {}
+    for tid, cs in causes.items():
+        waiting[tid] = len(cs)
+        for c in cs:
+            after[c].append(tid)
+    heap = [(t[node[tid]], node[tid], tid) for tid, n in waiting.items() if not n]
+    heapq.heapify(heap)
+    trace: list[TraceStep] = []
+    now = 0
+    while heap:
+        x, v, tid = heapq.heappop(heap)
+        trace.append(TraceStep(x - now, tid, net.transitions[v - 1].label, tuple(
+            (p, min(a0 + x - t[o], cmax + 1) if p in relevant else None)
+            for p, o, a0 in reads[tid])))
+        now = x
+        for nxt in after[tid]:
+            waiting[nxt] -= 1
+            if not waiting[nxt]:
+                heapq.heappush(heap, (t[node[nxt]], node[nxt], nxt))
+    return trace
+
+
 def untimed_verdict(net: Tapn, m0: Marking, target: TargetSpec,
                     max_states: int = 1_000_000,
-                    max_total_delay: int | None = None) -> str | None:
+                    max_total_delay: int | None = None, found=None) -> str | None:
     """The verdict of ``tapn.untimed_reachable`` with the same arguments,
-    or None when the causal order does not settle it.
+    or None when the causal order does not settle it.  ``found`` is the
+    net's ``causal_order`` when the caller has it.
 
     Widened guards leave no age that matters, so the search never delays
     and a bound ``max_total_delay >= 0`` never cuts it.
     """
     if max_total_delay is not None and max_total_delay < 0:
         return None
-    found = causal_order(net, m0, target)
+    if found is None:
+        found = causal_order(net, m0, target)
     if found is None:
         return None
     order, causes = found

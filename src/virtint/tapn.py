@@ -34,6 +34,12 @@ graphs the translator emits), where each entry of the successor comes
 from.  Such a successor is assembled from the delayed image without
 copying, sorting or enumerating bindings; any other firing enumerates its
 bindings in the same loop.  Trace steps are built only for a witness.
+
+``integrate`` decides a merged net that can reach its target from its
+difference constraints (``stp``), whose earliest schedule gives the very
+witness this search returns; the search runs for the matchings that fail
+and for nets that are not marked graphs.  ``age_relevant`` is the one
+rule, shared with ``stp``, for which consumed ages a witness records.
 """
 
 from __future__ import annotations
@@ -301,6 +307,24 @@ def widen_guards(net: Tapn) -> Tapn:
     )
 
 
+def age_relevant(net: Tapn) -> set[str]:
+    """The places whose token ages matter: those read through a guard
+    other than ``[0,oo)``, directly or further down a transport-arc chain.
+    A witness records the consumed age only for these places."""
+    relevant = {_arc_source(a) for a in itertools.chain(net.input_arcs, net.transport_arcs)
+                if a.guard.lower > 0 or a.guard.upper is not None}
+    feeders: dict[str, list[str]] = {}
+    for arc in net.transport_arcs:
+        feeders.setdefault(arc.target, []).append(arc.source)
+    stack = list(relevant)
+    while stack:
+        for src in feeders.get(stack.pop(), ()):
+            if src not in relevant:
+                relevant.add(src)
+                stack.append(src)
+    return relevant
+
+
 class TraceStep(NamedTuple):
     delay: int
     transition: str
@@ -432,24 +456,10 @@ class _SearchNet:
                 and len({pi for pi, _ in produced}) == len(produced))
             for pi in sources:
                 self.consumers[pi].append(ti)
-        # Token ages only matter in places read through a non-trivial guard,
-        # directly or further down a transport-arc chain.  Everywhere else
-        # the canonical state stores age 0: an exact quotient, since every
-        # guard touching those tokens accepts any age.
-        relevant = [False] * len(self.places)
-        for arc in itertools.chain(net.input_arcs, net.transport_arcs):
-            if arc.guard.lower > 0 or arc.guard.upper is not None:
-                relevant[self.pidx[_arc_source(arc)]] = True
-        feeders: dict[int, list[int]] = {}
-        for arc in net.transport_arcs:
-            feeders.setdefault(self.pidx[arc.target], []).append(self.pidx[arc.source])
-        stack = [pi for pi, r in enumerate(relevant) if r]
-        while stack:
-            for src in feeders.get(stack.pop(), ()):
-                if not relevant[src]:
-                    relevant[src] = True
-                    stack.append(src)
-        self.age_relevant = relevant
+        # Age-irrelevant places store age 0: an exact quotient, since every
+        # guard touching their tokens accepts any age.
+        relevant = age_relevant(net)
+        self.age_relevant = [p in relevant for p in self.places]
         self.shapes: dict[tuple, _Shape] = {}
 
     def encode(self, m: Marking):

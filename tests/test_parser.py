@@ -1,4 +1,8 @@
+import contextlib
+import io
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +11,7 @@ from hypothesis import strategies as st
 from canon import canonical_form
 from conftest import FIXTURES
 from gen import random_tcsd_source
-from virtint import model, parser
+from virtint import cli, model, parser
 from virtint.parser import ParseError
 
 
@@ -245,8 +249,8 @@ def test_first_error_in_source_order_wins(parse, src, error):
     assert str(err.value) == error
 
 
-_FIXTURE_SOURCES = [path.read_text(encoding="utf-8")
-                    for path in sorted(FIXTURES.rglob("*.tcsd"))]
+_FIXTURE_FILES = sorted(FIXTURES.rglob("*.tcsd"))
+_FIXTURE_SOURCES = [path.read_text(encoding="utf-8") for path in _FIXTURE_FILES]
 # Pieces of the grammar and characters the lexer treats specially.
 _PIECES = st.sampled_from([
     "{", "}", ":", "->", "-", ",", "=", '"', "\\", "#", "\n", "\r", " ", "\t",
@@ -261,6 +265,15 @@ _EDITS = st.lists(st.tuples(st.integers(-1, 10**6), st.integers(0, 6) | st.none(
                   min_size=1, max_size=4)
 
 
+def _mutated(k, edits):
+    """Fixture source ``k`` with the edits applied in turn."""
+    src = _FIXTURE_SOURCES[k]
+    for at, cut, text in edits:
+        at = at % (len(src) + 1) if at >= 0 else len(src)
+        src = src[:at] + text + ("" if cut is None else src[at + cut:])
+    return src
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, len(_FIXTURE_SOURCES) - 1), _EDITS)
 @example(0, [(-1, 0, "-")])  # the input ends inside a token
@@ -268,10 +281,7 @@ _EDITS = st.lists(st.tuples(st.integers(-1, 10**6), st.integers(0, 6) | st.none(
 @example(0, [(-1, 0, "\r")])
 @example(0, [(_FIXTURE_SOURCES[0].index(" : ") + 3, 4, '"a\\"b\\\\c"')])  # label a"b\c
 def test_mutated_fixtures_raise_only_parse_errors_and_round_trip(k, edits):
-    src = _FIXTURE_SOURCES[k]
-    for at, cut, text in edits:
-        at = at % (len(src) + 1) if at >= 0 else len(src)
-        src = src[:at] + text + ("" if cut is None else src[at + cut:])
+    src = _mutated(k, edits)
     try:
         first = parser.parse_tcsd(src, filename="m.tcsd").tcsd
     except ParseError as exc:
@@ -281,3 +291,24 @@ def test_mutated_fixtures_raise_only_parse_errors_and_round_trip(k, edits):
     if model.validate(first).ok:
         second = parser.parse_tcsd(parser.format_tcsd(first)).tcsd
         assert canonical_form(first) == canonical_form(second), src
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(_FIXTURE_SOURCES) - 1), _EDITS)
+def test_cli_exits_0_to_3_on_mutated_fixtures(k, edits):
+    # The mutated diagram is checked with the rest of its fixture set, over
+    # that set's architecture (the bscu one for the invalid diagrams).
+    original = _FIXTURE_FILES[k]
+    siblings = [str(p) for p in sorted(original.parent.glob("*.tcsd")) if p != original]
+    arch = next(original.parent.glob("*.arch"), FIXTURES / "bscu" / "bscu.arch")
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        path = Path(tmp) / original.name
+        path.write_bytes(_mutated(k, edits).encode("utf-8"))
+        for argv in (["validate", str(path)],
+                     ["translate", str(path), "--dot", str(Path(tmp) / "net.dot"),
+                      "--tapaal", str(Path(tmp) / "net.xml")],
+                     ["check", str(path), *siblings, "--arch", str(arch),
+                      "--max-states", "2000"]):
+            assert cli.main(argv) in (0, 1, 2, 3), argv

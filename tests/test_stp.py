@@ -1,5 +1,7 @@
 import random
+import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,8 +48,16 @@ def test_check_consistency_statuses_equal_widened_search_classification(
     units, imap = random_diagram_pair(random.Random(seed))
     report = integrate.check_consistency(units, imap, max_states=max_states)
     for verdict in report.verdicts:
-        # The classification as it was: a second, widened search.
         merged = integrate.merge(units, verdict.matching)
+        # A marked graph that can reach its target is decided consistent
+        # without a search, so --max-states cannot cut that answer short.
+        if stp.causal_order(merged.net, merged.m0, merged.target) is not None \
+                and tapn.reachable(merged.net, merged.m0,
+                                   merged.target).verdict == tapn.REACHABLE:
+            assert verdict.status == "consistent"
+            continue
+        # Every other status as it was: the bounded search, then a second,
+        # widened one.
         timed = tapn.reachable(merged.net, merged.m0, merged.target,
                                max_states=max_states)
         expected = {tapn.REACHABLE: "consistent",
@@ -186,3 +196,129 @@ def test_fixture_classifications_need_no_second_search(monkeypatch, bscu):
                                         tcsds)
     report = integrate.check_consistency([translate.translate(t) for t in tcsds], imap)
     assert [v.status for v in report.verdicts] == ["timing-conflict"]
+
+
+def _replays_to_target(net, m0, target, witness):
+    reached = tapn.marking_counts(tapn.replay(net, m0, witness))
+    return reached == {p: n for p, n in target.items() if n}
+
+
+@_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, 0, 3, 9]))
+def test_earliest_witness_is_the_search_witness(seed, max_total_delay):
+    for unit in random_merged_units(random.Random(seed)):
+        net, m0, target = unit.net, unit.m0, unit.target
+        witness = stp.earliest_witness(net, m0, stp.causal_order(net, m0, target),
+                                       max_total_delay)
+        engine = tapn.reachable(net, m0, target, max_total_delay=max_total_delay)
+        if engine.verdict == tapn.REACHABLE:
+            assert witness == engine.trace
+            assert _replays_to_target(net, m0, target, witness)
+        else:
+            assert witness is None
+
+
+def _window_pair(window_a, window_b=6):
+    """The timing fixture's diagrams with their partition times replaced:
+    x at most ``window_a`` ticks after sync in TC_WindowA, and at least
+    ``window_b`` - 1 in TC_WindowB."""
+    from conftest import FIXTURES, load_arch
+    from virtint import model, parser, translate
+
+    tcsds = []
+    for name, old, new in (("window_a.tcsd", "at 2\n", "at %d\n" % window_a),
+                           ("window_b.tcsd", "at 6\n", "at %d\n" % window_b)):
+        src = (FIXTURES / "timing" / name).read_text(encoding="utf-8")
+        tcsds.append(model.validate(parser.parse_tcsd(src.replace(old, new)).tcsd).tcsd)
+    imap = integrate.build_instance_map(load_arch(FIXTURES / "timing" / "windows.arch"),
+                                        tcsds)
+    return [translate.translate(t) for t in tcsds], imap
+
+
+def test_consistent_pair_with_a_large_constant_needs_no_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("search run")
+
+    units, imap = _window_pair(100_000)
+    monkeypatch.setattr(tapn, "reachable", refuse)
+    t0 = time.perf_counter()
+    report = integrate.check_consistency(units, imap)
+    elapsed = time.perf_counter() - t0
+    [verdict] = report.verdicts
+    assert verdict.status == "consistent" and verdict.states_explored == 0
+    assert elapsed < 1.0, elapsed
+    merged = integrate.merge(units, verdict.matching)
+    assert _replays_to_target(merged.net, merged.m0, merged.target, verdict.witness)
+    # The earliest schedule: sync at once, x as soon as TC_WindowB's
+    # partition at 6 allows.
+    times, now = {}, 0
+    for step in verdict.witness:
+        now += step.delay
+        times[step.label] = now
+    assert (times["sync"], times["x"]) == (0, 6)
+    # Past what --max-delay allows, the search decides, as before.
+    monkeypatch.undo()
+    bounded = integrate.check_consistency(units, imap, max_states=50,
+                                          max_total_delay=3)
+    assert [v.status for v in bounded.verdicts] == ["bound-exceeded"]
+
+
+def test_failures_and_broken_preconditions_fall_back_to_the_search(monkeypatch):
+    units, imap = _window_pair(2)
+    real = tapn.reachable
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tapn, "reachable", counted)
+    # A timing conflict: infeasible constraints leave the verdict to the search.
+    [verdict] = integrate.check_consistency(units, imap).verdicts
+    assert verdict.status == "timing-conflict" and len(calls) == 1
+    assert verdict.states_explored > 0
+    for name, net, m0, target in _broken_preconditions():
+        unit = units[0]._replace(tcsd=None, net=net, m0=m0, target=target)
+        monkeypatch.setattr(integrate, "merge", lambda *args, u=unit: u)
+        calls.clear()
+        [verdict] = integrate.check_consistency(units, imap).verdicts
+        engine = real(net, m0, target)
+        assert calls, name  # the search ran
+        assert verdict.states_explored == engine.states_explored, name
+        assert (verdict.status == "consistent") == (engine.verdict == tapn.REACHABLE)
+        assert verdict.witness == engine.trace
+
+
+def test_open_guards_and_huge_constants_are_left_to_the_search(monkeypatch):
+    net, m0 = _chain()
+    found = stp.causal_order(net, m0, {"p2": 1})
+    assert stp.earliest_witness(net, m0, found) == [
+        tapn.TraceStep(0, "t1", None, (("p0", None),)),
+        tapn.TraceStep(0, "t2", None, (("p1", None),))]
+    for guard, error in ((tapn.Guard(0, 3, False), tapn.UnsupportedGuardError),
+                         (tapn.Guard(7), None)):
+        guarded = net._replace(input_arcs=(InputArc("p0", "t1", guard),
+                                           InputArc("p1", "t2")))
+        if error is not None:
+            with pytest.raises(error) as raised:
+                stp.earliest_witness(guarded, m0, found)
+            with pytest.raises(error) as searched:
+                tapn.reachable(guarded, m0, {"p2": 1})
+            assert str(raised.value) == str(searched.value)
+            continue
+        assert stp.earliest_witness(guarded, m0, found)[0] == tapn.TraceStep(
+            7, "t1", None, (("p0", 7),))
+        # An age past the cap is recorded as the cap, as the search does.
+        old = {"p0": (12,)}
+        witness = stp.earliest_witness(guarded, old, found)
+        assert witness[0] == tapn.TraceStep(0, "t1", None, (("p0", 8),))
+        assert witness == tapn.reachable(guarded, old, {"p2": 1}).trace
+        monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 6)
+        assert stp.earliest_witness(guarded, m0, found) is None
+        assert tapn.reachable(guarded, m0, {"p2": 1}).verdict == tapn.BOUND_EXCEEDED
+    # An incomplete causal order and an infeasible delay bound.
+    assert stp.earliest_witness(net, m0, ([], {"t1": [], "t2": ["t1"]})) is None
+    late = net._replace(input_arcs=(InputArc("p0", "t1", tapn.Guard(4)),
+                                    InputArc("p1", "t2")))
+    assert stp.earliest_witness(late, m0, found, max_total_delay=3) is None
+    assert stp.earliest_witness(late, m0, found, max_total_delay=4) is not None
