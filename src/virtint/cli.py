@@ -206,14 +206,14 @@ def cmd_check(args, out: _Printer) -> int:
             parsed, checked = _load_tcsd(path)
             if not checked.ok:
                 _print_violations(out, path, parsed, checked)
-                return EXIT_USAGE
+                return EXIT_FAIL
             loaded.append(checked.tcsd)
     except OSError as exc:
         out.bad("%s" % exc)
         return EXIT_USAGE
     except parser.ParseError as exc:
         out.bad(str(exc))
-        return EXIT_USAGE
+        return EXIT_FAIL
 
     try:
         imap = integrate.build_instance_map(arch, loaded)

@@ -5,13 +5,16 @@ occurrences may synchronize when their labels match and their sender and
 receiver lines map to the same components.  Such transitions are merged
 pairwise, every maximum matching of same-class occurrences is tried,
 and each merged net is checked for reachability of the union target.
-A merged net whose causal order and difference constraints (``stp``)
-show the target reachable is consistent without a search, with the
-search's own witness; every other one is searched.  An unreachable
-target is classified by relaxing all guards: still unreachable means
-the message orders themselves conflict, reachable means only the timing
-does.  The relaxed question is answered from the same causal order when
-that is exact, and by a second search otherwise.
+An unreachable target is classified by relaxing all guards: still
+unreachable means the message orders themselves conflict, reachable
+means only the timing does.  A merged net that ``stp`` can order
+completely is decided from its difference constraints with no search:
+feasible is consistent, with the search's own witness, and infeasible
+is a timing conflict.  Every other net is searched (an ordering
+deadlock, a net of another shape, a guard constant past the search
+limit, or constraints that only ``max_total_delay`` makes infeasible),
+and its relaxed question is answered from the causal order when that is
+exact, and by a second search otherwise.
 """
 
 from __future__ import annotations
@@ -315,9 +318,10 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
     A matching is consistent when the merged target is reachable; an
     unreachable matching is a timing conflict if the relaxed net reaches
     the target and an ordering deadlock otherwise.  ``max_states`` bounds
-    the searches only: a consistent verdict decided from the difference
-    constraints reports ``states_explored`` 0.  The overall verdict
-    accepts the first consistent matching unless ``require_all`` is set.
+    the searches only: a consistent verdict or a timing conflict decided
+    from the difference constraints reports ``states_explored`` 0.  The
+    overall verdict accepts the first consistent matching unless
+    ``require_all`` is set.
     """
     names = [u.name for u in units]
     suts = [imap.sut_components[n] for n in names]
@@ -337,12 +341,19 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
         merged = merge(units, matching)
         pair_labels = tuple(labels[a] for a, _ in matching.pairs)
         found = stp.causal_order(merged.net, merged.m0, merged.target)
-        if found is not None:
-            witness = stp.earliest_witness(merged.net, merged.m0, found,
-                                           max_total_delay)
-            if witness is not None:
+        cons = None if found is None else stp.constraints(merged.net, merged.m0, found)
+        if cons is not None:
+            times = stp.earliest_times(cons, max_total_delay)
+            if times is not None:
                 verdicts.append(Verdict(CONSISTENT, matching, pair_labels,
-                                        witness, (), 0))
+                                        stp.earliest_witness(merged.net, cons, times),
+                                        (), 0))
+                continue
+            # Infeasible without a delay bound is a timing conflict;
+            # feasible only past max_total_delay is left to the search.
+            if max_total_delay is None or stp.earliest_times(cons) is None:
+                verdicts.append(Verdict(TIMING_CONFLICT, matching, pair_labels,
+                                        None, (), 0))
                 continue
         timed = tapn.reachable(merged.net, merged.m0, merged.target,
                                max_states=max_states,

@@ -21,8 +21,12 @@ has no positive cycle (a Simple Temporal Problem: Dechter, Meiri & Pearl,
 AIJ 1991), and Bellman-Ford then finds the earliest schedule, the least
 time of each transition.  Firing by that schedule, ties broken by
 transition index, is the least (delay, transition) sequence to the
-target, which is the witness the breadth-first search returns.  The
-bounds are integers, so the discrete-time answer is the dense-time one.
+target, which is the witness the breadth-first search returns.  When
+they are infeasible, no firing times reach the target although every
+transition can be ordered: a timing conflict, found without a search.
+``constraints`` builds them once, and ``earliest_times`` solves them with
+or without a bound on every t.  The bounds are integers, so the
+discrete-time answer is the dense-time one.
 
 The search also stops at ``max_states`` states, one per set of fired
 transitions that is closed under causes when the guards are relaxed.  A
@@ -34,6 +38,7 @@ the relaxed answer the search's.  Everything else is left to the search.
 from __future__ import annotations
 
 import heapq
+from typing import NamedTuple
 
 from . import tapn
 from .tapn import REACHABLE, UNREACHABLE, Marking, TargetSpec, Tapn, TraceStep
@@ -119,24 +124,33 @@ def _ideal_bound(order, causes, limit: int) -> int:
     return bound
 
 
-def earliest_witness(net: Tapn, m0: Marking, found,
-                     max_total_delay: int | None = None) -> list[TraceStep] | None:
-    """The witness ``tapn.reachable`` returns when ``found``, the net's
-    ``causal_order``, lists every transition and the difference
-    constraints (every t <= ``max_total_delay`` too, when given) are
-    feasible; None otherwise, or when the search would refuse the guard
-    constants.  Open guards raise as in the search."""
+class Constraints(NamedTuple):
+    """A marked graph's difference constraints: t_v >= t_u + c per edge
+    (u, v, c) over node 0, time 0, and nodes 1.. , the transitions in net
+    order."""
+
+    edges: list
+    node: dict  # transition -> node
+    reads: dict  # per transition (place, origin node, age there) per input
+    causes: dict
+    cmax: int
+
+
+def constraints(net: Tapn, m0: Marking, found) -> Constraints | None:
+    """The constraints of a net whose ``causal_order``, ``found``, lists
+    every transition; None when it does not, or when the search would
+    refuse the guard constants.  Open guards raise as in the search."""
     tapn._reject_open_guards(net)
     order, causes = found
     cmax = tapn.max_guard_constant(net)
     if len(order) != len(net.transitions) or cmax > tapn.MAX_GUARD_CONSTANT:
         return None
-    node = {t.id: v for v, t in enumerate(net.transitions, 1)}  # node 0: time 0
+    node = {t.id: v for v, t in enumerate(net.transitions, 1)}
     incoming, outputs = tapn.transition_arcs(net)
     origin = {p: (0, ages[0]) for p, ages in m0.items() if ages}  # (node, age there)
     made: dict[str, int] = {}  # place -> producer node
-    reads: dict[str, list] = {}  # per transition (place, origin node, age there)
-    edges = []  # (u, v, c): t_v >= t_u + c
+    reads: dict[str, list] = {}
+    edges = []
     for tid in order:
         v = node[tid]
         reads[tid] = []
@@ -154,10 +168,17 @@ def earliest_witness(net: Tapn, m0: Marking, found,
                 origin[arc.target], made[arc.target] = (o, a0), v
         for p in outputs[tid]:
             origin[p], made[p] = (v, 0), v
-        if max_total_delay is not None:
-            edges.append((v, 0, -max_total_delay))
-    # Bellman-Ford for the least times >= 0; time 0 may not move.
-    t = [0] * (len(node) + 1)
+    return Constraints(edges, node, reads, causes, cmax)
+
+
+def earliest_times(cons: Constraints,
+                   max_total_delay: int | None = None) -> list[int] | None:
+    """Each node's least time >= 0 (and <= ``max_total_delay``, when
+    given), by Bellman-Ford; None when the constraints are infeasible."""
+    t = [0] * (len(cons.node) + 1)
+    edges = cons.edges
+    if max_total_delay is not None:
+        edges = edges + [(v, 0, -max_total_delay) for v in range(1, len(t))]
     for _ in range(len(t)):
         changed = False
         for u, v, c in edges:
@@ -168,12 +189,17 @@ def earliest_witness(net: Tapn, m0: Marking, found,
             break
     else:
         return None  # a positive cycle
-    if t[0]:
-        return None
+    return None if t[0] else t  # time 0 may not move
+
+
+def earliest_witness(net: Tapn, cons: Constraints, t: list[int]) -> list[TraceStep]:
+    """The witness ``tapn.reachable`` returns, from the ``earliest_times``
+    ``t`` of the net's constraints."""
     relevant = tapn.age_relevant(net)
-    after: dict[str, list[str]] = {tid: [] for tid in causes}
+    node = cons.node
+    after: dict[str, list[str]] = {tid: [] for tid in cons.causes}
     waiting = {}
-    for tid, cs in causes.items():
+    for tid, cs in cons.causes.items():
         waiting[tid] = len(cs)
         for c in cs:
             after[c].append(tid)
@@ -184,8 +210,8 @@ def earliest_witness(net: Tapn, m0: Marking, found,
     while heap:
         x, v, tid = heapq.heappop(heap)
         trace.append(TraceStep(x - now, tid, net.transitions[v - 1].label, tuple(
-            (p, min(a0 + x - t[o], cmax + 1) if p in relevant else None)
-            for p, o, a0 in reads[tid])))
+            (p, min(a0 + x - t[o], cons.cmax + 1) if p in relevant else None)
+            for p, o, a0 in cons.reads[tid])))
         now = x
         for nxt in after[tid]:
             waiting[nxt] -= 1

@@ -10,13 +10,14 @@ from virtint.tapn import (Guard, InputArc, OutputArc, Tapn, TargetSpec,
 
 
 def random_tcsd_source(rng: random.Random, name: str, max_sut_events: int = 12,
-                       max_depth: int = 2, label_pool: int = 0) -> str:
+                       max_depth: int = 2, label_pool: int = 0, max_ticks: int = 6) -> str:
     """A syntactically and semantically valid random diagram program.
 
     Partitions ascend and stay at the top level, timeouts nest properly,
     fragment depth and the SUT event count respect the given limits.
     Labels are m1, m2, ... in order, or drawn from m1..m<label_pool>
-    when that is set.
+    when that is set.  Partitions step by 1..min(4, max_ticks) ticks and
+    timeouts last 1..max_ticks.
     """
     tests = ["A", "B"][: rng.randint(1, 2)]
     state = {
@@ -46,7 +47,7 @@ def random_tcsd_source(rng: random.Random, name: str, max_sut_events: int = 12,
                 break
             roll = rng.random()
             if top_level and roll < 0.15:
-                state["delta"] += rng.randint(1, 4)
+                state["delta"] += rng.randint(1, min(4, max_ticks))
                 state["budget"] -= 1
                 lines.append("%sat %d" % (indent, state["delta"]))
             elif roll < 0.35 and depth < max_depth and state["budget"] >= 4:
@@ -68,7 +69,7 @@ def random_tcsd_source(rng: random.Random, name: str, max_sut_events: int = 12,
                     lines.extend(gen_block(depth + 1, False, indent + "  "))
                     lines.append("%s}" % indent)
             elif roll < 0.5 and state["budget"] >= 2:
-                lines.append("%stimeout %d {" % (indent, rng.randint(1, 6)))
+                lines.append("%stimeout %d {" % (indent, rng.randint(1, max_ticks)))
                 for _ in range(rng.randint(2, 3)):
                     if state["budget"] <= 0:
                         break
@@ -181,7 +182,7 @@ architecture Pair {
 
 
 def random_diagram_pair(rng: random.Random, max_sut_events: int = 8,
-                        max_depth: int = 2):
+                        max_depth: int = 2, max_ticks: int = 6):
     """Translated units TA and TB plus their instance map.
 
     Both diagrams come from ``random_tcsd_source`` and draw their labels
@@ -190,16 +191,17 @@ def random_diagram_pair(rng: random.Random, max_sut_events: int = 8,
     """
     pool = rng.randint(1, 4)
     tcsds = [model.validate(parser.parse_tcsd(random_tcsd_source(
-        rng, name, max_sut_events, max_depth, pool)).tcsd).tcsd for name in ("TA", "TB")]
+        rng, name, max_sut_events, max_depth, pool, max_ticks)).tcsd).tcsd
+        for name in ("TA", "TB")]
     imap = integrate.build_instance_map(parser.parse_architecture(_PAIR_ARCH), tcsds)
     return [translate.translate(t) for t in tcsds], imap
 
 
 def random_merged_units(rng: random.Random, max_sut_events: int = 8,
-                        max_depth: int = 2, max_matchings: int = 4):
+                        max_depth: int = 2, max_matchings: int = 4, max_ticks: int = 6):
     """The merged units of a ``random_diagram_pair``, one per matching (at
     most ``max_matchings``)."""
-    units, imap = random_diagram_pair(rng, max_sut_events, max_depth)
+    units, imap = random_diagram_pair(rng, max_sut_events, max_depth, max_ticks)
     matchings = itertools.islice(integrate.enumerate_matchings(units, imap),
                                  max_matchings)
     return [integrate.merge(units, m) for m in matchings]

@@ -177,6 +177,22 @@ def test_check_timing_conflict(capsys):
     assert "timing conflict" in out
 
 
+def test_check_invalid_diagram_is_invalid_input(tmp_path, capsys):
+    # A diagram that parses but breaks a well-formedness clause: exit 1,
+    # naming the clause, as validate does; nothing is checked.
+    invalid = str(FIXTURES / "invalid" / "double_partition.tcsd")
+    code, out = run_cli(capsys, "validate", invalid)
+    assert code == 1 and "uniqueness" in out
+    code, checked = run_cli(capsys, "check", invalid, *BSCU[1:], "--arch", BSCU_ARCH)
+    assert code == 1 and checked == out
+    assert "overall" not in checked
+    # So is an architecture that fails to parse.
+    arch = tmp_path / "cut.arch"
+    arch.write_text("architecture A { components", encoding="utf-8")
+    code, out = run_cli(capsys, "check", *BSCU, "--arch", str(arch))
+    assert code == 1 and "cut.arch:1:" in out
+
+
 def test_check_unbound_diagram(capsys):
     code, out = run_cli(capsys, "check", *BSCU, "--arch",
                         str(FIXTURES / "timing" / "windows.arch"))
@@ -309,8 +325,9 @@ def test_non_decimal_digits_are_a_parse_error(tmp_path, capsys):
     code, out = run_cli(capsys, "validate", str(path))
     assert code == 1
     assert "sup.tcsd:1:26: unexpected character '²'" in out
+    # Invalid input exits 1 under check too, as under validate and translate.
     code, out = run_cli(capsys, "check", str(path), str(path), "--arch", BSCU_ARCH)
-    assert code == 2
+    assert code == 1
     assert "sup.tcsd:1:26: unexpected character '²'" in out
     for ch in "¹³①⑴":
         with pytest.raises(parser.ParseError, match="1:26"):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import random_diagram_pair, random_merged_units, random_tapn
+from oracle import naive_reachable
 from virtint import integrate, stp, tapn
 from virtint.tapn import InputArc, OutputArc, Tapn, Transition, TransportArc
 
@@ -49,17 +50,15 @@ def test_check_consistency_statuses_equal_widened_search_classification(
     report = integrate.check_consistency(units, imap, max_states=max_states)
     for verdict in report.verdicts:
         merged = integrate.merge(units, verdict.matching)
-        # A marked graph that can reach its target is decided consistent
-        # without a search, so --max-states cannot cut that answer short.
-        if stp.causal_order(merged.net, merged.m0, merged.target) is not None \
-                and tapn.reachable(merged.net, merged.m0,
-                                   merged.target).verdict == tapn.REACHABLE:
-            assert verdict.status == "consistent"
-            continue
-        # Every other status as it was: the bounded search, then a second,
-        # widened one.
+        # A marked graph whose transitions can all be ordered is decided
+        # from its difference constraints without a search, so --max-states
+        # cannot cut that answer short: it is the unbounded classification.
+        found = stp.causal_order(merged.net, merged.m0, merged.target)
+        ordered = found is not None and len(found[0]) == len(merged.net.transitions)
+        bound = 1_000_000 if ordered else max_states
+        # Every status from the search, then a second, widened one.
         timed = tapn.reachable(merged.net, merged.m0, merged.target,
-                               max_states=max_states)
+                               max_states=bound)
         expected = {tapn.REACHABLE: "consistent",
                     tapn.BOUND_EXCEEDED: "bound-exceeded"}.get(timed.verdict)
         if expected is None:
@@ -67,8 +66,11 @@ def test_check_consistency_statuses_equal_widened_search_classification(
                         tapn.UNREACHABLE: "ordering-deadlock",
                         tapn.BOUND_EXCEEDED: "bound-exceeded"}[
                 tapn.untimed_reachable(merged.net, merged.m0, merged.target,
-                                       max_states=max_states).verdict]
+                                       max_states=bound).verdict]
         assert verdict.status == expected
+        if ordered:
+            assert verdict.status in ("consistent", "timing-conflict")
+            assert verdict.states_explored == 0
 
 
 def _net(transitions, input_arcs=(), output_arcs=(), transport_arcs=()):
@@ -203,13 +205,21 @@ def _replays_to_target(net, m0, target, witness):
     return reached == {p: n for p, n in target.items() if n}
 
 
+def _witness(net, m0, found, max_total_delay=None):
+    """The earliest witness, or None when the constraints are not built
+    or not feasible."""
+    cons = stp.constraints(net, m0, found)
+    times = None if cons is None else stp.earliest_times(cons, max_total_delay)
+    return None if times is None else stp.earliest_witness(net, cons, times)
+
+
 @_SETTINGS
 @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 0, 3, 9]))
 def test_earliest_witness_is_the_search_witness(seed, max_total_delay):
     for unit in random_merged_units(random.Random(seed)):
         net, m0, target = unit.net, unit.m0, unit.target
-        witness = stp.earliest_witness(net, m0, stp.causal_order(net, m0, target),
-                                       max_total_delay)
+        witness = _witness(net, m0, stp.causal_order(net, m0, target),
+                           max_total_delay)
         engine = tapn.reachable(net, m0, target, max_total_delay=max_total_delay)
         if engine.verdict == tapn.REACHABLE:
             assert witness == engine.trace
@@ -235,12 +245,13 @@ def _window_pair(window_a, window_b=6):
     return [translate.translate(t) for t in tcsds], imap
 
 
-def test_consistent_pair_with_a_large_constant_needs_no_search(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("search run")
+def _refuse_to_search(*args, **kwargs):
+    raise AssertionError("search run")
 
+
+def test_consistent_pair_with_a_large_constant_needs_no_search(monkeypatch):
     units, imap = _window_pair(100_000)
-    monkeypatch.setattr(tapn, "reachable", refuse)
+    monkeypatch.setattr(tapn, "reachable", _refuse_to_search)
     t0 = time.perf_counter()
     report = integrate.check_consistency(units, imap)
     elapsed = time.perf_counter() - t0
@@ -263,6 +274,69 @@ def test_consistent_pair_with_a_large_constant_needs_no_search(monkeypatch):
     assert [v.status for v in bounded.verdicts] == ["bound-exceeded"]
 
 
+def test_conflicting_pair_with_a_large_constant_needs_no_search(monkeypatch):
+    # x at most 2 ticks after sync in TC_WindowA, at least 99 999 in
+    # TC_WindowB: a timing conflict with C = 100 000, however it is bounded.
+    units, imap = _window_pair(2, 100_000)
+    monkeypatch.setattr(tapn, "reachable", _refuse_to_search)
+    monkeypatch.setattr(tapn, "untimed_reachable", _refuse_to_search)
+    t0 = time.perf_counter()
+    for bounds in ({}, {"max_total_delay": 3}, {"max_states": 50}):
+        report = integrate.check_consistency(units, imap, **bounds)
+        [verdict] = report.verdicts
+        assert verdict.status == "timing-conflict", bounds
+        assert (verdict.witness, verdict.blocking, verdict.states_explored) \
+            == (None, (), 0), bounds
+        assert report.overall == "inconsistent", bounds
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0, elapsed
+
+
+def test_widened_timing_fixture_is_a_timing_conflict(monkeypatch):
+    # The timing fixture widened to C = 1000 (at 2 -> at 333, at 6 ->
+    # at 1000): the search used to run until the default --max-states
+    # stopped it, as bound-exceeded.
+    units, imap = _window_pair(333, 1000)
+    monkeypatch.setattr(tapn, "reachable", _refuse_to_search)
+    [verdict] = integrate.check_consistency(units, imap).verdicts
+    assert verdict.status == "timing-conflict" and verdict.states_explored == 0
+
+
+def _classification(net, m0, target, reachable):
+    if reachable(net, m0, target):
+        return "consistent"
+    if reachable(tapn.widen_guards(net), m0, target):
+        return "timing-conflict"
+    return "ordering-deadlock"
+
+
+def _three_ways_agree(units, imap):
+    """Each verdict's status is the engine's classification and the naive
+    oracle's; returns the statuses."""
+    statuses = []
+    for verdict in integrate.check_consistency(units, imap).verdicts:
+        merged = integrate.merge(units, verdict.matching)
+        steps = len(merged.net.transitions)  # each fires at most once
+        engine = _classification(merged.net, merged.m0, merged.target,
+                                 lambda *a: tapn.reachable(*a).verdict == tapn.REACHABLE)
+        naive = _classification(merged.net, merged.m0, merged.target,
+                                lambda *a: naive_reachable(*a, step_bound=steps))
+        assert verdict.status == engine == naive, (verdict.status, engine, naive)
+        statuses.append(verdict.status)
+    return statuses
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 7))
+def test_statuses_equal_engine_and_naive_oracle(seed, window_a, window_b):
+    # Small diagram pairs, where the naive oracle finishes, and window
+    # pairs, which give the timing conflicts that random pairs rarely do.
+    _three_ways_agree(*random_diagram_pair(random.Random(seed), max_sut_events=3,
+                                           max_depth=1, max_ticks=2))
+    [status] = _three_ways_agree(*_window_pair(window_a, window_b))
+    assert (status == "consistent") == (window_a >= window_b - 1)
+
+
 def test_failures_and_broken_preconditions_fall_back_to_the_search(monkeypatch):
     units, imap = _window_pair(2)
     real = tapn.reachable
@@ -273,10 +347,11 @@ def test_failures_and_broken_preconditions_fall_back_to_the_search(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(tapn, "reachable", counted)
-    # A timing conflict: infeasible constraints leave the verdict to the search.
+    # A timing conflict: infeasible constraints decide it, with no search.
     [verdict] = integrate.check_consistency(units, imap).verdicts
-    assert verdict.status == "timing-conflict" and len(calls) == 1
-    assert verdict.states_explored > 0
+    assert verdict.status == "timing-conflict" and not calls
+    assert verdict.states_explored == 0
+    assert verdict.witness is None and verdict.blocking == ()
     for name, net, m0, target in _broken_preconditions():
         unit = units[0]._replace(tcsd=None, net=net, m0=m0, target=target)
         monkeypatch.setattr(integrate, "merge", lambda *args, u=unit: u)
@@ -292,7 +367,7 @@ def test_failures_and_broken_preconditions_fall_back_to_the_search(monkeypatch):
 def test_open_guards_and_huge_constants_are_left_to_the_search(monkeypatch):
     net, m0 = _chain()
     found = stp.causal_order(net, m0, {"p2": 1})
-    assert stp.earliest_witness(net, m0, found) == [
+    assert _witness(net, m0, found) == [
         tapn.TraceStep(0, "t1", None, (("p0", None),)),
         tapn.TraceStep(0, "t2", None, (("p1", None),))]
     for guard, error in ((tapn.Guard(0, 3, False), tapn.UnsupportedGuardError),
@@ -301,24 +376,36 @@ def test_open_guards_and_huge_constants_are_left_to_the_search(monkeypatch):
                                            InputArc("p1", "t2")))
         if error is not None:
             with pytest.raises(error) as raised:
-                stp.earliest_witness(guarded, m0, found)
+                stp.constraints(guarded, m0, found)
             with pytest.raises(error) as searched:
                 tapn.reachable(guarded, m0, {"p2": 1})
             assert str(raised.value) == str(searched.value)
             continue
-        assert stp.earliest_witness(guarded, m0, found)[0] == tapn.TraceStep(
+        assert _witness(guarded, m0, found)[0] == tapn.TraceStep(
             7, "t1", None, (("p0", 7),))
         # An age past the cap is recorded as the cap, as the search does.
         old = {"p0": (12,)}
-        witness = stp.earliest_witness(guarded, old, found)
+        witness = _witness(guarded, old, found)
         assert witness[0] == tapn.TraceStep(0, "t1", None, (("p0", 8),))
         assert witness == tapn.reachable(guarded, old, {"p2": 1}).trace
         monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 6)
-        assert stp.earliest_witness(guarded, m0, found) is None
+        assert stp.constraints(guarded, m0, found) is None
         assert tapn.reachable(guarded, m0, {"p2": 1}).verdict == tapn.BOUND_EXCEEDED
-    # An incomplete causal order and an infeasible delay bound.
-    assert stp.earliest_witness(net, m0, ([], {"t1": [], "t2": ["t1"]})) is None
+    # An incomplete causal order builds no constraints; a delay bound that
+    # cannot be met leaves them built but infeasible.
+    assert stp.constraints(net, m0, ([], {"t1": [], "t2": ["t1"]})) is None
     late = net._replace(input_arcs=(InputArc("p0", "t1", tapn.Guard(4)),
                                     InputArc("p1", "t2")))
-    assert stp.earliest_witness(late, m0, found, max_total_delay=3) is None
-    assert stp.earliest_witness(late, m0, found, max_total_delay=4) is not None
+    cons = stp.constraints(late, m0, found)
+    assert stp.earliest_times(cons, max_total_delay=3) is None
+    assert stp.earliest_times(cons, max_total_delay=4) == [0, 4, 4]
+    assert stp.earliest_times(cons) == [0, 4, 4]
+    # A token moved on at age 4 or more, then read at age 2 or less: no
+    # times meet both, whatever the bound, and the search agrees.
+    moved = _net(["t1", "t2"], [InputArc("p1", "t2", tapn.Guard(0, 2))],
+                 [OutputArc("t2", "p2")],
+                 [TransportArc("p0", "t1", "p1", tapn.Guard(4))])
+    cons = stp.constraints(moved, m0, stp.causal_order(moved, m0, {"p2": 1}))
+    assert stp.earliest_times(cons) is None
+    assert stp.earliest_times(cons, max_total_delay=10) is None
+    assert tapn.reachable(moved, m0, {"p2": 1}).verdict == tapn.UNREACHABLE

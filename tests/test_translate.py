@@ -3,10 +3,14 @@ import random
 import time
 from collections import Counter
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gen import random_tcsd_source
-from virtint import cli, model, parser, tapn, translate
+from virtint import cli, model, parser, stp, tapn, translate
 from virtint.model import (Event, Message, SequenceDiagram, Tcsd, Timeout)
 from virtint.translate import TranslationError
 
@@ -291,6 +295,30 @@ def test_solo_nets_always_feasible_sample():
         unit = _unit(src)
         res = tapn.reachable(unit.net, unit.m0, unit.target)
         assert res.verdict == "reachable", src
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 4),
+       st.sampled_from([None, 5, 10]))
+def test_translate_builds_an_ordered_marked_graph_or_refuses(seed, events, depth, limit):
+    # The invariant the difference-constraint decision rests on: every net
+    # translate builds passes Tapn.check and stp.causal_order, which
+    # orders all of its transitions, or translate raises TranslationError
+    # (here: a lowered unroll limit).
+    src = random_tcsd_source(random.Random(seed), "P", events, depth)
+    tcsd = model.validate(parser.parse_tcsd(src).tcsd).tcsd
+    with mock.patch.object(translate, "MAX_TRANSITIONS",
+                           limit or translate.MAX_TRANSITIONS):
+        try:
+            unit = translate.translate(tcsd)
+        except TranslationError:
+            assert limit is not None and 1 + translate._unrolled_transitions(
+                model.sut_regions(tcsd)) > limit, src
+            return
+    unit.net.check()
+    found = stp.causal_order(unit.net, unit.m0, unit.target)
+    assert found is not None, src
+    assert len(found[0]) == len(unit.net.transitions), src
 
 
 def _nested_loops(n):
