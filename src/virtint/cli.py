@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import errno
-import hashlib
+import gc
 import itertools
 import os
 import sys
@@ -68,6 +68,10 @@ def _read(path: str) -> str:
 
 
 def _sha256(path: str) -> str:
+    # Imported here: only check --report needs it, and loading _hashlib is
+    # a sizeable part of every command's start-up.
+    import hashlib
+
     with open(path, "rb") as fp:
         return hashlib.sha256(fp.read()).hexdigest()
 
@@ -308,6 +312,11 @@ def main(argv=None) -> int:
     if getattr(args, "max_delay", None) is not None and args.max_delay < 0:
         out.bad("--max-delay must be >= 0")
         return EXIT_USAGE
+    # validate and translate build trees and make no reference cycles, so
+    # they run without the cyclic collector; the caller's setting is kept.
+    pause = args.command != "check" and gc.isenabled()
+    if pause:
+        gc.disable()
     try:
         if args.command == "validate":
             return cmd_validate(args, out)
@@ -317,6 +326,9 @@ def main(argv=None) -> int:
     except translate.TranslationError as exc:
         out.bad("translation failed: %s" % exc)
         return EXIT_FAIL
+    finally:
+        if pause:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -19,8 +19,9 @@ same ids.
 
 from __future__ import annotations
 
+import functools
 import re
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import model
 from .model import Event, Fragment, Message, Operand, PartitionLine, SequenceDiagram, Tcsd, Timeout
@@ -85,94 +86,110 @@ class Token(NamedTuple):
     column: int
 
 
-def _lex(text: str, filename: str) -> Iterator[Token]:
-    """Yield the tokens of ``text`` as the parser asks for them, ending
-    with EOF; a lexical error is raised when the parser reaches it."""
-    line, col, i, n = 1, 1, 0, len(text)
-    while i < n:
+# What lies between tokens: spaces, tabs, comments and line ends, where a
+# line ends with LF, CRLF or a lone CR.  ``ends`` runs to the start of the
+# last line, ``indent`` to the next token and ``comment`` is one that runs
+# to the end of input.
+_BLANK = r"(?P<ends>(?:[ \t]*(?:\#[^\r\n]*)?(?:\r\n?|\n))*) (?P<indent>[ \t]*)"
+_BLANKS = re.compile(_BLANK + r"(?P<comment>\#[^\r\n]*)?", re.VERBOSE).match
+# In str patterns \d is exactly isdecimal() and \w exactly isalnum() or "_".
+_DIGITS = re.compile(r"\d*").match
+_WORD = re.compile(r"\w*").match
+
+# Blanks, then a whole statement or block head on one line with only
+# spaces or tabs between its tokens; each token ends where the lexer would
+# end it.  ``lastgroup`` names the kind.
+_STATEMENT = re.compile(_BLANK + r"""
+    (?: msg [ \t]+ (?P<src>[A-Za-z_]\w*) [ \t]* -> [ \t]* (?P<dst>[A-Za-z_]\w*) [ \t]* : [ \t]*
+            (?P<label> [A-Za-z_]\w* | -?\d+ | "[^"\\\x00-\x1f\ud800-\udfff\ufffe\uffff]*" )
+      | at [ \t]+ (?P<at>\d+)
+      | (?P<close>\})
+      | (?P<head>par|alt|opt|strict|op) [ \t]* \{
+      | (?P<bounded>loop|timeout) [ \t]+ (?P<bound>\d+) [ \t]* \{ )
+""", re.VERBOSE).match
+
+
+class _Lexer:
+    """The tokens of ``text``, lexed one at a time as the parser asks for
+    them, so a lexical error is raised when the parser reaches it.
+
+    ``pos`` is the offset lexing has reached, ``line`` its line and
+    ``line_start`` the offset where that line starts: offset ``i`` on the
+    current line is column ``i - line_start + 1``.  Outside strings a line
+    ends with LF, CRLF or a lone CR.
+    """
+
+    def __init__(self, text: str, filename: str):
+        self.text = text
+        self.filename = filename
+        self.pos = 0
+        self.line = 1
+        self.line_start = 0
+
+    def skip_to(self, m: re.Match, end: int):
+        """Move past the blanks ``m`` matched at ``pos``, to ``end``."""
+        i, j = m.span("ends")
+        if i != j:
+            text = self.text
+            self.line += 1 if j - i == 1 else (
+                text.count("\n", i, j) + text.count("\r", i, j) - text.count("\r\n", i, j))
+            self.line_start = j
+        self.pos = end
+
+    def next(self) -> Token:
+        m = _BLANKS(self.text, self.pos)
+        self.skip_to(m, m.start("comment") if m["comment"] else m.end())
+        text, i = self.text, self.pos
+        line, col = self.line, i - self.line_start + 1
+        if i == len(text) or m["comment"]:  # the end, placed at a comment running to it
+            self.pos = len(text)
+            return Token("EOF", "", line, col)
         ch = text[i]
-        # Outside strings a line ends with LF, CRLF or a lone CR.
-        if ch == "\n" or (ch == "\r" and not text.startswith("\n", i + 1)):
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] not in "\r\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            yield Token("ARROW", "->", start_line, start_col)
-            i += 2
-            col += 2
-            continue
+        if ch == "-" and text.startswith(">", i + 1):
+            self.pos = i + 2
+            return Token("ARROW", "->", line, col)
         if ch in _PUNCT:
-            yield Token(_PUNCT[ch], ch, start_line, start_col)
-            i += 1
-            col += 1
-            continue
+            self.pos = i + 1
+            return Token(_PUNCT[ch], ch, line, col)
         if ch == '"':
-            i += 1
-            col += 1
-            out = []
-            while i < n and text[i] != '"':
-                if text[i] == "\n":
-                    raise ParseError(SourceSpan(filename, start_line, start_col),
-                                     "unterminated string literal")
-                ch = text[i]
-                if ch == "\\" and i + 1 < n:
-                    i += 1
-                    col += 1
-                    ch = text[i]
-                    if ch == "\r":  # an escaped CRLF or CR line end reads as LF
-                        i += text.startswith("\n", i + 1)
-                        ch = "\n"
-                if _XML_FORBIDDEN(ch):
-                    raise ParseError(SourceSpan(filename, line, col),
-                                     "character U+%04X is not allowed in a string"
-                                     % ord(ch))
-                out.append(ch)
-                i += 1
-                col += 1
-                if ch == "\n":  # an escaped newline: the string goes on below
-                    line, col = line + 1, 1
-            if i >= n:
-                raise ParseError(SourceSpan(filename, start_line, start_col),
-                                 "unterminated string literal")
-            i += 1
-            col += 1
-            yield Token("STRING", "".join(out), start_line, start_col)
-            continue
+            return self._string(line, col)
         if ch == "-" or ch.isdecimal():  # the digits int() reads
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            word = text[i:j]
-            if word == "-":
-                raise ParseError(SourceSpan(filename, start_line, start_col),
-                                 "stray '-'")
-            yield Token("INT", word, start_line, start_col)
-            col += j - i
-            i = j
-            continue
+            j = _DIGITS(text, i + 1).end()
+            if ch == "-" and j == i + 1:
+                raise ParseError(SourceSpan(self.filename, line, col), "stray '-'")
+            self.pos = j
+            return Token("INT", text[i:j], line, col)
         if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+            j = _WORD(text, i + 1).end()
+            self.pos = j
             word = text[i:j]
-            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            yield Token(kind, word, start_line, start_col)
-            col += j - i
-            i = j
-            continue
-        raise ParseError(SourceSpan(filename, start_line, start_col),
-                         "unexpected character %r" % ch)
-    yield Token("EOF", "", line, col)
+            return Token("KEYWORD" if word in KEYWORDS else "IDENT", word, line, col)
+        raise ParseError(SourceSpan(self.filename, line, col), "unexpected character %r" % ch)
+
+    def _string(self, line, col) -> Token:
+        text, n = self.text, len(self.text)
+        i = self.pos + 1
+        out = []
+        while i < n and text[i] not in '"\n':
+            ch = text[i]
+            if ch == "\\" and i + 1 < n:
+                i += 1
+                ch = text[i]
+                if ch == "\r":  # an escaped CRLF or CR line end reads as LF
+                    i += text.startswith("\n", i + 1)
+                    ch = "\n"
+            if _XML_FORBIDDEN(ch):
+                raise ParseError(SourceSpan(self.filename, self.line, i - self.line_start + 1),
+                                 "character U+%04X is not allowed in a string" % ord(ch))
+            out.append(ch)
+            i += 1
+            if ch == "\n":  # an escaped newline: the string goes on below
+                self.line += 1
+                self.line_start = i
+        if i >= n or text[i] == "\n":
+            raise ParseError(SourceSpan(self.filename, line, col), "unterminated string literal")
+        self.pos = i + 1
+        return Token("STRING", "".join(out), line, col)
 
 
 class _Cursor:
@@ -183,15 +200,27 @@ class _Cursor:
     order the parser meets them, which is source order.
     """
 
-    def __init__(self, tokens: Iterator[Token], filename):
-        self.tokens = tokens
-        self.filename = filename
+    def __init__(self, lexer: _Lexer):
+        self.lexer = lexer
+        self.filename = lexer.filename
         self.tok: Token | None = None  # None once consumed
 
     def peek(self) -> Token:
         if self.tok is None:
-            self.tok = next(self.tokens)
+            self.tok = self.lexer.next()
         return self.tok
+
+    def statement(self) -> re.Match | None:
+        """The ``_STATEMENT`` match at the next token, whose blanks are then
+        skipped but whose statement is not consumed yet; None when it does
+        not match or a token is peeked already."""
+        if self.tok is not None:
+            return None
+        lx = self.lexer
+        m = _STATEMENT(lx.text, lx.pos)
+        if m is not None:
+            lx.skip_to(m, m.end("indent"))
+        return m
 
     def span(self, tok: Token | None = None) -> SourceSpan:
         tok = tok or self.peek()
@@ -233,11 +262,17 @@ class _Cursor:
         return value, self.advance()
 
 
+# The records built per message, made without their Python-level __new__.
+_new_span = functools.partial(tuple.__new__, SourceSpan)
+_new_event = functools.partial(tuple.__new__, Event)
+_new_message = functools.partial(tuple.__new__, Message)
+
+
 class _Collector(NamedTuple):
     # Each line's length when the block opened: the block's events are
     # always the suffix of every line from there on.
     starts: dict[str, int]
-    events: list[str]
+    first: int  # how many events there were when the block opened
     frags: list[str]
 
 
@@ -246,8 +281,8 @@ class _DiagramBuilder:
         self.filename = filename
         self.name = ""
         self.sut = ""
-        self.instances: list[str] = []
-        self.lines: dict[str, list[Event]] = {}
+        self.lines: dict[str, list[Event]] = {}  # in declaration order
+        self.eids: list[str] = []  # in creation order
         self.messages: list[Message] = []
         self.fragments: list[Fragment] = []
         self.partitions: list[PartitionLine] = []
@@ -255,32 +290,45 @@ class _DiagramBuilder:
         self.spans: dict[str, SourceSpan] = {}
         self.collectors: list[_Collector] = []
         self.strict_ids: set[str] = set()
-        self._e = 0
-        self._f = 0
 
     def declare(self, name, span):
-        if name in self.instances:
+        if name in self.lines:
             raise ParseError(span, "duplicate instance name %r" % name)
-        self.instances.append(name)
         self.lines[name] = []
 
     def new_event(self, instance, kind, span, fragment=None, at=None) -> str:
-        self._e += 1
-        eid = "e%d" % self._e
+        eid = "e%d" % (len(self.eids) + 1)
         ev = Event(eid, instance, kind, fragment)
         if at is None:
             self.lines[instance].append(ev)
         else:
             self.lines[instance].insert(at, ev)
-        for coll in self.collectors:
-            coll.events.append(eid)
+        self.eids.append(eid)
         self.spans[eid] = span
         return eid
+
+    def message(self, src, dst, label, span, src_span, dst_span):
+        eids = self.eids
+        send = "e%d" % (len(eids) + 1)
+        recv = "e%d" % (len(eids) + 2)
+        eids += send, recv
+        self.lines[src].append(_new_event((send, src, model.SEND, None)))
+        self.lines[dst].append(_new_event((recv, dst, model.RECEIVE, None)))
+        spans = self.spans
+        spans[send] = src_span
+        spans[recv] = dst_span
+        self.messages.append(_new_message((send, label, recv)))
+        spans["msg:" + send] = span
+
+    def partition(self, delta, span, delta_span):
+        events = [self.new_event(inst, model.PARTITION, delta_span) for inst in self.lines]
+        self.partitions.append(PartitionLine(tuple(events), delta))
+        self.spans["partition:%d" % (len(self.partitions) - 1)] = span
 
     def build(self) -> Tcsd:
         sd = SequenceDiagram(
             name=self.name,
-            instances=tuple(self.instances),
+            instances=tuple(self.lines),
             events={i: tuple(evs) for i, evs in self.lines.items()},
             messages=tuple(self.messages),
             fragments=tuple(self.fragments),
@@ -291,19 +339,15 @@ class _DiagramBuilder:
 _ANCHOR_KINDS = (model.SEND, model.RECEIVE, model.FRAGMENT_ENTER, model.FRAGMENT_EXIT)
 
 
-def _anchor_events(b: _DiagramBuilder, coll: _Collector) -> list[str]:
-    """SUT events of a block a timeout may anchor on, in line order."""
-    return [e.id for e in b.lines[b.sut][coll.starts[b.sut]:]
-            if e.kind in _ANCHOR_KINDS and e.fragment not in b.strict_ids]
-
-
 def _parse_statement(c: _Cursor, b: _DiagramBuilder):
+    """One statement, token by token: the path that reports every error."""
     tok = c.peek()
     if tok.kind != "KEYWORD" or tok.value not in _STMT_KEYWORDS:
         raise ParseError(c.span(), "found %r" % (tok.value or tok.kind),
                          expected=_STMT_KEYWORDS + ("}",))
+    c.advance()
+    span = c.span(tok)
     if tok.value == "msg":
-        c.advance()
         src = c.expect("IDENT")
         c.expect("ARROW")
         dst = c.expect("IDENT")
@@ -313,73 +357,145 @@ def _parse_statement(c: _Cursor, b: _DiagramBuilder):
             raise ParseError(c.span(), "found %r" % (lab.value or lab.kind),
                              expected=("label",))
         c.advance()
-        for name, t in ((src.value, src), (dst.value, dst)):
-            if name not in b.instances:
-                raise ParseError(c.span(t), "unknown instance %r" % name)
-        send = b.new_event(src.value, model.SEND, c.span(src))
-        recv = b.new_event(dst.value, model.RECEIVE, c.span(dst))
-        b.messages.append(Message(send, lab.value, recv))
-        b.spans["msg:%s" % send] = c.span(tok)
-        return
-    if tok.value == "at":
-        c.advance()
+        for t in (src, dst):
+            if t.value not in b.lines:
+                raise ParseError(c.span(t), "unknown instance %r" % t.value)
+        b.message(src.value, dst.value, lab.value, span, c.span(src), c.span(dst))
+    elif tok.value == "at":
         delta, dtok = c.expect_int("partition time", minimum=0)
-        events = [b.new_event(inst, model.PARTITION, c.span(dtok)) for inst in b.instances]
-        b.partitions.append(PartitionLine(tuple(events), delta))
-        b.spans["partition:%d" % (len(b.partitions) - 1)] = c.span(tok)
-        return
-    if tok.value == "timeout":
-        c.advance()
+        b.partition(delta, span, c.span(dtok))
+    elif tok.value == "timeout":
         bound, _ = c.expect_int("timeout bound", minimum=1)
-        coll = _parse_block(c, b)
-        # A timeout is no fragment: what it nests belongs to the enclosing operand.
-        if b.collectors:
-            b.collectors[-1].frags.extend(coll.frags)
-        anchors = _anchor_events(b, coll)
-        if not anchors:
-            raise ParseError(c.span(tok), "timeout block contains no SUT event to anchor on")
-        b.timeouts.append(Timeout(anchors[0], anchors[-1], bound))
-        b.spans["timeout:%d" % (len(b.timeouts) - 1)] = c.span(tok)
-        return
-    if tok.value in ("par", "alt"):
-        c.advance()
+        _parse_timeout(c, b, span, bound)
+    elif tok.value in ("par", "alt"):
         c.expect("LBRACE")
-        operands = []
-        while c.at_keyword("op"):
+        _parse_operands(c, b, tok.value, span)
+    else:
+        bound = c.expect_int("loop bound", minimum=0)[0] if tok.value == "loop" else None
+        _finish_fragment(b, span, [_parse_block(c, b)], tok.value, bound)
+
+
+def _take_statement(c: _Cursor, b: _DiagramBuilder, m: re.Match) -> bool:
+    """Build the statement ``m`` matched at the lexer's ``pos``, or leave it
+    to the token path (False): an undeclared instance or a keyword where a
+    name belongs, an ``op`` outside par and alt, a timeout bound of 0 and
+    a block nested too deep."""
+    lx = c.lexer
+    kind = m.lastgroup
+    filename, line, base = lx.filename, lx.line, lx.line_start - 1
+    if kind == "label":
+        src, dst, label = m.group("src", "dst", "label")
+        if src not in b.lines or dst not in b.lines:
+            return False
+        b.message(src, dst, label[1:-1] if label[0] == '"' else label,
+                  _new_span((filename, line, lx.pos - base)),
+                  _new_span((filename, line, m.start("src") - base)),
+                  _new_span((filename, line, m.start("dst") - base)))
+        lx.pos = m.end()
+        return True
+    if kind == "at":
+        b.partition(int(m["at"]), SourceSpan(filename, line, lx.pos - base),
+                    SourceSpan(filename, line, m.start("at") - base))
+        lx.pos = m.end()
+        return True
+    word = m["head"] or m["bounded"]
+    bound = int(m["bound"]) if kind == "bound" else None
+    if word == "op" or (word == "timeout" and bound == 0) or len(b.collectors) >= MAX_NESTING:
+        return False
+    span = SourceSpan(filename, line, lx.pos - base)
+    lx.pos = m.end()
+    if word == "timeout":
+        _parse_timeout(c, b, span, bound, opened=True)
+    elif word in ("par", "alt"):
+        _parse_operands(c, b, word, span)
+    else:
+        _finish_fragment(b, span, [_parse_block(c, b, opened=True)], word, bound)
+    return True
+
+
+def _parse_statements(c: _Cursor, b: _DiagramBuilder):
+    """Statements up to the ``}`` that closes their block, which is consumed.
+
+    A statement ``_STATEMENT`` matches is taken from that one match; any
+    other goes token by token.
+    """
+    while True:
+        m = c.statement()
+        if m is not None:
+            if m.lastgroup == "close":
+                c.lexer.pos = m.end()
+                return
+            if _take_statement(c, b, m):
+                continue
+        kind = c.peek().kind
+        if kind == "RBRACE":
             c.advance()
-            operands.append(_parse_block(c, b))
-        c.expect("RBRACE")
-        if len(operands) < 2:
-            raise ParseError(c.span(tok), "%s needs at least 2 operands" % tok.value)
-        _finish_fragment(c, b, tok, operands, tok.value, None)
-        return
-    if tok.value in ("opt", "strict"):
-        c.advance()
-        coll = _parse_block(c, b)
-        _finish_fragment(c, b, tok, [coll], tok.value, None)
-        return
-    if tok.value == "loop":
-        c.advance()
-        bound, _ = c.expect_int("loop bound", minimum=0)
-        coll = _parse_block(c, b)
-        _finish_fragment(c, b, tok, [coll], "loop", bound)
-        return
+            return
+        if kind == "EOF":
+            raise ParseError(c.span(), "unexpected end of input", expected=("}",))
+        _parse_statement(c, b)
 
 
-def _finish_fragment(c, b, tok, operand_colls, operator, loop_bound):
-    b._f += 1
-    fid = "f%d" % b._f
-    operands = tuple(
-        Operand(tuple(coll.events), tuple(coll.frags)) for coll in operand_colls
-    )
-    span = c.span(tok)
-    for inst in b.instances:
-        start = operand_colls[0].starts[inst]
-        if start == len(b.lines[inst]):
+def _parse_block(c: _Cursor, b: _DiagramBuilder, opened=False) -> tuple[_Collector, Operand]:
+    """Parse ``{ STMT* }``, the ``{`` already consumed when ``opened``; give
+    the block's collector and the events and fragments created inside."""
+    if not opened:
+        brace = c.expect("LBRACE")
+        if len(b.collectors) >= MAX_NESTING:
+            raise ParseError(c.span(brace), "blocks nested deeper than %d" % MAX_NESTING)
+    coll = _Collector({inst: len(evs) for inst, evs in b.lines.items()}, len(b.eids), [])
+    b.collectors.append(coll)
+    _parse_statements(c, b)
+    b.collectors.pop()
+    return coll, Operand(tuple(b.eids[coll.first:]), tuple(coll.frags))
+
+
+def _parse_timeout(c: _Cursor, b: _DiagramBuilder, span, bound, opened=False):
+    coll, body = _parse_block(c, b, opened)
+    # A timeout is no fragment: what it nests belongs to the enclosing operand.
+    if b.collectors:
+        b.collectors[-1].frags.extend(body.children)
+    # Its anchors: the block's SUT events a timeout may anchor on, in line order.
+    anchors = [e.id for e in b.lines[b.sut][coll.starts[b.sut]:]
+               if e.kind in _ANCHOR_KINDS and e.fragment not in b.strict_ids]
+    if not anchors:
+        raise ParseError(span, "timeout block contains no SUT event to anchor on")
+    b.timeouts.append(Timeout(anchors[0], anchors[-1], bound))
+    b.spans["timeout:%d" % (len(b.timeouts) - 1)] = span
+
+
+def _parse_operands(c: _Cursor, b: _DiagramBuilder, operator, span):
+    """The ``{ op { STMT* } ... }`` of a par or alt."""
+    blocks = []
+    while True:
+        m = c.statement()
+        if m is not None and m["head"] == "op" and len(b.collectors) < MAX_NESTING:
+            c.lexer.pos = m.end()
+            blocks.append(_parse_block(c, b, opened=True))
+        elif m is not None and m.lastgroup == "close":
+            c.lexer.pos = m.end()
+            break
+        elif c.at_keyword("op"):
+            c.advance()
+            blocks.append(_parse_block(c, b))
+        else:
+            c.expect("RBRACE")
+            break
+    if len(blocks) < 2:
+        raise ParseError(span, "%s needs at least 2 operands" % operator)
+    _finish_fragment(b, span, blocks, operator, None)
+
+
+def _finish_fragment(b: _DiagramBuilder, span, blocks, operator, loop_bound):
+    fid = "f%d" % (len(b.fragments) + 1)
+    first_starts = blocks[0][0].starts
+    for inst, line in b.lines.items():
+        start = first_starts[inst]
+        if start == len(line):
             continue
         b.new_event(inst, model.FRAGMENT_ENTER, span, fid, at=start)
         b.new_event(inst, model.FRAGMENT_EXIT, span, fid)
-    b.fragments.append(Fragment(fid, operator, operands, loop_bound))
+    b.fragments.append(Fragment(fid, operator, tuple(body for _, body in blocks), loop_bound))
     if operator == "strict":
         b.strict_ids.add(fid)
     if b.collectors:
@@ -387,25 +503,9 @@ def _finish_fragment(c, b, tok, operand_colls, operator, loop_bound):
     b.spans[fid] = span
 
 
-def _parse_block(c: _Cursor, b: _DiagramBuilder) -> _Collector:
-    """Parse ``{ STMT* }`` and collect the events/fragments created inside."""
-    brace = c.expect("LBRACE")
-    if len(b.collectors) >= MAX_NESTING:
-        raise ParseError(c.span(brace), "blocks nested deeper than %d" % MAX_NESTING)
-    coll = _Collector({inst: len(evs) for inst, evs in b.lines.items()}, [], [])
-    b.collectors.append(coll)
-    while c.peek().kind != "RBRACE":
-        if c.peek().kind == "EOF":
-            raise ParseError(c.span(), "unexpected end of input", expected=("}",))
-        _parse_statement(c, b)
-    c.expect("RBRACE")
-    b.collectors.pop()
-    return coll
-
-
 def parse_tcsd(source: str, filename: str = "<tcsd>") -> ParseResult:
     """Parse one diagram; the result is raw and still needs ``model.validate``."""
-    c = _Cursor(_lex(source, filename), filename)
+    c = _Cursor(_Lexer(source, filename))
     b = _DiagramBuilder(filename)
     head = c.expect_keyword("tcsd")
     name = c.expect("IDENT")
@@ -423,17 +523,13 @@ def parse_tcsd(source: str, filename: str = "<tcsd>") -> ParseResult:
         c.advance()
         t = c.expect("IDENT")
         b.declare(t.value, c.span(t))
-    while c.peek().kind != "RBRACE":
-        if c.peek().kind == "EOF":
-            raise ParseError(c.span(), "unexpected end of input", expected=("}",))
-        _parse_statement(c, b)
-    c.expect("RBRACE")
+    _parse_statements(c, b)
     c.expect("EOF")
     return ParseResult(b.build(), b.spans)
 
 
 def parse_architecture(source: str, filename: str = "<arch>") -> Architecture:
-    c = _Cursor(_lex(source, filename), filename)
+    c = _Cursor(_Lexer(source, filename))
     c.expect_keyword("architecture")
     name = c.expect("IDENT").value
     c.expect("LBRACE")

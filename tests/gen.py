@@ -10,7 +10,8 @@ from virtint.tapn import (Guard, InputArc, OutputArc, Tapn, TargetSpec,
 
 
 def random_tcsd_source(rng: random.Random, name: str, max_sut_events: int = 12,
-                       max_depth: int = 2, label_pool: int = 0, max_ticks: int = 6) -> str:
+                       max_depth: int = 2, label_pool: int = 0, max_ticks: int = 6,
+                       tail: tuple[str, int] | None = None) -> str:
     """A syntactically and semantically valid random diagram program.
 
     Partitions ascend and stay at the top level, timeouts nest properly,
@@ -18,6 +19,11 @@ def random_tcsd_source(rng: random.Random, name: str, max_sut_events: int = 12,
     Labels are m1, m2, ... in order, or drawn from m1..m<label_pool>
     when that is set.  Partitions step by 1..min(4, max_ticks) ticks and
     timeouts last 1..max_ticks.
+
+    ``tail`` appends two messages labeled c1 and c2, which no other message
+    has: ("timeout", n) sends both from S to A inside ``timeout n``, and
+    ("gap", n) sends both from A to S with partitions n ticks apart between
+    them, after every other partition.
     """
     tests = ["A", "B"][: rng.randint(1, 2)]
     state = {
@@ -84,6 +90,12 @@ def random_tcsd_source(rng: random.Random, name: str, max_sut_events: int = 12,
     out = ["tcsd %s {" % name, "  sut S"]
     out.extend("  test %s" % t for t in tests)
     out.extend(gen_block(0, True, "  "))
+    if tail is not None and tail[0] == "timeout":
+        out += ["  timeout %d {" % tail[1], "    msg S -> A : c1", "    msg S -> A : c2", "  }"]
+    elif tail is not None:
+        first = state["delta"] + 1
+        out += ["  msg A -> S : c1", "  at %d" % first, "  at %d" % (first + tail[1]),
+                "  msg A -> S : c2"]
     out.append("}")
     return "\n".join(out) + "\n"
 
@@ -182,17 +194,26 @@ architecture Pair {
 
 
 def random_diagram_pair(rng: random.Random, max_sut_events: int = 8,
-                        max_depth: int = 2, max_ticks: int = 6):
+                        max_depth: int = 2, max_ticks: int = 6, timing: bool = False):
     """Translated units TA and TB plus their instance map.
 
     Both diagrams come from ``random_tcsd_source`` and draw their labels
     from one small pool.  TA's ``S -> A`` and TB's ``A -> S`` both run from
     X to Y (and the reverse), so such messages with one label synchronise.
+
+    With ``timing`` TA ends on c1 and c2 inside a timeout of n ticks and TB
+    on c1 and c2 with partitions n - 1, n or n + 1 ticks apart between
+    them: a timing conflict when the gap is n + 1 and the rest of the pair
+    can run.
     """
     pool = rng.randint(1, 4)
+    tails = (None, None)
+    if timing:
+        ticks = rng.randint(1, max_ticks)
+        tails = (("timeout", ticks), ("gap", max(1, ticks + rng.randint(-1, 1))))
     tcsds = [model.validate(parser.parse_tcsd(random_tcsd_source(
-        rng, name, max_sut_events, max_depth, pool, max_ticks)).tcsd).tcsd
-        for name in ("TA", "TB")]
+        rng, name, max_sut_events, max_depth, pool, max_ticks, tail)).tcsd).tcsd
+        for name, tail in zip(("TA", "TB"), tails)]
     imap = integrate.build_instance_map(parser.parse_architecture(_PAIR_ARCH), tcsds)
     return [translate.translate(t) for t in tcsds], imap
 

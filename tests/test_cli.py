@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import time
@@ -6,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import FIXTURES
-from virtint import cli, parser, tapn
+from virtint import cli, model, parser, tapn, translate
 
 
 def run_cli(capsys, *args, env=None):
@@ -377,3 +378,67 @@ def test_guard_constant_limit_is_inclusive(tmp_path, capsys, monkeypatch):
     code, out = run_cli(capsys, "check", *args)
     assert code == 3
     assert "guard constant 6 exceeds the search limit MAX_GUARD_CONSTANT = 5" in out
+
+
+@pytest.fixture
+def gc_seen(monkeypatch):
+    """Whether the cyclic collector was on while each diagram was validated
+    and each check ran; the collector is switched back on afterwards."""
+    seen = []
+    validate = model.validate
+    monkeypatch.setattr(model, "validate", lambda tcsd: seen.append(gc.isenabled())
+                        or validate(tcsd))
+    check = cli.integrate.check_consistency
+    monkeypatch.setattr(cli.integrate, "check_consistency",
+                        lambda *a, **kw: seen.append(gc.isenabled()) or check(*a, **kw))
+    yield seen
+    gc.enable()
+
+
+def _gc_exit_paths(tmp_path):
+    """(argv, exit code) for every way validate and translate end."""
+    bad = tmp_path / "bad.tcsd"
+    bad.write_text("tcsd T { sut S test A msg A -> Q : x }\n")
+    ok = str(FIXTURES / "bscu" / "tc_switch.tcsd")
+    return [
+        (["validate", ok], 0),
+        (["translate", ok, "--dot", str(tmp_path / "n.dot")], 0),
+        (["validate", str(bad)], 1),  # ParseError
+        (["translate", str(bad)], 1),
+        (["validate", str(FIXTURES / "invalid" / "double_partition.tcsd")], 1),  # a violation
+        (["translate", str(FIXTURES / "invalid" / "double_partition.tcsd")], 1),
+        (["validate", str(tmp_path / "missing.tcsd")], 2),  # OSError
+        (["translate", str(tmp_path / "missing.tcsd")], 2),
+        (["translate", ok, "--dot", ok], 2),  # a usage error
+    ]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_validate_and_translate_pause_gc_and_restore_it(tmp_path, capsys, monkeypatch, gc_seen,
+                                                        enabled):
+    for argv, code in _gc_exit_paths(tmp_path):
+        (gc.enable if enabled else gc.disable)()
+        gc_seen.clear()
+        assert cli.main(argv) == code, argv
+        assert gc.isenabled() is enabled, argv
+        assert not any(gc_seen), argv
+    # A TranslationError, and an OSError that leaves main.
+    monkeypatch.setattr(translate, "MAX_TRANSITIONS", 1)
+    (gc.enable if enabled else gc.disable)()
+    assert cli.main(["translate", str(FIXTURES / "bscu" / "tc_switch.tcsd")]) == 1
+    assert gc.isenabled() is enabled
+    assert "translation failed" in capsys.readouterr().out
+    monkeypatch.undo()
+    with pytest.raises(OSError):
+        cli.main(["translate", str(FIXTURES / "bscu" / "tc_switch.tcsd"),
+                  "--dot", str(tmp_path / "no" / "such" / "dir.dot")])
+    assert gc.isenabled() is enabled
+
+
+def test_check_runs_with_gc_as_the_caller_left_it(capsys, gc_seen):
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        gc_seen.clear()
+        assert cli.main(["check", *REPAIRED, "--arch", REPAIRED_ARCH]) == 0
+        assert gc.isenabled() is enabled
+        assert gc_seen and all(seen is enabled for seen in gc_seen)

@@ -1,6 +1,8 @@
+import gc
 import json
 import random
 import re
+import time
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -317,3 +319,67 @@ def test_report_json_deterministic():
     report = _report(["tcsd TA { sut S test B msg S -> B : m }",
                       "tcsd TB { sut R test C msg C -> R : m }"], _ARCH)
     assert export.to_report_json(report) == export.to_report_json(report)
+
+
+def _front_end_source(messages):
+    """A valid diagram of ``messages`` messages, every construct repeated."""
+    rounds = messages // 10
+    lines = ["tcsd Big {", "  sut S", "  test A", "  test B"]
+    for r in range(rounds):
+        m = "r%d_" % r
+        lines += [
+            "  msg A -> S : %sa" % m,
+            "  par {", "    op { msg S -> A : %sb }" % m, "    op { msg B -> S : %sc }" % m, "  }",
+            "  timeout 3 {", "    msg S -> B : %sd" % m, "    alt {",
+            "      op { msg A -> S : %se }" % m, "      op { msg B -> S : %sf }" % m,
+            "    }", "  }",
+            "  loop 2 { strict { msg S -> A : %sg } }" % m,
+            '  opt { msg A -> S : "%sh label" msg S -> A : %si }' % (m, m),
+            "  msg S -> B : %sj" % m,
+            "  at %d" % (r + 1),
+        ]
+    lines.append("}")
+    # A comment on every line makes the source long for its work, as a
+    # rescan of the source per statement would pay for.
+    return "".join("%-40s # %s\n" % (line, "c" * 120) for line in lines)
+
+
+def _front_end_seconds(src):
+    """Seconds to parse, validate, translate and export ``src``, per stage,
+    with the cyclic collector paused as the CLI pauses it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t = [time.perf_counter()]
+        tcsd = parser.parse_tcsd(src).tcsd
+        t.append(time.perf_counter())
+        checked = model.validate(tcsd)
+        t.append(time.perf_counter())
+        unit = translate.translate(checked.tcsd)
+        t.append(time.perf_counter())
+        "".join(export.dot_lines(unit.net, unit.m0))
+        "".join(export.tapaal_xml_lines(unit))
+        t.append(time.perf_counter())
+    finally:
+        if enabled:
+            gc.enable()
+    assert checked.ok, checked.violations
+    return [b - a for a, b in zip(t, t[1:])]
+
+
+def test_front_end_time_grows_linearly_with_diagram_size():
+    # Eight times the messages should take about eight times as long in
+    # each stage; on a 2-CPU Xeon VM validate and translate take 12-15
+    # times as long, as their tables outgrow the caches.  A step that
+    # rescans the source or the diagram per statement heads for 64: one
+    # that slices off the rest of the source makes parsing take over 100
+    # times as long.  Sizes alternate so that a slow spell slows both, and
+    # each stage keeps its fastest run.
+    small, large = _front_end_source(2000), _front_end_source(16000)
+    best = {}
+    for _ in range(3):
+        for src in (small, large):
+            best[src] = [min(pair) for pair in zip(best.get(src, [float("inf")] * 4),
+                                                   _front_end_seconds(src))]
+    ratios = [b / a for a, b in zip(best[small], best[large])]
+    assert max(ratios) < 24, dict(zip(("parse", "validate", "translate", "export"), ratios))

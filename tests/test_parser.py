@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import parser_reference
 from canon import canonical_form
 from conftest import FIXTURES
 from gen import random_tcsd_source
@@ -249,6 +250,16 @@ def test_first_error_in_source_order_wins(parse, src, error):
     assert str(err.value) == error
 
 
+def _outcome(parse, src):
+    """What ``parse`` makes of ``src``: the diagram and every span, in the
+    order they were recorded, or the error's text."""
+    try:
+        res = parse(src, "f.tcsd")
+    except ParseError as exc:
+        return str(exc)
+    return res.tcsd, list(res.spans.items())
+
+
 _FIXTURE_FILES = sorted(FIXTURES.rglob("*.tcsd"))
 _FIXTURE_SOURCES = [path.read_text(encoding="utf-8") for path in _FIXTURE_FILES]
 # Pieces of the grammar and characters the lexer treats specially.
@@ -282,6 +293,7 @@ def _mutated(k, edits):
 @example(0, [(_FIXTURE_SOURCES[0].index(" : ") + 3, 4, '"a\\"b\\\\c"')])  # label a"b\c
 def test_mutated_fixtures_raise_only_parse_errors_and_round_trip(k, edits):
     src = _mutated(k, edits)
+    assert _outcome(parser.parse_tcsd, src) == _outcome(parser_reference.parse_tcsd, src), src
     try:
         first = parser.parse_tcsd(src, filename="m.tcsd").tcsd
     except ParseError as exc:
@@ -312,3 +324,185 @@ def test_cli_exits_0_to_3_on_mutated_fixtures(k, edits):
                      ["check", str(path), *siblings, "--arch", str(arch),
                       "--max-states", "2000"]):
             assert cli.main(argv) in (0, 1, 2, 3), argv
+
+
+def test_matches_reference_on_fixtures_and_generated_sources():
+    sources = list(_FIXTURE_SOURCES)
+    rng = random.Random(77)
+    sources += [random_tcsd_source(rng, "G%d" % n, max_sut_events=40, max_depth=3)
+                for n in range(60)]
+    for src in sources:
+        assert _outcome(parser.parse_tcsd, src) == _outcome(parser_reference.parse_tcsd, src)
+        for eol in ("\r\n", "\r", "\n\n", "\r\n \r\n", "\n\r"):
+            crlf = src.replace("\n", eol)
+            assert _outcome(parser.parse_tcsd, crlf) == _outcome(parser_reference.parse_tcsd, crlf)
+
+
+def test_plain_statements_never_reach_the_token_path(monkeypatch):
+    src = ("tcsd T {\n  sut S\n  test A\n  test B\n"
+           "  msg A -> S : go\n"  # the first statement follows a peeked token
+           "\tmsg A->S:m1\n  msg S -> B : 42\n  msg B -> S : -7\n"
+           '  msg S -> A : "a label {x} # no comment"\n  msg A -> S : at\n'
+           "  at 3\n  timeout 5 {\n    msg A -> S : t1 msg S -> A : t2\n  }\n"
+           "  par{ op{ msg A -> S : p1 } op { msg S -> B : p2 } }\n"
+           "  alt { op { msg A -> S : a1 }\n  op { msg B -> S : a2 } }\n"
+           "  opt { msg A -> S : o1 } strict { msg S -> A : s1 }\n"
+           "  loop 0 { msg A -> S : l1 }\n"
+           "}\n")
+    expected = _outcome(parser_reference.parse_tcsd, src)
+    calls = []
+    real = parser._parse_statement
+    monkeypatch.setattr(parser, "_parse_statement",
+                        lambda c, b: calls.append(c.peek()) or real(c, b))
+    assert _outcome(parser.parse_tcsd, src) == expected
+    assert [(tok.value, tok.line) for tok in calls] == [("msg", 5)]
+
+
+@pytest.mark.parametrize("statement", [
+    "msg A -> S : x # a comment inside\n",
+    "msg A -> S :\n x",
+    "msg A\r\n-> S : x",
+    'msg A -> S : "a\\"b"',
+    'msg A -> S : "a\\\nb"',
+    'msg A -> S : "tab\there"',
+    "msg A -> Q : x",
+    "msg msg -> S : x",
+    "msg A -> S : été",
+    "msg A -> S : xé",
+    "msgA -> S : x",
+    "at3",
+    "loop2 { msg A -> S : x }",
+    "timeout 0 { msg A -> S : x }",
+    "op { msg A -> S : x }",
+    "at -0",
+    "at ٣",
+    "loop 2\n{ msg A -> S : x }",
+    "par { msg A -> S : x }",
+    "par { op { msg A -> S : x } }",
+])
+def test_statements_off_the_fast_path_parse_as_before(statement):
+    for src in ("tcsd T { sut S test A msg A -> S : first\n  %s\n}" % statement,
+                "tcsd T { sut S test A msg A -> S : first\n  opt { %s }\n}" % statement):
+        assert _outcome(parser.parse_tcsd, src) == _outcome(parser_reference.parse_tcsd, src)
+
+
+def test_block_nesting_limit_is_reported_as_before():
+    for depth in (parser.MAX_NESTING, parser.MAX_NESTING + 1):
+        for head in ("opt {", "timeout 3 {", "par { op {"):
+            closing = "} }" if head.startswith("par") else "}"
+            src = ("tcsd T { sut S test A\n" + "opt {\n" * (depth - 1) + head
+                   + " msg A -> S : x " + closing + "\n}" * (depth - 1) + "\n}\n")
+            assert (_outcome(parser.parse_tcsd, src)
+                    == _outcome(parser_reference.parse_tcsd, src)), (depth, head)
+
+
+# -- a token-stream fuzzer that knows the grammar ----------------------------
+#
+# A program is a list of (separator, token, role) triples.  The role says
+# what a token is in the grammar: "line" for one that starts a statement,
+# a block's "}" or an operand, "name" for an instance, "label", "int", and
+# "other".  Edits then work token by token.
+
+_LABELS = ["m1", "go", "_x", "xé", "at", "42", "-7", "0", '"a b {c}"', '""']
+# Labels with escapes or characters a plain label cannot hold.
+_ODD_LABELS = ['"a\\\\b"', '"a\\"b"', '"a\\\nb"', '"a\\\r\nb"', '"a\\\rb"',
+               '"tab\tc"', '"cr\rd"', '"\\\x01"', '"\x7f"', '"open']
+# Keywords and undeclared or odd names, for an instance.
+_ODD_NAMES = ["msg", "at", "op", "sut", "test", "timeout", "Q", "Z9", "é", "Aé"]
+_ODD_INTS = ["0", "-0", "-3", "007", "٣", "1²", "99999999999"]
+# Any token in any place.
+_ANY_TOKENS = ["-", "->", "{", "}", ":", "7", "@", "#", "x", "par", "op"]
+# What may stand between two tokens, and before a line's first token.
+_SEPARATORS = ["", " ", "\t", "\n", "\r", "\r\n", " # c\n", " # c\r\n", " #"]
+_LINE_BREAKS = ["\n\n", "\r\r", "\r\n\r\n", "\n \n\t", " # c\n\n  ", "\r\n# c\r  "]
+
+
+def _message(rnd, pairs):
+    src, dst = rnd.choice(pairs)
+    return [("msg", "line"), (src, "name"), ("->", "other"), (dst, "name"), (":", "other"),
+            (rnd.choice(_LABELS), "label")]
+
+
+def _statements(rnd, pairs, depth):
+    """Tokens of zero to three statements, as (token, role) pairs."""
+    toks = []
+    for _ in range(rnd.randint(0, 3)):
+        kind = rnd.choice(["msg", "msg", "msg", "at"] + ["timeout", "par", "alt", "opt",
+                                                         "strict", "loop"] * (depth < 3))
+        if kind == "msg":
+            toks += _message(rnd, pairs)
+        elif kind == "at":
+            toks += [("at", "line"), (str(rnd.randint(0, 9)), "int")]
+        elif kind in ("par", "alt"):
+            toks += [(kind, "line"), ("{", "other")]
+            for _ in range(rnd.randint(2, 3)):
+                toks += [("op", "line"), ("{", "other"), *_statements(rnd, pairs, depth + 1),
+                         ("}", "line")]
+            toks.append(("}", "line"))
+        else:
+            toks.append((kind, "line"))
+            if kind in ("timeout", "loop"):
+                toks.append((str(rnd.randint(kind == "timeout", 4)), "int"))
+            toks.append(("{", "other"))
+            if kind == "timeout":  # most have an anchor
+                toks += _message(rnd, pairs)
+            toks += [*_statements(rnd, pairs, depth + 1), ("}", "line")]
+    return toks
+
+
+@st.composite
+def _token_programs(draw):
+    """A program built from the grammar, then edited token by token."""
+    rnd = draw(st.randoms(use_true_random=False))
+    tests = rnd.choice([["A"], ["A", "B"]])
+    # Most messages have the SUT at one end.
+    pairs = [pair for t in tests for pair in (("S", t), (t, "S"))] + [(tests[-1], "A")]
+    toks = [("tcsd", "other"), ("T", "other"), ("{", "other"), ("sut", "line"), ("S", "other")]
+    for name in tests:
+        toks += [("test", "line"), (name, "other")]
+    # The statement after the header is parsed token by token (the header
+    # ends on a peeked token); the ones after it can be matched whole.
+    toks += _message(rnd, [("S", "A")])
+    header = len(toks)
+    toks += [*_statements(rnd, pairs, 0), ("}", "line")]
+    # One statement a line, its tokens one space apart.
+    toks = [["\n  " if role == "line" else " ", tok, role] for tok, role in toks]
+    for _ in range(rnd.randint(0, 3)):
+        # Three edits in four fall after the header.
+        lo = min(rnd.choice([0, header, header, header]), len(toks) - 1)
+        k = rnd.randrange(lo, len(toks))
+        edit = rnd.choice(["drop", "dup", "swap", "sep", "any", "typed", "typed", "typed"])
+        if edit == "typed":  # a token of a role drawn first
+            role = rnd.choice(["line", "name", "label", "int"])
+            k = rnd.choice([i for i in range(lo, len(toks)) if toks[i][2] == role] or [k])
+        role = toks[k][2]
+        if edit == "drop":
+            del toks[k]
+        elif edit == "dup":
+            toks.insert(k, list(toks[k]))
+        elif edit == "swap" and k + 1 < len(toks):
+            toks[k], toks[k + 1] = toks[k + 1], toks[k]
+        elif edit == "sep" or (edit == "typed" and role == "line"):
+            toks[k][0] = rnd.choice(_LINE_BREAKS if edit == "typed" else _SEPARATORS)
+        elif edit == "any":
+            toks[k][1] = rnd.choice(_ANY_TOKENS)
+        elif role in ("name", "label", "int"):
+            # An odd token of its kind, or the same token glued to the one before.
+            if rnd.random() < 0.7:
+                toks[k][1] = rnd.choice({"name": _ODD_NAMES, "label": _ODD_LABELS,
+                                         "int": _ODD_INTS}[role])
+            else:
+                toks[k][0] = ""
+    return "".join(sep + tok for sep, tok, _ in toks) + rnd.choice(["", "\n", " # end"])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_token_programs())
+@example("tcsd T { sut S test A\n  msg A -> S : x\n  at 1 #")  # a comment ends the input
+@example('tcsd T { sut S test A\n  msg A -> S : "a\\\nb" msg A -> S : y }')
+def test_token_stream_fuzz_matches_reference_parser(src):
+    assert _outcome(parser.parse_tcsd, src) == _outcome(parser_reference.parse_tcsd, src), src
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = Path(tmp) / "f.tcsd"
+        path.write_bytes(src.encode("utf-8"))
+        assert cli.main(["validate", str(path)]) in (0, 1, 2, 3)

@@ -329,10 +329,14 @@ def _three_ways_agree(units, imap):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(2, 7))
 def test_statuses_equal_engine_and_naive_oracle(seed, window_a, window_b):
-    # Small diagram pairs, where the naive oracle finishes, and window
-    # pairs, which give the timing conflicts that random pairs rarely do.
+    # Small diagram pairs, where the naive oracle finishes, plain and in
+    # the timing mode (whose two extra messages and partitions make the
+    # oracle slower, so its random part is smaller), and window pairs:
+    # plain random pairs rarely give a timing conflict.
     _three_ways_agree(*random_diagram_pair(random.Random(seed), max_sut_events=3,
                                            max_depth=1, max_ticks=2))
+    _three_ways_agree(*random_diagram_pair(random.Random(seed), max_sut_events=2,
+                                           max_depth=1, max_ticks=2, timing=True))
     [status] = _three_ways_agree(*_window_pair(window_a, window_b))
     assert (status == "consistent") == (window_a >= window_b - 1)
 
