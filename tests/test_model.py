@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from clause_fixtures import overlapping_fragments
+from clause_fixtures import all_clause_cases, overlapping_fragments
 from gen import random_tcsd_source
 from virtint import model, parser
 from virtint.model import (Event, Fragment, Message, Operand, PartitionLine,
@@ -247,3 +247,133 @@ def test_fragment_nested_in_timeout_inside_operand_validates_clean():
     assert res.ok, res.violations
     inner, outer = raw.base.fragments
     assert outer.operands[0].children == (inner.id,)
+
+
+# --------------------------------------------------------------------------
+# Exact violation lists (clause, elements, detail, order), pinned so that a
+# change to how validate walks the diagram cannot reorder or reword them.
+
+
+def _diagram(events, messages=(), fragments=(), partitions=(), timeouts=(),
+             instances=("S", "A")):
+    sd = SequenceDiagram("M", instances, events, tuple(messages), tuple(fragments))
+    return Tcsd(sd, "S", tuple(partitions), tuple(timeouts))
+
+
+_S1 = Event("s1", "S", "send")
+_R1 = Event("r1", "A", "receive")
+_MSG = Message("s1", "x", "r1")
+_BORDER = "border event names unknown fragment"
+
+_MALFORMED = {
+    "duplicate-id": (
+        _diagram({"S": (_S1,), "A": (_R1, _R1)}, [_MSG]),
+        [("malformed", ("r1",), "duplicate event id")]),
+    "misfiled": (
+        _diagram({"S": (_S1, Event("r2", "A", "receive")), "A": (_R1,)}, [_MSG]),
+        [("malformed", ("r2",), "event filed under wrong instance line")]),
+    "unknown-kind": (
+        _diagram({"S": (_S1, Event("j", "S", "jump")), "A": (_R1,)}, [_MSG]),
+        [("malformed", ("j",), "unknown event kind 'jump'")]),
+    "unknown-border": (
+        _diagram({"S": (Event("en", "S", "fragment-enter", "ghost"), _S1,
+                        Event("ex", "S", "fragment-exit", "ghost")), "A": (_R1,)}, [_MSG]),
+        [("malformed", ("en",), _BORDER), ("malformed", ("ex",), _BORDER)]),
+    "dangling-message": (
+        _diagram({"S": (_S1,), "A": (_R1,)}, [_MSG, Message("ghost", "y", "r1")]),
+        [("malformed", ("ghost",), "message endpoint is not an event")]),
+    "dangling-partition": (
+        _diagram({"S": (Event("pS", "S", "partition"), _S1), "A": (_R1,)}, [_MSG],
+                 partitions=[PartitionLine(("pS", "ghost"), 3)]),
+        [("malformed", ("ghost",), "partition references unknown event")]),
+    "dangling-timeout": (
+        _diagram({"S": (_S1,), "A": (_R1,)}, [_MSG], timeouts=[model.Timeout("ghost", "s1", 4)]),
+        [("malformed", ("ghost",), "timeout endpoint is not an event")]),
+    # Every malformed check at once.  The event lists are keyed in another
+    # order than the instances are declared, and include an undeclared line.
+    "everything": (
+        _diagram({"X": (Event("ex", "X", "fragment-exit", "nowhere"),),
+                  "A": (_R1, Event("s1", "A", "send"), Event("bd", "A", "fragment-enter", "ghost")),
+                  "S": (_S1, Event("j", "S", "jump"), Event("w", "A", "receive"))},
+                 [_MSG, Message("s9", "y", "r9")],
+                 [Fragment("f", "opt", (Operand(("s1", "zz"), ("g",)),)),
+                  Fragment("f", "xor", (Operand(("r1",)),))],
+                 [PartitionLine(("p1",), -2)], [model.Timeout("t1", "s1", 0)]),
+        [("malformed", ("j",), "unknown event kind 'jump'"),
+         ("malformed", ("w",), "event filed under wrong instance line"),
+         ("malformed", ("s1",), "duplicate event id"),
+         ("malformed", ("X",), "event list for undeclared instance"),
+         ("malformed", ("f", "zz"), "operand references unknown event"),
+         ("malformed", ("f", "g"), "operand references unknown fragment"),
+         ("malformed", ("f",), "duplicate fragment id"),
+         ("malformed", ("f",), "unknown operator 'xor'"),
+         ("malformed", ("s9",), "message endpoint is not an event"),
+         ("malformed", ("r9",), "message endpoint is not an event"),
+         ("malformed", ("p1",), "partition references unknown event"),
+         ("malformed", ("-2",), "negative partition timestamp"),
+         ("malformed", ("t1",), "timeout endpoint is not an event"),
+         ("malformed", ("t1", "s1"), "timeout bound must be positive"),
+         ("malformed", ("ex",), _BORDER),
+         ("malformed", ("bd",), _BORDER)]),
+    # Semantic clauses around the message loop and the layout check.
+    "semantic": (
+        _diagram({"S": (Event("en", "S", "fragment-enter", "f"), _S1,
+                        Event("s3", "S", "receive"), Event("s2", "S", "send"),
+                        Event("s4", "S", "send"), Event("pS", "S", "partition")),
+                  "A": (_R1, Event("a1", "A", "receive"), Event("a2", "A", "receive"))},
+                 [_MSG, Message("a1", "y", "a2"), Message("s2", "z", "s3")],
+                 [Fragment("f", "opt", (Operand(("s1", "r1")),))],
+                 [PartitionLine(("pS",), 2)]),
+        [("message-endpoints", ("a1",), "send endpoint is not a send event"),
+         ("message-order", ("s2", "s3"), "same-line message must send before it receives"),
+         ("message-endpoints", ("s4",), "send event belongs to no message"),
+         ("fragment-layout", ("S",), "fragment f has no exit on the SUT line"),
+         ("sut-endpoint", ("a1", "a2"), "message 'y' has 0 endpoints on the SUT line"),
+         ("sut-endpoint", ("s2", "s3"), "message 'z' has 2 endpoints on the SUT line"),
+         ("completeness", ("pS",), "partition at 2 does not cut every line exactly once")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED))
+def test_hand_built_violation_lists_are_pinned(name):
+    tcsd, expected = _MALFORMED[name]
+    res = model.validate(tcsd)
+    assert [tuple(v) for v in res.violations] == expected
+    assert res.tcsd is None
+
+
+_CUT = "partition event lies inside a fragment operand"
+_FIXTURE_VIOLATIONS = {
+    "double_partition.tcsd": [
+        ("uniqueness", ("e3", "e4", "e5", "e6"), "2 partition lines share timestamp 5")],
+    "partition_in_fragment.tcsd": [
+        ("no-fragment-cutting", ("e3", "f1"), _CUT), ("no-fragment-cutting", ("e4", "f1"), _CUT)],
+}
+_CLAUSE_VIOLATIONS = {
+    "no-self-nesting": [("no-self-nesting", ("f",), "fragment is nested inside itself")],
+    "no-shared-events": [("no-shared-events", ("f", "g"), "disjoint fragments share events r1")],
+    "event-containment": [("event-containment", ("f", "g"), "operand 0 misses nested events r1")],
+    "completeness": [
+        ("completeness", ("pS",), "partition at 3 does not cut every line exactly once")],
+    "timeout-same-fragment": [
+        ("timeout-same-fragment", ("s1", "s2", "f"),
+         "endpoints split across operand 0 of fragment f")],
+    "uniqueness": [("uniqueness", ("e3", "e4", "e5", "e6"), "2 partition lines share timestamp 5")],
+    "ordering": [
+        ("ordering", ("e5", "e1"), "partition at 3 is drawn after partition at 5 on line S"),
+        ("ordering", ("e6", "e2"), "partition at 3 is drawn after partition at 5 on line A")],
+    "no-fragment-cutting": [
+        ("no-fragment-cutting", ("e3", "f1"), _CUT), ("no-fragment-cutting", ("e4", "f1"), _CUT)],
+    "timeout-ordered": [("timeout-ordered", ("e2", "e2"), "timeout start must precede its end")],
+    "sut-endpoint": [
+        ("sut-endpoint", ("e1", "e2"), "message 'x' has 0 endpoints on the SUT line")],
+}
+
+
+def test_invalid_fixture_and_clause_violation_lists_are_pinned(fixtures_dir):
+    found = {p.name: [tuple(v) for v in model.validate(_parse(p.read_text())).violations]
+             for p in sorted((fixtures_dir / "invalid").glob("*.tcsd"))}
+    assert found == _FIXTURE_VIOLATIONS
+    found = {clause: [tuple(v) for v in model.validate(bad).violations]
+             for clause, bad, _ in all_clause_cases()}
+    assert found == _CLAUSE_VIOLATIONS
