@@ -146,15 +146,19 @@ def cmd_translate(args, out: _Printer) -> int:
     if not checked.ok:
         _print_violations(out, args.file, parsed, checked)
         return EXIT_FAIL
-    unit = translate.translate(checked.tcsd)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fp:
-            fp.writelines(export.dot_lines(unit.net, unit.m0))
-        out.line("wrote %s" % args.dot)
-    if args.tapaal:
-        with open(args.tapaal, "w", encoding="utf-8") as fp:
-            fp.writelines(export.tapaal_xml_lines(unit))
-        out.line("wrote %s" % args.tapaal)
+    unit = translate.translate(checked.tcsd, checked.regions)
+    del parsed, checked  # the export needs neither the spans nor the region tree
+    for path, lines in ((args.dot, export.dot_lines(unit.net, unit.m0)),
+                        (args.tapaal, export.tapaal_xml_lines(unit))):
+        if not path:
+            continue
+        try:
+            with open(path, "w", encoding="utf-8") as fp:
+                fp.writelines(lines)
+        except OSError as exc:
+            out.bad("%s: %s" % (path, exc.strerror or exc))
+            return EXIT_USAGE
+        out.line("wrote %s" % path)
     if not args.dot and not args.tapaal:
         out.line(export.to_dot(unit.net, unit.m0))
     return EXIT_OK
@@ -211,7 +215,7 @@ def cmd_check(args, out: _Printer) -> int:
             if not checked.ok:
                 _print_violations(out, path, parsed, checked)
                 return EXIT_FAIL
-            loaded.append(checked.tcsd)
+            loaded.append(checked)
     except OSError as exc:
         out.bad("%s" % exc)
         return EXIT_USAGE
@@ -220,11 +224,11 @@ def cmd_check(args, out: _Printer) -> int:
         return EXIT_FAIL
 
     try:
-        imap = integrate.build_instance_map(arch, loaded)
+        imap = integrate.build_instance_map(arch, [c.tcsd for c in loaded])
     except integrate.IntegrationError as exc:
         out.bad(str(exc))
         return EXIT_USAGE
-    units = [translate.translate(t) for t in loaded]
+    units = [translate.translate(c.tcsd, c.regions) for c in loaded]
 
     by_component: dict[str, list] = {}
     for u in units:

@@ -33,31 +33,48 @@ def _dot_label(*parts: str) -> str:
     return '"%s"' % "\\n".join(escaped)
 
 
+class _Memo(dict):
+    """``memo[key]`` is ``convert(key)``, worked out on first use.  A writer
+    keeps one per document, so each node name and guard is converted once
+    however many arcs name it, and a name outside the net still converts."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
 def dot_lines(net: Tapn, marking: Marking | None = None):
     """Yield the graphviz drawing line by line; transport arcs get diamond arrowheads."""
     marking = marking or {}
+    quoted = _Memo(_dot_quote)
+    guard = _Memo(lambda g: _dot_quote(str(g)))
     yield "digraph %s {\n" % _dot_quote(net.name)
     yield "  rankdir=LR;\n"
     for p in net.places:
+        qp = quoted[p] = _dot_quote(p)
         ages = marking.get(p, ())
         if ages:
             label = _dot_label(p, "%d @ %s" % (len(ages), ",".join(str(a) for a in ages)))
-            yield "  %s [shape=doublecircle, label=%s];\n" % (_dot_quote(p), label)
+            yield "  %s [shape=doublecircle, label=%s];\n" % (qp, label)
         else:
-            yield "  %s [shape=circle, label=%s];\n" % (_dot_quote(p), _dot_quote(p))
-    for t in net.transitions:
-        label = _dot_label(t.id) if t.label is None else _dot_label(t.id, t.label)
-        yield "  %s [shape=box, label=%s];\n" % (_dot_quote(t.id), label)
-    for a in net.input_arcs:
-        yield "  %s -> %s [label=%s];\n" % (
-            _dot_quote(a.place), _dot_quote(a.transition), _dot_quote(str(a.guard)))
-    for a in net.output_arcs:
-        yield "  %s -> %s;\n" % (_dot_quote(a.transition), _dot_quote(a.place))
-    for a in net.transport_arcs:
+            yield "  %s [shape=circle, label=%s];\n" % (qp, qp)
+    for tid, label in net.transitions:
+        qt = quoted[tid] = _dot_quote(tid)
+        # An unlabeled transition's label is its quoted id.
+        label = qt if label is None else _dot_label(tid, label)
+        yield "  %s [shape=box, label=%s];\n" % (qt, label)
+    for place, transition, g in net.input_arcs:
+        yield "  %s -> %s [label=%s];\n" % (quoted[place], quoted[transition], guard[g])
+    for transition, place in net.output_arcs:
+        yield "  %s -> %s;\n" % (quoted[transition], quoted[place])
+    for source, transition, target, g in net.transport_arcs:
         yield "  %s -> %s [label=%s, arrowhead=diamond];\n" % (
-            _dot_quote(a.source), _dot_quote(a.transition), _dot_quote(str(a.guard)))
-        yield "  %s -> %s [arrowhead=diamond];\n" % (
-            _dot_quote(a.transition), _dot_quote(a.target))
+            quoted[source], quoted[transition], guard[g])
+        yield "  %s -> %s [arrowhead=diamond];\n" % (quoted[transition], quoted[target])
     yield "}\n"
 
 
@@ -94,6 +111,8 @@ def tapaal_xml_lines(tu: TranslationUnit):
     """
     net = tu.net
     counts = {p: len(ages) for p, ages in tu.m0.items()}
+    ids = _Memo(_xml_id)
+    inscription = _Memo(guard_inscription)
     yield '<?xml version="1.0" encoding="utf-8"?>\n'
     yield '<pnml xmlns="%s">\n' % _TAPAAL_NS
     yield "  <!--format: %s-->\n" % TAPAAL_DIALECT
@@ -104,29 +123,28 @@ def tapaal_xml_lines(tu: TranslationUnit):
     else:
         yield "  %s>\n" % net_tag
         for n, p in enumerate(net.places):
-            pid = _xml_id(p)
+            pid = ids[p] = _xml_id(p)
             yield ('    <place id="%s" name="%s" initialMarking="%d" invariant="&lt; inf"'
                    ' positionX="%d" positionY="0" />\n' % (pid, pid, counts.get(p, 0), 120 * n))
-        for n, t in enumerate(net.transitions):
-            tid = _xml_id(t.id)
-            label = "" if t.label is None else t.label.translate(_ATTR_ESCAPES)
+        for n, (t, label) in enumerate(net.transitions):
+            tid = ids[t] = _xml_id(t)
+            label = "" if label is None else label.translate(_ATTR_ESCAPES)
             yield ('    <transition id="%s" name="%s" label="%s"'
                    ' positionX="%d" positionY="160" />\n' % (tid, tid, label, 120 * n))
-        for a in net.input_arcs:
+        for place, transition, guard in net.input_arcs:
             yield ('    <inputArc source="%s" target="%s" inscription="%s" weight="1" />\n'
-                   % (_xml_id(a.place), _xml_id(a.transition), guard_inscription(a.guard)))
-        for a in net.output_arcs:
+                   % (ids[place], ids[transition], inscription[guard]))
+        for transition, place in net.output_arcs:
             yield ('    <outputArc source="%s" target="%s" weight="1" />\n'
-                   % (_xml_id(a.transition), _xml_id(a.place)))
-        for a in net.transport_arcs:
+                   % (ids[transition], ids[place]))
+        for source, transition, target, guard in net.transport_arcs:
             yield ('    <transportArc source="%s" transition="%s" target="%s"'
                    ' inscription="%s" weight="1" />\n'
-                   % (_xml_id(a.source), _xml_id(a.transition), _xml_id(a.target),
-                      guard_inscription(a.guard)))
+                   % (ids[source], ids[transition], ids[target], inscription[guard]))
         yield "  </net>\n"
     yield "  <queries>\n"
     yield '    <query name="target-reachability">EF (%s)</query>\n' % " and ".join(
-        "%s = %d" % (_xml_id(p), tu.target.get(p, 0)) for p in net.places)
+        "%s = %d" % (ids[p], tu.target.get(p, 0)) for p in net.places)
     yield "  </queries>\n"
     yield "</pnml>\n"
 

@@ -4,9 +4,9 @@ A diagram consists of instance lines (one of which is the system under
 test), per-line ordered event lists, messages between a test line and the
 SUT line, a forest of interaction fragments (strict/par/opt/alt/loop),
 absolute-time partition lines and relative timeouts.  ``validate`` checks
-every well-formedness clause and returns a normalized, immutable diagram;
-``sut_regions`` parses its SUT line into the region tree the translator
-folds over.
+every well-formedness clause and returns a normalized, immutable diagram
+together with its region tree: ``sut_regions`` parses a SUT line into the
+tree the translator folds over.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ FRAGMENT_EXIT = "fragment-exit"
 PARTITION = "partition"
 
 EVENT_KINDS = (SEND, RECEIVE, FRAGMENT_ENTER, FRAGMENT_EXIT, PARTITION)
+_BORDERS = (FRAGMENT_ENTER, FRAGMENT_EXIT)
 
 OPERATORS = ("strict", "par", "opt", "alt", "loop")
 
@@ -95,6 +96,7 @@ class Violation(NamedTuple):
 class ValidationResult(NamedTuple):
     violations: list[Violation]
     tcsd: Tcsd | None = None  # normalized diagram, present iff ok
+    regions: list | None = None  # sut_regions(tcsd), present iff ok
 
     @property
     def ok(self) -> bool:
@@ -189,15 +191,19 @@ def _parse_items(events, i, j, frags, operands_of) -> list:
     return items
 
 
+def _region_tree(tcsd: Tcsd, operands_of) -> list:
+    events = _sut_events(tcsd)
+    return _parse_items(events, 0, len(events), _index_fragments(tcsd), operands_of)
+
+
 def sut_regions(tcsd: Tcsd) -> list:
     """Parse the SUT line into the nested item tree used by the translator.
 
     Raises LayoutError when borders are unmatched or operands interleave;
     ``validate`` reports that as a ``fragment-layout`` violation.
+    ``ValidationResult.regions`` is this tree of the normalized diagram.
     """
-    events = _sut_events(tcsd)
-    frags = _index_fragments(tcsd)
-    return _parse_items(events, 0, len(events), frags, _operand_index(frags.values()))
+    return _region_tree(tcsd, _operand_index(_index_fragments(tcsd).values()))
 
 
 # --------------------------------------------------------------------------
@@ -208,26 +214,38 @@ def _add(violations, clause, elements, detail):
     violations.append(Violation(clause, tuple(elements), detail))
 
 
-def _check_malformed(tcsd: Tcsd) -> list[Violation]:
+def _index_events(tcsd: Tcsd):
+    """One pass over the declared lines: (pos, kind, malformed violations).
+
+    ``pos`` maps each event id to its (line, index) and ``kind`` to its
+    kind; dangling references are ``malformed`` violations.
+    """
     v: list[Violation] = []
     base = tcsd.base
-    seen: dict[str, str] = {}
+    frag_ids = {f.id for f in base.fragments}
+    pos: dict[str, tuple[str, int]] = {}
+    kind: dict[str, str] = {}
+    stray_border = False
     for inst in base.instances:
-        for e in base.events.get(inst, ()):
-            if e.id in seen:
-                _add(v, "malformed", [e.id], "duplicate event id")
-            seen[e.id] = inst
-            if e.instance != inst:
-                _add(v, "malformed", [e.id], "event filed under wrong instance line")
-            if e.kind not in EVENT_KINDS:
-                _add(v, "malformed", [e.id], "unknown event kind %r" % e.kind)
+        for n, (eid, line, k, fragment) in enumerate(base.events.get(inst, ())):
+            if eid in pos:
+                _add(v, "malformed", [eid], "duplicate event id")
+            pos[eid] = (inst, n)
+            kind[eid] = k
+            if line != inst:
+                _add(v, "malformed", [eid], "event filed under wrong instance line")
+            if k not in EVENT_KINDS:
+                _add(v, "malformed", [eid], "unknown event kind %r" % k)
+            elif k in _BORDERS and fragment not in frag_ids:
+                stray_border = True
+    undeclared = False
     for inst in base.events:
         if inst not in base.instances:
+            undeclared = True
             _add(v, "malformed", [inst], "event list for undeclared instance")
     if tcsd.sut not in base.instances:
         _add(v, "malformed", [tcsd.sut], "SUT is not a declared instance")
 
-    frag_ids = {f.id for f in base.fragments}
     dup = set()
     for f in base.fragments:
         if f.id in dup:
@@ -237,32 +255,34 @@ def _check_malformed(tcsd: Tcsd) -> list[Violation]:
             _add(v, "malformed", [f.id], "unknown operator %r" % f.operator)
         for op in f.operands:
             for eid in op.events:
-                if eid not in seen:
+                if eid not in pos:
                     _add(v, "malformed", [f.id, eid], "operand references unknown event")
             for cid in op.children:
                 if cid not in frag_ids:
                     _add(v, "malformed", [f.id, cid], "operand references unknown fragment")
     for m in base.messages:
         for eid in (m.send, m.receive):
-            if eid not in seen:
+            if eid not in pos:
                 _add(v, "malformed", [eid], "message endpoint is not an event")
     for p in tcsd.partitions:
         for eid in p.events:
-            if eid not in seen:
+            if eid not in pos:
                 _add(v, "malformed", [eid], "partition references unknown event")
         if p.timestamp < 0:
             _add(v, "malformed", [str(p.timestamp)], "negative partition timestamp")
     for c in tcsd.timeouts:
         for eid in (c.start, c.end):
-            if eid not in seen:
+            if eid not in pos:
                 _add(v, "malformed", [eid], "timeout endpoint is not an event")
         if c.bound < 1:
             _add(v, "malformed", [c.start, c.end], "timeout bound must be positive")
-    for e_list in base.events.values():
-        for e in e_list:
-            if e.kind in (FRAGMENT_ENTER, FRAGMENT_EXIT) and e.fragment not in frag_ids:
-                _add(v, "malformed", [e.id], "border event names unknown fragment")
-    return v
+    # Reported last, line by line in the order the event lists are keyed.
+    if stray_border or undeclared:
+        for e_list in base.events.values():
+            for e in e_list:
+                if e.kind in _BORDERS and e.fragment not in frag_ids:
+                    _add(v, "malformed", [e.id], "border event names unknown fragment")
+    return pos, kind, v
 
 
 def _descendants(fragments: tuple[Fragment, ...]) -> dict[str, set[str]]:
@@ -305,39 +325,42 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     """Check every well-formedness clause of a raw diagram.
 
     Dangling references are reported as ``malformed`` violations and block
-    the semantic checks.  On success the result carries a normalized copy:
-    partitions sorted by timestamp and the implicit start partition (time 0)
-    inserted when absent.
+    the semantic checks.  On success the result carries a normalized copy
+    (partitions sorted by timestamp and the implicit start partition, time
+    0, inserted when absent) and that copy's region tree, which
+    ``translate.translate`` takes instead of building it again.
     """
-    malformed = _check_malformed(tcsd)
+    pos, kind, malformed = _index_events(tcsd)
     if malformed:
         return ValidationResult(malformed)
 
     v: list[Violation] = []
     base = tcsd.base
-    pos: dict[str, tuple[str, int]] = {}
-    kind: dict[str, str] = {}
-    for inst in base.instances:
-        for n, e in enumerate(base.events[inst] if inst in base.events else ()):
-            pos[e.id] = (inst, n)
-            kind[e.id] = e.kind
+    sut = tcsd.sut
 
     # Message endpoints: kinds match, no sharing, every send/receive used once.
+    # A message must also connect the SUT line with exactly one test line;
+    # those violations are reported after the layout check.
     usage: dict[str, int] = {}
-    for m in base.messages:
-        usage[m.send] = usage.get(m.send, 0) + 1
-        usage[m.receive] = usage.get(m.receive, 0) + 1
-        if m.send == m.receive:
-            _add(v, "message-endpoints", [m.send], "message with identical endpoints")
+    off_sut: list[Violation] = []
+    for send, label, receive in base.messages:
+        usage[send] = usage.get(send, 0) + 1
+        usage[receive] = usage.get(receive, 0) + 1
+        si, sn = pos[send]
+        ri, rn = pos[receive]
+        ends_on_sut = (si == sut) + (ri == sut)
+        if ends_on_sut != 1:
+            _add(off_sut, "sut-endpoint", [send, receive],
+                 "message %r has %d endpoints on the SUT line" % (label, ends_on_sut))
+        if send == receive:
+            _add(v, "message-endpoints", [send], "message with identical endpoints")
             continue
-        if kind[m.send] != SEND:
-            _add(v, "message-endpoints", [m.send], "send endpoint is not a send event")
-        if kind[m.receive] != RECEIVE:
-            _add(v, "message-endpoints", [m.receive], "receive endpoint is not a receive event")
-        si, sn = pos[m.send]
-        ri, rn = pos[m.receive]
+        if kind[send] != SEND:
+            _add(v, "message-endpoints", [send], "send endpoint is not a send event")
+        if kind[receive] != RECEIVE:
+            _add(v, "message-endpoints", [receive], "receive endpoint is not a receive event")
         if si == ri and sn >= rn:
-            _add(v, "message-order", [m.send, m.receive],
+            _add(v, "message-order", [send, receive],
                  "same-line message must send before it receives")
     for eid, n in usage.items():
         if n > 1:
@@ -404,17 +427,12 @@ def validate(tcsd: Tcsd) -> ValidationResult:
 
     # SUT-line layout must parse into a region tree (translation precondition).
     sut_line = _sut_events(tcsd)
+    regions = None
     try:
-        _parse_items(sut_line, 0, len(sut_line), _index_fragments(tcsd), operands_of)
+        regions = _region_tree(tcsd, operands_of)
     except LayoutError as exc:
-        _add(v, "fragment-layout", [tcsd.sut], str(exc))
-
-    # Every message connects the SUT line with exactly one test line.
-    for m in base.messages:
-        ends_on_sut = sum(1 for eid in (m.send, m.receive) if pos[eid][0] == tcsd.sut)
-        if ends_on_sut != 1:
-            _add(v, "sut-endpoint", [m.send, m.receive],
-                 "message %r has %d endpoints on the SUT line" % (m.label, ends_on_sut))
+        _add(v, "fragment-layout", [sut], str(exc))
+    v.extend(off_sut)
 
     # Partition lines.
     by_delta: dict[int, list[int]] = {}
@@ -489,22 +507,28 @@ def validate(tcsd: Tcsd) -> ValidationResult:
 
     if v:
         return ValidationResult(v)
-    return ValidationResult([], _normalize(tcsd))
+    normalized = _normalize(tcsd, pos)
+    line = _sut_events(normalized)
+    if len(line) > len(sut_line):  # the time-0 partition event was put first
+        regions.insert(0, EventNode(line[0]))
+    return ValidationResult([], normalized, regions)
 
 
-def _normalize(tcsd: Tcsd) -> Tcsd:
+def _normalize(tcsd: Tcsd, taken) -> Tcsd:
+    """Sort the partitions and put the time-0 one first, adding it to every
+    line when it is absent; ``taken`` holds every event id of ``tcsd``."""
     partitions = sorted(tcsd.partitions, key=lambda p: p.timestamp)
     if partitions and partitions[0].timestamp == 0:
         return tcsd._replace(partitions=tuple(partitions))
     base = tcsd.base
-    taken = {e.id for evs in base.events.values() for e in evs}
+    fresh = set()
     new_events = dict(base.events)
     tau_events = []
     for inst in base.instances:
         eid = "t0_%s" % inst
-        while eid in taken:
+        while eid in taken or eid in fresh:
             eid += "_"
-        taken.add(eid)
+        fresh.add(eid)
         tau_events.append(eid)
         new_events[inst] = (Event(eid, inst, PARTITION),) + new_events.get(inst, ())
     tau0 = PartitionLine(tuple(tau_events), 0)

@@ -74,6 +74,10 @@ _STMT_KEYWORDS = ("msg", "at", "timeout", "par", "alt", "opt", "strict", "loop")
 # Characters XML 1.0 cannot carry: a label holding one has no TAPAAL export.
 _XML_FORBIDDEN = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]").match
 
+# Longest integer literal accepted, in digits: CPython's default limit for
+# int() of a string, fixed here so that every interpreter reads the same.
+MAX_INT_DIGITS = 4300
+
 # Deepest block nesting accepted.  Parsing, validation and translation recurse
 # per level; this keeps them well below the interpreter's recursion limit.
 MAX_NESTING = 100
@@ -256,6 +260,10 @@ class _Cursor:
         if tok.kind != "INT":
             raise ParseError(self.span(), "found %r" % (tok.value or tok.kind),
                              expected=("integer",))
+        digits = len(tok.value) - tok.value.startswith("-")
+        if digits > MAX_INT_DIGITS:
+            raise ParseError(self.span(), "integer of %d digits is longer than the limit of %d"
+                             % (digits, MAX_INT_DIGITS))
         value = int(tok.value)
         if value < minimum:
             raise ParseError(self.span(), "%s must be >= %d, got %d" % (what, minimum, value))
@@ -378,8 +386,8 @@ def _parse_statement(c: _Cursor, b: _DiagramBuilder):
 def _take_statement(c: _Cursor, b: _DiagramBuilder, m: re.Match) -> bool:
     """Build the statement ``m`` matched at the lexer's ``pos``, or leave it
     to the token path (False): an undeclared instance or a keyword where a
-    name belongs, an ``op`` outside par and alt, a timeout bound of 0 and
-    a block nested too deep."""
+    name belongs, an ``op`` outside par and alt, a timeout bound of 0, an
+    integer longer than ``MAX_INT_DIGITS`` and a block nested too deep."""
     lx = c.lexer
     kind = m.lastgroup
     filename, line, base = lx.filename, lx.line, lx.line_start - 1
@@ -393,13 +401,16 @@ def _take_statement(c: _Cursor, b: _DiagramBuilder, m: re.Match) -> bool:
                   _new_span((filename, line, m.start("dst") - base)))
         lx.pos = m.end()
         return True
+    number = m["at"] or m["bound"]
+    if number is not None and len(number) > MAX_INT_DIGITS:
+        return False
     if kind == "at":
-        b.partition(int(m["at"]), SourceSpan(filename, line, lx.pos - base),
+        b.partition(int(number), SourceSpan(filename, line, lx.pos - base),
                     SourceSpan(filename, line, m.start("at") - base))
         lx.pos = m.end()
         return True
     word = m["head"] or m["bounded"]
-    bound = int(m["bound"]) if kind == "bound" else None
+    bound = int(number) if kind == "bound" else None
     if word == "op" or (word == "timeout" and bound == 0) or len(b.collectors) >= MAX_NESTING:
         return False
     span = SourceSpan(filename, line, lx.pos - base)

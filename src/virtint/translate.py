@@ -216,17 +216,19 @@ def _unrolled_transitions(items) -> int:
     return n
 
 
-def translate(tcsd: Tcsd) -> TranslationUnit:
+def translate(tcsd: Tcsd, regions: list | None = None) -> TranslationUnit:
     """Build the net, its initial marking and its target for one diagram.
 
     Expects the normalized diagram produced by ``model.validate``; the
-    construction is a deterministic fold over the region tree of
-    ``model.sut_regions``, built once, so identical inputs yield identical
-    nets.  Raises TranslationError, before building anything, when the net
-    with every loop unrolled would have more than ``MAX_TRANSITIONS``
-    transitions.
+    construction is a deterministic fold over its region tree, so identical
+    inputs yield identical nets.  ``regions`` is that tree as
+    ``ValidationResult.regions`` carries it; without it the tree is built
+    here by ``model.sut_regions``.  Raises TranslationError, before
+    building anything, when the net with every loop unrolled would have
+    more than ``MAX_TRANSITIONS`` transitions.
     """
-    regions = model.sut_regions(tcsd)
+    if regions is None:
+        regions = model.sut_regions(tcsd)
     _check_timeout_shape(tcsd)
     count = 1 + _unrolled_transitions(regions)  # the start step comes first
     if count > MAX_TRANSITIONS:

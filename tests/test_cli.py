@@ -138,6 +138,32 @@ def test_translate_refuses_two_outputs_on_one_file(tmp_path, capsys):
     assert not out_path.exists()
 
 
+
+def test_translate_to_an_unwritable_path_is_io_error(tmp_path, capsys):
+    missing = tmp_path / "no" / "such" / "dir"
+    for outputs, written in ((["--dot", str(missing / "x.dot")], []),
+                             (["--tapaal", str(missing / "x.xml")], []),
+                             (["--dot", str(tmp_path / "ok.dot"), "--tapaal",
+                               str(missing / "x.xml")], [tmp_path / "ok.dot"])):
+        code, out = run_cli(capsys, "translate", BSCU[2], *outputs)
+        assert code == 2, outputs
+        assert out == "".join("wrote %s\n" % p for p in written) + (
+            "%s: No such file or directory\n" % outputs[-1]), out
+    # A directory where the file should go.
+    code, out = run_cli(capsys, "translate", BSCU[2], "--dot", str(tmp_path))
+    assert code == 2 and out.startswith("%s: " % tmp_path), out
+
+
+def test_validate_rejects_an_integer_longer_than_the_limit(tmp_path, capsys):
+    src = tmp_path / "long.tcsd"
+    src.write_text("tcsd T {\n  sut S\n  test A\n  msg A -> S : x\n  at %s\n}\n"
+                   % ("1" * 5000), encoding="utf-8")
+    for command in ("validate", "translate"):
+        code, out = run_cli(capsys, command, str(src))
+        assert code == 1
+        assert out == "%s:5:6: integer of 5000 digits is longer than the limit of %d\n" % (
+            src, parser.MAX_INT_DIGITS)
+
 @pytest.mark.parametrize("label,column", [("x\x01y", 16), ("x\\\x01y", 17),
                                           ("x\ufffey", 16)])
 def test_translate_rejects_label_xml_cannot_hold(tmp_path, capsys, label, column):
@@ -410,6 +436,7 @@ def _gc_exit_paths(tmp_path):
         (["validate", str(tmp_path / "missing.tcsd")], 2),  # OSError
         (["translate", str(tmp_path / "missing.tcsd")], 2),
         (["translate", ok, "--dot", ok], 2),  # a usage error
+        (["translate", ok, "--dot", str(tmp_path / "no" / "such" / "dir.dot")], 2),  # unwritable
     ]
 
 
@@ -422,16 +449,19 @@ def test_validate_and_translate_pause_gc_and_restore_it(tmp_path, capsys, monkey
         assert cli.main(argv) == code, argv
         assert gc.isenabled() is enabled, argv
         assert not any(gc_seen), argv
-    # A TranslationError, and an OSError that leaves main.
+    # A TranslationError, and an exception that leaves main.
     monkeypatch.setattr(translate, "MAX_TRANSITIONS", 1)
     (gc.enable if enabled else gc.disable)()
     assert cli.main(["translate", str(FIXTURES / "bscu" / "tc_switch.tcsd")]) == 1
     assert gc.isenabled() is enabled
     assert "translation failed" in capsys.readouterr().out
-    monkeypatch.undo()
-    with pytest.raises(OSError):
-        cli.main(["translate", str(FIXTURES / "bscu" / "tc_switch.tcsd"),
-                  "--dot", str(tmp_path / "no" / "such" / "dir.dot")])
+
+    def fail(*args):
+        raise RuntimeError("translate failed unexpectedly")
+
+    monkeypatch.setattr(translate, "translate", fail)
+    with pytest.raises(RuntimeError):
+        cli.main(["translate", str(FIXTURES / "bscu" / "tc_switch.tcsd")])
     assert gc.isenabled() is enabled
 
 

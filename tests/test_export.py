@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import FIXTURES, ROOT
+from conftest import FIXTURES, ROOT, load_arch, load_tcsd
 from gen import random_tcsd_source
 from virtint import cli, export, integrate, model, parser, tapn, translate
 from virtint.tapn import Guard, Tapn, Transition, TransportArc
@@ -211,6 +211,67 @@ def test_writers_match_references_on_empty_net():
     unit = TranslationUnit(tcsd=None, net=net, m0={}, target={}, event_map={},
                            transition_kinds={}, wait_places=frozenset())
     _assert_matches_references(unit)
+
+
+def _awkward_unit(input_arcs=(), output_arcs=(), transport_arcs=()):
+    """A hand-built unit whose names need quoting or collide as XML ids."""
+    places = ('p"0', "p\\1", "a.b", "a-b", "Ström.P2", "日本-3", 'q\\"x', "a_b")
+    transitions = (Transition('t"0'), Transition("t\\1", 'lab"el\\'),
+                   Transition("a.b.T", "x"), Transition("a-b-T"), Transition("Ström.T9", "ü"))
+    guards = (tapn.ANY_AGE, tapn.at_most(3), tapn.exact(7), Guard(2, 5, False))
+    inputs = [tapn.InputArc(p, t.id, guards[n % 4])
+              for n, (p, t) in enumerate(zip(places, transitions))]
+    outputs = [tapn.OutputArc(t.id, p) for t, p in zip(transitions, reversed(places))]
+    transports = [TransportArc(places[-1 - n], t.id, places[n], guards[-1 - n % 4])
+                  for n, t in enumerate(transitions)]
+    net = Tapn("Awk.ward-net", places, transitions,
+               tuple(inputs) + tuple(input_arcs), tuple(outputs) + tuple(output_arcs),
+               tuple(transports) + tuple(transport_arcs))
+    return TranslationUnit(tcsd=None, net=net, m0={'p"0': (0, 3, 3), "a.b": (1,)},
+                           target={"a-b": 1, "日本-3": 2}, event_map={},
+                           transition_kinds={}, wait_places=frozenset())
+
+
+def test_writers_match_references_on_awkward_names():
+    unit = _awkward_unit()
+    unit.net.check()
+    assert export._xml_id("a.b") == export._xml_id("a-b") == export._xml_id("a_b")
+    _assert_matches_references(unit)
+    dot = export.to_dot(unit.net, unit.m0)
+    assert '"q\\\\\\"x" [shape=circle, label="q\\\\\\"x"];' in dot
+    # Three places keep their names in DOT and share one XML id.
+    assert [dot.count('  "%s" [shape=' % p) for p in ("a.b", "a-b", "a_b")] == [1, 1, 1]
+    assert export.to_tapaal_xml(unit).count('<place id="a_b" name="a_b"') == 3
+
+
+def test_writers_match_references_on_arcs_outside_the_net():
+    # Arcs whose ends are not nodes of the net still export, quoted as the
+    # references quote them.
+    unit = _awkward_unit(
+        input_arcs=[tapn.InputArc('ghost"place', 't"0', tapn.at_most(9)),
+                    tapn.InputArc("a.b", "ghost.T", tapn.ANY_AGE)],
+        output_arcs=[tapn.OutputArc("ghost\\T", "Ström.P2"), tapn.OutputArc("t\\1", "nowhere-")],
+        transport_arcs=[TransportArc("ghost-1", "ghost.1", "ghost_1", Guard(4, None))])
+    with pytest.raises(ValueError):
+        unit.net.check()
+    _assert_matches_references(unit)
+    assert '  "ghost\\"place" -> "t\\"0" [label="[0,9]"];\n' in export.to_dot(unit.net)
+    assert '<transportArc source="ghost_1" transition="ghost_1" target="ghost_1"' \
+        in export.to_tapaal_xml(unit)
+
+
+def test_writers_match_references_on_a_merged_net():
+    tcsds = [load_tcsd(FIXTURES / "timing" / name)
+             for name in ("window_a.tcsd", "window_b.tcsd")]
+    arch = load_arch(FIXTURES / "timing" / "windows.arch")
+    units = [translate.translate(t) for t in tcsds]
+    imap = integrate.build_instance_map(arch, tcsds)
+    matchings = list(integrate.enumerate_matchings(units, imap))
+    assert matchings
+    for matching in matchings:
+        merged = integrate.merge(units, matching)
+        assert len(merged.m0) == 2
+        _assert_matches_references(merged)
 
 
 def test_writers_match_golden_files():

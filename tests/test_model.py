@@ -64,6 +64,16 @@ def test_explicit_time_zero_partition_is_not_duplicated():
     assert [p.timestamp for p in res.tcsd.partitions] == [0]
 
 
+def test_time_zero_partition_events_get_fresh_ids():
+    # t0_S and t0_A are taken; A and A_ would then both want t0_A_.
+    events = {"S": (Event("t0_S", "S", "send"),), "A": (Event("t0_A", "A", "receive"),),
+              "A_": ()}
+    sd = SequenceDiagram("N", ("S", "A", "A_"), events, (Message("t0_S", "x", "t0_A"),), ())
+    res = model.validate(Tcsd(sd, "S", (), ()))
+    assert res.ok, res.violations
+    assert res.tcsd.partitions[0].events == ("t0_S_", "t0_A_", "t0_A__")
+    assert res.regions == model.sut_regions(res.tcsd)
+
 def test_partition_timestamps_ascend_and_start_at_zero():
     rng = random.Random(42)
     for n in range(25):
@@ -293,7 +303,8 @@ _MALFORMED = {
     # order than the instances are declared, and include an undeclared line.
     "everything": (
         _diagram({"X": (Event("ex", "X", "fragment-exit", "nowhere"),),
-                  "A": (_R1, Event("s1", "A", "send"), Event("bd", "A", "fragment-enter", "ghost")),
+                  "A": (_R1, Event("s1", "A", "send"),
+                        Event("bd", "A", "fragment-enter", "ghost")),
                   "S": (_S1, Event("j", "S", "jump"), Event("w", "A", "receive"))},
                  [_MSG, Message("s9", "y", "r9")],
                  [Fragment("f", "opt", (Operand(("s1", "zz"), ("g",)),)),
@@ -358,7 +369,8 @@ _CLAUSE_VIOLATIONS = {
     "timeout-same-fragment": [
         ("timeout-same-fragment", ("s1", "s2", "f"),
          "endpoints split across operand 0 of fragment f")],
-    "uniqueness": [("uniqueness", ("e3", "e4", "e5", "e6"), "2 partition lines share timestamp 5")],
+    "uniqueness": [
+        ("uniqueness", ("e3", "e4", "e5", "e6"), "2 partition lines share timestamp 5")],
     "ordering": [
         ("ordering", ("e5", "e1"), "partition at 3 is drawn after partition at 5 on line S"),
         ("ordering", ("e6", "e2"), "partition at 3 is drawn after partition at 5 on line A")],

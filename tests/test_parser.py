@@ -396,6 +396,41 @@ def test_block_nesting_limit_is_reported_as_before():
                     == _outcome(parser_reference.parse_tcsd, src)), (depth, head)
 
 
+
+@pytest.mark.parametrize("statement", ["at %s", "timeout %s { msg A -> S : x msg S -> A : y }",
+                                       "loop %s { msg A -> S : x }"])
+def test_integer_longer_than_the_limit_is_a_parse_error(monkeypatch, statement):
+    limit = parser.MAX_INT_DIGITS
+    calls = []
+    real = parser._parse_statement
+    monkeypatch.setattr(parser, "_parse_statement",
+                        lambda c, b: calls.append(c.peek().line) or real(c, b))
+    for digits in (limit, limit + 1, 5000):
+        text = statement % ("1" * digits)
+        column = 3 + text.index(" ") + 1
+        # The statement after the header goes token by token; the one after
+        # it would be matched whole, but is left to the token path.
+        for line, src in ((2, "tcsd T { sut S test A\n  %s\n}\n" % text),
+                          (3, "tcsd T { sut S test A\n  msg A -> S : x\n  %s\n}\n" % text)):
+            calls.clear()
+            if digits <= limit:
+                assert parser.parse_tcsd(src).tcsd.base.name == "T"
+                assert calls == [2], calls
+                continue
+            with pytest.raises(ParseError) as err:
+                parser.parse_tcsd(src)
+            assert str(err.value) == (
+                "<tcsd>:%d:%d: integer of %d digits is longer than the limit of %d"
+                % (line, column, digits, limit))
+            assert calls == [2, 3][:line - 1], calls
+    # A minus sign is not a digit; the error comes before the range check.
+    with pytest.raises(ParseError, match=r":2:6: integer of %d digits" % (limit + 1)):
+        parser.parse_tcsd("tcsd T { sut S test A\n  at -%s\n}" % ("1" * (limit + 1)))
+    # A long label is a word, not a number.
+    [m] = parser.parse_tcsd("tcsd T { sut S test A\n  msg A -> S : %s\n}"
+                            % ("1" * 5000)).tcsd.base.messages
+    assert m.label == "1" * 5000
+
 # -- a token-stream fuzzer that knows the grammar ----------------------------
 #
 # A program is a list of (separator, token, role) triples.  The role says

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import time
 from collections import Counter
 
@@ -216,28 +217,71 @@ def test_timeout_shape_agrees_with_pairwise_rule():
     assert 1000 < rejected < 4000
 
 
-def test_translate_builds_one_region_tree(fixtures_dir, monkeypatch):
+def _count_region_trees(monkeypatch):
+    """The names of the diagrams whose SUT region tree gets built."""
     calls = []
-    real = model.sut_regions
+    real = model._region_tree
 
-    def counting(tcsd):
+    def counting(tcsd, operands_of):
         calls.append(tcsd.base.name)
-        return real(tcsd)
+        return real(tcsd, operands_of)
 
-    monkeypatch.setattr(model, "sut_regions", counting)
-    rng = random.Random(12)
-    sources = [p.read_text(encoding="utf-8") for p in sorted(fixtures_dir.rglob("*.tcsd"))]
-    sources += [random_tcsd_source(rng, "R%d" % n) for n in range(20)]
-    translated = 0
-    for src in sources:
-        checked = model.validate(parser.parse_tcsd(src).tcsd)
-        if not checked.ok:
-            continue
+    monkeypatch.setattr(model, "_region_tree", counting)
+    return calls
+
+
+def test_translate_builds_one_region_tree(fixtures_dir, monkeypatch, capsys):
+    # One tree per diagram per `virtint translate` and `virtint check`: the
+    # validator's, which translate reuses.
+    calls = _count_region_trees(monkeypatch)
+    sets = [sorted(d.glob("*.tcsd")) for d in sorted(fixtures_dir.iterdir())
+            if d.name != "invalid"]
+    for paths in sets:
+        for path in paths:
+            calls.clear()
+            assert cli.main(["translate", str(path)]) == 0
+            assert len(calls) == 1, (path, calls)
         calls.clear()
-        translate.translate(checked.tcsd)
-        assert calls == [checked.tcsd.base.name]
-        translated += 1
-    assert translated > 20
+        [arch] = paths[0].parent.glob("*.arch")
+        assert cli.main(["check", *map(str, paths), "--arch", str(arch)]) in (0, 1)
+        assert sorted(calls) == sorted(set(calls)) and len(calls) == len(paths), calls
+    capsys.readouterr()
+    # A library caller who passes no tree gets one built by translate.
+    checked = model.validate(parser.parse_tcsd(sets[0][0].read_text()).tcsd)
+    calls.clear()
+    assert translate.translate(checked.tcsd) == translate.translate(checked.tcsd,
+                                                                    checked.regions)
+    assert len(calls) == 1
+
+
+def _with_time_zero(src):
+    """``src`` with an explicit ``at 0`` as its first statement."""
+    lines = src.split("\n")
+    header = max(n for n, line in enumerate(lines) if line.startswith("  test "))
+    return "\n".join(lines[:header + 1] + ["  at 0"] + lines[header + 1:])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 3), st.booleans())
+def test_validation_regions_are_the_region_tree_of_the_normalized_diagram(seed, events,
+                                                                          depth, time_zero):
+    src = random_tcsd_source(random.Random(seed), "R", max_sut_events=events, max_depth=depth)
+    if time_zero:
+        src = _with_time_zero(src)
+    result = model.validate(parser.parse_tcsd(src).tcsd)
+    assert result.ok, result.violations
+    zero = [p for p in result.tcsd.partitions if p.timestamp == 0]
+    assert len(zero) == 1
+    assert result.regions == model.sut_regions(result.tcsd)
+    assert isinstance(result.regions[0], model.EventNode)
+    assert result.regions[0].event.kind == model.PARTITION
+    try:
+        expected = translate.translate(result.tcsd)
+    except TranslationError as exc:
+        with pytest.raises(TranslationError, match=re.escape(str(exc))):
+            translate.translate(result.tcsd, result.regions)
+        return
+    assert translate.translate(result.tcsd, result.regions) == expected
 
 
 def test_one_safety_without_fragments():
