@@ -154,7 +154,10 @@ def cmd_translate(args, out: _Printer) -> int:
             continue
         try:
             with open(path, "w", encoding="utf-8") as fp:
-                fp.writelines(lines)
+                # A few hundred lines per write: a write() per line costs
+                # more than making the lines, and no document is held whole.
+                while chunk := "".join(itertools.islice(lines, 256)):
+                    fp.write(chunk)
         except OSError as exc:
             out.bad("%s: %s" % (path, exc.strerror or exc))
             return EXIT_USAGE

@@ -307,13 +307,16 @@ def test_reports_match_golden_files(name, tmp_path, monkeypatch, capsys):
 
 
 def test_translate_files_equal_the_string_writers(tmp_path, capsys):
-    path = FIXTURES / "bscu" / "tc_switch.tcsd"
-    dot, xml = tmp_path / "net.dot", tmp_path / "net.xml"
-    assert cli.main(["translate", str(path), "--dot", str(dot), "--tapaal", str(xml)]) == 0
-    capsys.readouterr()
-    unit = _unit(path.read_text(encoding="utf-8"))
-    assert dot.read_bytes() == export.to_dot(unit.net, unit.m0).encode()
-    assert xml.read_bytes() == export.to_tapaal_xml(unit).encode()
+    big = tmp_path / "big.tcsd"  # its documents take several writes
+    big.write_text(_front_end_source(70), encoding="utf-8")
+    for path in (FIXTURES / "bscu" / "tc_switch.tcsd", big):
+        dot, xml = tmp_path / "net.dot", tmp_path / "net.xml"
+        assert cli.main(["translate", str(path), "--dot", str(dot), "--tapaal", str(xml)]) == 0
+        capsys.readouterr()
+        unit = _unit(path.read_text(encoding="utf-8"))
+        assert dot.read_bytes() == export.to_dot(unit.net, unit.m0).encode()
+        assert xml.read_bytes() == export.to_tapaal_xml(unit).encode()
+    assert len(xml.read_text().splitlines()) > 2 * 256
 
 
 def _xml_id_reference(raw):
