@@ -20,6 +20,7 @@ exact, and by a second search otherwise.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import stp, tapn
@@ -166,33 +167,82 @@ def enumerate_matchings(units: list[TranslationUnit], imap: InstanceMap,
         yield SyncMatching(pairs)
 
 
-def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUnit:
-    """Disjoint union of the nets with matched transition pairs collapsed.
+class _Fused(NamedTuple):
+    """A matched pair fused into one transition, ready to patch the union
+    with: per table (transitions, input, output and transport arcs), the
+    renamed rows to write over the pair's own as (position, row), and the
+    position of the pair's second transition, which the merged net drops."""
 
-    Every matched pair is replaced by one transition carrying the shared
-    label; all arcs of both originals are redirected to it, guards kept.
-    The result is canonical (elements sorted by id), so the merge order
-    of the units does not matter.
+    mid: str
+    put: tuple[list[tuple[int, tuple]], ...]
+    gone: int
+    clash: bool  # the merged net may fail Tapn.check where the union passed
+
+
+# Per table of the union: the net field, its canonical sort key, and the
+# indices of the transition id and of the places in a row.
+_TABLES = (("transitions", itemgetter(0), 0, ()),
+           ("input_arcs", itemgetter(0, 1), 1, (0,)),
+           ("output_arcs", itemgetter(0, 1), 0, (1,)),
+           ("transport_arcs", itemgetter(0, 1, 2), 1, (0, 2)))
+
+
+class _Union(tuple):
+    """The units with their disjoint union, built and checked once.
+
+    ``net`` is the canonical merge of the empty matching.  Each table's
+    rows sit at recorded positions, so a matching's merged net replaces
+    only the rows of its fused transitions; each matched pair is fused
+    once, on first use.  A row's rank is its index in the units' own
+    order, which breaks ties between equal sort keys as a stable sort of
+    the concatenated units would.
     """
-    names = [u.name for u in units]
-    if len(set(names)) != len(names):
-        raise IntegrationError("duplicate diagram names: %s" % names)
-    by_tid: dict[str, Transition] = {}
-    for u in units:
-        for t in u.net.transitions:
-            if t.id in by_tid:
-                raise IntegrationError("transition id %s appears in two nets" % t.id)
-            by_tid[t.id] = t
 
-    parent: dict[str, str] = {}
+    def __new__(cls, units):
+        self = super().__new__(cls, units)
+        names = [u.name for u in self]
+        if len(set(names)) != len(names):
+            raise IntegrationError("duplicate diagram names: %s" % names)
+        self.by_tid = {}
+        for u in self:
+            for t in u.net.transitions:
+                if t.id in self.by_tid:
+                    raise IntegrationError("transition id %s appears in two nets" % t.id)
+                self.by_tid[t.id] = t
+        tables = []
+        self.rows_of = []  # per table: transition id -> [(position, rank)]
+        for field, key, ti, _ in _TABLES:
+            rows = [r for u in self for r in getattr(u.net, field)]
+            order = sorted(range(len(rows)), key=lambda i: key(rows[i]))
+            at: dict[str, list[tuple[int, int]]] = {}
+            for pos, i in enumerate(order):
+                at.setdefault(rows[i][ti], []).append((pos, i))
+            tables.append(tuple(rows[i] for i in order))
+            self.rows_of.append(at)
+        places = tuple(sorted(p for u in self for p in u.net.places))
+        self.net = Tapn("+".join(sorted(names)), places, *tables)
+        try:
+            self.net.check()
+            self.ok = True
+        except ValueError:
+            self.ok = False  # every merged net is checked, to raise its own error
+        self.places = set(places)
+        self.m0: dict[str, tuple[int, ...]] = {}
+        self.target: dict[str, int] = {}
+        self.kinds = []
+        for u in self:
+            self.m0.update(u.m0)
+            self.target.update(u.target)
+            self.kinds.extend(u.transition_kinds.items())
+        self.wait_places = frozenset(p for u in self for p in u.wait_places)
+        self.fused: dict[tuple[str, str], _Fused] = {}
+        return self
 
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    for a, b in matching.pairs:
+    def fuse(self, a: str, b: str) -> _Fused:
+        found = self.fused.get((a, b))
+        if found is not None:
+            return found
+        by_tid = self.by_tid
         for tid in (a, b):
             if tid not in by_tid:
                 raise IntegrationError("matching references unknown transition %s" % tid)
@@ -201,67 +251,67 @@ def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUn
         if by_tid[a].label != by_tid[b].label:
             raise IntegrationError("matched transitions %s and %s have different labels"
                                    % (a, b))
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+        mid = "+".join(sorted((a, b)))
+        put: tuple[list[tuple[int, tuple]], ...] = ([], [], [], [])
+        ends: tuple[set[str], set[str]] = (set(), set())
+        for n, (_, key, _, place_at) in enumerate(_TABLES[1:], 1):
+            rows = self.net[n + 2]
+            slots, moved = [], []
+            for side, tid in enumerate((a, b)):
+                for pos, rank in self.rows_of[n].get(tid, ()):
+                    row = rows[pos]
+                    ends[side].update(row[i] for i in place_at)
+                    row = row._replace(transition=mid)
+                    slots.append(pos)
+                    moved.append((key(row), rank, row))
+            # Rows that the renaming makes equal keep the units' order
+            # through the stable sort in ``merge``.
+            put[n].extend(zip(sorted(slots), [row for _, _, row in sorted(moved)]))
+        first, gone = sorted(self.rows_of[0][tid][0][0] for tid in (a, b))
+        put[0].append((first, Transition(mid, by_tid[a].label)))
+        clash = mid in by_tid or mid in self.places or not ends[0].isdisjoint(ends[1])
+        found = self.fused[(a, b)] = _Fused(mid, put, gone, clash)
+        return found
+
+
+def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUnit:
+    """Disjoint union of the nets with matched transition pairs collapsed.
+
+    Every matched pair is replaced by one transition carrying the shared
+    label; all arcs of both originals are redirected to it, guards kept.
+    The result is canonical (elements sorted by id), so the merge order
+    of the units does not matter.  ``units`` may be a list, or the
+    ``_Union`` that ``check_consistency`` builds once for all its
+    matchings.
+    """
+    union = units if isinstance(units, _Union) else _Union(units)
+    fused = [union.fuse(a, b) for a, b in matching.pairs]
     used = [tid for pair in matching.pairs for tid in pair]
     if len(used) != len(set(used)):
         raise IntegrationError("matching is not injective: %s" % sorted(used))
 
-    members: dict[str, list[str]] = {}
-    for tid in used:
-        members.setdefault(find(tid), []).append(tid)
-    rename: dict[str, str] = {}
-    merged_transitions: list[Transition] = []
-    for root, tids in members.items():
-        tids = sorted(set(tids))
-        mid = "+".join(tids)
-        for tid in tids:
-            rename[tid] = mid
-        merged_transitions.append(Transition(mid, by_tid[tids[0]].label))
-
-    transitions = list(merged_transitions)
-    places: list[str] = []
-    input_arcs = []
-    output_arcs = []
-    transport_arcs = []
-    m0: dict[str, tuple[int, ...]] = {}
-    target: dict[str, int] = {}
-    kinds: dict[str, str] = {}
-    waits: set[str] = set()
-    for u in units:
-        places.extend(u.net.places)
-        transitions.extend(t for t in u.net.transitions if t.id not in rename)
-        input_arcs.extend(a._replace(transition=rename.get(a.transition, a.transition))
-                          for a in u.net.input_arcs)
-        output_arcs.extend(a._replace(transition=rename.get(a.transition, a.transition))
-                           for a in u.net.output_arcs)
-        transport_arcs.extend(a._replace(transition=rename.get(a.transition, a.transition))
-                              for a in u.net.transport_arcs)
-        m0.update(u.m0)
-        target.update(u.target)
-        for tid, kind in u.transition_kinds.items():
-            kinds[rename.get(tid, tid)] = kind
-        waits |= set(u.wait_places)
-
-    net = Tapn(
-        name="+".join(sorted(names)),
-        places=tuple(sorted(places)),
-        transitions=tuple(sorted(transitions, key=lambda t: t.id)),
-        input_arcs=tuple(sorted(input_arcs, key=lambda a: (a.place, a.transition))),
-        output_arcs=tuple(sorted(output_arcs, key=lambda a: (a.transition, a.place))),
-        transport_arcs=tuple(sorted(transport_arcs,
-                                    key=lambda a: (a.source, a.transition, a.target))),
-    )
-    net.check()
+    tables = [list(rows) for rows in union.net[2:]]
+    for f in fused:
+        for table, put in zip(tables, f.put):
+            for pos, row in put:
+                table[pos] = row
+    for pos in sorted((f.gone for f in fused), reverse=True):
+        del tables[0][pos]
+    for table, (_, key, _, _) in zip(tables, _TABLES):
+        table.sort(key=key)
+    net = Tapn(union.net.name, union.net.places, *map(tuple, tables))
+    mids = [f.mid for f in fused]
+    if not union.ok or len(set(mids)) != len(mids) or any(f.clash for f in fused):
+        net.check()
+    rename = {tid: f.mid for f, pair in zip(fused, matching.pairs) for tid in pair}
     return TranslationUnit(
         tcsd=None,
         net=net,
-        m0=m0,
-        target=target,
+        m0=dict(union.m0),
+        target=dict(union.target),
         event_map={},
-        transition_kinds=kinds,
-        wait_places=frozenset(waits),
+        transition_kinds={rename.get(tid, tid): kind for tid, kind in union.kinds},
+        wait_places=union.wait_places,
     )
 
 
@@ -295,17 +345,11 @@ def _blocking_labels(net: Tapn, frontier) -> tuple[str, ...]:
     every dead marking disables all transitions, so any labeled transition
     whose input side is partly supplied is a stuck synchronization point.
     """
-    incoming, _ = tapn.transition_arcs(net)
-    found: set[str] = set()
-    for t in net.transitions:
-        if t.label is None:
-            continue
-        sources = [tapn._arc_source(a) for a in incoming[t.id]]
-        for m in frontier:
-            if any(m.get(p) for p in sources):
-                found.add(t.label)
-                break
-    return tuple(sorted(found))
+    marked = {p for m in frontier for p, ages in m.items() if ages}
+    fed = {a.transition for a in net.input_arcs if a.place in marked}
+    fed.update(a.transition for a in net.transport_arcs if a.source in marked)
+    return tuple(sorted({t.label for t in net.transitions
+                         if t.label is not None and t.id in fed}))
 
 
 def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
@@ -330,16 +374,16 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
             "two diagrams test the same component: %s"
             % sorted(c for c in suts if suts.count(c) > 1))
 
-    labels = {t.id: t.label for u in units for t in u.net.transitions}
-
     stream = enumerate_matchings(units, imap, policy)
     matchings = list(itertools.islice(stream, max_matchings))
     truncated = next(stream, None) is not None
+    if matchings:
+        union = _Union(units)  # built and checked once for every matching
 
     verdicts: list[Verdict] = []
     for matching in matchings:
-        merged = merge(units, matching)
-        pair_labels = tuple(labels[a] for a, _ in matching.pairs)
+        merged = merge(union, matching)
+        pair_labels = tuple(union.by_tid[a].label for a, _ in matching.pairs)
         found = stp.causal_order(merged.net, merged.m0, merged.target)
         cons = None if found is None else stp.constraints(merged.net, merged.m0, found)
         if cons is not None:

@@ -1,13 +1,20 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import load_arch, load_tcsd
+import merge_reference
+from conftest import FIXTURES, load_arch, load_tcsd
+from gen import random_diagram_pair, random_merged_units
+from test_stp import _window_pair
 from virtint import integrate, model, parser, tapn, translate
 from virtint.integrate import (IntegrationError, SyncMatching, build_instance_map,
                                check_consistency, enumerate_matchings, merge)
-from virtint.tapn import TraceStep
+from virtint.tapn import InputArc, OutputArc, Tapn, TraceStep, Transition, TransportArc
+from virtint.translate import TranslationUnit
 
 
 def _prep(sources, arch_src):
@@ -311,3 +318,206 @@ def test_bscu_fixture_deadlock(bscu):
     [v] = report.verdicts
     assert v.status == "ordering-deadlock"
     assert set(v.blocking) >= {"Status", "CMD1m", "AntiSkid1m", "CMD1", "AntiSkid1"}
+
+
+_TRIPLE_ARCH = """
+architecture Tri {
+  components P, Q, W
+  bind TA { sut = P  B -> Q }
+  bind TB { sut = Q  A -> P  C -> W }
+  bind TC { sut = W  B -> Q }
+}
+"""
+
+
+def _fanout_pair(k, c=1):
+    """k equal pings: only the order-preserving pairing is consistent."""
+    return _pair(" ".join(["msg S -> B : ping"] * k + ["msg S -> B : done"]),
+                 "timeout %d { %s } msg C -> R : done"
+                 % (c, " ".join(["msg C -> R : ping"] * k)))
+
+
+def _fanout_triple(k, j, c=1):
+    """k pings from TA to TB and j pongs from TB to TC: k! * j! matchings."""
+    return _prep(["tcsd TA { sut S test B %s }" % " ".join(["msg S -> B : ping"] * k),
+                  "tcsd TB { sut R test A test C %s %s }"
+                  % (" ".join(["msg A -> R : ping"] * k),
+                     " ".join(["msg R -> C : pong"] * j)),
+                  "tcsd TC { sut T test B timeout %d { %s } }"
+                  % (c, " ".join(["msg B -> T : pong"] * j))],
+                 _TRIPLE_ARCH)
+
+
+def _fixture_sets():
+    for arch in sorted(FIXTURES.glob("*/*.arch")):
+        tcsds = [load_tcsd(p) for p in sorted(arch.parent.glob("*.tcsd"))]
+        yield [translate.translate(t) for t in tcsds], build_instance_map(load_arch(arch), tcsds)
+
+
+def _outcome(fn, *args):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return fn(*args)
+    except (IntegrationError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_merges_as_reference(units, imap, limit=None):
+    """Every matching merges as the reference merge does, from a list and
+    from the union that ``check_consistency`` shares between matchings."""
+    union = integrate._Union(units)
+    count = 0
+    for matching in itertools.islice(enumerate_matchings(units, imap), limit):
+        want = merge_reference.merge(units, matching)
+        backwards = merge_reference.merge(units[::-1], matching)
+        for got, ref in ((merge(units, matching), want), (merge(union, matching), want),
+                         (merge(units[::-1], matching), backwards)):
+            assert got == ref, matching
+            assert list(got.m0.items()) == list(ref.m0.items())
+            assert list(got.target.items()) == list(ref.target.items())
+        count += 1
+    return count
+
+
+def test_merge_equals_reference_on_fixtures_and_fanout_pairs():
+    for units, imap in _fixture_sets():
+        assert _assert_merges_as_reference(units, imap) >= 1
+    assert _assert_merges_as_reference(*_window_pair(2)) == 1
+    for k in range(2, 6):
+        assert _assert_merges_as_reference(*_fanout_pair(k)) == math.factorial(k)
+    assert _assert_merges_as_reference(*_fanout_triple(3, 2)) == 12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 7))
+def test_merge_equals_reference_on_random_and_window_pairs(seed, timing, window):
+    units, imap = random_diagram_pair(random.Random(seed), timing=timing)
+    _assert_merges_as_reference(units, imap, limit=24)
+    _assert_merges_as_reference(*_window_pair(window, 9 - window))
+
+
+def _chain_unit(name, label, places=None, extra=()):
+    """A two-transition unit: ``name``.T0 (unlabeled) then ``name``.T1 with
+    ``label``; ``places`` renames its three places."""
+    p = places or ["%s.P%d" % (name, n) for n in range(3)]
+    t0, t1 = name + ".T0", name + ".T1"
+    net = Tapn(name, tuple(p), (Transition(t0), Transition(t1, label)) + tuple(extra),
+               (InputArc(p[0], t0), InputArc(p[1], t1)),
+               (OutputArc(t0, p[1]), OutputArc(t1, p[2])), ())
+    return TranslationUnit(None, net, {p[0]: (0,)}, {p[2]: 1}, {},
+                           {t0: "start", t1: "message"}, frozenset())
+
+
+def test_merge_errors_equal_the_reference():
+    units, imap = _pair("msg S -> B : x msg S -> B : y", "msg C -> R : x msg C -> R : y")
+    x_a, y_a = [t.id for t in units[0].net.transitions if t.label is not None]
+    x_b, y_b = [t.id for t in units[1].net.transitions if t.label is not None]
+    renamed = units[0]._replace(net=units[0].net._replace(name="Other"))
+    cases = [
+        (units, ((x_a, "ghost"),)),  # unknown
+        (units, (("TA.T0", "TB.T0"),)),  # unlabeled
+        (units, ((x_a, y_b),)),  # label mismatch
+        (units, ((x_a, x_b), (y_a, y_b), (x_a, y_b))),  # labels before injectivity
+        (units, ((x_a, x_b), (x_a, x_b))),  # not injective
+        (units, ((x_a, x_b), (y_a, x_b))),
+        ([units[0], units[0]], ((x_a, x_b),)),  # duplicate names
+        ([units[0], renamed], ()),  # a transition id in two nets
+        (units, ((x_a, x_a),)),
+        (units, ((x_a, y_a),)),
+    ]
+    # Nets that Tapn.check rejects once merged, or only as a union: a pair
+    # within one unit that shares a place (twice as a normal arc, which
+    # passes, and as a normal and a transport arc), a merged id that names
+    # a place or another transition, two pairs with one merged id, two
+    # units with one place, and a place named as a transition that the
+    # matching renames.
+    a, b = _chain_unit("A", "x"), _chain_unit("B", "x")
+    shared = _chain_unit("C", "x", extra=(Transition("C.T2", "x"),))
+    # The second arc from C.P1 comes first in the unit, so the merged net
+    # lists it first although the union lists it second.
+    twice = shared._replace(net=shared.net._replace(
+        input_arcs=(InputArc("C.P1", "C.T2", tapn.Guard(1, 2)),) + shared.net.input_arcs))
+    moved = shared._replace(net=shared.net._replace(
+        transport_arcs=(TransportArc("C.P1", "C.T2", "C.P0"),)))
+    cases += [
+        ([a, b], (("A.T1", "B.T1"),)),
+        ([twice, b], (("C.T1", "C.T2"),)),
+        ([moved, b], (("C.T1", "C.T2"),)),
+        ([_chain_unit("A", "x", ["A.P0", "A.T1+B.T1", "A.P2"]), b], (("A.T1", "B.T1"),)),
+        ([a, b, _chain_unit("A.T1+B", "y")], (("A.T1", "B.T1"),)),
+        ([_chain_unit(n, "x") for n in ("p", "p.T1+q", "q.T1+r", "r")],
+         (("p.T1+q.T1", "r.T1"), ("p.T1", "q.T1+r.T1"))),
+        ([a, _chain_unit("B", "x", ["B.P0", "B.P1", "A.P2"])], (("A.T1", "B.T1"),)),
+        ([a, b, _chain_unit("D", "y", ["D.P0", "B.T1", "D.P2"])], ()),
+        ([a, b, _chain_unit("D", "y", ["D.P0", "B.T1", "D.P2"])], (("A.T1", "B.T1"),)),
+    ]
+    outcomes = []
+    for units, pairs in cases:
+        matching = SyncMatching(pairs)
+        want = _outcome(merge_reference.merge, units, matching)
+        assert _outcome(merge, units, matching) == want, pairs
+        union = _outcome(integrate._Union, units)
+        if isinstance(union, integrate._Union):
+            assert _outcome(merge, union, matching) == want, pairs
+        else:
+            assert union == want, pairs
+        outcomes.append("merged" if isinstance(want, TranslationUnit) else want)
+    assert outcomes == [
+        ("IntegrationError", "matching references unknown transition ghost"),
+        ("IntegrationError", "matching references unlabeled transition TA.T0"),
+        ("IntegrationError", "matched transitions %s and %s have different labels"
+         % (x_a, y_b)),
+        ("IntegrationError", "matched transitions %s and %s have different labels"
+         % (x_a, y_b)),
+        ("IntegrationError", "matching is not injective: %s" % sorted([x_a, x_a, x_b, x_b])),
+        ("IntegrationError", "matched transitions %s and %s have different labels"
+         % (y_a, x_b)),
+        ("IntegrationError", "duplicate diagram names: ['TA', 'TA']"),
+        ("IntegrationError", "transition id TA.T0 appears in two nets"),
+        ("IntegrationError", "matching is not injective: %s" % [x_a, x_a]),
+        ("IntegrationError", "matched transitions %s and %s have different labels"
+         % (x_a, y_a)),
+        "merged",
+        "merged",
+        ("ValueError", "C.P1->C.T1+C.T2 is both a normal and a transport arc"),
+        ("ValueError", "place and transition ids overlap: {'A.T1+B.T1'}"),
+        ("ValueError", "duplicate transition ids"),
+        ("ValueError", "duplicate transition ids"),
+        ("ValueError", "duplicate place ids"),
+        ("ValueError", "place and transition ids overlap: {'B.T1'}"),
+        "merged",
+    ]
+
+
+def test_the_union_is_checked_once_per_check(monkeypatch):
+    units, imap = _fanout_pair(4)
+    checks, merges = [], []
+    real_check, real_merge = Tapn.check, integrate.merge
+    monkeypatch.setattr(Tapn, "check", lambda net: checks.append(net.name) or real_check(net))
+    monkeypatch.setattr(integrate, "merge",
+                        lambda *args: merges.append(args[1]) or real_merge(*args))
+    report = check_consistency(units, imap, require_all=True)
+    assert len(report.verdicts) == 24
+    assert checks == ["TA+TB"]
+    assert merges == [v.matching for v in report.verdicts]
+    # A merge from a list checks its own union, once.
+    checks.clear()
+    merge(units, report.verdicts[0].matching)
+    assert checks == ["TA+TB"]
+
+
+_markings = st.dictionaries(st.sampled_from(range(12)),
+                            st.lists(st.integers(0, 3), max_size=2).map(tuple), max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(_markings, max_size=4))
+def test_blocking_labels_equal_the_reference(seed, frontier):
+    for merged in random_merged_units(random.Random(seed), max_matchings=2):
+        net = merged.net
+        places = net.places
+        dead = [{places[i % len(places)]: ages for i, ages in m.items()} for m in frontier]
+        res = tapn.reachable(net, merged.m0, merged.target, max_states=2000)
+        for markings in (dead, res.frontier, res.frontier + dead):
+            assert (integrate._blocking_labels(net, markings)
+                    == merge_reference._blocking_labels(net, markings))
