@@ -17,6 +17,8 @@ REPORT_SCHEMA = "virtint-report/1"
 TAPAAL_DIALECT = "tapaal-3.x"
 _TAPAAL_NS = "http://www.informatik.hu-berlin.de/top/pnml/ptNetb"
 _NON_WORD = re.compile(r"\W")
+# json.dumps's string escaping (ensure_ascii), C-accelerated where available.
+_quote = json.encoder.encode_basestring_ascii
 # What ElementTree escapes in an attribute value.
 _ATTR_ESCAPES = str.maketrans({
     "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
@@ -190,5 +192,26 @@ def build_report_document(report: AnalysisReport, inputs=()) -> dict:
     }
 
 
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for the dicts, lists, strings,
+    integers, booleans and None of a report, without the pure-Python
+    encoder that ``indent`` selects; strings go through json's own
+    (C-accelerated) escaping."""
+    if isinstance(value, str):
+        return _quote(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in value.items()]
+        return "{\n%s%s\n%s}" % (inner, (",\n" + inner).join(items), indent) if items else "{}"
+    if isinstance(value, list):
+        items = [_json(v, inner) for v in value]
+        return "[\n%s%s\n%s]" % (inner, (",\n" + inner).join(items), indent) if items else "[]"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def to_report_json(report: AnalysisReport, inputs=()) -> str:
-    return json.dumps(build_report_document(report, inputs), indent=2) + "\n"
+    """The report as ``json.dumps(build_report_document(...), indent=2)``
+    followed by a newline, byte for byte."""
+    return _json(build_report_document(report, inputs)) + "\n"

@@ -6,6 +6,8 @@ import time
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, ROOT, load_arch, load_tcsd
 from gen import random_tcsd_source
@@ -383,6 +385,31 @@ def test_report_json_deterministic():
     report = _report(["tcsd TA { sut S test B msg S -> B : m }",
                       "tcsd TB { sut R test C msg C -> R : m }"], _ARCH)
     assert export.to_report_json(report) == export.to_report_json(report)
+
+
+_text = st.text(st.sampled_from('ab"\\/\x00\x01\x1f\x7f\t\n\r\u00e9\u2028\ufeff\U0001f600'),
+                max_size=6)
+_steps = st.lists(st.builds(tapn.TraceStep, st.integers(0, 10**12), _text,
+                            st.none() | _text, st.just(())), max_size=3)
+_verdicts = st.builds(
+    lambda status, pairs, witness, blocking, states: integrate.Verdict(
+        status, integrate.SyncMatching(tuple((a, b) for a, b, _ in pairs)),
+        tuple(label for _, _, label in pairs), witness, tuple(blocking), states),
+    st.sampled_from(["consistent", "ordering-deadlock", "timing-conflict",
+                     "bound-exceeded"]),
+    st.lists(st.tuples(_text, _text, _text), max_size=3),
+    st.none() | _steps, st.lists(_text, max_size=3), st.integers(0, 10**9))
+_reports = st.builds(integrate.AnalysisReport,
+                     st.sampled_from(["consistent", "inconsistent", "inconclusive"]),
+                     st.lists(_verdicts, max_size=4), st.sampled_from(["maximal", "strict"]),
+                     st.booleans(), st.booleans(), st.lists(_text, max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_reports, st.lists(st.tuples(_text, _text), max_size=3))
+def test_report_writer_equals_json_dumps(report, inputs):
+    doc = export.build_report_document(report, inputs)
+    assert export.to_report_json(report, inputs) == json.dumps(doc, indent=2) + "\n"
 
 
 def _front_end_source(messages):
