@@ -67,19 +67,19 @@ def _read(path: str) -> str:
             raise OSError(errno.EILSEQ, "not valid UTF-8 (%s)" % exc.reason, path) from exc
 
 
-def _sha256(path: str) -> str:
+def _sha256(text: str) -> str:
+    """Digest of the file ``_read`` returned ``text`` for.  Strict UTF-8
+    with no newline translation reads back to the file's exact bytes."""
     # Imported here: only check --report needs it, and loading _hashlib is
     # a sizeable part of every command's start-up.
     import hashlib
 
-    with open(path, "rb") as fp:
-        return hashlib.sha256(fp.read()).hexdigest()
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _load_tcsd(path: str):
+def _load_tcsd(path: str, read=_read):
     """Parse and validate one diagram file; returns (result, violations)."""
-    text = _read(path)
-    parsed = parser.parse_tcsd(text, filename=path)
+    parsed = parser.parse_tcsd(read(path), filename=path)
     checked = model.validate(parsed.tcsd)
     return parsed, checked
 
@@ -210,11 +210,19 @@ def cmd_check(args, out: _Printer) -> int:
     inputs = [args.arch] + list(args.files)
     if not _check_output_paths(args, inputs, out):
         return EXIT_USAGE
+    digests = []  # of each input as it was read, for --report
+
+    def read(path):
+        text = _read(path)
+        if args.report:
+            digests.append(_sha256(text))
+        return text
+
     try:
-        arch = parser.parse_architecture(_read(args.arch), filename=args.arch)
+        arch = parser.parse_architecture(read(args.arch), filename=args.arch)
         loaded = []
         for path in args.files:
-            parsed, checked = _load_tcsd(path)
+            parsed, checked = _load_tcsd(path, read)
             if not checked.ok:
                 _print_violations(out, path, parsed, checked)
                 return EXIT_FAIL
@@ -250,8 +258,7 @@ def cmd_check(args, out: _Printer) -> int:
             out.bad(str(exc))
             return EXIT_USAGE
         if args.report:
-            doc = export.to_report_json(
-                report, [(p, _sha256(p)) for p in inputs])
+            doc = export.to_report_json(report, list(zip(inputs, digests)))
             with open(args.report, "w", encoding="utf-8") as fp:
                 fp.write(doc)
             out.line("wrote %s" % args.report)

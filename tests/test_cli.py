@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import os
 import time
@@ -193,6 +194,40 @@ def test_check_repaired_bscu_consistent(tmp_path, capsys):
     assert code == 0
     assert "overall: consistent" in out
     assert report.exists()
+
+
+def test_report_digests_the_bytes_it_analysed_reading_each_input_once(
+        tmp_path, capsys, monkeypatch):
+    # CRLF line ends in one diagram, lone CRs in the architecture.
+    paths = []
+    for name, ending in (("windows.arch", b"\r"), ("window_a.tcsd", b"\r\n"),
+                         ("window_b.tcsd", b"\n")):
+        path = tmp_path / name
+        path.write_bytes((FIXTURES / "timing" / name).read_bytes().replace(b"\n", ending))
+        paths.append(str(path))
+    opened = []
+
+    def counted(file, *args, **kwargs):
+        opened.append(str(file))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counted, raising=False)
+    report = tmp_path / "report.json"
+    code, out = run_cli(capsys, "check", *paths[1:], "--arch", paths[0],
+                        "--report", str(report))
+    assert code == 1 and "timing conflict" in out
+    assert sorted(opened) == sorted(paths + [str(report)])
+    inputs = json.loads(report.read_text(encoding="utf-8"))["inputs"]
+    assert inputs == [{"path": p, "sha256": hashlib.sha256(open(p, "rb").read()).hexdigest()}
+                      for p in paths]
+
+
+def test_digest_of_read_text_is_the_file_digest(tmp_path):
+    path = tmp_path / "input.tcsd"
+    for data in (b"\xef\xbb\xbftcsd T { sut S test A msg A -> S : x }\r\n",
+                 b"a\r\nb\rc\n\r\n", "\u00e9\u2028\U0001f600 \r".encode(), b""):
+        path.write_bytes(data)
+        assert cli._sha256(cli._read(str(path))) == hashlib.sha256(data).hexdigest()
 
 
 def test_check_timing_conflict(capsys):
