@@ -5,16 +5,17 @@ occurrences may synchronize when their labels match and their sender and
 receiver lines map to the same components.  Such transitions are merged
 pairwise, every maximum matching of same-class occurrences is tried,
 and each merged net is checked for reachability of the union target.
-An unreachable target is classified by relaxing all guards: still
-unreachable means the message orders themselves conflict, reachable
-means only the timing does.  A merged net that ``stp`` can order
-completely is decided from its difference constraints with no search:
-feasible is consistent, with the search's own witness, and infeasible
-is a timing conflict.  Every other net is searched (an ordering
-deadlock, a net of another shape, a guard constant past the search
-limit, or constraints that only ``max_total_delay`` makes infeasible),
-and its relaxed question is answered from the causal order when that is
-exact, and by a second search otherwise.
+
+A merged net is a marked graph, and ``stp.causal_order`` orders its
+transitions; a net it cannot read that way is an internal error.  When
+every transition is ordered, the difference constraints decide the
+matching with no search: feasible is consistent, with the search's own
+witness, infeasible is a timing conflict, and feasible only past
+``max_total_delay`` is bound-exceeded.  When some transition cannot be
+ordered, it can never fire, so the target is unreachable whatever the
+guards: an ordering deadlock.  Only these matchings are searched, for
+the dead markings behind ``blocking``; a search cut short by a bound is
+bound-exceeded.
 """
 
 from __future__ import annotations
@@ -359,13 +360,14 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
                       max_matchings: int = 64) -> AnalysisReport:
     """Run the full analysis: one verdict per synchronization combination.
 
-    A matching is consistent when the merged target is reachable; an
-    unreachable matching is a timing conflict if the relaxed net reaches
-    the target and an ordering deadlock otherwise.  ``max_states`` bounds
-    the searches only: a consistent verdict or a timing conflict decided
-    from the difference constraints reports ``states_explored`` 0.  The
-    overall verdict accepts the first consistent matching unless
-    ``require_all`` is set.
+    A matching is consistent when the merged target is reachable.  An
+    unreachable matching is a timing conflict when its causal order is
+    complete and an ordering deadlock otherwise (see the module
+    docstring).  ``max_states`` and the guard-constant limit bound only
+    the search of an incomplete order, which is bound-exceeded when cut
+    short; a matching decided from the difference constraints reports
+    ``states_explored`` 0.  The overall verdict accepts the first
+    consistent matching unless ``require_all`` is set.
     """
     names = [u.name for u in units]
     suts = [imap.sut_components[n] for n in names]
@@ -385,48 +387,32 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
         merged = merge(union, matching)
         pair_labels = tuple(union.by_tid[a].label for a, _ in matching.pairs)
         found = stp.causal_order(merged.net, merged.m0, merged.target)
-        cons = None if found is None else stp.constraints(merged.net, merged.m0, found)
-        if cons is not None:
+        if found is None:
+            raise IntegrationError("internal error: the merged net of %s is not an "
+                                   "ordered marked graph" % (matching.pairs,))
+        if len(found[0]) == len(merged.net.transitions):
+            cons = stp.constraints(merged.net, merged.m0, found)
             times = stp.earliest_times(cons, max_total_delay)
             if times is not None:
-                verdicts.append(Verdict(CONSISTENT, matching, pair_labels,
-                                        stp.earliest_witness(merged.net, cons, times),
-                                        (), 0))
-                continue
-            # Infeasible without a delay bound is a timing conflict;
-            # feasible only past max_total_delay is left to the search.
-            if max_total_delay is None or stp.earliest_times(cons) is None:
-                verdicts.append(Verdict(TIMING_CONFLICT, matching, pair_labels,
-                                        None, (), 0))
-                continue
+                status, witness = CONSISTENT, stp.earliest_witness(merged.net, cons, times)
+            elif max_total_delay is None or stp.earliest_times(cons) is None:
+                status, witness = TIMING_CONFLICT, None
+            else:  # feasible, but only past max_total_delay
+                status, witness = BOUND_EXCEEDED, None
+            verdicts.append(Verdict(status, matching, pair_labels, witness, (), 0))
+            continue
+        # Some transition can never fire, so the target is unreachable;
+        # the search finds the dead markings behind ``blocking``.
         timed = tapn.reachable(merged.net, merged.m0, merged.target,
                                max_states=max_states,
                                max_total_delay=max_total_delay)
-        if timed.verdict == tapn.REACHABLE:
-            verdicts.append(Verdict(CONSISTENT, matching, pair_labels,
-                                    timed.trace, (), timed.states_explored))
-            continue
-        if timed.verdict == tapn.BOUND_EXCEEDED:
-            verdicts.append(Verdict(BOUND_EXCEEDED, matching, pair_labels,
-                                    None, (), timed.states_explored))
-            continue
-        untimed = None if found is None else stp.untimed_verdict(
-            merged.net, merged.m0, merged.target, max_states, max_total_delay, found)
-        if untimed is None:
-            untimed = tapn.untimed_reachable(merged.net, merged.m0, merged.target,
-                                             max_states=max_states,
-                                             max_total_delay=max_total_delay).verdict
-        if untimed == tapn.REACHABLE:
-            status = TIMING_CONFLICT
-        elif untimed == tapn.UNREACHABLE:
-            status = ORDERING_DEADLOCK
+        if timed.verdict == tapn.UNREACHABLE:
+            verdicts.append(Verdict(ORDERING_DEADLOCK, matching, pair_labels, None,
+                                    _blocking_labels(merged.net, timed.frontier),
+                                    timed.states_explored))
         else:
-            status = BOUND_EXCEEDED
-        blocking = ()
-        if status == ORDERING_DEADLOCK:
-            blocking = _blocking_labels(merged.net, timed.frontier)
-        verdicts.append(Verdict(status, matching, pair_labels, None, blocking,
-                                timed.states_explored))
+            verdicts.append(Verdict(BOUND_EXCEEDED, matching, pair_labels, None,
+                                    (), timed.states_explored))
 
     concluded = [v.status for v in verdicts]
     if require_all:

@@ -120,15 +120,15 @@ class _Lexer:
     ``pos`` is the offset lexing has reached, ``line`` its line and
     ``line_start`` the offset where that line starts: offset ``i`` on the
     current line is column ``i - line_start + 1``.  Outside strings a line
-    ends with LF, CRLF or a lone CR.
+    ends with LF, CRLF or a lone CR.  One byte-order mark (U+FEFF) at the
+    start is skipped, and columns are counted after it.
     """
 
     def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
-        self.pos = 0
+        self.pos = self.line_start = 1 if text.startswith("\ufeff") else 0
         self.line = 1
-        self.line_start = 0
 
     def skip_to(self, m: re.Match, end: int):
         """Move past the blanks ``m`` matched at ``pos``, to ``end``."""

@@ -10,7 +10,8 @@ consumer, ...) to a target place, then reaching the target means firing
 every transition.  So, guards aside, the target is reachable exactly
 when Kahn's algorithm orders every transition along the producer ->
 consumer places (Commoner, Holt, Even & Pnueli, "Marked directed
-graphs", 1971).
+graphs", 1971).  A transition it cannot order never fires, whatever the
+guards, so the target is unreachable: an ordering deadlock.
 
 With the guards, reaching the target means giving each transition a
 firing time t >= 0 that meets difference constraints: t_prod <= t_cons
@@ -26,13 +27,9 @@ they are infeasible, no firing times reach the target although every
 transition can be ordered: a timing conflict, found without a search.
 ``constraints`` builds them once, and ``earliest_times`` solves them with
 or without a bound on every t.  The bounds are integers, so the
-discrete-time answer is the dense-time one.
-
-The search also stops at ``max_states`` states, one per set of fired
-transitions that is closed under causes when the guards are relaxed.  A
-partition of the ordered transitions into causal chains bounds that
-number by the product of (chain length + 1); only below ``max_states`` is
-the relaxed answer the search's.  Everything else is left to the search.
+discrete-time answer is the dense-time one.  Their cost does not depend
+on the size of the guard constants, so, unlike the search, they need no
+limit on them.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ import heapq
 from typing import NamedTuple
 
 from . import tapn
-from .tapn import REACHABLE, UNREACHABLE, Marking, TargetSpec, Tapn, TraceStep
+from .tapn import Marking, TargetSpec, Tapn, TraceStep
 
 
 def causal_order(net: Tapn, m0: Marking, target: TargetSpec):
@@ -105,25 +102,6 @@ def causal_order(net: Tapn, m0: Marking, target: TargetSpec):
     return order, causes
 
 
-def _ideal_bound(order, causes, limit: int) -> int:
-    """An upper bound on the cause-closed subsets of ``order``, or a value
-    above ``limit`` once the bound passes it.
-
-    Each transition extends a chain that ends in one of its causes, or
-    starts a chain; a cause-closed set meets every chain in a prefix.
-    """
-    length: dict[str, int] = {}  # chain tail -> chain length
-    for tid in order:
-        tail = next((c for c in causes[tid] if c in length), None)
-        length[tid] = length.pop(tail) + 1 if tail is not None else 1
-    bound = 1
-    for n in length.values():
-        bound *= n + 1
-        if bound > limit:
-            break
-    return bound
-
-
 class Constraints(NamedTuple):
     """A marked graph's difference constraints: t_v >= t_u + c per edge
     (u, v, c) over node 0, time 0, and nodes 1.. , the transitions in net
@@ -136,15 +114,12 @@ class Constraints(NamedTuple):
     cmax: int
 
 
-def constraints(net: Tapn, m0: Marking, found) -> Constraints | None:
+def constraints(net: Tapn, m0: Marking, found) -> Constraints:
     """The constraints of a net whose ``causal_order``, ``found``, lists
-    every transition; None when it does not, or when the search would
-    refuse the guard constants.  Open guards raise as in the search."""
+    every transition, whatever its guard constants.  Open guards raise as
+    in the search."""
     tapn._reject_open_guards(net)
     order, causes = found
-    cmax = tapn.max_guard_constant(net)
-    if len(order) != len(net.transitions) or cmax > tapn.MAX_GUARD_CONSTANT:
-        return None
     node = {t.id: v for v, t in enumerate(net.transitions, 1)}
     incoming, outputs = tapn.transition_arcs(net)
     origin = {p: (0, ages[0]) for p, ages in m0.items() if ages}  # (node, age there)
@@ -168,7 +143,7 @@ def constraints(net: Tapn, m0: Marking, found) -> Constraints | None:
                 origin[arc.target], made[arc.target] = (o, a0), v
         for p in outputs[tid]:
             origin[p], made[p] = (v, 0), v
-    return Constraints(edges, node, reads, causes, cmax)
+    return Constraints(edges, node, reads, causes, tapn.max_guard_constant(net))
 
 
 def earliest_times(cons: Constraints,
@@ -218,25 +193,3 @@ def earliest_witness(net: Tapn, cons: Constraints, t: list[int]) -> list[TraceSt
             if not waiting[nxt]:
                 heapq.heappush(heap, (t[node[nxt]], node[nxt], nxt))
     return trace
-
-
-def untimed_verdict(net: Tapn, m0: Marking, target: TargetSpec,
-                    max_states: int = 1_000_000,
-                    max_total_delay: int | None = None, found=None) -> str | None:
-    """The verdict of ``tapn.untimed_reachable`` with the same arguments,
-    or None when the causal order does not settle it.  ``found`` is the
-    net's ``causal_order`` when the caller has it.
-
-    Widened guards leave no age that matters, so the search never delays
-    and a bound ``max_total_delay >= 0`` never cuts it.
-    """
-    if max_total_delay is not None and max_total_delay < 0:
-        return None
-    if found is None:
-        found = causal_order(net, m0, target)
-    if found is None:
-        return None
-    order, causes = found
-    if _ideal_bound(order, causes, max_states) > max_states:
-        return None
-    return REACHABLE if len(order) == len(net.transitions) else UNREACHABLE

@@ -35,11 +35,12 @@ from.  Such a successor is assembled from the delayed image without
 copying, sorting or enumerating bindings; any other firing enumerates its
 bindings in the same loop.  Trace steps are built only for a witness.
 
-``integrate`` decides a merged net that can reach its target from its
-difference constraints (``stp``), whose earliest schedule gives the very
-witness this search returns; the search runs for the matchings that fail
-and for nets that are not marked graphs.  ``age_relevant`` is the one
-rule, shared with ``stp``, for which consumed ages a witness records.
+``integrate`` decides a merged net whose causal order is complete from
+its difference constraints (``stp``), whose earliest schedule gives the
+very witness this search returns.  In ``check`` the search runs only for
+an ordering deadlock, a net with an incomplete causal order, to find the
+dead markings behind its ``blocking`` labels.  ``age_relevant`` is the
+one rule, shared with ``stp``, for which consumed ages a witness records.
 """
 
 from __future__ import annotations
@@ -784,13 +785,6 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
     verdict = BOUND_EXCEEDED if truncated or clipped else UNREACHABLE
     frontier = [sn.decode(s) for s in dead]
     return ReachResult(verdict, None, frontier, len(parents), peak)
-
-
-def untimed_reachable(net: Tapn, m0: Marking, target: TargetSpec,
-                      max_states: int = 1_000_000,
-                      max_total_delay: int | None = None) -> ReachResult:
-    """Reachability with every guard widened to allow any age."""
-    return reachable(widen_guards(net), m0, target, max_states, max_total_delay)
 
 
 class ReplayError(Exception):

@@ -230,6 +230,28 @@ def test_digest_of_read_text_is_the_file_digest(tmp_path):
         assert cli._sha256(cli._read(str(path))) == hashlib.sha256(data).hexdigest()
 
 
+def test_byte_order_mark_changes_nothing_but_the_digest(tmp_path, capsys):
+    # Editors on Windows often start a UTF-8 file with EF BB BF.
+    outputs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        d = tmp_path / name
+        d.mkdir()
+        for f in ("window_a.tcsd", "window_b.tcsd", "windows.arch"):
+            data = (FIXTURES / "timing" / f).read_bytes()
+            (d / f).write_bytes(prefix + data if f == "window_a.tcsd" else data)
+        a = str(d / "window_a.tcsd")
+        report = d / "r.json"
+        runs = [run_cli(capsys, "validate", a),
+                run_cli(capsys, "check", a, str(d / "window_b.tcsd"),
+                        "--arch", str(d / "windows.arch"), "--report", str(report))]
+        outputs.append([(code, out.replace(str(d), "DIR")) for code, out in runs])
+        [digest] = [i["sha256"] for i in json.loads(report.read_text())["inputs"]
+                    if i["path"] == a]
+        assert digest == hashlib.sha256((d / "window_a.tcsd").read_bytes()).hexdigest()
+    assert outputs[0] == outputs[1]
+    assert [code for code, _ in outputs[1]] == [0, 1]
+
+
 def test_check_timing_conflict(capsys):
     files = [str(FIXTURES / "timing" / "window_a.tcsd"),
              str(FIXTURES / "timing" / "window_b.tcsd")]
@@ -413,12 +435,26 @@ def _timing_with(tmp_path, window_a, window_b):
     return paths + ["--arch", str(FIXTURES / "timing" / "windows.arch")]
 
 
+def _bscu_with(tmp_path, timeout):
+    """The BSCU fixture with TC_Switch's timeout replaced."""
+    for path in (FIXTURES / "bscu").iterdir():
+        text = path.read_text(encoding="utf-8")
+        if path.name == "tc_switch.tcsd":
+            assert "timeout 5 {" in text
+            text = text.replace("timeout 5 {", "timeout %d {" % timeout)
+        (tmp_path / path.name).write_text(text, encoding="utf-8")
+    return [str(tmp_path / n) for n in ("tc_command1.tcsd", "tc_monitor1.tcsd",
+                                        "tc_switch.tcsd")] \
+        + ["--arch", str(tmp_path / "bscu.arch")]
+
+
 def test_guard_constant_above_the_search_limit_is_inconclusive(tmp_path, capsys):
     # Delay windows are bit sets as wide as the largest constant: 2e12
-    # used to ask for about 250 GB and die with a MemoryError.
+    # used to ask for about 250 GB and die with a MemoryError.  An
+    # ordering deadlock is still searched, so it stops at once.
     report = tmp_path / "r.json"
     t0 = time.perf_counter()
-    code, out = run_cli(capsys, "check", *_timing_with(tmp_path, 2 * 10**12, 6 * 10**7),
+    code, out = run_cli(capsys, "check", *_bscu_with(tmp_path, 2 * 10**12),
                         "--report", str(report))
     elapsed = time.perf_counter() - t0
     assert code == 3, out
@@ -428,13 +464,23 @@ def test_guard_constant_above_the_search_limit_is_inconclusive(tmp_path, capsys)
     [verdict] = json.loads(report.read_text())["verdicts"]
     assert verdict["status"] == "bound-exceeded" and verdict["states_explored"] == 1
     assert elapsed < 1.0, elapsed
+    # A matching whose causal order is complete is decided from its
+    # constraints, whatever the constants.
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "check", *_timing_with(tmp_path, 2 * 10**12, 6 * 10**7),
+                        "--report", str(report))
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and "MAX_GUARD" not in out, out
+    [verdict] = json.loads(report.read_text())["verdicts"]
+    assert verdict["status"] == "consistent" and verdict["states_explored"] == 0
+    assert elapsed < 1.0, elapsed
 
 
 def test_guard_constant_limit_is_inclusive(tmp_path, capsys, monkeypatch):
-    args = _timing_with(tmp_path, 2, 6)
+    args = _bscu_with(tmp_path, 6)
     monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 6)
     code, out = run_cli(capsys, "check", *args)
-    assert code == 1 and "timing conflict" in out and "MAX_GUARD" not in out
+    assert code == 1 and "ordering deadlock" in out and "MAX_GUARD" not in out
     monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 5)
     code, out = run_cli(capsys, "check", *args)
     assert code == 3

@@ -196,7 +196,8 @@ def test_classifier_coherence():
         report = check_consistency(units, imap)
         for v in report.verdicts:
             merged = merge(units, v.matching)
-            untimed = tapn.untimed_reachable(merged.net, merged.m0, merged.target)
+            untimed = tapn.reachable(tapn.widen_guards(merged.net), merged.m0,
+                                     merged.target)
             if v.status == "timing-conflict":
                 assert untimed.verdict == "reachable"
             if v.status == "ordering-deadlock":

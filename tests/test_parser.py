@@ -206,6 +206,25 @@ def test_labels_reject_characters_xml_cannot_hold(ch, escape):
     assert "U+%04X" % ord(ch) in str(err.value)
 
 
+def test_leading_byte_order_mark_is_skipped():
+    bom = "\ufeff"
+    src = (FIXTURES / "timing" / "window_a.tcsd").read_text(encoding="utf-8")
+    assert parser.parse_tcsd(bom + src) == parser.parse_tcsd(src)  # spans too
+    arch = (FIXTURES / "timing" / "windows.arch").read_text(encoding="utf-8")
+    assert parser.parse_architecture(bom + arch) == parser.parse_architecture(arch)
+    # Errors keep their columns; only one mark, and only at the start.
+    for text in ("tcsd T { sut S test A msg A -> S : x } ?", "tcsd T {\n  ? }"):
+        with pytest.raises(ParseError) as plain:
+            parser.parse_tcsd(text)
+        with pytest.raises(ParseError) as marked:
+            parser.parse_tcsd(bom + text)
+        assert str(marked.value) == str(plain.value)
+    for text in (bom + bom + src, src.replace("tcsd", bom + "tcsd", 1), " " + bom + src):
+        with pytest.raises(ParseError) as raised:
+            parser.parse_tcsd(text)
+        assert raised.value.message == "unexpected character '\\ufeff'"
+
+
 def test_labels_keep_characters_xml_can_hold():
     label = "\t\r\n\x7f\ud7ff\ue000\ufffd\U00010000"
     src = 'tcsd T { sut S test A msg A -> S : "\t\r\\\n\x7f\ud7ff\ue000\ufffd\U00010000" }'

@@ -15,31 +15,60 @@ _BOUNDS = st.sampled_from([1, 3, 10, 50, 1_000_000])
 _DELAYS = st.one_of(st.none(), st.integers(0, 6))
 
 
-def _agrees(net, m0, target, max_states, max_total_delay):
-    """The causal-order answer, checked against the widened search."""
-    got = stp.untimed_verdict(net, m0, target, max_states, max_total_delay)
-    widened = tapn.untimed_reachable(net, m0, target, max_states=max_states,
-                                     max_total_delay=max_total_delay)
-    assert got is None or got == widened.verdict, (got, widened.verdict)
-    return got
-
-
 @_SETTINGS
-@given(st.integers(0, 2**32 - 1), _BOUNDS, _DELAYS)
-def test_classification_equals_widened_search_on_merged_diagram_pairs(
-        seed, max_states, max_total_delay):
-    for unit in random_merged_units(random.Random(seed)):
-        got = _agrees(unit.net, unit.m0, unit.target, max_states, max_total_delay)
-        if max_states == 1_000_000:
-            assert got is not None  # every merge is a marked graph
-
-
-@_SETTINGS
-@given(st.integers(0, 2**32 - 1), _BOUNDS, _DELAYS)
-def test_classification_equals_widened_search_on_random_nets(
-        seed, max_states, max_total_delay):
+@given(st.integers(0, 2**32 - 1))
+def test_classification_equals_widened_search_on_random_nets(seed):
+    # On a net of any shape, causal_order refuses it or reads it exactly:
+    # every transition ordered iff the widened search reaches the target.
     net, m0, target = random_tapn(random.Random(seed), max_tokens=4)
-    _agrees(net, m0, target, max_states, max_total_delay)
+    found = stp.causal_order(net, m0, target)
+    if found is not None:
+        widened = tapn.reachable(tapn.widen_guards(net), m0, target)
+        assert (len(found[0]) == len(net.transitions)) \
+            == (widened.verdict == tapn.REACHABLE)
+
+
+@_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 5), st.integers(2, 7),
+       _BOUNDS, _DELAYS)
+def test_check_statuses_equal_the_search(seed, timing, window_a, window_b,
+                                         max_states, max_total_delay):
+    # Every merged net has a causal order.  A complete one is decided as
+    # the search decides it with the same --max-delay and no state bound;
+    # an incomplete one is searched, under both bounds, as the search is.
+    pairs = [random_diagram_pair(random.Random(seed), timing=timing),
+             _window_pair(window_a, window_b)]
+    for units, imap in pairs:
+        report = integrate.check_consistency(units, imap, max_states=max_states,
+                                             max_total_delay=max_total_delay)
+        for verdict in report.verdicts:
+            merged = integrate.merge(units, verdict.matching)
+            net, m0, target = merged.net, merged.m0, merged.target
+            found = stp.causal_order(net, m0, target)
+            assert found is not None
+            if len(found[0]) == len(net.transitions):
+                engine = tapn.reachable(net, m0, target, max_total_delay=max_total_delay)
+                if engine.verdict == tapn.REACHABLE:
+                    expected = "consistent"
+                elif tapn.reachable(net, m0, target).verdict == tapn.REACHABLE:
+                    assert engine.verdict == tapn.BOUND_EXCEEDED
+                    expected = "bound-exceeded"  # feasible only past --max-delay
+                else:
+                    expected = "timing-conflict"
+                assert (verdict.status, verdict.witness, verdict.blocking,
+                        verdict.states_explored) == (expected, engine.trace, (), 0)
+                continue
+            engine = tapn.reachable(net, m0, target, max_states=max_states,
+                                    max_total_delay=max_total_delay)
+            assert engine.verdict != tapn.REACHABLE
+            if engine.verdict == tapn.UNREACHABLE:
+                expected = ("ordering-deadlock",
+                            integrate._blocking_labels(net, engine.frontier))
+            else:
+                expected = ("bound-exceeded", ())
+            assert (verdict.status, verdict.blocking) == expected
+            assert verdict.witness is None
+            assert verdict.states_explored == engine.states_explored
 
 
 @_SETTINGS
@@ -65,12 +94,14 @@ def test_check_consistency_statuses_equal_widened_search_classification(
             expected = {tapn.REACHABLE: "timing-conflict",
                         tapn.UNREACHABLE: "ordering-deadlock",
                         tapn.BOUND_EXCEEDED: "bound-exceeded"}[
-                tapn.untimed_reachable(merged.net, merged.m0, merged.target,
-                                       max_states=bound).verdict]
+                tapn.reachable(tapn.widen_guards(merged.net), merged.m0, merged.target,
+                               max_states=bound).verdict]
         assert verdict.status == expected
         if ordered:
             assert verdict.status in ("consistent", "timing-conflict")
             assert verdict.states_explored == 0
+        else:
+            assert verdict.status in ("ordering-deadlock", "bound-exceeded")
 
 
 def _net(transitions, input_arcs=(), output_arcs=(), transport_arcs=()):
@@ -123,13 +154,12 @@ def _broken_preconditions():
     yield "two producers by transport", moved, {"p0": (0,), "p1": (0,)}, {"q": 1}
 
 
-def test_broken_preconditions_fall_back_to_the_search():
+def test_causal_order_refuses_broken_preconditions():
     names = []
     for name, net, m0, target in _broken_preconditions():
         names.append(name)
         assert stp.causal_order(net, m0, target) is None, name
-        assert stp.untimed_verdict(net, m0, target) is None, name
-        widened = tapn.untimed_reachable(net, m0, target).verdict
+        widened = tapn.reachable(tapn.widen_guards(net), m0, target).verdict
         # The precondition matters: the naive reading disagrees.
         naive = _naive_kahn(net, m0) == len(net.transitions)
         assert naive != (widened == tapn.REACHABLE), name
@@ -159,14 +189,15 @@ def _naive_kahn(net, m0):
 
 
 def test_marked_graph_verdicts_and_state_bound():
+    # The causal order needs no states: it orders the chain, whose three
+    # search states (nothing, t1, t1 t2) fit in 3 but not in 2.
     net, m0 = _chain()
-    assert stp.untimed_verdict(net, m0, {"p2": 1}) == tapn.REACHABLE
-    # Three states (nothing, t1, t1 t2) fit in 3 but not in 2.
-    assert stp.untimed_verdict(net, m0, {"p2": 1}, max_states=3) == tapn.REACHABLE
-    assert stp.untimed_verdict(net, m0, {"p2": 1}, max_states=2) is None
-    assert tapn.untimed_reachable(net, m0, {"p2": 1}, max_states=2).verdict \
+    assert stp.causal_order(net, m0, {"p2": 1}) == (["t1", "t2"], {
+        "t1": [], "t2": ["t1"]})
+    widened = tapn.widen_guards(net)
+    assert tapn.reachable(widened, m0, {"p2": 1}, max_states=3).verdict == tapn.REACHABLE
+    assert tapn.reachable(widened, m0, {"p2": 1}, max_states=2).verdict \
         == tapn.BOUND_EXCEEDED
-    assert stp.untimed_verdict(net, m0, {"p2": 1}, max_total_delay=-1) is None
     # A causal cycle: t1 waits for t2's token and t2 for t1's.
     cycle = _net(["t1", "t2", "t3"],
                  [InputArc("a", "t1"), InputArc("b", "t1"), InputArc("c", "t2"),
@@ -176,28 +207,55 @@ def test_marked_graph_verdicts_and_state_bound():
     m0 = {"a": (0,)}
     assert stp.causal_order(cycle, m0, {"e": 1}) == ([], {
         "t1": ["t2"], "t2": ["t3"], "t3": ["t1"]})
-    assert stp.untimed_verdict(cycle, m0, {"e": 1}) == tapn.UNREACHABLE
-    assert tapn.untimed_reachable(cycle, m0, {"e": 1}).verdict == tapn.UNREACHABLE
+    assert tapn.reachable(tapn.widen_guards(cycle), m0, {"e": 1}).verdict \
+        == tapn.UNREACHABLE
 
 
-def test_fixture_classifications_need_no_second_search(monkeypatch, bscu):
+_FIXTURE_SETS = {
+    "bscu": ("bscu.arch", "tc_command1.tcsd", "tc_monitor1.tcsd", "tc_switch.tcsd"),
+    "bscu_repaired": ("bscu.arch", "tc_command1.tcsd", "tc_monitor1.tcsd",
+                      "tc_switch.tcsd"),
+    "require_all": ("twice.arch", "tc_twice_a.tcsd", "tc_twice_b.tcsd"),
+    "timing": ("windows.arch", "window_a.tcsd", "window_b.tcsd"),
+}
+
+
+def test_fixture_classifications_need_no_second_search(monkeypatch):
+    # The search runs only for a matching whose causal order is
+    # incomplete, once, and never on widened guards.
     from conftest import FIXTURES, load_arch, load_tcsd
     from virtint import translate
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("widened search run")
+    real = tapn.reachable
+    searched = []
 
-    monkeypatch.setattr(tapn, "untimed_reachable", refuse)
-    tcsds, arch = bscu
-    report = integrate.check_consistency([translate.translate(t) for t in tcsds],
-                                         integrate.build_instance_map(arch, tcsds))
-    assert {v.status for v in report.verdicts} == {"ordering-deadlock"}
-    files = [FIXTURES / "timing" / n for n in ("window_a.tcsd", "window_b.tcsd")]
-    tcsds = [load_tcsd(p) for p in files]
-    imap = integrate.build_instance_map(load_arch(FIXTURES / "timing" / "windows.arch"),
-                                        tcsds)
-    report = integrate.check_consistency([translate.translate(t) for t in tcsds], imap)
-    assert [v.status for v in report.verdicts] == ["timing-conflict"]
+    def incomplete_only(net, m0, target, **bounds):
+        order, _ = stp.causal_order(net, m0, target)
+        assert len(order) < len(net.transitions), "a complete order was searched"
+        searched.append(net)
+        return real(net, m0, target, **bounds)
+
+    monkeypatch.setattr(tapn, "reachable", incomplete_only)
+    statuses = {}
+    for name, (arch, *files) in _FIXTURE_SETS.items():
+        tcsds = [load_tcsd(FIXTURES / name / f) for f in files]
+        imap = integrate.build_instance_map(load_arch(FIXTURES / name / arch), tcsds)
+        units = [translate.translate(t) for t in tcsds]
+        for bounds in ({}, {"require_all": True}, {"max_total_delay": 3},
+                       {"max_states": 5}):
+            searched.clear()
+            report = integrate.check_consistency(units, imap, **bounds)
+            assert searched == [integrate.merge(units, v.matching).net
+                                for v in report.verdicts if v.states_explored]
+            statuses[name, tuple(bounds)] = {v.status for v in report.verdicts}
+    assert statuses["bscu", ()] == {"ordering-deadlock"}
+    assert statuses["bscu", ("max_states",)] == {"bound-exceeded"}
+    assert statuses["bscu_repaired", ()] == {"consistent"}
+    assert statuses["timing", ()] == {"timing-conflict"}
+    # Feasible only past --max-delay: bound-exceeded, also with no search.
+    units, imap = _window_pair(5)
+    [verdict] = integrate.check_consistency(units, imap, max_total_delay=3).verdicts
+    assert (verdict.status, verdict.states_explored) == ("bound-exceeded", 0)
 
 
 def _replays_to_target(net, m0, target, witness):
@@ -206,10 +264,12 @@ def _replays_to_target(net, m0, target, witness):
 
 
 def _witness(net, m0, found, max_total_delay=None):
-    """The earliest witness, or None when the constraints are not built
-    or not feasible."""
+    """The earliest witness, or None when the causal order is incomplete
+    or the constraints are infeasible."""
+    if len(found[0]) < len(net.transitions):
+        return None
     cons = stp.constraints(net, m0, found)
-    times = None if cons is None else stp.earliest_times(cons, max_total_delay)
+    times = stp.earliest_times(cons, max_total_delay)
     return None if times is None else stp.earliest_witness(net, cons, times)
 
 
@@ -279,7 +339,6 @@ def test_conflicting_pair_with_a_large_constant_needs_no_search(monkeypatch):
     # TC_WindowB: a timing conflict with C = 100 000, however it is bounded.
     units, imap = _window_pair(2, 100_000)
     monkeypatch.setattr(tapn, "reachable", _refuse_to_search)
-    monkeypatch.setattr(tapn, "untimed_reachable", _refuse_to_search)
     t0 = time.perf_counter()
     for bounds in ({}, {"max_total_delay": 3}, {"max_states": 50}):
         report = integrate.check_consistency(units, imap, **bounds)
@@ -341,34 +400,34 @@ def test_statuses_equal_engine_and_naive_oracle(seed, window_a, window_b):
     assert (status == "consistent") == (window_a >= window_b - 1)
 
 
-def test_failures_and_broken_preconditions_fall_back_to_the_search(monkeypatch):
+def test_broken_preconditions_are_internal_errors(monkeypatch, capsys):
+    from conftest import FIXTURES
+    from virtint import cli
+
     units, imap = _window_pair(2)
-    real = tapn.reachable
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].name)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(tapn, "reachable", counted)
+    monkeypatch.setattr(tapn, "reachable", _refuse_to_search)
     # A timing conflict: infeasible constraints decide it, with no search.
     [verdict] = integrate.check_consistency(units, imap).verdicts
-    assert verdict.status == "timing-conflict" and not calls
+    assert verdict.status == "timing-conflict"
     assert verdict.states_explored == 0
     assert verdict.witness is None and verdict.blocking == ()
+    # Every merged net is an ordered marked graph; one that is not is a
+    # bug, reported as such instead of searched.
+    argv = ["check"] + [str(FIXTURES / "timing" / n) for n in ("window_a.tcsd",
+                                                              "window_b.tcsd")] \
+        + ["--arch", str(FIXTURES / "timing" / "windows.arch")]
     for name, net, m0, target in _broken_preconditions():
         unit = units[0]._replace(tcsd=None, net=net, m0=m0, target=target)
         monkeypatch.setattr(integrate, "merge", lambda *args, u=unit: u)
-        calls.clear()
-        [verdict] = integrate.check_consistency(units, imap).verdicts
-        engine = real(net, m0, target)
-        assert calls, name  # the search ran
-        assert verdict.states_explored == engine.states_explored, name
-        assert (verdict.status == "consistent") == (engine.verdict == tapn.REACHABLE)
-        assert verdict.witness == engine.trace
+        with pytest.raises(integrate.IntegrationError, match="^internal error: "):
+            integrate.check_consistency(units, imap)
+        capsys.readouterr()
+        assert cli.main(argv) == 2, name
+        out, err = capsys.readouterr()
+        assert "internal error: " in out + err and "Traceback" not in out + err, name
 
 
-def test_open_guards_and_huge_constants_are_left_to_the_search(monkeypatch):
+def test_open_guards_raise_and_huge_constants_need_no_search(monkeypatch):
     net, m0 = _chain()
     found = stp.causal_order(net, m0, {"p2": 1})
     assert _witness(net, m0, found) == [
@@ -392,12 +451,12 @@ def test_open_guards_and_huge_constants_are_left_to_the_search(monkeypatch):
         witness = _witness(guarded, old, found)
         assert witness[0] == tapn.TraceStep(0, "t1", None, (("p0", 8),))
         assert witness == tapn.reachable(guarded, old, {"p2": 1}).trace
+        # Past the search's limit on guard constants, the constraints
+        # still give the same witness.
         monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 6)
-        assert stp.constraints(guarded, m0, found) is None
+        assert _witness(guarded, old, found) == witness
         assert tapn.reachable(guarded, m0, {"p2": 1}).verdict == tapn.BOUND_EXCEEDED
-    # An incomplete causal order builds no constraints; a delay bound that
-    # cannot be met leaves them built but infeasible.
-    assert stp.constraints(net, m0, ([], {"t1": [], "t2": ["t1"]})) is None
+    # A delay bound that cannot be met leaves the constraints infeasible.
     late = net._replace(input_arcs=(InputArc("p0", "t1", tapn.Guard(4)),
                                     InputArc("p1", "t2")))
     cons = stp.constraints(late, m0, found)

@@ -160,7 +160,7 @@ def test_reachable_mutual_wait_deadlock():
     res = tapn.reachable(net, m0, {"b1": 1, "a1": 1, "a2": 1})
     assert res.verdict == "unreachable"
     assert res.frontier == [m0]
-    untimed = tapn.untimed_reachable(net, m0, {"b1": 1, "a1": 1, "a2": 1})
+    untimed = tapn.reachable(tapn.widen_guards(net), m0, {"b1": 1, "a1": 1, "a2": 1})
     assert untimed.verdict == "unreachable"
 
 
@@ -172,7 +172,7 @@ def test_timing_conflict_net_untimed_reachable_only():
                                TransportArc("b", "t2", "c", Guard(5, 5))])
     m0 = {"a": (3,)}
     assert tapn.reachable(net, m0, {"c": 1}).verdict == "unreachable"
-    assert tapn.untimed_reachable(net, m0, {"c": 1}).verdict == "reachable"
+    assert tapn.reachable(tapn.widen_guards(net), m0, {"c": 1}).verdict == "reachable"
 
 
 def test_guard_relaxation_is_monotone():
@@ -181,7 +181,7 @@ def test_guard_relaxation_is_monotone():
         net, m0, target = random_tapn(rng)
         timed = tapn.reachable(net, m0, target)
         if timed.verdict == "reachable":
-            assert tapn.untimed_reachable(net, m0, target).verdict == "reachable"
+            assert tapn.reachable(tapn.widen_guards(net), m0, target).verdict == "reachable"
 
 
 def test_open_finite_guard_rejected_at_analysis():
