@@ -88,8 +88,8 @@ def _print_violations(out: _Printer, path: str, parsed, checked):
     for violation in checked.violations:
         span = None
         for element in violation.elements:
-            if element in parsed.spans:
-                span = parsed.spans[element]
+            span = parsed.spans.get(element)
+            if span is not None:
                 break
         where = str(span) if span else path
         out.bad("%s: %s" % (where, violation))
@@ -189,7 +189,10 @@ def _run_check(units, imap, args, out: _Printer):
                 "+%d %s" % (s.delay, s.label or s.transition) for s in v.witness
             )
         (out.good if v.status == integrate.CONSISTENT else out.bad)(line)
-    if any(v.status == integrate.BOUND_EXCEEDED for v in report.verdicts):
+    # A searched verdict counts at least its start state; one decided from
+    # the constraints counts none, and no guard constant played a part.
+    if any(v.status == integrate.BOUND_EXCEEDED and v.states_explored
+           for v in report.verdicts):
         constant = max(tapn.max_guard_constant(u.net) for u in units)
         if constant > tapn.MAX_GUARD_CONSTANT:
             out.warn("guard constant %d exceeds the search limit "

@@ -11,6 +11,10 @@ tree the translator folds over.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
+from operator import itemgetter
 from typing import NamedTuple
 
 SEND = "send"
@@ -20,7 +24,8 @@ FRAGMENT_EXIT = "fragment-exit"
 PARTITION = "partition"
 
 EVENT_KINDS = (SEND, RECEIVE, FRAGMENT_ENTER, FRAGMENT_EXIT, PARTITION)
-_BORDERS = (FRAGMENT_ENTER, FRAGMENT_EXIT)
+_KINDS = frozenset(EVENT_KINDS)
+_BORDERS = frozenset((FRAGMENT_ENTER, FRAGMENT_EXIT))
 
 OPERATORS = ("strict", "par", "opt", "alt", "loop")
 
@@ -122,6 +127,19 @@ class FragmentNode(NamedTuple):
     operand_items: list[list]  # one item list per operand
 
 
+# Fields read in bulk: an Event's id and kind, a Message's send and
+# receive, a PartitionLine's timestamp.
+_ID = itemgetter(0)
+_KIND = itemgetter(2)
+_RECEIVER = itemgetter(2)
+_TIMESTAMP = itemgetter(1)
+
+# The records built here, made without their Python-level __new__.
+_new_event_node = functools.partial(tuple.__new__, EventNode)
+_new_fragment_node = functools.partial(tuple.__new__, FragmentNode)
+_new_violation = functools.partial(tuple.__new__, Violation)
+
+
 def _index_fragments(tcsd: Tcsd) -> dict[str, Fragment]:
     return {f.id: f for f in tcsd.base.fragments}
 
@@ -130,70 +148,95 @@ def _sut_events(tcsd: Tcsd) -> tuple[Event, ...]:
     return tcsd.base.events.get(tcsd.sut, ())
 
 
-def _operand_index(fragments) -> dict[str, dict[str, list[int]]]:
-    """Event id -> fragment id -> numbers of the operands that list the event."""
-    index: dict[str, dict[str, list[int]]] = {}
+def _members(fragments) -> dict[str, dict[str, tuple[int, ...]]]:
+    """Fragment id -> event id -> the numbers of the fragment's operands
+    that list the event, ascending."""
+    out = {}
     for f in fragments:
+        listed: dict[str, tuple[int, ...]] = {}
         for x, op in enumerate(f.operands):
-            for eid in dict.fromkeys(op.events):
-                index.setdefault(eid, {}).setdefault(f.id, []).append(x)
-    return index
+            own = dict.fromkeys(op.events, (x,))
+            if not listed:
+                listed = own
+            elif listed.keys().isdisjoint(own):
+                listed.update(own)
+            else:  # some event is in an earlier operand too
+                for eid in own:
+                    listed[eid] = listed.get(eid, ()) + (x,)
+        out[f.id] = listed
+    return out
 
 
-def _parse_items(events, i, j, frags, operands_of) -> list:
+def _parse_items(line, i, j) -> list:
+    """The items of ``events[i:j]``, where ``line`` is what ``_region_tree``
+    works out once: (events, borders, exit_of, frags, members)."""
+    events, borders, exit_of, frags, members = line
+    n = bisect.bisect_left(borders, i)
+    if n == len(borders) or borders[n] >= j:
+        return list(map(_new_event_node, zip(events[i:j])))
     items = []
     k = i
-    while k < j:
-        e = events[k]
+    while n < len(borders) and borders[n] < j:
+        b = borders[n]
+        if k < b:
+            items += map(_new_event_node, zip(events[k:b]))
+        e = events[b]
         if e.kind == FRAGMENT_EXIT:
             raise LayoutError("unmatched fragment exit %s" % e.id)
-        if e.kind != FRAGMENT_ENTER:
-            items.append(EventNode(e))
-            k += 1
-            continue
         frag = frags.get(e.fragment)
         if frag is None:
             raise LayoutError("enter event %s names unknown fragment" % e.id)
-        end = None
-        for n in range(k + 1, j):
-            if events[n].kind == FRAGMENT_EXIT and events[n].fragment == frag.id:
-                end = n
-                break
-        if end is None:
+        end = exit_of[b]
+        if end is None or end >= j:
             raise LayoutError("fragment %s has no exit on the SUT line" % frag.id)
-        membership = []
-        for n in range(k + 1, end):
-            inner = events[n]
-            owners = operands_of.get(inner.id, {}).get(frag.id, [])
-            if len(owners) != 1:
-                raise LayoutError(
-                    "event %s is in %d operands of fragment %s"
-                    % (inner.id, len(owners), frag.id)
-                )
-            membership.append(owners[0])
-        if membership != sorted(membership):
+        inner = events[b + 1:end]
+        owners = list(map(members[frag.id].get, map(_ID, inner), itertools.repeat(())))
+        if set(map(len, owners)) - {1}:
+            for ev, ops in zip(inner, owners):
+                if len(ops) != 1:
+                    raise LayoutError("event %s is in %d operands of fragment %s"
+                                      % (ev.id, len(ops), frag.id))
+        if owners != sorted(owners):
             raise LayoutError(
-                "operands of fragment %s are interleaved on the SUT line" % frag.id
-            )
-        slices = []
-        pos = k + 1
+                "operands of fragment %s are interleaved on the SUT line" % frag.id)
+        # Operand x holds the run of (x,) in owners; with no border inside
+        # the fragment, each run is a list of event nodes.
+        leaf = borders[n + 1] == end
+        operand_items = []
+        lo = 0
         for x in range(len(frag.operands)):
-            lo = pos
-            while pos < end and membership[pos - (k + 1)] == x:
-                pos += 1
-            slices.append((lo, pos))
-        if pos != end:
-            raise LayoutError("fragment %s has stray interior events" % frag.id)
-        operand_items = [_parse_items(events, lo, hi, frags, operands_of)
-                         for lo, hi in slices]
-        items.append(FragmentNode(frag, e, events[end], operand_items))
+            hi = bisect.bisect_right(owners, (x,), lo)
+            operand_items.append(list(map(_new_event_node, zip(inner[lo:hi]))) if leaf
+                                 else _parse_items(line, b + 1 + lo, b + 1 + hi))
+            lo = hi
+        items.append(_new_fragment_node((frag, e, events[end], operand_items)))
         k = end + 1
+        n = bisect.bisect_left(borders, k, n)
+    items += map(_new_event_node, zip(events[k:j]))
     return items
 
 
-def _region_tree(tcsd: Tcsd, operands_of) -> list:
+def _region_tree(tcsd: Tcsd, members) -> list:
+    """The SUT line's item tree; ``members`` is ``_members`` of the
+    fragments.
+
+    Every fragment's exit is found from one pass over the line's borders,
+    from the right: an enter closes at the first exit of its fragment
+    after it.  Faults are raised in the order a walk of the line from the
+    left meets them, a fragment's own before those inside it.
+    """
     events = _sut_events(tcsd)
-    return _parse_items(events, 0, len(events), _index_fragments(tcsd), operands_of)
+    kinds = list(map(_KIND, events))
+    borders = list(itertools.compress(range(len(events)), map(_BORDERS.__contains__, kinds)))
+    exit_of: dict[int, int | None] = {}  # enter position -> exit position
+    after: dict[str, int] = {}  # fragment -> its first exit right of the pass
+    for b in reversed(borders):
+        if kinds[b] == FRAGMENT_EXIT:
+            after[events[b].fragment] = b
+        else:
+            exit_of[b] = after.get(events[b].fragment)
+    line = (events, borders, exit_of, _index_fragments(tcsd), members)
+    return _parse_items(line, 0, len(events))
 
 
 def sut_regions(tcsd: Tcsd) -> list:
@@ -203,7 +246,7 @@ def sut_regions(tcsd: Tcsd) -> list:
     ``validate`` reports that as a ``fragment-layout`` violation.
     ``ValidationResult.regions`` is this tree of the normalized diagram.
     """
-    return _region_tree(tcsd, _operand_index(_index_fragments(tcsd).values()))
+    return _region_tree(tcsd, _members(_index_fragments(tcsd).values()))
 
 
 # --------------------------------------------------------------------------
@@ -211,30 +254,31 @@ def sut_regions(tcsd: Tcsd) -> list:
 
 
 def _add(violations, clause, elements, detail):
-    violations.append(Violation(clause, tuple(elements), detail))
+    violations.append(_new_violation((clause, tuple(elements), detail)))
 
 
 def _index_events(tcsd: Tcsd):
-    """One pass over the declared lines: (pos, kind, malformed violations).
+    """One pass over the declared lines: (event, at, malformed violations).
 
-    ``pos`` maps each event id to its (line, index) and ``kind`` to its
-    kind; dangling references are ``malformed`` violations.
+    ``event`` maps each event id to its event and ``at`` to its index on
+    its line; dangling references are ``malformed`` violations.
     """
     v: list[Violation] = []
     base = tcsd.base
     frag_ids = {f.id for f in base.fragments}
-    pos: dict[str, tuple[str, int]] = {}
-    kind: dict[str, str] = {}
+    event: dict[str, Event] = {}
+    at: dict[str, int] = {}
     stray_border = False
     for inst in base.instances:
-        for n, (eid, line, k, fragment) in enumerate(base.events.get(inst, ())):
-            if eid in pos:
+        for n, e in enumerate(base.events.get(inst, ())):
+            eid, owner, k, fragment = e
+            if eid in event:
                 _add(v, "malformed", [eid], "duplicate event id")
-            pos[eid] = (inst, n)
-            kind[eid] = k
-            if line != inst:
+            event[eid] = e
+            at[eid] = n
+            if owner != inst:
                 _add(v, "malformed", [eid], "event filed under wrong instance line")
-            if k not in EVENT_KINDS:
+            if k not in _KINDS:
                 _add(v, "malformed", [eid], "unknown event kind %r" % k)
             elif k in _BORDERS and fragment not in frag_ids:
                 stray_border = True
@@ -246,6 +290,7 @@ def _index_events(tcsd: Tcsd):
     if tcsd.sut not in base.instances:
         _add(v, "malformed", [tcsd.sut], "SUT is not a declared instance")
 
+    known = event.__contains__
     dup = set()
     for f in base.fragments:
         if f.id in dup:
@@ -254,25 +299,28 @@ def _index_events(tcsd: Tcsd):
         if f.operator not in OPERATORS:
             _add(v, "malformed", [f.id], "unknown operator %r" % f.operator)
         for op in f.operands:
-            for eid in op.events:
-                if eid not in pos:
-                    _add(v, "malformed", [f.id, eid], "operand references unknown event")
+            if not all(map(known, op.events)):
+                for eid in op.events:
+                    if eid not in event:
+                        _add(v, "malformed", [f.id, eid], "operand references unknown event")
             for cid in op.children:
                 if cid not in frag_ids:
                     _add(v, "malformed", [f.id, cid], "operand references unknown fragment")
-    for m in base.messages:
-        for eid in (m.send, m.receive):
-            if eid not in pos:
-                _add(v, "malformed", [eid], "message endpoint is not an event")
+    messages = base.messages
+    if not (all(map(known, map(_ID, messages))) and all(map(known, map(_RECEIVER, messages)))):
+        for m in messages:
+            for eid in (m.send, m.receive):
+                if eid not in event:
+                    _add(v, "malformed", [eid], "message endpoint is not an event")
     for p in tcsd.partitions:
         for eid in p.events:
-            if eid not in pos:
+            if eid not in event:
                 _add(v, "malformed", [eid], "partition references unknown event")
         if p.timestamp < 0:
             _add(v, "malformed", [str(p.timestamp)], "negative partition timestamp")
     for c in tcsd.timeouts:
         for eid in (c.start, c.end):
-            if eid not in pos:
+            if eid not in event:
                 _add(v, "malformed", [eid], "timeout endpoint is not an event")
         if c.bound < 1:
             _add(v, "malformed", [c.start, c.end], "timeout bound must be positive")
@@ -282,7 +330,7 @@ def _index_events(tcsd: Tcsd):
             for e in e_list:
                 if e.kind in _BORDERS and e.fragment not in frag_ids:
                     _add(v, "malformed", [e.id], "border event names unknown fragment")
-    return pos, kind, v
+    return event, at, v
 
 
 def _descendants(fragments: tuple[Fragment, ...]) -> dict[str, set[str]]:
@@ -306,19 +354,87 @@ def _descendants(fragments: tuple[Fragment, ...]) -> dict[str, set[str]]:
     return out
 
 
-def _drawn_out_of_order(partitions, pos) -> bool:
-    """Whether some line draws a partition at or below one with a later timestamp."""
-    cuts: dict[str, list[tuple[int, int]]] = {}
-    for p in partitions:
-        for eid in p.events:
-            inst, n = pos[eid]
-            cuts.setdefault(inst, []).append((n, p.timestamp))
-    for line in cuts.values():
-        line.sort()
-        for (n1, t1), (n2, t2) in zip(line, line[1:]):
-            if t2 < t1 or (n1 == n2 and t1 != t2):
-                return True
-    return False
+def _tree_listing(fragments, members) -> set[str] | None:
+    """The events the fragments list, when their nesting shows that any
+    two fragments that share an event are nested; None when it does not.
+
+    Given that no fragment is nested in itself and every nested fragment's
+    events are in its operand, it shows that when the fragments nested in
+    any one fragment, and those nested in none, are pairwise disjoint.
+    Follow the nesting out from two fragments that share an event to the
+    first fragment on both paths: unless one path holds the other
+    fragment, the two last steps are disjoint siblings that share it.
+    """
+    nested: set[str] = set()
+    groups = []
+    for f in fragments:
+        kids = [cid for op in f.operands for cid in op.children]
+        if len(kids) > 1:
+            groups.append(kids)
+        nested.update(kids)
+    roots = [f.id for f in fragments if f.id not in nested]
+    groups.append(roots)
+    for kids in groups:
+        union = set().union(*map(members.__getitem__, kids))
+        if len(union) != sum(len(members[k]) for k in kids):
+            return None
+    return union  # of the roots, which list every listed event
+
+
+def _check_shared_events(fragments, members, desc, v) -> dict[str, tuple[str, ...]]:
+    """Add a ``no-shared-events`` violation for each two fragments, neither
+    nested in the other, that list a common event; give each listed
+    event's owners, the fragments that list it in order."""
+    owners: dict[str, tuple[str, ...]] = {}
+    for f in fragments:
+        listed = members[f.id]
+        owners.update(zip(listed, map(tuple.__add__, map(owners.get, listed, itertools.repeat(())),
+                                      itertools.repeat((f.id,)))))
+    # Events with the same owners share the same fragment pairs, so each
+    # distinct owner tuple is checked once.
+    disjoint = {}
+    for chain in set(owners.values()):
+        pairs = [(f1, f2) for x, f1 in enumerate(chain) for f2 in chain[x + 1:]
+                 if f1 not in desc[f2] and f2 not in desc[f1]]
+        if pairs:
+            disjoint[chain] = pairs
+    if disjoint:
+        frag_pos = {f.id: n for n, f in enumerate(fragments)}
+        shared: dict[tuple[int, int], set[str]] = {}
+        for eid, chain in owners.items():
+            for f1, f2 in disjoint.get(chain, ()):
+                shared.setdefault((frag_pos[f1], frag_pos[f2]), set()).add(eid)
+        for a, b in sorted(shared):
+            _add(v, "no-shared-events", [fragments[a].id, fragments[b].id],
+                 "disjoint fragments share events %s" % ",".join(sorted(shared[a, b])))
+    return owners
+
+
+def _check_ordering(partitions, event, at, v):
+    """Add an ``ordering`` violation for each pair of events of two
+    partition lines on one line where the later timestamp is drawn at or
+    above the earlier one, in the order of the lines sorted by timestamp
+    and then of their events.  Each line's cuts are sorted once, bottom
+    up; a cut then pairs with the cuts at or below it of a smaller
+    timestamp, kept sorted by timestamp."""
+    cuts: dict[str, list[tuple]] = {}
+    for a, p in enumerate(sorted(partitions, key=_TIMESTAMP)):
+        for k, eid in enumerate(p.events):
+            cuts.setdefault(event[eid].instance, []).append((at[eid], p.timestamp, a, k, eid))
+    found = []
+    for inst, line in cuts.items():
+        below: list[tuple] = []  # (timestamp, a, k, event id) of the cuts seen
+        for _, level in itertools.groupby(sorted(line, reverse=True), key=_ID):
+            level = list(level)
+            for cut in level:
+                bisect.insort(below, cut[1:])
+            for _, t2, b, k2, e2 in level:
+                for t1, a, k1, e1 in below[:bisect.bisect_left(below, (t2,))]:
+                    found.append(((a, b, k1, k2), e1, e2, t1, t2, inst))
+    found.sort()
+    for _, e1, e2, t1, t2, inst in found:
+        _add(v, "ordering", [e1, e2],
+             "partition at %d is drawn after partition at %d on line %s" % (t1, t2, inst))
 
 
 def validate(tcsd: Tcsd) -> ValidationResult:
@@ -330,7 +446,7 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     0, inserted when absent) and that copy's region tree, which
     ``translate.translate`` takes instead of building it again.
     """
-    pos, kind, malformed = _index_events(tcsd)
+    event, at, malformed = _index_events(tcsd)
     if malformed:
         return ValidationResult(malformed)
 
@@ -346,28 +462,27 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     for send, label, receive in base.messages:
         usage[send] = usage.get(send, 0) + 1
         usage[receive] = usage.get(receive, 0) + 1
-        si, sn = pos[send]
-        ri, rn = pos[receive]
-        ends_on_sut = (si == sut) + (ri == sut)
+        s, r = event[send], event[receive]
+        ends_on_sut = (s.instance == sut) + (r.instance == sut)
         if ends_on_sut != 1:
             _add(off_sut, "sut-endpoint", [send, receive],
                  "message %r has %d endpoints on the SUT line" % (label, ends_on_sut))
         if send == receive:
             _add(v, "message-endpoints", [send], "message with identical endpoints")
             continue
-        if kind[send] != SEND:
+        if s.kind != SEND:
             _add(v, "message-endpoints", [send], "send endpoint is not a send event")
-        if kind[receive] != RECEIVE:
+        if r.kind != RECEIVE:
             _add(v, "message-endpoints", [receive], "receive endpoint is not a receive event")
-        if si == ri and sn >= rn:
+        if s.instance == r.instance and at[send] >= at[receive]:
             _add(v, "message-order", [send, receive],
                  "same-line message must send before it receives")
     for eid, n in usage.items():
         if n > 1:
             _add(v, "message-endpoints", [eid], "event is an endpoint of %d messages" % n)
-    for eid, k in kind.items():
-        if k in (SEND, RECEIVE) and eid not in usage:
-            _add(v, "message-endpoints", [eid], "%s event belongs to no message" % k)
+    for eid, e in event.items():
+        if e.kind in (SEND, RECEIVE) and eid not in usage:
+            _add(v, "message-endpoints", [eid], "%s event belongs to no message" % e.kind)
 
     # Fragment shape: operand counts, loop bounds, empty operands.
     for f in base.fragments:
@@ -390,46 +505,34 @@ def validate(tcsd: Tcsd) -> ValidationResult:
                 _add(v, "empty-operand", [f.id], "operand %d is empty" % x)
 
     # Fragment consistency: self-nesting, shared events, containment.
-    desc = _descendants(base.fragments)
-    for f in base.fragments:
-        if f.id in desc[f.id]:
-            _add(v, "no-self-nesting", [f.id], "fragment is nested inside itself")
-    frag_events = {
-        f.id: set().union(*[set(op.events) for op in f.operands]) if f.operands else set()
-        for f in base.fragments
-    }
-    frags = list(base.fragments)
-    frag_pos = {f.id: n for n, f in enumerate(frags)}
-    operands_of = _operand_index(frags)
-    # Events listed by the same fragments share the same fragment pairs, so
-    # each distinct owner tuple is checked once.
-    by_owners: dict[tuple[str, ...], list[str]] = {}
-    for eid, owners in operands_of.items():
-        by_owners.setdefault(tuple(owners), []).append(eid)
-    shared: dict[tuple[int, int], set[str]] = {}
-    for owners, eids in by_owners.items():
-        for x, f1 in enumerate(owners):
-            for f2 in owners[x + 1:]:
-                if f1 not in desc[f2] and f2 not in desc[f1]:
-                    shared.setdefault((frag_pos[f1], frag_pos[f2]), set()).update(eids)
-    for a, b in sorted(shared):
-        _add(v, "no-shared-events", [frags[a].id, frags[b].id],
-             "disjoint fragments share events %s" % ",".join(sorted(shared[a, b])))
-    for f in base.fragments:
+    frags = base.fragments
+    desc = _descendants(frags)
+    self_nested = [f.id for f in frags if f.id in desc[f.id]]
+    for fid in self_nested:
+        _add(v, "no-self-nesting", [fid], "fragment is nested inside itself")
+    members = _members(frags)
+    contained: list[Violation] = []  # reported after the shared events
+    for f in frags:
+        listed = members[f.id]
         for x, op in enumerate(f.operands):
-            have = set(op.events)
             for cid in op.children:
-                missing = frag_events[cid] - have
-                if missing:
-                    _add(v, "event-containment", [f.id, cid],
-                         "operand %d misses nested events %s"
-                         % (x, ",".join(sorted(missing))))
+                nested = members[cid]
+                if set(map(listed.get, nested)) != {(x,)}:
+                    missing = [eid for eid in nested if x not in listed.get(eid, ())]
+                    if missing:
+                        _add(contained, "event-containment", [f.id, cid],
+                             "operand %d misses nested events %s"
+                             % (x, ",".join(sorted(missing))))
+    listed_any = None if self_nested or contained else _tree_listing(frags, members)
+    if listed_any is None:
+        listed_any = _check_shared_events(frags, members, desc, v)
+    v += contained
 
     # SUT-line layout must parse into a region tree (translation precondition).
     sut_line = _sut_events(tcsd)
     regions = None
     try:
-        regions = _region_tree(tcsd, operands_of)
+        regions = _region_tree(tcsd, members)
     except LayoutError as exc:
         _add(v, "fragment-layout", [sut], str(exc))
     v.extend(off_sut)
@@ -446,9 +549,9 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     for p in tcsd.partitions:
         covered = {}
         for eid in p.events:
-            inst = pos[eid][0]
+            _, inst, kind, _ = event[eid]
             covered[inst] = covered.get(inst, 0) + 1
-            if kind[eid] != PARTITION:
+            if kind != PARTITION:
                 _add(v, "completeness", [eid], "partition line uses a non-partition event")
         if set(covered) != set(base.instances) or any(n != 1 for n in covered.values()):
             _add(v, "completeness", list(p.events),
@@ -459,44 +562,38 @@ def validate(tcsd: Tcsd) -> ValidationResult:
             if eid in part_of:
                 _add(v, "completeness", [eid], "event shared between partition lines")
             part_of[eid] = n
-    if _drawn_out_of_order(tcsd.partitions, pos):
-        ordered = sorted(tcsd.partitions, key=lambda p: p.timestamp)
-        for a in range(len(ordered)):
-            for b in range(a + 1, len(ordered)):
-                p1, p2 = ordered[a], ordered[b]
-                if p1.timestamp == p2.timestamp:
-                    continue
-                for e1 in p1.events:
-                    i1, n1 = pos[e1]
-                    for e2 in p2.events:
-                        i2, n2 = pos[e2]
-                        if i1 == i2 and n1 >= n2:
-                            _add(v, "ordering", [e1, e2],
-                                 "partition at %d is drawn after partition at %d on line %s"
-                                 % (p1.timestamp, p2.timestamp, i1))
+    _check_ordering(tcsd.partitions, event, at, v)
     for p in tcsd.partitions:
         for eid in p.events:
-            if eid in operands_of:
-                _add(v, "no-fragment-cutting", [eid, next(iter(operands_of[eid]))],
+            if eid in listed_any:
+                first = next(f.id for f in frags if eid in members[f.id])
+                _add(v, "no-fragment-cutting", [eid, first],
                      "partition event lies inside a fragment operand")
 
-    # Timeouts.
+    # Timeouts.  Each anchor's owners: the fragments that list it, in order.
+    anchors = {eid for c in tcsd.timeouts for eid in (c.start, c.end)}
+    owners: dict[str, list[str]] = {}
+    for f in frags if anchors else ():
+        for eid in members[f.id].keys() & anchors:
+            owners.setdefault(eid, []).append(f.id)
+    frag_pos = {f.id: n for n, f in enumerate(frags)}
     for c in tcsd.timeouts:
-        si, sn = pos[c.start]
-        ei, en = pos[c.end]
-        if si != tcsd.sut or ei != tcsd.sut:
+        start, end = event[c.start], event[c.end]
+        if start.instance != sut or end.instance != sut:
             _add(v, "timeout-endpoints", [c.start, c.end],
                  "timeout endpoints must lie on the SUT line")
             continue
+        sn, en = at[c.start], at[c.end]
         if sn >= en:
             _add(v, "timeout-ordered", [c.start, c.end],
                  "timeout start must precede its end")
-        s_ops, e_ops = operands_of.get(c.start, {}), operands_of.get(c.end, {})
-        for fid in sorted(s_ops.keys() | e_ops.keys(), key=frag_pos.get):
-            for x in sorted(set(s_ops.get(fid, ())) ^ set(e_ops.get(fid, ()))):
+        for fid in sorted(set(owners.get(c.start, ())) | set(owners.get(c.end, ())),
+                          key=frag_pos.get):
+            listed = members[fid]
+            for x in sorted(set(listed.get(c.start, ())) ^ set(listed.get(c.end, ()))):
                 _add(v, "timeout-same-fragment", [c.start, c.end, fid],
                      "endpoints split across operand %d of fragment %s" % (x, fid))
-        if kind[c.start] == PARTITION or kind[c.end] == PARTITION:
+        if start.kind == PARTITION or end.kind == PARTITION:
             _add(v, "timeout-partition-span", [c.start, c.end],
                  "timeout anchored on a partition event")
         else:
@@ -507,7 +604,7 @@ def validate(tcsd: Tcsd) -> ValidationResult:
 
     if v:
         return ValidationResult(v)
-    normalized = _normalize(tcsd, pos)
+    normalized = _normalize(tcsd, event)
     line = _sut_events(normalized)
     if len(line) > len(sut_line):  # the time-0 partition event was put first
         regions.insert(0, EventNode(line[0]))
@@ -517,7 +614,7 @@ def validate(tcsd: Tcsd) -> ValidationResult:
 def _normalize(tcsd: Tcsd, taken) -> Tcsd:
     """Sort the partitions and put the time-0 one first, adding it to every
     line when it is absent; ``taken`` holds every event id of ``tcsd``."""
-    partitions = sorted(tcsd.partitions, key=lambda p: p.timestamp)
+    partitions = sorted(tcsd.partitions, key=_TIMESTAMP)
     if partitions and partitions[0].timestamp == 0:
         return tcsd._replace(partitions=tuple(partitions))
     base = tcsd.base

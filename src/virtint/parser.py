@@ -15,12 +15,18 @@ Grammar (see README for the full summary)::
 Comments run from ``#`` to end of line.  Event and fragment ids are
 synthesized in source order, so parsing the same bytes twice yields the
 same ids.
+
+Parsing records source offsets only.  An offset becomes a line and column
+when a ``ParseError`` is raised or a span is looked up, from a table of
+line starts drawn up by the lexer's rules on first need.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import re
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from . import model
@@ -49,8 +55,17 @@ class Architecture(NamedTuple):
 
 
 class ParseResult(NamedTuple):
+    """A raw diagram and where its elements were written.
+
+    ``spans`` is a read-only mapping with a key for the header,
+    ``tcsd:NAME``, then each event id, ``msg:SEND`` for the message whose
+    send event is ``SEND``, each fragment id, and ``partition:N`` and
+    ``timeout:N`` for the N-th partition line and timeout (from 0); it
+    iterates in that order.  A span is resolved when it is looked up.
+    """
+
     tcsd: Tcsd
-    spans: dict[str, SourceSpan]
+    spans: Mapping[str, SourceSpan]
 
 
 class ParseError(Exception):
@@ -86,15 +101,14 @@ MAX_NESTING = 100
 class Token(NamedTuple):
     kind: str  # IDENT KEYWORD INT STRING ARROW LBRACE RBRACE COLON COMMA EQUALS EOF
     value: str
-    line: int
-    column: int
+    offset: int  # where the token starts in the source
 
 
-# What lies between tokens: spaces, tabs, comments and line ends, where a
-# line ends with LF, CRLF or a lone CR.  ``ends`` runs to the start of the
-# last line, ``indent`` to the next token and ``comment`` is one that runs
-# to the end of input.
-_BLANK = r"(?P<ends>(?:[ \t]*(?:\#[^\r\n]*)?(?:\r\n?|\n))*) (?P<indent>[ \t]*)"
+# What lies between tokens: spaces, tabs, line ends (LF, CRLF or a lone CR)
+# and comments, each ended by a line end; ``comment`` is one that runs to
+# the end of input.  Every blank character has one reading, so when
+# ``_STATEMENT`` fails after many blank lines, it fails in linear time.
+_BLANK = r"[ \t\r\n]* (?: \#[^\r\n]* [\r\n] [ \t\r\n]* )*"
 _BLANKS = re.compile(_BLANK + r"(?P<comment>\#[^\r\n]*)?", re.VERBOSE).match
 # In str patterns \d is exactly isdecimal() and \w exactly isalnum() or "_".
 _DIGITS = re.compile(r"\d*").match
@@ -102,8 +116,10 @@ _WORD = re.compile(r"\w*").match
 
 # Blanks, then a whole statement or block head on one line with only
 # spaces or tabs between its tokens; each token ends where the lexer would
-# end it.  ``lastgroup`` names the kind.
+# end it.  ``start`` marks where the statement starts and ``lastgroup``
+# names its kind.
 _STATEMENT = re.compile(_BLANK + r"""
+    (?P<start>)
     (?: msg [ \t]+ (?P<src>[A-Za-z_]\w*) [ \t]* -> [ \t]* (?P<dst>[A-Za-z_]\w*) [ \t]* : [ \t]*
             (?P<label> [A-Za-z_]\w* | -?\d+ | "[^"\\\x00-\x1f\ud800-\udfff\ufffe\uffff]*" )
       | at [ \t]+ (?P<at>\d+)
@@ -112,67 +128,88 @@ _STATEMENT = re.compile(_BLANK + r"""
       | (?P<bounded>loop|timeout) [ \t]+ (?P<bound>\d+) [ \t]* \{ )
 """, re.VERBOSE).match
 
+# Where lines start, by the lexer's rules: outside strings every LF, CRLF
+# or lone CR ends a line, and a comment may hold quotes.  A string ends at
+# its closing quote or a raw LF; inside it only an escaped line end starts
+# a line, and a raw CR is part of the label.  Only a lookup or an error
+# needs these, so ``re`` compiles them on first use.
+_LINE_ENDS = r'"(?:[^"\\\n]|\\(?:\r\n?|[\s\S]))*"?|\#[^\r\n]*|\r\n?|\n'
+_ESCAPES = r"\\(?:\r\n?|[\s\S])"
+
+
+def _line_starts(text: str) -> list[int]:
+    """The offset at which each line of ``text`` starts; line 1 starts
+    after a leading byte-order mark."""
+    starts = [1 if text.startswith("\ufeff") else 0]
+    for m in re.finditer(_LINE_ENDS, text):
+        s = m.group()
+        if s[0] == '"':
+            if "\\\n" in s or "\\\r" in s:
+                at = m.start()
+                starts += [at + e.end() for e in re.finditer(_ESCAPES, s)
+                           if e.group()[1] in "\r\n"]
+        elif s[0] != "#":
+            starts.append(m.end())
+    return starts
+
 
 class _Lexer:
     """The tokens of ``text``, lexed one at a time as the parser asks for
     them, so a lexical error is raised when the parser reaches it.
 
-    ``pos`` is the offset lexing has reached, ``line`` its line and
-    ``line_start`` the offset where that line starts: offset ``i`` on the
-    current line is column ``i - line_start + 1``.  Outside strings a line
-    ends with LF, CRLF or a lone CR.  One byte-order mark (U+FEFF) at the
-    start is skipped, and columns are counted after it.
+    ``pos`` is the offset lexing has reached, and each token carries the
+    offset it starts at; ``span`` turns an offset into a line and column.
+    Outside strings a line ends with LF, CRLF or a lone CR.  One
+    byte-order mark (U+FEFF) at the start is skipped, and columns are
+    counted after it.
     """
 
     def __init__(self, text: str, filename: str):
         self.text = text
         self.filename = filename
-        self.pos = self.line_start = 1 if text.startswith("\ufeff") else 0
-        self.line = 1
+        self.pos = 1 if text.startswith("\ufeff") else 0
+        self.starts: list[int] | None = None  # _line_starts(text), drawn up on first need
 
-    def skip_to(self, m: re.Match, end: int):
-        """Move past the blanks ``m`` matched at ``pos``, to ``end``."""
-        i, j = m.span("ends")
-        if i != j:
-            text = self.text
-            self.line += 1 if j - i == 1 else (
-                text.count("\n", i, j) + text.count("\r", i, j) - text.count("\r\n", i, j))
-            self.line_start = j
-        self.pos = end
+    def span(self, offset: int) -> SourceSpan:
+        if self.starts is None:
+            self.starts = _line_starts(self.text)
+        line = bisect.bisect_right(self.starts, offset)
+        return SourceSpan(self.filename, line, offset - self.starts[line - 1] + 1)
 
     def next(self) -> Token:
-        m = _BLANKS(self.text, self.pos)
-        self.skip_to(m, m.start("comment") if m["comment"] else m.end())
-        text, i = self.text, self.pos
-        line, col = self.line, i - self.line_start + 1
-        if i == len(text) or m["comment"]:  # the end, placed at a comment running to it
+        text = self.text
+        m = _BLANKS(text, self.pos)
+        if m["comment"]:  # the end, placed at a comment running to it
             self.pos = len(text)
-            return Token("EOF", "", line, col)
+            return Token("EOF", "", m.start("comment"))
+        i = self.pos = m.end()
+        if i == len(text):
+            return Token("EOF", "", i)
         ch = text[i]
         if ch == "-" and text.startswith(">", i + 1):
             self.pos = i + 2
-            return Token("ARROW", "->", line, col)
+            return Token("ARROW", "->", i)
         if ch in _PUNCT:
             self.pos = i + 1
-            return Token(_PUNCT[ch], ch, line, col)
+            return Token(_PUNCT[ch], ch, i)
         if ch == '"':
-            return self._string(line, col)
+            return self._string(i)
         if ch == "-" or ch.isdecimal():  # the digits int() reads
             j = _DIGITS(text, i + 1).end()
             if ch == "-" and j == i + 1:
-                raise ParseError(SourceSpan(self.filename, line, col), "stray '-'")
+                raise ParseError(self.span(i), "stray '-'")
             self.pos = j
-            return Token("INT", text[i:j], line, col)
+            return Token("INT", text[i:j], i)
         if ch.isalpha() or ch == "_":
             j = _WORD(text, i + 1).end()
             self.pos = j
             word = text[i:j]
-            return Token("KEYWORD" if word in KEYWORDS else "IDENT", word, line, col)
-        raise ParseError(SourceSpan(self.filename, line, col), "unexpected character %r" % ch)
+            return Token("KEYWORD" if word in KEYWORDS else "IDENT", word, i)
+        raise ParseError(self.span(i), "unexpected character %r" % ch)
 
-    def _string(self, line, col) -> Token:
+    def _string(self, start: int) -> Token:
         text, n = self.text, len(self.text)
-        i = self.pos + 1
+        i = start + 1
         out = []
         while i < n and text[i] not in '"\n':
             ch = text[i]
@@ -183,17 +220,14 @@ class _Lexer:
                     i += text.startswith("\n", i + 1)
                     ch = "\n"
             if _XML_FORBIDDEN(ch):
-                raise ParseError(SourceSpan(self.filename, self.line, i - self.line_start + 1),
+                raise ParseError(self.span(i),
                                  "character U+%04X is not allowed in a string" % ord(ch))
             out.append(ch)
             i += 1
-            if ch == "\n":  # an escaped newline: the string goes on below
-                self.line += 1
-                self.line_start = i
         if i >= n or text[i] == "\n":
-            raise ParseError(SourceSpan(self.filename, line, col), "unterminated string literal")
+            raise ParseError(self.span(start), "unterminated string literal")
         self.pos = i + 1
-        return Token("STRING", "".join(out), line, col)
+        return Token("STRING", "".join(out), start)
 
 
 class _Cursor:
@@ -206,7 +240,6 @@ class _Cursor:
 
     def __init__(self, lexer: _Lexer):
         self.lexer = lexer
-        self.filename = lexer.filename
         self.tok: Token | None = None  # None once consumed
 
     def peek(self) -> Token:
@@ -223,12 +256,11 @@ class _Cursor:
         lx = self.lexer
         m = _STATEMENT(lx.text, lx.pos)
         if m is not None:
-            lx.skip_to(m, m.end("indent"))
+            lx.pos = m.start("start")
         return m
 
     def span(self, tok: Token | None = None) -> SourceSpan:
-        tok = tok or self.peek()
-        return SourceSpan(self.filename, tok.line, tok.column)
+        return self.lexer.span((tok or self.peek()).offset)
 
     def advance(self) -> Token:
         tok = self.peek()
@@ -270,10 +302,13 @@ class _Cursor:
         return value, self.advance()
 
 
-# The records built per message, made without their Python-level __new__.
-_new_span = functools.partial(tuple.__new__, SourceSpan)
+# The records of a diagram, made without their Python-level __new__.
 _new_event = functools.partial(tuple.__new__, Event)
 _new_message = functools.partial(tuple.__new__, Message)
+_new_operand = functools.partial(tuple.__new__, Operand)
+_new_fragment = functools.partial(tuple.__new__, Fragment)
+_new_partition = functools.partial(tuple.__new__, PartitionLine)
+_new_timeout = functools.partial(tuple.__new__, Timeout)
 
 
 class _Collector(NamedTuple):
@@ -285,8 +320,7 @@ class _Collector(NamedTuple):
 
 
 class _DiagramBuilder:
-    def __init__(self, filename):
-        self.filename = filename
+    def __init__(self):
         self.name = ""
         self.sut = ""
         self.lines: dict[str, list[Event]] = {}  # in declaration order
@@ -295,43 +329,46 @@ class _DiagramBuilder:
         self.fragments: list[Fragment] = []
         self.partitions: list[PartitionLine] = []
         self.timeouts: list[Timeout] = []
-        self.spans: dict[str, SourceSpan] = {}
+        # The source offset of each element, per kind in creation order.
+        self.event_at: list[int] = []
+        self.message_at: list[int] = []
+        self.fragment_at: list[int] = []
+        self.partition_at: list[int] = []
+        self.timeout_at: list[int] = []
         self.collectors: list[_Collector] = []
         self.strict_ids: set[str] = set()
 
-    def declare(self, name, span):
-        if name in self.lines:
-            raise ParseError(span, "duplicate instance name %r" % name)
-        self.lines[name] = []
+    def declare(self, c: _Cursor, tok: Token):
+        if tok.value in self.lines:
+            raise ParseError(c.span(tok), "duplicate instance name %r" % tok.value)
+        self.lines[tok.value] = []
 
-    def new_event(self, instance, kind, span, fragment=None, at=None) -> str:
+    def new_event(self, instance, kind, at, fragment=None, index=None) -> str:
         eid = "e%d" % (len(self.eids) + 1)
-        ev = Event(eid, instance, kind, fragment)
-        if at is None:
+        ev = _new_event((eid, instance, kind, fragment))
+        if index is None:
             self.lines[instance].append(ev)
         else:
-            self.lines[instance].insert(at, ev)
+            self.lines[instance].insert(index, ev)
         self.eids.append(eid)
-        self.spans[eid] = span
+        self.event_at.append(at)
         return eid
 
-    def message(self, src, dst, label, span, src_span, dst_span):
+    def message(self, src, dst, label, at, src_at, dst_at):
         eids = self.eids
         send = "e%d" % (len(eids) + 1)
         recv = "e%d" % (len(eids) + 2)
         eids += send, recv
         self.lines[src].append(_new_event((send, src, model.SEND, None)))
         self.lines[dst].append(_new_event((recv, dst, model.RECEIVE, None)))
-        spans = self.spans
-        spans[send] = src_span
-        spans[recv] = dst_span
+        self.event_at += src_at, dst_at
         self.messages.append(_new_message((send, label, recv)))
-        spans["msg:" + send] = span
+        self.message_at.append(at)
 
-    def partition(self, delta, span, delta_span):
-        events = [self.new_event(inst, model.PARTITION, delta_span) for inst in self.lines]
-        self.partitions.append(PartitionLine(tuple(events), delta))
-        self.spans["partition:%d" % (len(self.partitions) - 1)] = span
+    def partition(self, delta, at, delta_at):
+        events = [self.new_event(inst, model.PARTITION, delta_at) for inst in self.lines]
+        self.partitions.append(_new_partition((tuple(events), delta)))
+        self.partition_at.append(at)
 
     def build(self) -> Tcsd:
         sd = SequenceDiagram(
@@ -344,6 +381,70 @@ class _DiagramBuilder:
         return Tcsd(sd, self.sut, tuple(self.partitions), tuple(self.timeouts))
 
 
+def _nth(offsets: list[int], number: str, first: int) -> int | None:
+    """The offset of element ``number``, counted from ``first``; None
+    unless ``number`` is such a number in plain decimal."""
+    if number.isascii() and number.isdigit() and len(number) < 20 and number == str(int(number)):
+        n = int(number) - first
+        if 0 <= n < len(offsets):
+            return offsets[n]
+    return None
+
+
+class _Spans(Mapping):
+    """``ParseResult.spans``: the offset of each element, resolved to a
+    ``SourceSpan`` by the lexer's line-start table when looked up."""
+
+    def __init__(self, lexer: _Lexer, b: _DiagramBuilder, head_at: int):
+        self._lexer = lexer
+        self._name = b.name
+        self._head_at = head_at
+        self._messages = b.messages
+        self._event_at = b.event_at
+        self._message_at = b.message_at
+        self._fragment_at = b.fragment_at
+        self._partition_at = b.partition_at
+        self._timeout_at = b.timeout_at
+        self._message_of: dict[str, int] | None = None  # send event id -> message number
+
+    def _offset(self, key) -> int | None:
+        if not isinstance(key, str):
+            return None
+        kind, colon, rest = key.partition(":")
+        if not colon:
+            if key[:1] == "e":
+                return _nth(self._event_at, key[1:], 1)
+            return _nth(self._fragment_at, key[1:], 1) if key[:1] == "f" else None
+        if kind == "msg":
+            if self._message_of is None:
+                self._message_of = {m.send: n for n, m in enumerate(self._messages)}
+            n = self._message_of.get(rest)
+            return None if n is None else self._message_at[n]
+        if kind == "partition":
+            return _nth(self._partition_at, rest, 0)
+        if kind == "timeout":
+            return _nth(self._timeout_at, rest, 0)
+        return self._head_at if kind == "tcsd" and rest == self._name else None
+
+    def __getitem__(self, key) -> SourceSpan:
+        at = self._offset(key)
+        if at is None:
+            raise KeyError(key)
+        return self._lexer.span(at)
+
+    def __iter__(self):
+        yield "tcsd:" + self._name
+        yield from ("e%d" % n for n in range(1, len(self._event_at) + 1))
+        yield from ("msg:" + m.send for m in self._messages)
+        yield from ("f%d" % n for n in range(1, len(self._fragment_at) + 1))
+        yield from ("partition:%d" % n for n in range(len(self._partition_at)))
+        yield from ("timeout:%d" % n for n in range(len(self._timeout_at)))
+
+    def __len__(self):
+        return (1 + len(self._event_at) + len(self._messages) + len(self._fragment_at)
+                + len(self._partition_at) + len(self._timeout_at))
+
+
 _ANCHOR_KINDS = (model.SEND, model.RECEIVE, model.FRAGMENT_ENTER, model.FRAGMENT_EXIT)
 
 
@@ -354,7 +455,7 @@ def _parse_statement(c: _Cursor, b: _DiagramBuilder):
         raise ParseError(c.span(), "found %r" % (tok.value or tok.kind),
                          expected=_STMT_KEYWORDS + ("}",))
     c.advance()
-    span = c.span(tok)
+    at = tok.offset
     if tok.value == "msg":
         src = c.expect("IDENT")
         c.expect("ARROW")
@@ -368,19 +469,19 @@ def _parse_statement(c: _Cursor, b: _DiagramBuilder):
         for t in (src, dst):
             if t.value not in b.lines:
                 raise ParseError(c.span(t), "unknown instance %r" % t.value)
-        b.message(src.value, dst.value, lab.value, span, c.span(src), c.span(dst))
+        b.message(src.value, dst.value, lab.value, at, src.offset, dst.offset)
     elif tok.value == "at":
         delta, dtok = c.expect_int("partition time", minimum=0)
-        b.partition(delta, span, c.span(dtok))
+        b.partition(delta, at, dtok.offset)
     elif tok.value == "timeout":
         bound, _ = c.expect_int("timeout bound", minimum=1)
-        _parse_timeout(c, b, span, bound)
+        _parse_timeout(c, b, at, bound)
     elif tok.value in ("par", "alt"):
         c.expect("LBRACE")
-        _parse_operands(c, b, tok.value, span)
+        _parse_operands(c, b, tok.value, at)
     else:
         bound = c.expect_int("loop bound", minimum=0)[0] if tok.value == "loop" else None
-        _finish_fragment(b, span, [_parse_block(c, b)], tok.value, bound)
+        _finish_fragment(b, at, [_parse_block(c, b)], tok.value, bound)
 
 
 def _take_statement(c: _Cursor, b: _DiagramBuilder, m: re.Match) -> bool:
@@ -390,37 +491,33 @@ def _take_statement(c: _Cursor, b: _DiagramBuilder, m: re.Match) -> bool:
     integer longer than ``MAX_INT_DIGITS`` and a block nested too deep."""
     lx = c.lexer
     kind = m.lastgroup
-    filename, line, base = lx.filename, lx.line, lx.line_start - 1
+    at = lx.pos
     if kind == "label":
         src, dst, label = m.group("src", "dst", "label")
         if src not in b.lines or dst not in b.lines:
             return False
         b.message(src, dst, label[1:-1] if label[0] == '"' else label,
-                  _new_span((filename, line, lx.pos - base)),
-                  _new_span((filename, line, m.start("src") - base)),
-                  _new_span((filename, line, m.start("dst") - base)))
+                  at, m.start("src"), m.start("dst"))
         lx.pos = m.end()
         return True
     number = m["at"] or m["bound"]
     if number is not None and len(number) > MAX_INT_DIGITS:
         return False
     if kind == "at":
-        b.partition(int(number), SourceSpan(filename, line, lx.pos - base),
-                    SourceSpan(filename, line, m.start("at") - base))
+        b.partition(int(number), at, m.start("at"))
         lx.pos = m.end()
         return True
     word = m["head"] or m["bounded"]
     bound = int(number) if kind == "bound" else None
     if word == "op" or (word == "timeout" and bound == 0) or len(b.collectors) >= MAX_NESTING:
         return False
-    span = SourceSpan(filename, line, lx.pos - base)
     lx.pos = m.end()
     if word == "timeout":
-        _parse_timeout(c, b, span, bound, opened=True)
+        _parse_timeout(c, b, at, bound, opened=True)
     elif word in ("par", "alt"):
-        _parse_operands(c, b, word, span)
+        _parse_operands(c, b, word, at)
     else:
-        _finish_fragment(b, span, [_parse_block(c, b, opened=True)], word, bound)
+        _finish_fragment(b, at, [_parse_block(c, b, opened=True)], word, bound)
     return True
 
 
@@ -458,10 +555,10 @@ def _parse_block(c: _Cursor, b: _DiagramBuilder, opened=False) -> tuple[_Collect
     b.collectors.append(coll)
     _parse_statements(c, b)
     b.collectors.pop()
-    return coll, Operand(tuple(b.eids[coll.first:]), tuple(coll.frags))
+    return coll, _new_operand((tuple(b.eids[coll.first:]), tuple(coll.frags)))
 
 
-def _parse_timeout(c: _Cursor, b: _DiagramBuilder, span, bound, opened=False):
+def _parse_timeout(c: _Cursor, b: _DiagramBuilder, at, bound, opened=False):
     coll, body = _parse_block(c, b, opened)
     # A timeout is no fragment: what it nests belongs to the enclosing operand.
     if b.collectors:
@@ -470,12 +567,12 @@ def _parse_timeout(c: _Cursor, b: _DiagramBuilder, span, bound, opened=False):
     anchors = [e.id for e in b.lines[b.sut][coll.starts[b.sut]:]
                if e.kind in _ANCHOR_KINDS and e.fragment not in b.strict_ids]
     if not anchors:
-        raise ParseError(span, "timeout block contains no SUT event to anchor on")
-    b.timeouts.append(Timeout(anchors[0], anchors[-1], bound))
-    b.spans["timeout:%d" % (len(b.timeouts) - 1)] = span
+        raise ParseError(c.lexer.span(at), "timeout block contains no SUT event to anchor on")
+    b.timeouts.append(_new_timeout((anchors[0], anchors[-1], bound)))
+    b.timeout_at.append(at)
 
 
-def _parse_operands(c: _Cursor, b: _DiagramBuilder, operator, span):
+def _parse_operands(c: _Cursor, b: _DiagramBuilder, operator, at):
     """The ``{ op { STMT* } ... }`` of a par or alt."""
     blocks = []
     while True:
@@ -493,50 +590,48 @@ def _parse_operands(c: _Cursor, b: _DiagramBuilder, operator, span):
             c.expect("RBRACE")
             break
     if len(blocks) < 2:
-        raise ParseError(span, "%s needs at least 2 operands" % operator)
-    _finish_fragment(b, span, blocks, operator, None)
+        raise ParseError(c.lexer.span(at), "%s needs at least 2 operands" % operator)
+    _finish_fragment(b, at, blocks, operator, None)
 
 
-def _finish_fragment(b: _DiagramBuilder, span, blocks, operator, loop_bound):
+def _finish_fragment(b: _DiagramBuilder, at, blocks, operator, loop_bound):
     fid = "f%d" % (len(b.fragments) + 1)
     first_starts = blocks[0][0].starts
     for inst, line in b.lines.items():
         start = first_starts[inst]
         if start == len(line):
             continue
-        b.new_event(inst, model.FRAGMENT_ENTER, span, fid, at=start)
-        b.new_event(inst, model.FRAGMENT_EXIT, span, fid)
-    b.fragments.append(Fragment(fid, operator, tuple(body for _, body in blocks), loop_bound))
+        b.new_event(inst, model.FRAGMENT_ENTER, at, fid, start)
+        b.new_event(inst, model.FRAGMENT_EXIT, at, fid)
+    b.fragments.append(_new_fragment((fid, operator, tuple(body for _, body in blocks),
+                                      loop_bound)))
     if operator == "strict":
         b.strict_ids.add(fid)
     if b.collectors:
         b.collectors[-1].frags.append(fid)
-    b.spans[fid] = span
+    b.fragment_at.append(at)
 
 
 def parse_tcsd(source: str, filename: str = "<tcsd>") -> ParseResult:
     """Parse one diagram; the result is raw and still needs ``model.validate``."""
-    c = _Cursor(_Lexer(source, filename))
-    b = _DiagramBuilder(filename)
+    lexer = _Lexer(source, filename)
+    c = _Cursor(lexer)
+    b = _DiagramBuilder()
     head = c.expect_keyword("tcsd")
-    name = c.expect("IDENT")
-    b.name = name.value
-    b.spans["tcsd:%s" % name.value] = c.span(head)
+    b.name = c.expect("IDENT").value
     c.expect("LBRACE")
     c.expect_keyword("sut")
     sut = c.expect("IDENT")
-    b.declare(sut.value, c.span(sut))
+    b.declare(c, sut)
     b.sut = sut.value
     c.expect_keyword("test")
-    t = c.expect("IDENT")
-    b.declare(t.value, c.span(t))
+    b.declare(c, c.expect("IDENT"))
     while c.at_keyword("test"):
         c.advance()
-        t = c.expect("IDENT")
-        b.declare(t.value, c.span(t))
+        b.declare(c, c.expect("IDENT"))
     _parse_statements(c, b)
     c.expect("EOF")
-    return ParseResult(b.build(), b.spans)
+    return ParseResult(b.build(), _Spans(lexer, b, head.offset))
 
 
 def parse_architecture(source: str, filename: str = "<arch>") -> Architecture:

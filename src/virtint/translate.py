@@ -12,6 +12,8 @@ drains it through a ``[0,d]`` guard at its end anchor.
 
 from __future__ import annotations
 
+import functools
+import operator
 from typing import NamedTuple
 
 from . import model, tapn
@@ -44,6 +46,13 @@ class TranslationUnit(NamedTuple):
     @property
     def name(self) -> str:
         return self.net.name
+
+
+# The records of a net, made without their Python-level __new__.
+_new_transition = functools.partial(tuple.__new__, Transition)
+_new_input_arc = functools.partial(tuple.__new__, InputArc)
+_new_output_arc = functools.partial(tuple.__new__, OutputArc)
+_new_transport_arc = functools.partial(tuple.__new__, TransportArc)
 
 
 class _Builder:
@@ -82,7 +91,7 @@ class _Builder:
 
     def transition(self, label: str | None, kind: str) -> str:
         tid = "%s.T%d" % (self.prefix, len(self.transitions))
-        self.transitions.append(Transition(tid, label))
+        self.transitions.append(_new_transition((tid, label)))
         self.kinds[tid] = kind
         return tid
 
@@ -103,18 +112,19 @@ class _Builder:
                 raise TranslationError(
                     "timeout ending at %s was never started" % event_id)
             wait = self.open_waits.pop(n)
-            self.input_arcs.append(InputArc(wait, tid, tapn.at_most(self.timeouts[n].bound)))
+            guard = tapn.at_most(self.timeouts[n].bound)
+            self.input_arcs.append(_new_input_arc((wait, tid, guard)))
         for n in self.starts.get(event_id, ()):
             wait = self.place()
             self.waits.add(wait)
-            self.output_arcs.append(OutputArc(tid, wait))
+            self.output_arcs.append(_new_output_arc((tid, wait)))
             self.open_waits[n] = wait
 
     def transport_step(self, p: str, label: str | None, kind: str,
                        guard: Guard) -> tuple[str, str]:
         t = self.transition(label, kind)
         p2 = self.place()
-        self.transport_arcs.append(TransportArc(p, t, p2, guard))
+        self.transport_arcs.append(_new_transport_arc((p, t, p2, guard)))
         return t, p2
 
     def emit_items(self, items, p: str, in_branch: bool = False) -> str:
@@ -154,20 +164,20 @@ class _Builder:
             self.attach(item.enter.id, tfs)
             tfe = self.transition(None, FRAGMENT_EXIT)
             pend = self.place()
-            self.transport_arcs.append(TransportArc(pmid, tfe, pend, ANY_AGE))
+            self.transport_arcs.append(_new_transport_arc((pmid, tfe, pend, ANY_AGE)))
             if f.operator == "loop":
                 branch = self.place()
-                self.output_arcs.append(OutputArc(tfs, branch))
+                self.output_arcs.append(_new_output_arc((tfs, branch)))
                 cur = branch
                 for _ in range(f.loop_bound):
                     cur = self.emit_items(item.operand_items[0], cur, True)
-                self.input_arcs.append(InputArc(cur, tfe, ANY_AGE))
+                self.input_arcs.append(_new_input_arc((cur, tfe, ANY_AGE)))
             else:
                 for op_items in item.operand_items:
                     branch = self.place()
-                    self.output_arcs.append(OutputArc(tfs, branch))
+                    self.output_arcs.append(_new_output_arc((tfs, branch)))
                     cur = self.emit_items(op_items, branch, True)
-                    self.input_arcs.append(InputArc(cur, tfe, ANY_AGE))
+                    self.input_arcs.append(_new_input_arc((cur, tfe, ANY_AGE)))
             self.attach(item.exit.id, tfe)
             p = pend
         return p
@@ -182,7 +192,8 @@ def _check_timeout_shape(tcsd: Tcsd):
     before the current start close, and the current span must end within
     the innermost one still open.  Spans sharing only an anchor are chained.
     """
-    pos = {e.id: n for n, e in enumerate(tcsd.base.events.get(tcsd.sut, ()))}
+    line = tcsd.base.events.get(tcsd.sut, ())
+    pos = dict(zip(map(operator.itemgetter(0), line), range(len(line))))  # event id -> index
     spans = sorted(((pos[c.start], pos[c.end], c) for c in tcsd.timeouts),
                    key=lambda span: (span[0], -span[1]))
     open_spans = []
@@ -240,8 +251,8 @@ def translate(tcsd: Tcsd, regions: list | None = None) -> TranslationUnit:
     p_pre = b.place()
     t_start = b.transition(None, START)
     p0 = b.place()
-    b.input_arcs.append(InputArc(p_pre, t_start, ANY_AGE))
-    b.output_arcs.append(OutputArc(t_start, p0))
+    b.input_arcs.append(_new_input_arc((p_pre, t_start, ANY_AGE)))
+    b.output_arcs.append(_new_output_arc((t_start, p0)))
 
     final = b.emit_items(regions, p0)
     if b.open_waits:

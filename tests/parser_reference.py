@@ -14,7 +14,17 @@ from virtint import model
 from virtint.model import (Event, Fragment, Message, Operand, PartitionLine,
                            SequenceDiagram, Tcsd, Timeout)
 from virtint.parser import (_XML_FORBIDDEN, KEYWORDS, MAX_NESTING, ParseError,
-                            ParseResult, SourceSpan, Token)
+                            ParseResult, SourceSpan)
+
+
+class Token(NamedTuple):
+    """A token with the line and column the lexer counted as it went."""
+
+    kind: str
+    value: str
+    line: int
+    column: int
+
 
 _PUNCT = {"{": "LBRACE", "}": "RBRACE", ":": "COLON", ",": "COMMA", "=": "EQUALS"}
 

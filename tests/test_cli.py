@@ -474,6 +474,11 @@ def test_guard_constant_above_the_search_limit_is_inconclusive(tmp_path, capsys)
     [verdict] = json.loads(report.read_text())["verdicts"]
     assert verdict["status"] == "consistent" and verdict["states_explored"] == 0
     assert elapsed < 1.0, elapsed
+    # Under --max-delay 3 it is bound-exceeded, also from its constraints:
+    # no search was refused, so there is no warning.
+    code, out = run_cli(capsys, "check", *_timing_with(tmp_path, 2 * 10**12, 6 * 10**7),
+                        "--max-delay", "3")
+    assert code == 3 and "bound exceeded" in out and "MAX_GUARD" not in out, out
 
 
 def test_guard_constant_limit_is_inclusive(tmp_path, capsys, monkeypatch):

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import validate_reference
 from clause_fixtures import all_clause_cases, overlapping_fragments
+from conftest import FIXTURES
 from gen import random_tcsd_source
 from virtint import model, parser
 from virtint.model import (Event, Fragment, Message, Operand, PartitionLine,
-                           SequenceDiagram, Tcsd, Violation)
+                           SequenceDiagram, Tcsd, Timeout, Violation)
 
 
 def _parse(src):
@@ -389,3 +393,179 @@ def test_invalid_fixture_and_clause_violation_lists_are_pinned(fixtures_dir):
     found = {clause: [tuple(v) for v in model.validate(bad).violations]
              for clause, bad, _ in all_clause_cases()}
     assert found == _CLAUSE_VIOLATIONS
+
+
+# -- differential tests against the validator kept in validate_reference ----
+
+def _region_outcome(regions_of, tcsd):
+    """The region tree ``regions_of`` gives, or its LayoutError's text."""
+    try:
+        return repr(regions_of(tcsd))
+    except (model.LayoutError, validate_reference.LayoutError) as exc:
+        return "LayoutError: %s" % exc
+
+
+def _reference_regions(tcsd):
+    frags = validate_reference._index_fragments(tcsd)
+    return validate_reference._region_tree(
+        tcsd, validate_reference._operand_index(frags.values()))
+
+
+def _assert_validates_as_the_reference(tcsd):
+    # repr holds every violation in order, the normalized diagram and the
+    # region tree, with the type of every record.
+    assert repr(model.validate(tcsd)) == repr(validate_reference.validate(tcsd)), tcsd
+    assert _region_outcome(model.sut_regions, tcsd) == _region_outcome(_reference_regions, tcsd)
+
+
+def _mutated_diagram(rnd, tcsd):
+    """``tcsd`` after zero to four random edits of its model: events moved,
+    retyped, copied, dropped or filed under another line, and operands,
+    children, partitions, messages and timeouts rewired."""
+    base = tcsd.base
+    lines = {inst: list(evs) for inst, evs in base.events.items()}
+    frags = [[f.id, f.operator, [[list(op.events), list(op.children)] for op in f.operands],
+              f.loop_bound] for f in base.fragments]
+    messages = [list(m) for m in base.messages]
+    partitions = [[list(p.events), p.timestamp] for p in tcsd.partitions]
+    timeouts = [list(c) for c in tcsd.timeouts]
+
+    def any_event():
+        ids = [e.id for evs in lines.values() for e in evs]
+        return rnd.choice(ids) if ids else "ghost"
+
+    def any_operand():
+        ops = [op for f in frags for op in f[2]]
+        return rnd.choice(ops) if ops else None
+
+    for _ in range(rnd.choice([0, 1, 1, 2, 2, 3, 4])):
+        edit = rnd.choice(["move", "move", "kind", "op_drop", "op_add", "op_share", "op_share",
+                           "op_move", "child",
+                           "stamp", "stamp", "cut", "cut", "timeout", "timeout", "endpoint",
+                           "border", "drop", "refile", "copy"])
+        inst = rnd.choice(list(lines))
+        line = lines[inst]
+        op = any_operand()
+        if edit == "move" and line:
+            line.insert(rnd.randrange(len(line) + 1), line.pop(rnd.randrange(len(line))))
+        elif edit == "kind" and line:
+            k = rnd.randrange(len(line))
+            kind = rnd.choice(model.EVENT_KINDS)
+            fragment = rnd.choice([f[0] for f in frags] or [None]) if kind in (
+                model.FRAGMENT_ENTER, model.FRAGMENT_EXIT) else None
+            line[k] = line[k]._replace(kind=kind, fragment=fragment)
+        elif edit == "op_drop" and op and op[0]:
+            op[0].pop(rnd.randrange(len(op[0])))
+        elif edit == "op_add" and op is not None:
+            op[0].insert(rnd.randrange(len(op[0]) + 1), any_event())
+        elif edit == "op_share" and op is not None:  # an event another fragment lists
+            other = any_operand()
+            if other[0]:
+                op[0].append(rnd.choice(other[0]))
+        elif edit == "op_move" and frags:
+            f = rnd.choice(frags)
+            src, dst = rnd.choice(f[2]), rnd.choice(f[2])
+            if src[0]:
+                dst[0].append(src[0].pop(rnd.randrange(len(src[0]))))
+        elif edit == "child" and op is not None and frags:
+            if op[1] and rnd.random() < 0.5:
+                op[1].pop(rnd.randrange(len(op[1])))
+            else:
+                op[1].append(rnd.choice(frags)[0])
+        elif edit == "stamp" and partitions:
+            stamps = [p[1] for p in partitions]
+            rnd.choice(partitions)[1] = rnd.choice(stamps + [0, rnd.randint(0, 12)])
+        elif edit == "cut":
+            if partitions and rnd.random() < 0.6:
+                p = rnd.choice(partitions)
+                p[0][rnd.randrange(len(p[0]))] = any_event()
+            else:  # a whole new line, cutting each instance at a random place
+                events = []
+                for name, evs in lines.items():
+                    eid = "p%d%s" % (len(partitions), name)
+                    evs.insert(rnd.randrange(len(evs) + 1), Event(eid, name, model.PARTITION))
+                    events.append(eid)
+                partitions.append([events, rnd.randint(0, 12)])
+        elif edit == "timeout":
+            sut_ids = [e.id for e in lines.get(tcsd.sut, ())]
+            if timeouts and rnd.random() < 0.4:
+                rnd.choice(timeouts)[rnd.randrange(2)] = any_event()
+            elif sut_ids:
+                timeouts.append([rnd.choice(sut_ids), rnd.choice(sut_ids), rnd.randint(1, 5)])
+        elif edit == "endpoint" and messages:
+            m = rnd.choice(messages)
+            if rnd.random() < 0.5:
+                m[0], m[2] = m[2], m[0]
+            else:
+                m[rnd.choice([0, 2])] = any_event()
+        elif edit == "border" and frags:
+            borders = [k for k, e in enumerate(line)
+                       if e.kind in (model.FRAGMENT_ENTER, model.FRAGMENT_EXIT)]
+            if borders:
+                k = rnd.choice(borders)
+                line[k] = line[k]._replace(fragment=rnd.choice(frags)[0])
+        elif edit == "drop" and line:
+            line.pop(rnd.randrange(len(line)))
+        elif edit == "copy" and line:  # the same id twice, or an unknown kind
+            e = rnd.choice(line)
+            if rnd.random() < 0.3:
+                e = e._replace(kind="jump")
+            line.insert(rnd.randrange(len(line) + 1), e)
+        elif edit == "refile" and line:
+            other = rnd.choice(list(lines))
+            lines[other].insert(rnd.randrange(len(lines[other]) + 1),
+                                line.pop(rnd.randrange(len(line))))
+    sd = SequenceDiagram(base.name, base.instances,
+                         {inst: tuple(evs) for inst, evs in lines.items()},
+                         tuple(Message(*m) for m in messages),
+                         tuple(Fragment(fid, operator, tuple(Operand(tuple(e), tuple(c))
+                                                             for e, c in ops), bound)
+                               for fid, operator, ops, bound in frags))
+    return Tcsd(sd, tcsd.sut, tuple(PartitionLine(tuple(e), t) for e, t in partitions),
+                tuple(Timeout(*c) for c in timeouts))
+
+
+def _seed_diagrams():
+    rng = random.Random(16)
+    sources = [random_tcsd_source(rng, "R%d" % n, max_sut_events=rng.randint(4, 40),
+                                  max_depth=rng.randint(1, 3)) for n in range(40)]
+    sources += [p.read_text(encoding="utf-8") for p in sorted(FIXTURES.rglob("*.tcsd"))]
+    diagrams = [_parse(src) for src in sources]
+    for _, bad, good in all_clause_cases():
+        diagrams += [bad, good]
+    return diagrams + [overlapping_fragments()]
+
+
+_SEED_DIAGRAMS = _seed_diagrams()
+
+
+def test_seed_diagrams_validate_as_the_reference():
+    for tcsd in _SEED_DIAGRAMS:
+        _assert_validates_as_the_reference(tcsd)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(_SEED_DIAGRAMS) - 1), st.randoms(use_true_random=False))
+def test_mutated_diagrams_validate_as_the_reference(k, rnd):
+    _assert_validates_as_the_reference(_mutated_diagram(rnd, _SEED_DIAGRAMS[k]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False))
+def test_misdrawn_partitions_are_listed_as_the_reference(rnd):
+    # Many partition lines, drawn anywhere on each line with stamps that
+    # repeat: the ordering clause pairs every inversion, line by line.
+    lines = {"S": [], "A": [], "B": []}
+    partitions = []
+    for n in range(rnd.randint(2, 12)):
+        events = []
+        for inst, evs in lines.items():
+            eid = "p%d%s" % (n, inst)
+            evs.insert(rnd.randrange(len(evs) + 1), Event(eid, inst, model.PARTITION))
+            events.append(eid)
+        if rnd.random() < 0.2:  # the same event on two lines
+            events.append(rnd.choice(events))
+        partitions.append(PartitionLine(tuple(events), rnd.randint(0, 6)))
+    sd = SequenceDiagram("P", ("S", "A", "B"),
+                         {inst: tuple(evs) for inst, evs in lines.items()}, (), ())
+    _assert_validates_as_the_reference(Tcsd(sd, "S", tuple(partitions), ()))

@@ -1,7 +1,9 @@
 import contextlib
 import io
 import random
+import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -270,13 +272,13 @@ def test_first_error_in_source_order_wins(parse, src, error):
 
 
 def _outcome(parse, src):
-    """What ``parse`` makes of ``src``: the diagram and every span, in the
-    order they were recorded, or the error's text."""
+    """What ``parse`` makes of ``src``: the diagram and every span by its
+    key, or the error's text, span, message and expectations."""
     try:
         res = parse(src, "f.tcsd")
     except ParseError as exc:
-        return str(exc)
-    return res.tcsd, list(res.spans.items())
+        return str(exc), exc.span, exc.message, exc.expected
+    return res.tcsd, dict(res.spans)
 
 
 _FIXTURE_FILES = sorted(FIXTURES.rglob("*.tcsd"))
@@ -372,9 +374,10 @@ def test_plain_statements_never_reach_the_token_path(monkeypatch):
     calls = []
     real = parser._parse_statement
     monkeypatch.setattr(parser, "_parse_statement",
-                        lambda c, b: calls.append(c.peek()) or real(c, b))
+                        lambda c, b: calls.append((c.peek().value, c.span().line))
+                        or real(c, b))
     assert _outcome(parser.parse_tcsd, src) == expected
-    assert [(tok.value, tok.line) for tok in calls] == [("msg", 5)]
+    assert calls == [("msg", 5)]
 
 
 @pytest.mark.parametrize("statement", [
@@ -423,7 +426,7 @@ def test_integer_longer_than_the_limit_is_a_parse_error(monkeypatch, statement):
     calls = []
     real = parser._parse_statement
     monkeypatch.setattr(parser, "_parse_statement",
-                        lambda c, b: calls.append(c.peek().line) or real(c, b))
+                        lambda c, b: calls.append(c.span().line) or real(c, b))
     for digits in (limit, limit + 1, 5000):
         text = statement % ("1" * digits)
         column = 3 + text.index(" ") + 1
@@ -560,3 +563,77 @@ def test_token_stream_fuzz_matches_reference_parser(src):
         path = Path(tmp) / "f.tcsd"
         path.write_bytes(src.encode("utf-8"))
         assert cli.main(["validate", str(path)]) in (0, 1, 2, 3)
+
+
+def test_blank_lines_before_a_statement_off_the_fast_path_cost_linear_time():
+    # Were a CRLF in the statement pattern's blanks readable two ways, a
+    # statement the pattern fails to match after k blank lines would cost
+    # 2**k steps: 24 lines would take tens of seconds.
+    for blank in ("\r\n", " # c\r\n", "\r\r\n"):
+        src = "tcsd T { sut S test A\n  msg A -> S : x\n" + blank * 24 + "  msg A : x }"
+        t0 = time.perf_counter()
+        assert _outcome(parser.parse_tcsd, src) == _outcome(parser_reference.parse_tcsd, src)
+        assert time.perf_counter() - t0 < 1.0
+
+
+# -- source positions: offsets resolved on demand ----------------------------
+
+def test_spans_are_a_read_only_mapping():
+    src = ("tcsd T {\r\n  sut S\r  test A\n  at 1\n"
+           "  opt { msg A -> S : x }\n  timeout 3 { msg S -> A : y }\n}\n")
+    res = parser.parse_tcsd(src, "t.tcsd")
+    spans = res.spans
+    assert list(spans) == ["tcsd:T"] + ["e%d" % n for n in range(1, 11)] + [
+        "msg:e3", "msg:e9", "f1", "partition:0", "timeout:0"]
+    assert len(spans) == 16 and dict(spans) == dict(spans.items())
+    assert str(spans["tcsd:T"]) == "t.tcsd:1:1"
+    assert str(spans["msg:e3"]) == "t.tcsd:5:9" and str(spans["e3"]) == "t.tcsd:5:13"
+    assert str(spans["f1"]) == "t.tcsd:5:3" and str(spans["e5"]) == "t.tcsd:5:3"
+    assert str(spans["partition:0"]) == "t.tcsd:4:3" and str(spans["e1"]) == "t.tcsd:4:6"
+    assert str(spans["timeout:0"]) == "t.tcsd:6:3"
+    for key in ("e0", "e01", "e11", "e+1", "e\u0661", "f0", "f2", "msg:e4", "msg:e99",
+                "partition:1", "partition:-0", "timeout:01", "tcsd:U", "tcsd", "S", "", 3, None):
+        assert key not in spans and spans.get(key) is None
+        with pytest.raises(KeyError):
+            spans[key]
+    with pytest.raises(TypeError):
+        spans["e1"] = spans["e2"]
+
+
+# Line ends as the lexer reads them, and the comments and labels around them.
+_EOLS = ["\n", "\r\n", "\r", "\n\r", "\r\r\n"]
+_COMMENTS = ["", "", ' # a "quoted" comment', ' # "', " # '\"'", " #"]
+_LABELS_ACROSS_LINES = ['"a\\\nb"', '"a\\\r\nb"', '"a\\\rb"', '"raw\rcr"', '"cr\r\\\nlf"',
+                        '"# not a comment"', '"a\\"', '"\\\\\r"']
+
+
+@st.composite
+def _line_end_programs(draw):
+    """A grammar-built program whose line ends, comments and labels are
+    redrawn; sometimes cut short, and sometimes after a byte-order mark."""
+    src = draw(_token_programs())
+    rnd = draw(st.randoms(use_true_random=False))
+    pieces = re.split(r"(\r\n|\r|\n)", src)
+    for k in range(1, len(pieces), 2):
+        pieces[k] = rnd.choice(_COMMENTS) + rnd.choice(_EOLS)
+    src = "".join(pieces)
+    for _ in range(rnd.randint(0, 2)):  # a label across lines or holding a raw CR
+        at = src.find(" : ", rnd.randrange(len(src) + 1))
+        if at >= 0:
+            end = re.compile(r"\S*").match(src, at + 3).end()
+            src = src[:at + 3] + rnd.choice(_LABELS_ACROSS_LINES) + src[end:]
+    if rnd.random() < 0.25:  # an error at the end of input
+        src = src[:rnd.randrange(len(src) + 1)]
+    return rnd.random() < 0.3, src
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(_line_end_programs())
+@example((True, "tcsd T { sut S test A\r\n  msg A -> S : \"a\\\r\nb\rc\" # \"\r  at"))
+@example((False, "tcsd T { sut S test A\r  msg A -> S : \"open\r\n}"))
+def test_spans_and_errors_match_the_reference_across_line_ends(case):
+    # The reference lexer counts lines as it goes and knows no byte-order
+    # mark, so the marked source must read as the unmarked one does.
+    marked, src = case
+    ours = _outcome(parser.parse_tcsd, "\ufeff" + src if marked else src)
+    assert ours == _outcome(parser_reference.parse_tcsd, src), src
