@@ -6,6 +6,7 @@ output for identical input.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 
@@ -95,6 +96,11 @@ def guard_inscription(guard: Guard) -> str:
 
 def _xml_id(raw: str) -> str:
     """Replace every character that is not alphanumeric or '_' by '_'."""
+    name = raw.replace(".", "_")
+    # A net's own names hold only word characters and dots: str.isalnum
+    # is the rule \w applies to each character other than '_'.
+    if name.replace("_", "0").isalnum():
+        return name
     return _NON_WORD.sub("_", raw)
 
 
@@ -145,8 +151,9 @@ def tapaal_xml_lines(tu: TranslationUnit):
                    % (ids[source], ids[transition], ids[target], inscription[guard]))
         yield "  </net>\n"
     yield "  <queries>\n"
-    yield '    <query name="target-reachability">EF (%s)</query>\n' % " and ".join(
-        "%s = %d" % (ids[p], tu.target.get(p, 0)) for p in net.places)
+    yield '    <query name="target-reachability">EF (%s)</query>\n' % " and ".join(map(
+        "%s = %d".__mod__, zip(map(ids.__getitem__, net.places),
+                               map(tu.target.get, net.places, itertools.repeat(0)))))
     yield "  </queries>\n"
     yield "</pnml>\n"
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import operator
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -26,6 +27,9 @@ PARTITION = "partition"
 EVENT_KINDS = (SEND, RECEIVE, FRAGMENT_ENTER, FRAGMENT_EXIT, PARTITION)
 _KINDS = frozenset(EVENT_KINDS)
 _BORDERS = frozenset((FRAGMENT_ENTER, FRAGMENT_EXIT))
+_MESSAGE_KINDS = frozenset((SEND, RECEIVE))
+_SEND_ONLY = frozenset((SEND,))
+_RECEIVE_ONLY = frozenset((RECEIVE,))
 
 OPERATORS = ("strict", "par", "opt", "alt", "loop")
 
@@ -130,7 +134,9 @@ class FragmentNode(NamedTuple):
 # Fields read in bulk: an Event's id and kind, a Message's send and
 # receive, a PartitionLine's timestamp.
 _ID = itemgetter(0)
+_INSTANCE = itemgetter(1)
 _KIND = itemgetter(2)
+_FRAGMENT = itemgetter(3)
 _RECEIVER = itemgetter(2)
 _TIMESTAMP = itemgetter(1)
 
@@ -169,17 +175,14 @@ def _members(fragments) -> dict[str, dict[str, tuple[int, ...]]]:
 
 def _parse_items(line, i, j) -> list:
     """The items of ``events[i:j]``, where ``line`` is what ``_region_tree``
-    works out once: (events, borders, exit_of, frags, members)."""
-    events, borders, exit_of, frags, members = line
+    works out once: (events, ids, nodes, borders, exit_of, frags, members)."""
+    events, ids, nodes, borders, exit_of, frags, members = line
     n = bisect.bisect_left(borders, i)
-    if n == len(borders) or borders[n] >= j:
-        return list(map(_new_event_node, zip(events[i:j])))
     items = []
     k = i
     while n < len(borders) and borders[n] < j:
         b = borders[n]
-        if k < b:
-            items += map(_new_event_node, zip(events[k:b]))
+        items += nodes[k:b]
         e = events[b]
         if e.kind == FRAGMENT_EXIT:
             raise LayoutError("unmatched fragment exit %s" % e.id)
@@ -189,30 +192,28 @@ def _parse_items(line, i, j) -> list:
         end = exit_of[b]
         if end is None or end >= j:
             raise LayoutError("fragment %s has no exit on the SUT line" % frag.id)
-        inner = events[b + 1:end]
-        owners = list(map(members[frag.id].get, map(_ID, inner), itertools.repeat(())))
+        owners = list(map(members[frag.id].get, ids[b + 1:end], itertools.repeat(())))
         if set(map(len, owners)) - {1}:
-            for ev, ops in zip(inner, owners):
+            for eid, ops in zip(ids[b + 1:end], owners):
                 if len(ops) != 1:
                     raise LayoutError("event %s is in %d operands of fragment %s"
-                                      % (ev.id, len(ops), frag.id))
+                                      % (eid, len(ops), frag.id))
         if owners != sorted(owners):
             raise LayoutError(
                 "operands of fragment %s are interleaved on the SUT line" % frag.id)
         # Operand x holds the run of (x,) in owners; with no border inside
-        # the fragment, each run is a list of event nodes.
+        # the fragment, each run is a slice of the line's event nodes.
         leaf = borders[n + 1] == end
         operand_items = []
-        lo = 0
+        lo = b + 1
         for x in range(len(frag.operands)):
-            hi = bisect.bisect_right(owners, (x,), lo)
-            operand_items.append(list(map(_new_event_node, zip(inner[lo:hi]))) if leaf
-                                 else _parse_items(line, b + 1 + lo, b + 1 + hi))
+            hi = bisect.bisect_right(owners, (x,), lo - b - 1) + b + 1
+            operand_items.append(nodes[lo:hi] if leaf else _parse_items(line, lo, hi))
             lo = hi
         items.append(_new_fragment_node((frag, e, events[end], operand_items)))
         k = end + 1
         n = bisect.bisect_left(borders, k, n)
-    items += map(_new_event_node, zip(events[k:j]))
+    items += nodes[k:j]
     return items
 
 
@@ -222,8 +223,10 @@ def _region_tree(tcsd: Tcsd, members) -> list:
 
     Every fragment's exit is found from one pass over the line's borders,
     from the right: an enter closes at the first exit of its fragment
-    after it.  Faults are raised in the order a walk of the line from the
-    left meets them, a fragment's own before those inside it.
+    after it.  Each event's node is made once, and an operand with no
+    border inside is a slice of them.  Faults are raised in the order a
+    walk of the line from the left meets them, a fragment's own before
+    those inside it.
     """
     events = _sut_events(tcsd)
     kinds = list(map(_KIND, events))
@@ -235,7 +238,9 @@ def _region_tree(tcsd: Tcsd, members) -> list:
             after[events[b].fragment] = b
         else:
             exit_of[b] = after.get(events[b].fragment)
-    line = (events, borders, exit_of, _index_fragments(tcsd), members)
+    nodes = list(map(_new_event_node, zip(events)))
+    line = (events, list(map(_ID, events)), nodes, borders, exit_of,
+            _index_fragments(tcsd), members)
     return _parse_items(line, 0, len(events))
 
 
@@ -258,30 +263,25 @@ def _add(violations, clause, elements, detail):
 
 
 def _index_events(tcsd: Tcsd):
-    """One pass over the declared lines: (event, at, malformed violations).
+    """Index the declared lines' events: (event, kinds, malformed violations).
 
-    ``event`` maps each event id to its event and ``at`` to its index on
-    its line; dangling references are ``malformed`` violations.
+    ``event`` maps each event id to its event and ``kinds`` lists the
+    events' kinds; dangling references are ``malformed`` violations.  The
+    events are indexed and checked in bulk, and only a fault in them is
+    looked for event by event.
     """
     v: list[Violation] = []
     base = tcsd.base
     frag_ids = {f.id for f in base.fragments}
-    event: dict[str, Event] = {}
-    at: dict[str, int] = {}
-    stray_border = False
-    for inst in base.instances:
-        for n, e in enumerate(base.events.get(inst, ())):
-            eid, owner, k, fragment = e
-            if eid in event:
-                _add(v, "malformed", [eid], "duplicate event id")
-            event[eid] = e
-            at[eid] = n
-            if owner != inst:
-                _add(v, "malformed", [eid], "event filed under wrong instance line")
-            if k not in _KINDS:
-                _add(v, "malformed", [eid], "unknown event kind %r" % k)
-            elif k in _BORDERS and fragment not in frag_ids:
-                stray_border = True
+    lines = list(map(base.events.get, base.instances, itertools.repeat(())))
+    events = list(itertools.chain.from_iterable(lines))
+    event = dict(zip(map(_ID, events), events))
+    kinds = list(map(_KIND, events))
+    if not (len(event) == len(events) and _KINDS.issuperset(kinds)
+            and all(map(_filed_on, base.instances, lines))):
+        _name_event_faults(base, v)
+    stray_border = not frag_ids.issuperset(
+        itertools.compress(map(_FRAGMENT, events), map(_BORDERS.__contains__, kinds)))
     undeclared = False
     for inst in base.events:
         if inst not in base.instances:
@@ -330,7 +330,69 @@ def _index_events(tcsd: Tcsd):
             for e in e_list:
                 if e.kind in _BORDERS and e.fragment not in frag_ids:
                     _add(v, "malformed", [e.id], "border event names unknown fragment")
-    return event, at, v
+    return event, kinds, v
+
+
+def _filed_on(inst: str, line) -> bool:
+    return all(map(inst.__eq__, map(_INSTANCE, line)))
+
+
+def _name_event_faults(base: SequenceDiagram, v):
+    """Add a ``malformed`` violation for each repeated event id, event
+    filed under another instance's line and unknown kind, in line order."""
+    seen = set()
+    for inst in base.instances:
+        for eid, owner, k, _ in base.events.get(inst, ()):
+            if eid in seen:
+                _add(v, "malformed", [eid], "duplicate event id")
+            seen.add(eid)
+            if owner != inst:
+                _add(v, "malformed", [eid], "event filed under wrong instance line")
+            if k not in _KINDS:
+                _add(v, "malformed", [eid], "unknown event kind %r" % k)
+
+
+def _positions(tcsd: Tcsd, wanted) -> dict[str, int]:
+    """Each event of ``wanted`` and its index on its line."""
+    at: dict[str, int] = {}
+    for line in tcsd.base.events.values():
+        ids = list(map(_ID, line))
+        at.update(itertools.compress(zip(ids, itertools.count()), map(wanted.__contains__, ids)))
+    return at
+
+
+def _check_messages(tcsd: Tcsd, event, v, off_sut):
+    """Add the violations of the message clauses, message by message: the
+    path taken when the bulk check in ``validate`` finds a fault."""
+    base, sut = tcsd.base, tcsd.sut
+    at = _positions(tcsd, {eid for m in base.messages
+                           if event[m.send].instance == event[m.receive].instance
+                           for eid in (m.send, m.receive)})
+    usage: dict[str, int] = {}
+    for send, label, receive in base.messages:
+        usage[send] = usage.get(send, 0) + 1
+        usage[receive] = usage.get(receive, 0) + 1
+        s, r = event[send], event[receive]
+        ends_on_sut = (s.instance == sut) + (r.instance == sut)
+        if ends_on_sut != 1:
+            _add(off_sut, "sut-endpoint", [send, receive],
+                 "message %r has %d endpoints on the SUT line" % (label, ends_on_sut))
+        if send == receive:
+            _add(v, "message-endpoints", [send], "message with identical endpoints")
+            continue
+        if s.kind != SEND:
+            _add(v, "message-endpoints", [send], "send endpoint is not a send event")
+        if r.kind != RECEIVE:
+            _add(v, "message-endpoints", [receive], "receive endpoint is not a receive event")
+        if s.instance == r.instance and at[send] >= at[receive]:
+            _add(v, "message-order", [send, receive],
+                 "same-line message must send before it receives")
+    for eid, n in usage.items():
+        if n > 1:
+            _add(v, "message-endpoints", [eid], "event is an endpoint of %d messages" % n)
+    for eid, e in event.items():
+        if e.kind in (SEND, RECEIVE) and eid not in usage:
+            _add(v, "message-endpoints", [eid], "%s event belongs to no message" % e.kind)
 
 
 def _descendants(fragments: tuple[Fragment, ...]) -> dict[str, set[str]]:
@@ -446,7 +508,7 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     0, inserted when absent) and that copy's region tree, which
     ``translate.translate`` takes instead of building it again.
     """
-    event, at, malformed = _index_events(tcsd)
+    event, kinds, malformed = _index_events(tcsd)
     if malformed:
         return ValidationResult(malformed)
 
@@ -456,33 +518,21 @@ def validate(tcsd: Tcsd) -> ValidationResult:
 
     # Message endpoints: kinds match, no sharing, every send/receive used once.
     # A message must also connect the SUT line with exactly one test line;
-    # those violations are reported after the layout check.
-    usage: dict[str, int] = {}
+    # those violations are reported after the layout check.  In bulk: the
+    # endpoints are as many as the send and receive events and distinct,
+    # each of its kind, and one end of each message is on the SUT line.
+    messages = base.messages
+    send_events = list(map(event.__getitem__, map(_ID, messages)))
+    receive_events = list(map(event.__getitem__, map(_RECEIVER, messages)))
+    ends = set(map(_ID, send_events))
+    ends.update(map(_ID, receive_events))
     off_sut: list[Violation] = []
-    for send, label, receive in base.messages:
-        usage[send] = usage.get(send, 0) + 1
-        usage[receive] = usage.get(receive, 0) + 1
-        s, r = event[send], event[receive]
-        ends_on_sut = (s.instance == sut) + (r.instance == sut)
-        if ends_on_sut != 1:
-            _add(off_sut, "sut-endpoint", [send, receive],
-                 "message %r has %d endpoints on the SUT line" % (label, ends_on_sut))
-        if send == receive:
-            _add(v, "message-endpoints", [send], "message with identical endpoints")
-            continue
-        if s.kind != SEND:
-            _add(v, "message-endpoints", [send], "send endpoint is not a send event")
-        if r.kind != RECEIVE:
-            _add(v, "message-endpoints", [receive], "receive endpoint is not a receive event")
-        if s.instance == r.instance and at[send] >= at[receive]:
-            _add(v, "message-order", [send, receive],
-                 "same-line message must send before it receives")
-    for eid, n in usage.items():
-        if n > 1:
-            _add(v, "message-endpoints", [eid], "event is an endpoint of %d messages" % n)
-    for eid, e in event.items():
-        if e.kind in (SEND, RECEIVE) and eid not in usage:
-            _add(v, "message-endpoints", [eid], "%s event belongs to no message" % e.kind)
+    if not (len(ends) == 2 * len(messages) == sum(map(_MESSAGE_KINDS.__contains__, kinds))
+            and _SEND_ONLY.issuperset(map(_KIND, send_events))
+            and _RECEIVE_ONLY.issuperset(map(_KIND, receive_events))
+            and all(map(operator.ne, map(sut.__eq__, map(_INSTANCE, send_events)),
+                        map(sut.__eq__, map(_INSTANCE, receive_events))))):
+        _check_messages(tcsd, event, v, off_sut)
 
     # Fragment shape: operand counts, loop bounds, empty operands.
     for f in base.fragments:
@@ -562,6 +612,8 @@ def validate(tcsd: Tcsd) -> ValidationResult:
             if eid in part_of:
                 _add(v, "completeness", [eid], "event shared between partition lines")
             part_of[eid] = n
+    at = _positions(tcsd, {eid for c in tcsd.timeouts for eid in (c.start, c.end)}.union(
+        part_of))
     _check_ordering(tcsd.partitions, event, at, v)
     for p in tcsd.partitions:
         for eid in p.events:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import re
 from collections.abc import Mapping
 from typing import NamedTuple
@@ -139,8 +140,17 @@ _ESCAPES = r"\\(?:\r\n?|[\s\S])"
 
 def _line_starts(text: str) -> list[int]:
     """The offset at which each line of ``text`` starts; line 1 starts
-    after a leading byte-order mark."""
+    after a leading byte-order mark.
+
+    Where every CR is followed by LF, each line starts after an LF: an
+    escaped line end starts a line where its LF, or its CR's LF, does.
+    Only a lone CR, which a string keeps raw, needs the lexer's rules.
+    """
     starts = [1 if text.startswith("\ufeff") else 0]
+    if text.count("\r") == text.count("\r\n"):
+        ends = itertools.accumulate(map((1).__add__, map(len, text.split("\n"))))
+        starts += itertools.islice(ends, text.count("\n"))
+        return starts
     for m in re.finditer(_LINE_ENDS, text):
         s = m.group()
         if s[0] == '"':
@@ -247,18 +257,6 @@ class _Cursor:
             self.tok = self.lexer.next()
         return self.tok
 
-    def statement(self) -> re.Match | None:
-        """The ``_STATEMENT`` match at the next token, whose blanks are then
-        skipped but whose statement is not consumed yet; None when it does
-        not match or a token is peeked already."""
-        if self.tok is not None:
-            return None
-        lx = self.lexer
-        m = _STATEMENT(lx.text, lx.pos)
-        if m is not None:
-            lx.pos = m.start("start")
-        return m
-
     def span(self, tok: Token | None = None) -> SourceSpan:
         return self.lexer.span((tok or self.peek()).offset)
 
@@ -310,20 +308,31 @@ _new_fragment = functools.partial(tuple.__new__, Fragment)
 _new_partition = functools.partial(tuple.__new__, PartitionLine)
 _new_timeout = functools.partial(tuple.__new__, Timeout)
 
+_OPERAND_LISTS = ("par", "alt")
+_ANCHOR_KINDS = (model.SEND, model.RECEIVE, model.FRAGMENT_ENTER, model.FRAGMENT_EXIT)
 
-class _Collector(NamedTuple):
-    # Each line's length when the block opened: the block's events are
-    # always the suffix of every line from there on.
-    starts: dict[str, int]
-    first: int  # how many events there were when the block opened
-    frags: list[str]
+
+class _Open(NamedTuple):
+    """A block, or the operand list of a par or alt, open around the
+    statements being read; the diagram's body is the first."""
+
+    word: str  # the head's keyword: par or alt for an operand list
+    at: int  # where the head starts
+    bound: int | None
+    first: int  # how many events there were when it opened
+    # Each line's length when a fragment or timeout opened: its events are
+    # always the suffix of every line from there on.  An op block has none,
+    # since its fragment's operand list has them.
+    starts: list[int] | None
+    items: list  # a block's child fragment ids, an operand list's operands
 
 
 class _DiagramBuilder:
-    def __init__(self):
+    def __init__(self, lexer: _Lexer):
+        self.span = lexer.span
         self.name = ""
         self.sut = ""
-        self.lines: dict[str, list[Event]] = {}  # in declaration order
+        self.lines: dict[str, list[Event]] = {}  # in declaration order, the SUT first
         self.eids: list[str] = []  # in creation order
         self.messages: list[Message] = []
         self.fragments: list[Fragment] = []
@@ -335,24 +344,14 @@ class _DiagramBuilder:
         self.fragment_at: list[int] = []
         self.partition_at: list[int] = []
         self.timeout_at: list[int] = []
-        self.collectors: list[_Collector] = []
+        self.stack: list[_Open] = [_Open("", 0, None, 0, None, [])]
+        self.depth = 0  # how many blocks are open
         self.strict_ids: set[str] = set()
 
-    def declare(self, c: _Cursor, tok: Token):
+    def declare(self, tok: Token):
         if tok.value in self.lines:
-            raise ParseError(c.span(tok), "duplicate instance name %r" % tok.value)
+            raise ParseError(self.span(tok.offset), "duplicate instance name %r" % tok.value)
         self.lines[tok.value] = []
-
-    def new_event(self, instance, kind, at, fragment=None, index=None) -> str:
-        eid = "e%d" % (len(self.eids) + 1)
-        ev = _new_event((eid, instance, kind, fragment))
-        if index is None:
-            self.lines[instance].append(ev)
-        else:
-            self.lines[instance].insert(index, ev)
-        self.eids.append(eid)
-        self.event_at.append(at)
-        return eid
 
     def message(self, src, dst, label, at, src_at, dst_at):
         eids = self.eids
@@ -366,9 +365,68 @@ class _DiagramBuilder:
         self.message_at.append(at)
 
     def partition(self, delta, at, delta_at):
-        events = [self.new_event(inst, model.PARTITION, delta_at) for inst in self.lines]
+        eids = self.eids
+        n = len(eids)
+        events = ["e%d" % k for k in range(n + 1, n + 1 + len(self.lines))]
+        eids += events
+        for eid, (inst, line) in zip(events, self.lines.items()):
+            line.append(_new_event((eid, inst, model.PARTITION, None)))
+        self.event_at += [delta_at] * len(events)
         self.partitions.append(_new_partition((tuple(events), delta)))
         self.partition_at.append(at)
+
+    def open(self, word, at, bound):
+        """Open the block or operand list whose head, up to its ``{``, is read."""
+        starts = None if word == "op" else list(map(len, self.lines.values()))
+        if word not in _OPERAND_LISTS:
+            self.depth += 1
+        self.stack.append(_Open(word, at, bound, len(self.eids), starts, []))
+
+    def close(self):
+        """Close the innermost open block or operand list, whose ``}`` is read."""
+        top = self.stack.pop()
+        if top.word in _OPERAND_LISTS:
+            if len(top.items) < 2:
+                raise ParseError(self.span(top.at), "%s needs at least 2 operands" % top.word)
+            self._fragment(top, top.items)
+            return
+        self.depth -= 1
+        body = _new_operand((tuple(self.eids[top.first:]), tuple(top.items)))
+        parent = self.stack[-1]
+        if top.word == "op":
+            parent.items.append(body)
+        elif top.word == "timeout":
+            # A timeout is no fragment: what it nests belongs to the enclosing block.
+            parent.items.extend(body.children)
+            # Its anchors: the block's SUT events a timeout may anchor on, in line order.
+            anchors = [e.id for e in self.lines[self.sut][top.starts[0]:]
+                       if e.kind in _ANCHOR_KINDS and e.fragment not in self.strict_ids]
+            if not anchors:
+                raise ParseError(self.span(top.at),
+                                 "timeout block contains no SUT event to anchor on")
+            self.timeouts.append(_new_timeout((anchors[0], anchors[-1], top.bound)))
+            self.timeout_at.append(top.at)
+        else:
+            self._fragment(top, [body])
+
+    def _fragment(self, top: _Open, operands):
+        """Finish the fragment ``top`` opened, putting its borders round
+        every line that has events inside it."""
+        fid = "f%d" % (len(self.fragments) + 1)
+        eids = self.eids
+        for (inst, line), start in zip(self.lines.items(), top.starts):
+            if start < len(line):
+                enter = "e%d" % (len(eids) + 1)
+                exit_ = "e%d" % (len(eids) + 2)
+                eids += enter, exit_
+                line.insert(start, _new_event((enter, inst, model.FRAGMENT_ENTER, fid)))
+                line.append(_new_event((exit_, inst, model.FRAGMENT_EXIT, fid)))
+                self.event_at += top.at, top.at
+        self.fragments.append(_new_fragment((fid, top.word, tuple(operands), top.bound)))
+        if top.word == "strict":
+            self.strict_ids.add(fid)
+        self.stack[-1].items.append(fid)
+        self.fragment_at.append(top.at)
 
     def build(self) -> Tcsd:
         sd = SequenceDiagram(
@@ -445,11 +503,9 @@ class _Spans(Mapping):
                 + len(self._partition_at) + len(self._timeout_at))
 
 
-_ANCHOR_KINDS = (model.SEND, model.RECEIVE, model.FRAGMENT_ENTER, model.FRAGMENT_EXIT)
-
-
 def _parse_statement(c: _Cursor, b: _DiagramBuilder):
-    """One statement, token by token: the path that reports every error."""
+    """One statement, token by token: the path that reports every error.
+    A block head is read up to its ``{``, and the block opened."""
     tok = c.peek()
     if tok.kind != "KEYWORD" or tok.value not in _STMT_KEYWORDS:
         raise ParseError(c.span(), "found %r" % (tok.value or tok.kind),
@@ -475,160 +531,112 @@ def _parse_statement(c: _Cursor, b: _DiagramBuilder):
         b.partition(delta, at, dtok.offset)
     elif tok.value == "timeout":
         bound, _ = c.expect_int("timeout bound", minimum=1)
-        _parse_timeout(c, b, at, bound)
-    elif tok.value in ("par", "alt"):
+        _open_block(c, b, "timeout", at, bound)
+    elif tok.value in _OPERAND_LISTS:
         c.expect("LBRACE")
-        _parse_operands(c, b, tok.value, at)
+        b.open(tok.value, at, None)
     else:
         bound = c.expect_int("loop bound", minimum=0)[0] if tok.value == "loop" else None
-        _finish_fragment(b, at, [_parse_block(c, b)], tok.value, bound)
+        _open_block(c, b, tok.value, at, bound)
 
 
-def _take_statement(c: _Cursor, b: _DiagramBuilder, m: re.Match) -> bool:
-    """Build the statement ``m`` matched at the lexer's ``pos``, or leave it
-    to the token path (False): an undeclared instance or a keyword where a
-    name belongs, an ``op`` outside par and alt, a timeout bound of 0, an
-    integer longer than ``MAX_INT_DIGITS`` and a block nested too deep."""
-    lx = c.lexer
-    kind = m.lastgroup
-    at = lx.pos
-    if kind == "label":
-        src, dst, label = m.group("src", "dst", "label")
-        if src not in b.lines or dst not in b.lines:
-            return False
-        b.message(src, dst, label[1:-1] if label[0] == '"' else label,
-                  at, m.start("src"), m.start("dst"))
-        lx.pos = m.end()
-        return True
-    number = m["at"] or m["bound"]
-    if number is not None and len(number) > MAX_INT_DIGITS:
-        return False
-    if kind == "at":
-        b.partition(int(number), at, m.start("at"))
-        lx.pos = m.end()
-        return True
-    word = m["head"] or m["bounded"]
-    bound = int(number) if kind == "bound" else None
-    if word == "op" or (word == "timeout" and bound == 0) or len(b.collectors) >= MAX_NESTING:
-        return False
-    lx.pos = m.end()
-    if word == "timeout":
-        _parse_timeout(c, b, at, bound, opened=True)
-    elif word in ("par", "alt"):
-        _parse_operands(c, b, word, at)
-    else:
-        _finish_fragment(b, at, [_parse_block(c, b, opened=True)], word, bound)
-    return True
+def _open_block(c: _Cursor, b: _DiagramBuilder, word, at, bound=None):
+    """Read the ``{`` of a block whose head is read, and open the block."""
+    brace = c.expect("LBRACE")
+    if b.depth >= MAX_NESTING:
+        raise ParseError(c.span(brace), "blocks nested deeper than %d" % MAX_NESTING)
+    b.open(word, at, bound)
 
 
 def _parse_statements(c: _Cursor, b: _DiagramBuilder):
-    """Statements up to the ``}`` that closes their block, which is consumed.
+    """The diagram's statements, up to and with the ``}`` that closes it.
 
-    A statement ``_STATEMENT`` matches is taken from that one match; any
-    other goes token by token.
+    One loop reads the statements of every block; ``b.stack`` holds the
+    blocks and operand lists open around the one being read.  A statement
+    that ``_STATEMENT`` matches whole is taken from that one match, unless
+    the token path must report it: an undeclared instance or a keyword
+    where a name belongs, an ``op`` outside par and alt, a timeout bound of
+    0, an integer longer than ``MAX_INT_DIGITS`` and a block nested too
+    deep.  Those, and every statement the pattern does not match, go token
+    by token through ``_parse_statement``.
     """
+    lx = c.lexer
+    text = lx.text
+    lines = b.lines
+    stack = b.stack
     while True:
-        m = c.statement()
+        m = _STATEMENT(text, lx.pos) if c.tok is None else None
         if m is not None:
-            if m.lastgroup == "close":
-                c.lexer.pos = m.end()
-                return
-            if _take_statement(c, b, m):
+            at = m.start("start")
+            kind = m.lastgroup
+            if kind == "close":
+                lx.pos = m.end()
+                if len(stack) == 1:
+                    return
+                b.close()
                 continue
+            if stack[-1].word in _OPERAND_LISTS:
+                if m["head"] == "op" and b.depth < MAX_NESTING:
+                    lx.pos = m.end()
+                    b.open("op", at, None)
+                    continue
+            elif kind == "label":
+                src, dst, label = m.group("src", "dst", "label")
+                if src in lines and dst in lines:
+                    lx.pos = m.end()
+                    b.message(src, dst, label[1:-1] if label[0] == '"' else label,
+                              at, m.start("src"), m.start("dst"))
+                    continue
+            elif kind == "at":
+                if len(m["at"]) <= MAX_INT_DIGITS:
+                    lx.pos = m.end()
+                    b.partition(int(m["at"]), at, m.start("at"))
+                    continue
+            else:  # a block head
+                word = m["head"] or m["bounded"]
+                number = m["bound"] or ""
+                if (word != "op" and b.depth < MAX_NESTING and len(number) <= MAX_INT_DIGITS
+                        and (word != "timeout" or int(number))):
+                    lx.pos = m.end()
+                    b.open(word, at, int(number) if number else None)
+                    continue
+            lx.pos = at  # the token path takes it from here
+        if stack[-1].word in _OPERAND_LISTS:
+            if c.at_keyword("op"):
+                _open_block(c, b, "op", c.advance().offset)
+            else:
+                c.expect("RBRACE")
+                b.close()
+            continue
         kind = c.peek().kind
         if kind == "RBRACE":
             c.advance()
-            return
-        if kind == "EOF":
+            if len(stack) == 1:
+                return
+            b.close()
+        elif kind == "EOF":
             raise ParseError(c.span(), "unexpected end of input", expected=("}",))
-        _parse_statement(c, b)
-
-
-def _parse_block(c: _Cursor, b: _DiagramBuilder, opened=False) -> tuple[_Collector, Operand]:
-    """Parse ``{ STMT* }``, the ``{`` already consumed when ``opened``; give
-    the block's collector and the events and fragments created inside."""
-    if not opened:
-        brace = c.expect("LBRACE")
-        if len(b.collectors) >= MAX_NESTING:
-            raise ParseError(c.span(brace), "blocks nested deeper than %d" % MAX_NESTING)
-    coll = _Collector({inst: len(evs) for inst, evs in b.lines.items()}, len(b.eids), [])
-    b.collectors.append(coll)
-    _parse_statements(c, b)
-    b.collectors.pop()
-    return coll, _new_operand((tuple(b.eids[coll.first:]), tuple(coll.frags)))
-
-
-def _parse_timeout(c: _Cursor, b: _DiagramBuilder, at, bound, opened=False):
-    coll, body = _parse_block(c, b, opened)
-    # A timeout is no fragment: what it nests belongs to the enclosing operand.
-    if b.collectors:
-        b.collectors[-1].frags.extend(body.children)
-    # Its anchors: the block's SUT events a timeout may anchor on, in line order.
-    anchors = [e.id for e in b.lines[b.sut][coll.starts[b.sut]:]
-               if e.kind in _ANCHOR_KINDS and e.fragment not in b.strict_ids]
-    if not anchors:
-        raise ParseError(c.lexer.span(at), "timeout block contains no SUT event to anchor on")
-    b.timeouts.append(_new_timeout((anchors[0], anchors[-1], bound)))
-    b.timeout_at.append(at)
-
-
-def _parse_operands(c: _Cursor, b: _DiagramBuilder, operator, at):
-    """The ``{ op { STMT* } ... }`` of a par or alt."""
-    blocks = []
-    while True:
-        m = c.statement()
-        if m is not None and m["head"] == "op" and len(b.collectors) < MAX_NESTING:
-            c.lexer.pos = m.end()
-            blocks.append(_parse_block(c, b, opened=True))
-        elif m is not None and m.lastgroup == "close":
-            c.lexer.pos = m.end()
-            break
-        elif c.at_keyword("op"):
-            c.advance()
-            blocks.append(_parse_block(c, b))
         else:
-            c.expect("RBRACE")
-            break
-    if len(blocks) < 2:
-        raise ParseError(c.lexer.span(at), "%s needs at least 2 operands" % operator)
-    _finish_fragment(b, at, blocks, operator, None)
-
-
-def _finish_fragment(b: _DiagramBuilder, at, blocks, operator, loop_bound):
-    fid = "f%d" % (len(b.fragments) + 1)
-    first_starts = blocks[0][0].starts
-    for inst, line in b.lines.items():
-        start = first_starts[inst]
-        if start == len(line):
-            continue
-        b.new_event(inst, model.FRAGMENT_ENTER, at, fid, start)
-        b.new_event(inst, model.FRAGMENT_EXIT, at, fid)
-    b.fragments.append(_new_fragment((fid, operator, tuple(body for _, body in blocks),
-                                      loop_bound)))
-    if operator == "strict":
-        b.strict_ids.add(fid)
-    if b.collectors:
-        b.collectors[-1].frags.append(fid)
-    b.fragment_at.append(at)
+            _parse_statement(c, b)
 
 
 def parse_tcsd(source: str, filename: str = "<tcsd>") -> ParseResult:
     """Parse one diagram; the result is raw and still needs ``model.validate``."""
     lexer = _Lexer(source, filename)
     c = _Cursor(lexer)
-    b = _DiagramBuilder()
+    b = _DiagramBuilder(lexer)
     head = c.expect_keyword("tcsd")
     b.name = c.expect("IDENT").value
     c.expect("LBRACE")
     c.expect_keyword("sut")
     sut = c.expect("IDENT")
-    b.declare(c, sut)
+    b.declare(sut)
     b.sut = sut.value
     c.expect_keyword("test")
-    b.declare(c, c.expect("IDENT"))
+    b.declare(c.expect("IDENT"))
     while c.at_keyword("test"):
         c.advance()
-        b.declare(c, c.expect("IDENT"))
+        b.declare(c.expect("IDENT"))
     _parse_statements(c, b)
     c.expect("EOF")
     return ParseResult(b.build(), _Spans(lexer, b, head.offset))

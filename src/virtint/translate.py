@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import model, tapn
 from .model import EventNode, Tcsd
-from .tapn import (ANY_AGE, Guard, InputArc, Marking, OutputArc, Tapn, TargetSpec,
+from .tapn import (ANY_AGE, InputArc, Marking, OutputArc, Tapn, TargetSpec,
                    Transition, TransportArc)
 
 START = "start"
@@ -53,6 +53,7 @@ _new_transition = functools.partial(tuple.__new__, Transition)
 _new_input_arc = functools.partial(tuple.__new__, InputArc)
 _new_output_arc = functools.partial(tuple.__new__, OutputArc)
 _new_transport_arc = functools.partial(tuple.__new__, TransportArc)
+_FIRST, _SECOND, _THIRD = map(operator.itemgetter, range(3))
 
 
 class _Builder:
@@ -67,22 +68,25 @@ class _Builder:
         self.transport_arcs: list[TransportArc] = []
         self.kinds: dict[str, str] = {}
         self.waits: set[str] = set()
-        self.event_map: dict[str, list[str]] = {}
+        # Each step's event and transition, in the order they are built.
+        self.stepped: list[str] = []
+        self.steps: list[str] = []
         self.timeouts = tcsd.timeouts
         self.open_waits: dict[int, str] = {}
-        self.msg_by_event = {}
+        # What an event's step carries: a message's label, a partition's guard.
+        self.label_of = {}
         for m in tcsd.base.messages:
-            self.msg_by_event[m.send] = m
-            self.msg_by_event[m.receive] = m
-        self.delta_by_event = {}
+            self.label_of[m.send] = m.label
+            self.label_of[m.receive] = m.label
+        self.guard_of = {}
         for p in tcsd.partitions:
-            for eid in p.events:
-                self.delta_by_event[eid] = p.timestamp
+            self.guard_of.update(dict.fromkeys(p.events, tapn.exact(p.timestamp)))
         self.starts: dict[str, list[int]] = {}
         self.ends: dict[str, list[int]] = {}
         for n, c in enumerate(tcsd.timeouts):
             self.starts.setdefault(c.start, []).append(n)
             self.ends.setdefault(c.end, []).append(n)
+        self.anchors = self.starts.keys() | self.ends.keys()
 
     def place(self) -> str:
         pid = "%s.P%d" % (self.prefix, len(self.places))
@@ -96,7 +100,14 @@ class _Builder:
         return tid
 
     def net(self) -> Tapn:
-        return Tapn(
+        """The net built, checked as ``Tapn.check`` checks a net.
+
+        The fold names every node afresh and joins only nodes it made, so
+        a few set operations over what it appended show the net sound:
+        ``Tapn.check`` then has nothing to find.  Where they do not, it
+        runs and raises for the fault, as it did when it checked every net.
+        """
+        net = Tapn(
             name=self.prefix,
             places=tuple(self.places),
             transitions=tuple(self.transitions),
@@ -104,9 +115,34 @@ class _Builder:
             output_arcs=tuple(self.output_arcs),
             transport_arcs=tuple(self.transport_arcs),
         )
+        pset = set(net.places)
+        tset = set(map(_FIRST, net.transitions))
+        inputs, outputs, transport = net.input_arcs, net.output_arcs, net.transport_arcs
+        moved = set(map(_SECOND, transport))  # transitions with a transport arc
+        sound = (len(pset) == len(net.places) and len(tset) == len(net.transitions)
+                 and pset.isdisjoint(tset)
+                 # no arc dangles
+                 and pset.issuperset(map(_FIRST, inputs))
+                 and tset.issuperset(map(_SECOND, inputs))
+                 and tset.issuperset(map(_FIRST, outputs))
+                 and pset.issuperset(map(_SECOND, outputs))
+                 and pset.issuperset(map(_FIRST, transport))
+                 and pset.issuperset(map(_THIRD, transport)) and tset.issuperset(moved)
+                 # one transport arc per transition: no two leave or reach through one pair
+                 and len(moved) == len(transport)
+                 # no place feeds a transition by a normal arc and starts a transport
+                 # arc, or is filled by a normal arc and ends one: no pair is both
+                 and set(map(_FIRST, inputs)).isdisjoint(map(_FIRST, transport))
+                 and set(map(_SECOND, outputs)).isdisjoint(map(_THIRD, transport))
+                 # every transition has an incoming arc
+                 and len(moved.union(map(_SECOND, inputs))) == len(tset))
+        if not sound:
+            net.check()
+        return net
 
-    def attach(self, event_id: str, tid: str):
-        self.event_map.setdefault(event_id, []).append(tid)
+    def anchor(self, event_id: str, tid: str):
+        """End the timeouts that end at ``event_id``, and start those that
+        start there, on the step ``tid``."""
         for n in self.ends.get(event_id, ()):
             if n not in self.open_waits:
                 raise TranslationError(
@@ -120,67 +156,95 @@ class _Builder:
             self.output_arcs.append(_new_output_arc((tid, wait)))
             self.open_waits[n] = wait
 
-    def transport_step(self, p: str, label: str | None, kind: str,
-                       guard: Guard) -> tuple[str, str]:
-        t = self.transition(label, kind)
-        p2 = self.place()
-        self.transport_arcs.append(_new_transport_arc((p, t, p2, guard)))
-        return t, p2
+    def attach(self, event_id: str, tid: str):
+        self.stepped.append(event_id)
+        self.steps.append(tid)
+        if event_id in self.anchors:
+            self.anchor(event_id, tid)
 
     def emit_items(self, items, p: str, in_branch: bool = False) -> str:
+        """Fold ``items`` into steps from place ``p``; give the last place.
+
+        An event's step is built here without a call, unless the event
+        anchors a timeout; fragments go through ``emit_fragment``.
+        """
+        prefix = self.prefix
+        places, transitions, arcs = self.places, self.transitions, self.transport_arcs
+        kinds, stepped, steps = self.kinds, self.stepped, self.steps
+        label_of, guard_of, anchors = self.label_of, self.guard_of, self.anchors
         for item in items:
-            if isinstance(item, EventNode):
-                e = item.event
-                if e.kind in (model.SEND, model.RECEIVE):
-                    msg = self.msg_by_event.get(e.id)
-                    if msg is None:
-                        raise TranslationError("message event %s has no message" % e.id)
-                    t, p = self.transport_step(p, msg.label, MESSAGE, ANY_AGE)
-                    self.attach(e.id, t)
-                elif e.kind == model.PARTITION:
-                    if in_branch:
-                        # Branch tokens carry no global clock; the validator
-                        # rejects partitions inside operands before this.
-                        raise TranslationError(
-                            "partition event %s inside a fragment operand" % e.id)
-                    d = self.delta_by_event.get(e.id)
-                    if d is None:
-                        raise TranslationError("partition event %s has no line" % e.id)
-                    t, p = self.transport_step(p, None, PARTITION_STEP, tapn.exact(d))
-                    self.attach(e.id, t)
-                else:
-                    raise TranslationError("unexpected %s event %s on the SUT walk"
-                                           % (e.kind, e.id))
+            if type(item) is not EventNode:
+                p = self.emit_fragment(item, p, in_branch)
                 continue
-            f = item.fragment
-            if f.operator == "strict":
-                for eid in (item.enter.id, item.exit.id):
-                    if eid in self.starts or eid in self.ends:
-                        raise TranslationError(
-                            "timeout anchored on strict fragment border %s" % eid)
-                p = self.emit_items(item.operand_items[0], p, in_branch)
-                continue
-            tfs, pmid = self.transport_step(p, None, FRAGMENT_ENTER, ANY_AGE)
-            self.attach(item.enter.id, tfs)
-            tfe = self.transition(None, FRAGMENT_EXIT)
-            pend = self.place()
-            self.transport_arcs.append(_new_transport_arc((pmid, tfe, pend, ANY_AGE)))
-            if f.operator == "loop":
+            eid, _, kind, _ = item.event
+            if kind == model.SEND or kind == model.RECEIVE:
+                if eid not in label_of:
+                    raise TranslationError("message event %s has no message" % eid)
+                label, guard, kind = label_of[eid], ANY_AGE, MESSAGE
+            elif kind == model.PARTITION:
+                if in_branch:
+                    # Branch tokens carry no global clock; the validator
+                    # rejects partitions inside operands before this.
+                    raise TranslationError(
+                        "partition event %s inside a fragment operand" % eid)
+                guard = guard_of.get(eid)
+                if guard is None:
+                    raise TranslationError("partition event %s has no line" % eid)
+                label, kind = None, PARTITION_STEP
+            else:
+                raise TranslationError("unexpected %s event %s on the SUT walk" % (kind, eid))
+            t = "%s.T%d" % (prefix, len(transitions))
+            transitions.append(_new_transition((t, label)))
+            kinds[t] = kind
+            p2 = "%s.P%d" % (prefix, len(places))
+            places.append(p2)
+            arcs.append(_new_transport_arc((p, t, p2, guard)))
+            p = p2
+            stepped.append(eid)
+            steps.append(t)
+            if eid in anchors:
+                self.anchor(eid, t)
+        return p
+
+    def emit_fragment(self, item, p: str, in_branch: bool) -> str:
+        f = item.fragment
+        if f.operator == "strict":
+            for eid in (item.enter.id, item.exit.id):
+                if eid in self.anchors:
+                    raise TranslationError(
+                        "timeout anchored on strict fragment border %s" % eid)
+            return self.emit_items(item.operand_items[0], p, in_branch)
+        tfs = self.transition(None, FRAGMENT_ENTER)
+        pmid = self.place()
+        self.transport_arcs.append(_new_transport_arc((p, tfs, pmid, ANY_AGE)))
+        self.attach(item.enter.id, tfs)
+        tfe = self.transition(None, FRAGMENT_EXIT)
+        pend = self.place()
+        self.transport_arcs.append(_new_transport_arc((pmid, tfe, pend, ANY_AGE)))
+        if f.operator == "loop":
+            branch = self.place()
+            self.output_arcs.append(_new_output_arc((tfs, branch)))
+            cur = branch
+            for _ in range(f.loop_bound):
+                cur = self.emit_items(item.operand_items[0], cur, True)
+            self.input_arcs.append(_new_input_arc((cur, tfe, ANY_AGE)))
+        else:
+            for op_items in item.operand_items:
                 branch = self.place()
                 self.output_arcs.append(_new_output_arc((tfs, branch)))
-                cur = branch
-                for _ in range(f.loop_bound):
-                    cur = self.emit_items(item.operand_items[0], cur, True)
+                cur = self.emit_items(op_items, branch, True)
                 self.input_arcs.append(_new_input_arc((cur, tfe, ANY_AGE)))
-            else:
-                for op_items in item.operand_items:
-                    branch = self.place()
-                    self.output_arcs.append(_new_output_arc((tfs, branch)))
-                    cur = self.emit_items(op_items, branch, True)
-                    self.input_arcs.append(_new_input_arc((cur, tfe, ANY_AGE)))
-            self.attach(item.exit.id, tfe)
-            p = pend
-        return p
+        self.attach(item.exit.id, tfe)
+        return pend
+
+    def event_map(self) -> dict[str, tuple[str, ...]]:
+        """Each event with a step and its transitions, in the order built."""
+        out = dict(zip(self.stepped, zip(self.steps)))
+        if len(out) < len(self.stepped):  # some event was unrolled more than once
+            out = dict.fromkeys(self.stepped, ())
+            for eid, tid in zip(self.stepped, self.steps):
+                out[eid] += (tid,)
+        return out
 
 
 def _check_timeout_shape(tcsd: Tcsd):
@@ -193,7 +257,7 @@ def _check_timeout_shape(tcsd: Tcsd):
     the innermost one still open.  Spans sharing only an anchor are chained.
     """
     line = tcsd.base.events.get(tcsd.sut, ())
-    pos = dict(zip(map(operator.itemgetter(0), line), range(len(line))))  # event id -> index
+    pos = dict(zip(map(_FIRST, line), range(len(line))))  # event id -> index
     spans = sorted(((pos[c.start], pos[c.end], c) for c in tcsd.timeouts),
                    key=lambda span: (span[0], -span[1]))
     open_spans = []
@@ -236,7 +300,10 @@ def translate(tcsd: Tcsd, regions: list | None = None) -> TranslationUnit:
     ``ValidationResult.regions`` carries it; without it the tree is built
     here by ``model.sut_regions``.  Raises TranslationError, before
     building anything, when the net with every loop unrolled would have
-    more than ``MAX_TRANSITIONS`` transitions.
+    more than ``MAX_TRANSITIONS`` transitions.  The net is checked as
+    ``Tapn.check`` checks one, from what the builder appended (see
+    ``_Builder.net``), and a fault raises its ValueError before any unit
+    is returned.
     """
     if regions is None:
         regions = model.sut_regions(tcsd)
@@ -259,14 +326,12 @@ def translate(tcsd: Tcsd, regions: list | None = None) -> TranslationUnit:
         raise TranslationError("timeouts %s never reached their end anchor"
                                % sorted(b.open_waits))
 
-    net = b.net()
-    net.check()
     return TranslationUnit(
         tcsd=tcsd,
-        net=net,
+        net=b.net(),
         m0={p_pre: (0,)},
         target={final: 1},
-        event_map={k: tuple(v) for k, v in b.event_map.items()},
+        event_map=b.event_map(),
         transition_kinds=dict(b.kinds),
         wait_places=frozenset(b.waits),
     )

@@ -637,3 +637,80 @@ def test_spans_and_errors_match_the_reference_across_line_ends(case):
     marked, src = case
     ours = _outcome(parser.parse_tcsd, "\ufeff" + src if marked else src)
     assert ours == _outcome(parser_reference.parse_tcsd, src), src
+
+
+# -- the block stack: nested blocks against the recursive reference -----------
+
+_LONG = "1" * (parser.MAX_INT_DIGITS + 1)
+# Statements the pattern takes whole, ones it leaves to the token path, and
+# ones the token path must reject.
+_FAST_STATEMENTS = ["msg A -> S : f", "msg S -> A : g", "at 3", 'msg S -> A : "q r"',
+                    "strict { msg A -> S : s }"]
+_TOKEN_STATEMENTS = ["msg A -> S : c # note", "msg A\n-> S : n", "at\n7", 'msg S -> A : "e\\"s"',
+                     "opt\n{ msg S -> A : o }", "loop 2\n{ msg A -> S : l }", "msg A -> S : at"]
+_REFUSED_STATEMENTS = ["op { msg A -> S : o }", "timeout 0 { msg A -> S : z }",
+                       "loop %s { msg A -> S : d }" % _LONG, "at %s" % _LONG,
+                       "timeout %s { msg A -> S : t }" % _LONG, "msg A -> Q : u"]
+# Block heads, as the pattern reads them and as only the token path does.
+_HEADS = ["opt {", "strict {", "loop 2 {", "loop 0 {", "timeout 3 {", "par {", "alt {",
+          "opt\n{", "strict # c\n{", "loop\t1 {", "loop 1\n{", "timeout\n4 {", "par\n{", "alt {"]
+
+
+def _block_program(rnd, depth, heads=_HEADS, refused=0.03):
+    """A diagram with ``depth`` blocks nested one in the next, each head
+    drawn from ``heads``, and fast and token-path statements mixed in
+    every block; with ``refused`` 0, only those nesting no block."""
+    def statements():
+        out = []
+        for _ in range(rnd.randint(0, 2)):
+            pool = _FAST_STATEMENTS if rnd.random() < 0.6 else _TOKEN_STATEMENTS
+            if rnd.random() < refused:
+                pool = _REFUSED_STATEMENTS
+            out.append(rnd.choice([s for s in pool if refused or "{" not in s]))
+        return out
+    opening, closing = [], []
+    for level in range(depth):
+        head = rnd.choice(heads)
+        body = (["msg A -> S : a%d" % level] if rnd.random() < 0.95 else []) + statements()
+        rnd.shuffle(body)
+        if head.startswith(("par", "alt")):
+            opening.append("%s\n  op {\n%s" % (head, "\n".join(body)))
+            closing.append("%s\n  }\n  op { msg S -> A : b%d }\n}" % ("\n".join(statements()),
+                                                                    level))
+        else:
+            opening.append("%s\n%s" % (head, "\n".join(body)))
+            closing.append("%s\n}" % "\n".join(statements()))
+    return ("tcsd T {\n  sut S\n  test A\n  msg A -> S : first\n" + "\n".join(opening)
+            + "\n" + "\n".join(statements() + ["msg S -> A : last"]) + "\n"
+            + "\n".join(reversed(closing)) + "\n}\n")
+
+
+@pytest.mark.parametrize("head", sorted(set(_HEADS)))
+def test_every_block_head_at_and_past_the_nesting_limit_parses_as_the_reference(head):
+    rnd = random.Random(head)
+    for depth in (parser.MAX_NESTING, parser.MAX_NESTING + 1):
+        for _ in range(3):
+            src = _block_program(rnd, depth, heads=[head], refused=0)
+            expected = _outcome(parser_reference.parse_tcsd, src)
+            assert _outcome(parser.parse_tcsd, src) == expected
+            assert isinstance(expected[0], str) == (depth > parser.MAX_NESTING)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([parser.MAX_NESTING, parser.MAX_NESTING + 1, 1, 2, 3, 5]))
+def test_nested_blocks_parse_as_the_reference(rnd, depth):
+    # About one program in three holds a statement the token path refuses.
+    src = _block_program(rnd, depth, refused=0.5 / (3 * depth + 4))
+    try:
+        expected = _outcome(parser_reference.parse_tcsd, src)
+    except ValueError:
+        # The reference predates MAX_INT_DIGITS: int() refused the first
+        # integer longer than the limit, which the parser reports there.
+        at = src.index(_LONG)
+        span = parser.SourceSpan("f.tcsd", src.count("\n", 0, at) + 1,
+                                 at - src.rfind("\n", 0, at))
+        message = "integer of %d digits is longer than the limit of %d" % (
+            len(_LONG), parser.MAX_INT_DIGITS)
+        expected = "%s: %s" % (span, message), span, message, ()
+    assert _outcome(parser.parse_tcsd, src) == expected, src

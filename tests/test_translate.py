@@ -430,3 +430,88 @@ def test_translate_leaves_no_reference_cycles(fixtures_dir):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# -- the check of what the builder appends -------------------------------------
+
+_FOLDED = ("tcsd F { sut S test A msg A -> S : x "
+           "timeout 4 { msg S -> A : y par { op { msg A -> S : p } op { msg S -> A : q } } } "
+           "loop 0 { msg A -> S : l } at 5 }")
+
+
+def _first_transport(b):
+    return b.transport_arcs[0]
+
+
+# Each fault ``Tapn.check`` names, injected into what the builder appended
+# before it hands the net over, and the message the check gives.
+_FAULTS = {
+    "duplicate place": (lambda b: b.places.append(b.places[0]), "duplicate place ids"),
+    "duplicate transition": (lambda b: b.transitions.append(b.transitions[-1]),
+                             "duplicate transition ids"),
+    "place named as a transition": (lambda b: b.places.append(b.transitions[0].id),
+                                    "place and transition ids overlap"),
+    "dangling input arc": (lambda b: b.input_arcs.append(
+        tapn.InputArc("F.nowhere", b.transitions[0].id)), "dangling input arc"),
+    "input arc from nowhere": (lambda b: b.input_arcs.append(
+        tapn.InputArc(b.places[0], "F.nothing")), "dangling input arc"),
+    "dangling output arc": (lambda b: b.output_arcs.append(
+        tapn.OutputArc(b.transitions[0].id, "F.nowhere")), "dangling output arc"),
+    "dangling transport arc": (lambda b: b.transport_arcs.append(
+        _first_transport(b)._replace(target="F.nowhere")), "dangling transport arc"),
+    "two transport arcs leave": (lambda b: b.transport_arcs.append(
+        _first_transport(b)._replace(target=b.places[0])), "two transport arcs leave"),
+    "two transport arcs reach": (lambda b: b.transport_arcs.append(
+        _first_transport(b)._replace(source=b.places[0])), "two transport arcs reach"),
+    "normal and transport arc in": (lambda b: b.input_arcs.append(
+        tapn.InputArc(_first_transport(b).source, _first_transport(b).transition)),
+        "is both a normal and a transport arc"),
+    "normal and transport arc out": (lambda b: b.output_arcs.append(
+        tapn.OutputArc(_first_transport(b).transition, _first_transport(b).target)),
+        "is both a normal and a transport arc"),
+    "transition with no incoming arc": (lambda b: b.transitions.append(
+        tapn.Transition("F.loose", None)), "has no incoming arc"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_builder_check_raises_for_each_fault_before_a_unit_is_returned(monkeypatch, fault):
+    inject, message = _FAULTS[fault]
+    tcsd = model.validate(parser.parse_tcsd(_FOLDED).tcsd).tcsd
+    translate.translate(tcsd)  # sound as built
+
+    class Faulty(translate._Builder):
+        def net(self):
+            inject(self)
+            return super().net()
+
+    monkeypatch.setattr(translate, "_Builder", Faulty)
+    with pytest.raises(ValueError, match=message):
+        translate.translate(tcsd)
+
+
+def test_builder_check_runs_tapn_check_only_where_a_fault_is_possible(fixtures_dir,
+                                                                      monkeypatch):
+    def refuse(net):
+        raise AssertionError("Tapn.check ran on a net the builder showed sound")
+
+    monkeypatch.setattr(tapn.Tapn, "check", refuse)
+    units = [_unit(_FOLDED)]
+    for path in sorted(fixtures_dir.glob("*/*.tcsd")):
+        checked = model.validate(parser.parse_tcsd(path.read_text(encoding="utf-8")).tcsd)
+        if checked.ok:
+            units.append(translate.translate(checked.tcsd, checked.regions))
+    monkeypatch.undo()
+    for unit in units:
+        unit.net.check()
+
+
+def test_builder_check_lets_a_sound_net_through_that_its_shortcut_cannot_show():
+    # A transition with two transport arcs through distinct pairs is sound,
+    # though the builder never makes one: Tapn.check decides, and passes it.
+    tcsd = model.validate(parser.parse_tcsd(_FOLDED).tcsd).tcsd
+    b = translate._Builder(tcsd)
+    p, q, r = b.place(), b.place(), b.place()
+    t = b.transition(None, translate.START)
+    b.transport_arcs += [tapn.TransportArc(p, t, q), tapn.TransportArc(q, t, r)]
+    assert b.net().transport_arcs == tuple(b.transport_arcs)
