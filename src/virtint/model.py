@@ -192,24 +192,30 @@ def _parse_items(line, i, j) -> list:
         end = exit_of[b]
         if end is None or end >= j:
             raise LayoutError("fragment %s has no exit on the SUT line" % frag.id)
-        owners = list(map(members[frag.id].get, ids[b + 1:end], itertools.repeat(())))
-        if set(map(len, owners)) - {1}:
-            for eid, ops in zip(ids[b + 1:end], owners):
-                if len(ops) != 1:
-                    raise LayoutError("event %s is in %d operands of fragment %s"
-                                      % (eid, len(ops), frag.id))
-        if owners != sorted(owners):
-            raise LayoutError(
-                "operands of fragment %s are interleaved on the SUT line" % frag.id)
-        # Operand x holds the run of (x,) in owners; with no border inside
-        # the fragment, each run is a slice of the line's event nodes.
+        listed = members[frag.id]
+        inner = ids[b + 1:end]
+        # With no border inside the fragment, each operand is a slice of
+        # the line's event nodes.
         leaf = borders[n + 1] == end
-        operand_items = []
-        lo = b + 1
-        for x in range(len(frag.operands)):
-            hi = bisect.bisect_right(owners, (x,), lo - b - 1) + b + 1
-            operand_items.append(nodes[lo:hi] if leaf else _parse_items(line, lo, hi))
-            lo = hi
+        if len(frag.operands) == 1 and all(map(listed.__contains__, inner)):
+            operand_items = [nodes[b + 1:end] if leaf else _parse_items(line, b + 1, end)]
+        else:
+            owners = list(map(listed.get, inner, itertools.repeat(())))
+            if set(map(len, owners)) - {1}:
+                for eid, ops in zip(inner, owners):
+                    if len(ops) != 1:
+                        raise LayoutError("event %s is in %d operands of fragment %s"
+                                          % (eid, len(ops), frag.id))
+            if owners != sorted(owners):
+                raise LayoutError(
+                    "operands of fragment %s are interleaved on the SUT line" % frag.id)
+            # Operand x holds the run of (x,) in owners.
+            operand_items = []
+            lo = b + 1
+            for x in range(len(frag.operands)):
+                hi = bisect.bisect_right(owners, (x,), lo - b - 1) + b + 1
+                operand_items.append(nodes[lo:hi] if leaf else _parse_items(line, lo, hi))
+                lo = hi
         items.append(_new_fragment_node((frag, e, events[end], operand_items)))
         k = end + 1
         n = bisect.bisect_left(borders, k, n)
@@ -628,7 +634,7 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     for f in frags if anchors else ():
         for eid in members[f.id].keys() & anchors:
             owners.setdefault(eid, []).append(f.id)
-    frag_pos = {f.id: n for n, f in enumerate(frags)}
+    frag_pos = {f.id: n for n, f in enumerate(frags)} if anchors else {}
     for c in tcsd.timeouts:
         start, end = event[c.start], event[c.end]
         if start.instance != sut or end.instance != sut:

@@ -327,6 +327,9 @@ class _Open(NamedTuple):
     items: list  # a block's child fragment ids, an operand list's operands
 
 
+_new_open = functools.partial(tuple.__new__, _Open)
+
+
 class _DiagramBuilder:
     def __init__(self, lexer: _Lexer):
         self.span = lexer.span
@@ -380,7 +383,7 @@ class _DiagramBuilder:
         starts = None if word == "op" else list(map(len, self.lines.values()))
         if word not in _OPERAND_LISTS:
             self.depth += 1
-        self.stack.append(_Open(word, at, bound, len(self.eids), starts, []))
+        self.stack.append(_new_open((word, at, bound, len(self.eids), starts, [])))
 
     def close(self):
         """Close the innermost open block or operand list, whose ``}`` is read."""
@@ -414,6 +417,7 @@ class _DiagramBuilder:
         every line that has events inside it."""
         fid = "f%d" % (len(self.fragments) + 1)
         eids = self.eids
+        n = len(eids)
         for (inst, line), start in zip(self.lines.items(), top.starts):
             if start < len(line):
                 enter = "e%d" % (len(eids) + 1)
@@ -421,7 +425,7 @@ class _DiagramBuilder:
                 eids += enter, exit_
                 line.insert(start, _new_event((enter, inst, model.FRAGMENT_ENTER, fid)))
                 line.append(_new_event((exit_, inst, model.FRAGMENT_EXIT, fid)))
-                self.event_at += top.at, top.at
+        self.event_at += [top.at] * (len(eids) - n)
         self.fragments.append(_new_fragment((fid, top.word, tuple(operands), top.bound)))
         if top.word == "strict":
             self.strict_ids.add(fid)
