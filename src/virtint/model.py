@@ -131,8 +131,8 @@ class FragmentNode(NamedTuple):
     operand_items: list[list]  # one item list per operand
 
 
-# Fields read in bulk: an Event's id and kind, a Message's send and
-# receive, a PartitionLine's timestamp.
+# Fields read in bulk: an Event's id, instance, kind and fragment, a
+# Message's send and receive, a PartitionLine's timestamp.
 _ID = itemgetter(0)
 _INSTANCE = itemgetter(1)
 _KIND = itemgetter(2)

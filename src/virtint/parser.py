@@ -94,8 +94,8 @@ _XML_FORBIDDEN = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uff
 # int() of a string, fixed here so that every interpreter reads the same.
 MAX_INT_DIGITS = 4300
 
-# Deepest block nesting accepted.  Parsing, validation and translation recurse
-# per level; this keeps them well below the interpreter's recursion limit.
+# Deepest block nesting accepted.  Validation and translation recurse per
+# level; this keeps them well below the interpreter's recursion limit.
 MAX_NESTING = 100
 
 
