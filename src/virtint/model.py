@@ -131,9 +131,12 @@ class FragmentNode(NamedTuple):
     operand_items: list[list]  # one item list per operand
 
 
-# Fields read in bulk: an Event's id, a Message's send and receive, a
-# PartitionLine's timestamp.
+# Fields read in bulk: an Event's id, instance, kind and fragment, a
+# Message's send and receive, a PartitionLine's timestamp.
 _ID = itemgetter(0)
+_INSTANCE = itemgetter(1)
+_KIND = itemgetter(2)
+_FRAGMENT = itemgetter(3)
 _RECEIVER = itemgetter(2)
 _TIMESTAMP = itemgetter(1)
 
@@ -232,7 +235,7 @@ def _region_tree(tcsd: Tcsd, members) -> list:
     those inside it.
     """
     events = _sut_events(tcsd)
-    ids, _, kinds, _ = _columns(events, 4)
+    kinds = list(map(_KIND, events))
     borders = list(itertools.compress(range(len(events)), map(_BORDERS.__contains__, kinds)))
     exit_of: dict[int, int | None] = {}  # enter position -> exit position
     after: dict[str, int] = {}  # fragment -> its first exit right of the pass
@@ -242,7 +245,7 @@ def _region_tree(tcsd: Tcsd, members) -> list:
         else:
             exit_of[b] = after.get(events[b].fragment)
     nodes = list(map(_new_event_node, zip(events)))
-    line = (events, ids, nodes, borders, exit_of,
+    line = (events, list(map(_ID, events)), nodes, borders, exit_of,
             _index_fragments(tcsd), members)
     return _parse_items(line, 0, len(events))
 
@@ -278,15 +281,13 @@ def _index_events(tcsd: Tcsd):
     frag_ids = {f.id for f in base.fragments}
     lines = list(map(base.events.get, base.instances, itertools.repeat(())))
     events = list(itertools.chain.from_iterable(lines))
-    # Each event is read once, its fields into columns.
-    ids, owners, kinds, frags = _columns(events, 4)
-    event = dict(zip(ids, events))
-    filed = itertools.chain.from_iterable(map(itertools.repeat, base.instances, map(len, lines)))
+    event = dict(zip(map(_ID, events), events))
+    kinds = list(map(_KIND, events))
     if not (len(event) == len(events) and _KINDS.issuperset(kinds)
-            and all(map(operator.eq, owners, filed))):
+            and all(map(_filed_on, base.instances, lines))):
         _name_event_faults(base, v)
     stray_border = not frag_ids.issuperset(
-        itertools.compress(frags, map(_BORDERS.__contains__, kinds)))
+        itertools.compress(map(_FRAGMENT, events), map(_BORDERS.__contains__, kinds)))
     undeclared = False
     for inst in base.events:
         if inst not in base.instances:
@@ -338,9 +339,8 @@ def _index_events(tcsd: Tcsd):
     return event, kinds, v
 
 
-def _columns(records, width: int) -> tuple[tuple, ...]:
-    """The fields of equally long ``records``, one tuple per field."""
-    return tuple(zip(*records, strict=True)) if records else ((),) * width
+def _filed_on(inst: str, line) -> bool:
+    return all(map(inst.__eq__, map(_INSTANCE, line)))
 
 
 def _name_event_faults(base: SequenceDiagram, v):
@@ -528,15 +528,16 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     # endpoints are as many as the send and receive events and distinct,
     # each of its kind, and one end of each message is on the SUT line.
     messages = base.messages
-    sends, _, receives = _columns(messages, 3)
-    _, send_lines, send_kinds, _ = _columns(list(map(event.__getitem__, sends)), 4)
-    _, receive_lines, receive_kinds, _ = _columns(list(map(event.__getitem__, receives)), 4)
+    send_events = list(map(event.__getitem__, map(_ID, messages)))
+    receive_events = list(map(event.__getitem__, map(_RECEIVER, messages)))
+    ends = set(map(_ID, send_events))
+    ends.update(map(_ID, receive_events))
     off_sut: list[Violation] = []
-    if not (len(set(sends).union(receives)) == 2 * len(messages)
-            == sum(map(_MESSAGE_KINDS.__contains__, kinds))
-            and _SEND_ONLY.issuperset(send_kinds) and _RECEIVE_ONLY.issuperset(receive_kinds)
-            and all(map(operator.ne, map(sut.__eq__, send_lines),
-                        map(sut.__eq__, receive_lines)))):
+    if not (len(ends) == 2 * len(messages) == sum(map(_MESSAGE_KINDS.__contains__, kinds))
+            and _SEND_ONLY.issuperset(map(_KIND, send_events))
+            and _RECEIVE_ONLY.issuperset(map(_KIND, receive_events))
+            and all(map(operator.ne, map(sut.__eq__, map(_INSTANCE, send_events)),
+                        map(sut.__eq__, map(_INSTANCE, receive_events))))):
         _check_messages(tcsd, event, v, off_sut)
 
     # Fragment shape: operand counts, loop bounds, empty operands.
