@@ -132,6 +132,23 @@ def _check_output_paths(args, inputs, out: _Printer):
     return True
 
 
+def _write(path: str, lines, out: _Printer) -> bool:
+    """Write the strings ``lines`` yields to ``path`` and say so.  An
+    OSError prints ``path: reason`` and gives False (exit 2)."""
+    lines = iter(lines)
+    try:
+        with open(path, "w", encoding="utf-8") as fp:
+            # A few hundred lines per write: a write() per line costs
+            # more than making the lines, and no document is held whole.
+            while chunk := "".join(itertools.islice(lines, 256)):
+                fp.write(chunk)
+    except OSError as exc:
+        out.bad("%s: %s" % (path, exc.strerror or exc))
+        return False
+    out.line("wrote %s" % path)
+    return True
+
+
 def cmd_translate(args, out: _Printer) -> int:
     if not _check_output_paths(args, [args.file], out):
         return EXIT_USAGE
@@ -150,18 +167,8 @@ def cmd_translate(args, out: _Printer) -> int:
     del parsed, checked  # the export needs neither the spans nor the region tree
     for path, lines in ((args.dot, export.dot_lines(unit.net, unit.m0)),
                         (args.tapaal, export.tapaal_xml_lines(unit))):
-        if not path:
-            continue
-        try:
-            with open(path, "w", encoding="utf-8") as fp:
-                # A few hundred lines per write: a write() per line costs
-                # more than making the lines, and no document is held whole.
-                while chunk := "".join(itertools.islice(lines, 256)):
-                    fp.write(chunk)
-        except OSError as exc:
-            out.bad("%s: %s" % (path, exc.strerror or exc))
+        if path and not _write(path, lines, out):
             return EXIT_USAGE
-        out.line("wrote %s" % path)
     if not args.dot and not args.tapaal:
         out.line(export.to_dot(unit.net, unit.m0))
     return EXIT_OK
@@ -262,9 +269,8 @@ def cmd_check(args, out: _Printer) -> int:
             return EXIT_USAGE
         if args.report:
             doc = export.to_report_json(report, list(zip(inputs, digests)))
-            with open(args.report, "w", encoding="utf-8") as fp:
-                fp.write(doc)
-            out.line("wrote %s" % args.report)
+            if not _write(args.report, [doc], out):
+                return EXIT_USAGE
         if report.overall == "consistent":
             return EXIT_OK
         return EXIT_INCONCLUSIVE if report.overall == "inconclusive" else EXIT_FAIL

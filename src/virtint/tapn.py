@@ -32,8 +32,10 @@ guards read, the successor's shape, and, when each source holds one token
 and each produced token lands in an empty place (always so in the marked
 graphs the translator emits), where each entry of the successor comes
 from.  Such a successor is assembled from the delayed image without
-copying, sorting or enumerating bindings; any other firing enumerates its
-bindings in the same loop.  Trace steps are built only for a witness.
+copying, sorting or enumerating bindings.  Any other firing, as in a net
+with several tokens in a place, goes through ``fire``'s rule: the
+bindings of ``_bindings``, each fired by ``_fire``.  Trace steps are
+built only for a witness.
 
 ``integrate`` decides a merged net whose causal order is complete from
 its difference constraints (``stp``), whose earliest schedule gives the
@@ -46,8 +48,11 @@ one rule, shared with ``stp``, for which consumed ages a witness records.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, deque
 from typing import NamedTuple
+
+_FIRST, _SECOND, _THIRD = map(operator.itemgetter, range(3))
 
 
 class UnsupportedGuardError(Exception):
@@ -132,49 +137,66 @@ class Tapn(NamedTuple):
     transport_arcs: tuple[TransportArc, ...]
 
     def check(self):
-        """Raise ValueError when the structural side conditions fail."""
-        pset = set(self.places)
-        tset = {t.id for t in self.transitions}
-        if len(pset) != len(self.places):
+        """Raise ValueError when the structural side conditions fail.
+
+        Set operations over the ids and the arcs' ends show a net sound.
+        Where they cannot, the arcs are walked in net order and the first
+        one at fault is named.  (place, transition) pairs are compared
+        only where a transition has two transport arcs, or where a place
+        is on both a normal arc and a transport arc.
+        """
+        places, transitions = self.places, self.transitions
+        inputs, outputs, transport = self.input_arcs, self.output_arcs, self.transport_arcs
+        pset = set(places)
+        tset = set(map(_FIRST, transitions))
+        if len(pset) != len(places):
             raise ValueError("duplicate place ids")
-        if len(tset) != len(self.transitions):
+        if len(tset) != len(transitions):
             raise ValueError("duplicate transition ids")
-        if pset & tset:
+        if not pset.isdisjoint(tset):
             raise ValueError("place and transition ids overlap: %s" % (pset & tset))
-        for arc in self.input_arcs:
-            if arc.place not in pset or arc.transition not in tset:
-                raise ValueError("dangling input arc %s" % (arc,))
-        for arc in self.output_arcs:
-            if arc.place not in pset or arc.transition not in tset:
-                raise ValueError("dangling output arc %s" % (arc,))
-        normal_in = {(a.place, a.transition) for a in self.input_arcs}
-        normal_out = {(a.transition, a.place) for a in self.output_arcs}
-        seen_in: set[tuple[str, str]] = set()
-        seen_out: set[tuple[str, str]] = set()
-        for arc in self.transport_arcs:
-            if (arc.source not in pset or arc.target not in pset
-                    or arc.transition not in tset):
-                raise ValueError("dangling transport arc %s" % (arc,))
-            if (arc.source, arc.transition) in seen_in:
-                raise ValueError("two transport arcs leave %s via %s"
-                                 % (arc.source, arc.transition))
-            if (arc.transition, arc.target) in seen_out:
-                raise ValueError("two transport arcs reach %s via %s"
-                                 % (arc.target, arc.transition))
-            seen_in.add((arc.source, arc.transition))
-            seen_out.add((arc.transition, arc.target))
-            if (arc.source, arc.transition) in normal_in:
-                raise ValueError("%s->%s is both a normal and a transport arc"
-                                 % (arc.source, arc.transition))
-            if (arc.transition, arc.target) in normal_out:
-                raise ValueError("%s->%s is both a normal and a transport arc"
-                                 % (arc.transition, arc.target))
-        fed = {a.transition for a in self.input_arcs}
-        fed.update(a.transition for a in self.transport_arcs)
-        for t in self.transitions:
-            if t.id not in fed:
-                # Such a transition is always enabled: no search would end.
-                raise ValueError("transition %s has no incoming arc" % t.id)
+        if not (pset.issuperset(map(_FIRST, inputs)) and tset.issuperset(map(_SECOND, inputs))):
+            for arc in inputs:
+                if arc.place not in pset or arc.transition not in tset:
+                    raise ValueError("dangling input arc %s" % (arc,))
+        if not (tset.issuperset(map(_FIRST, outputs)) and pset.issuperset(map(_SECOND, outputs))):
+            for arc in outputs:
+                if arc.place not in pset or arc.transition not in tset:
+                    raise ValueError("dangling output arc %s" % (arc,))
+        moved = set(map(_SECOND, transport))  # transitions with a transport arc
+        sources, targets = set(map(_FIRST, transport)), set(map(_THIRD, transport))
+        if not (pset.issuperset(sources) and pset.issuperset(targets)
+                and tset.issuperset(moved) and len(moved) == len(transport)
+                and sources.isdisjoint(map(_FIRST, inputs))
+                and targets.isdisjoint(map(_SECOND, outputs))):
+            normal_in = {(a.place, a.transition) for a in inputs}
+            normal_out = {(a.transition, a.place) for a in outputs}
+            seen_in: set[tuple[str, str]] = set()
+            seen_out: set[tuple[str, str]] = set()
+            for arc in transport:
+                if (arc.source not in pset or arc.target not in pset
+                        or arc.transition not in tset):
+                    raise ValueError("dangling transport arc %s" % (arc,))
+                if (arc.source, arc.transition) in seen_in:
+                    raise ValueError("two transport arcs leave %s via %s"
+                                     % (arc.source, arc.transition))
+                if (arc.transition, arc.target) in seen_out:
+                    raise ValueError("two transport arcs reach %s via %s"
+                                     % (arc.target, arc.transition))
+                seen_in.add((arc.source, arc.transition))
+                seen_out.add((arc.transition, arc.target))
+                if (arc.source, arc.transition) in normal_in:
+                    raise ValueError("%s->%s is both a normal and a transport arc"
+                                     % (arc.source, arc.transition))
+                if (arc.transition, arc.target) in normal_out:
+                    raise ValueError("%s->%s is both a normal and a transport arc"
+                                     % (arc.transition, arc.target))
+        fed = moved.union(map(_SECOND, inputs))  # within tset: no arc dangles
+        if len(fed) != len(tset):
+            for t in transitions:
+                if t.id not in fed:
+                    # Such a transition is always enabled: no search would end.
+                    raise ValueError("transition %s has no incoming arc" % t.id)
 
 
 Marking = dict[str, tuple[int, ...]]
@@ -383,7 +405,7 @@ class _Plan:
     ``layout`` is a kept entry of the delayed image (index >= 0) or the
     new one-token entry ``~index`` of ``new``, made from (place index,
     entry whose age is transported, or -1 for age 0).  Any other plan has
-    ``layout`` None, and its bindings are enumerated.
+    ``layout`` None, and ``_SearchNet.fire_all`` fires it.
     """
 
     __slots__ = ("ti", "guards", "succ", "sources", "layout", "new")
@@ -417,15 +439,14 @@ class _SearchNet:
         self.cap = self.cmax + 1
         self.trans = [(t.id, t.label) for t in net.transitions]
         # Per transition: incoming (source idx, lower, upper or None,
-        # transport target idx or -1) in incoming_arcs order, normal output
-        # place idxs, and the tokens it produces as (place idx, source idx
-        # of a transport arc or -1).  Finite bounds are closed here; open
-        # finite guards are rejected before any search starts.
+        # transport target idx or -1) in incoming_arcs order, and the
+        # tokens it produces as (place idx, source idx of a transport arc
+        # or -1).  Finite bounds are closed here; open finite guards are
+        # rejected before any search starts.
         incoming, outputs = transition_arcs(net)
+        self.incoming, self.outputs = incoming, outputs  # fire_all fires by these
         self.inc: list[list[tuple[int, int, int | None, int]]] = []
-        self.out: list[list[int]] = []
         self.produced: list[list[tuple[int, int]]] = []
-        self.distinct_sources: list[bool] = []
         # Whether a transition reads distinct places and writes distinct
         # places: then one token per source fires it in exactly one way.
         self.distinct_arcs: list[bool] = []
@@ -444,14 +465,11 @@ class _SearchNet:
                     src, tgt = self.pidx[arc.source], self.pidx[arc.target]
                     row.append((src, g.lower, g.upper, tgt))
                     produced.append((tgt, src))
-            out = [self.pidx[p] for p in outputs[t.id]]
-            produced += [(pi, -1) for pi in out]
+            produced += [(self.pidx[p], -1) for p in outputs[t.id]]
             self.inc.append(row)
-            self.out.append(out)
             self.produced.append(produced)
             sources = tuple(dict.fromkeys(pi for pi, _, _, _ in row))
             self.sources.append(sources)
-            self.distinct_sources.append(len(sources) == len(row))
             self.distinct_arcs.append(
                 len(sources) == len(row)
                 and len({pi for pi, _ in produced}) == len(produced))
@@ -582,80 +600,14 @@ class _SearchNet:
                 img[k] = (pi, tuple([a + d if a + d < cap else cap for a in ages]))
         return img
 
-    def fire_bindings(self, marks, ti):
-        row = self.inc[ti]
-        candidates = []
-        for pi, lo, hi, _ in row:
-            ages = marks[pi]
-            if hi is None:
-                cands = [a for a in dict.fromkeys(ages) if a >= lo]
-            else:
-                cands = [a for a in dict.fromkeys(ages) if lo <= a <= hi]
-            if not cands:
-                return ()
-            candidates.append(cands)
-        if len(row) == 1:
-            return [(a,) for a in candidates[0]]
-        if self.distinct_sources[ti]:
-            return list(itertools.product(*candidates))
-        # Shared source places: enforce multiset availability.
-        pools = {}
-        for pi, _, _, _ in row:
-            if pi not in pools:
-                counts: dict[int, int] = {}
-                for a in marks[pi]:
-                    counts[a] = counts.get(a, 0) + 1
-                pools[pi] = counts
-        out = []
-        chosen: list[int] = []
-
-        def rec(k):
-            if k == len(row):
-                out.append(tuple(chosen))
-                return
-            pi = row[k][0]
-            pool = pools[pi]
-            for age in candidates[k]:
-                if pool[age] <= 0:
-                    continue
-                pool[age] -= 1
-                chosen.append(age)
-                rec(k + 1)
-                chosen.pop()
-                pool[age] += 1
-
-        rec(0)
-        return out
-
-    def fire(self, marks, ti, binding):
-        new = dict(marks)
-        touched: dict[int, list[int]] = {}
-
-        def pool(pi):
-            if pi not in touched:
-                touched[pi] = list(new.get(pi, ()))
-            return touched[pi]
-
-        for (pi, _, _, tgt), age in zip(self.inc[ti], binding):
-            pool(pi).remove(age)
-            if tgt >= 0:
-                pool(tgt).append(age if self.age_relevant[tgt] else 0)
-        for pi in self.out[ti]:
-            pool(pi).append(0)
-        for pi, ages in touched.items():
-            if ages:
-                ages.sort()
-                new[pi] = tuple(ages)
-            else:
-                del new[pi]
-        return tuple(sorted(new.items()))
-
     def fire_all(self, plan, img):
         """(successor, binding) pairs of a plan without a layout, in
-        binding order."""
-        marks = dict(img)
-        return [(self.fire(marks, plan.ti, b), b)
-                for b in self.fire_bindings(marks, plan.ti)]
+        binding order: each binding fired by ``tapn.fire``'s rule."""
+        m = self.decode(img)
+        tid = self.trans[plan.ti][0]
+        arcs, outputs = self.incoming[tid], self.outputs[tid]
+        return [(self.encode(_fire(arcs, outputs, m, tid, b)), b)
+                for b in _bindings(arcs, m)]
 
     def trace_step(self, ti, d, binding) -> TraceStep:
         tid, label = self.trans[ti]

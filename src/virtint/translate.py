@@ -53,7 +53,7 @@ _new_transition = functools.partial(tuple.__new__, Transition)
 _new_input_arc = functools.partial(tuple.__new__, InputArc)
 _new_output_arc = functools.partial(tuple.__new__, OutputArc)
 _new_transport_arc = functools.partial(tuple.__new__, TransportArc)
-_FIRST, _SECOND, _THIRD = map(operator.itemgetter, range(3))
+_FIRST = operator.itemgetter(0)
 
 
 class _Builder:
@@ -100,13 +100,7 @@ class _Builder:
         return tid
 
     def net(self) -> Tapn:
-        """The net built, checked as ``Tapn.check`` checks a net.
-
-        The fold names every node afresh and joins only nodes it made, so
-        a few set operations over what it appended show the net sound:
-        ``Tapn.check`` then has nothing to find.  Where they do not, it
-        runs and raises for the fault, as it did when it checked every net.
-        """
+        """The net built, after ``Tapn.check`` has passed it."""
         net = Tapn(
             name=self.prefix,
             places=tuple(self.places),
@@ -115,29 +109,7 @@ class _Builder:
             output_arcs=tuple(self.output_arcs),
             transport_arcs=tuple(self.transport_arcs),
         )
-        pset = set(net.places)
-        tset = set(map(_FIRST, net.transitions))
-        inputs, outputs, transport = net.input_arcs, net.output_arcs, net.transport_arcs
-        moved = set(map(_SECOND, transport))  # transitions with a transport arc
-        sound = (len(pset) == len(net.places) and len(tset) == len(net.transitions)
-                 and pset.isdisjoint(tset)
-                 # no arc dangles
-                 and pset.issuperset(map(_FIRST, inputs))
-                 and tset.issuperset(map(_SECOND, inputs))
-                 and tset.issuperset(map(_FIRST, outputs))
-                 and pset.issuperset(map(_SECOND, outputs))
-                 and pset.issuperset(map(_FIRST, transport))
-                 and pset.issuperset(map(_THIRD, transport)) and tset.issuperset(moved)
-                 # one transport arc per transition: no two leave or reach through one pair
-                 and len(moved) == len(transport)
-                 # no place feeds a transition by a normal arc and starts a transport
-                 # arc, or is filled by a normal arc and ends one: no pair is both
-                 and set(map(_FIRST, inputs)).isdisjoint(map(_FIRST, transport))
-                 and set(map(_SECOND, outputs)).isdisjoint(map(_THIRD, transport))
-                 # every transition has an incoming arc
-                 and len(moved.union(map(_SECOND, inputs))) == len(tset))
-        if not sound:
-            net.check()
+        net.check()
         return net
 
     def anchor(self, event_id: str, tid: str):
@@ -300,10 +272,8 @@ def translate(tcsd: Tcsd, regions: list | None = None) -> TranslationUnit:
     ``ValidationResult.regions`` carries it; without it the tree is built
     here by ``model.sut_regions``.  Raises TranslationError, before
     building anything, when the net with every loop unrolled would have
-    more than ``MAX_TRANSITIONS`` transitions.  The net is checked as
-    ``Tapn.check`` checks one, from what the builder appended (see
-    ``_Builder.net``), and a fault raises its ValueError before any unit
-    is returned.
+    more than ``MAX_TRANSITIONS`` transitions.  ``Tapn.check`` checks the
+    net, and a fault raises its ValueError before any unit is returned.
     """
     if regions is None:
         regions = model.sut_regions(tcsd)

@@ -5,6 +5,10 @@ were when every state was a dense vector over all places, every delay
 0..C+1 was imaged and every transition was tried on every image.  It is
 the reference that ``test_tapn``'s differential test compares the
 engine with; nothing in ``src`` uses it.
+
+``check`` is a verbatim copy of ``Tapn.check`` as it was when it walked
+every arc, the reference for ``test_translate``'s differential test of
+the structural check.
 """
 
 from __future__ import annotations
@@ -257,3 +261,49 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
     verdict = BOUND_EXCEEDED if truncated or clipped else UNREACHABLE
     frontier = [sn.decode(s) for s in dead]
     return ReachResult(verdict, None, frontier, len(parents), peak)
+
+
+def check(net: Tapn):
+    """Raise ValueError when the structural side conditions fail."""
+    pset = set(net.places)
+    tset = {t.id for t in net.transitions}
+    if len(pset) != len(net.places):
+        raise ValueError("duplicate place ids")
+    if len(tset) != len(net.transitions):
+        raise ValueError("duplicate transition ids")
+    if pset & tset:
+        raise ValueError("place and transition ids overlap: %s" % (pset & tset))
+    for arc in net.input_arcs:
+        if arc.place not in pset or arc.transition not in tset:
+            raise ValueError("dangling input arc %s" % (arc,))
+    for arc in net.output_arcs:
+        if arc.place not in pset or arc.transition not in tset:
+            raise ValueError("dangling output arc %s" % (arc,))
+    normal_in = {(a.place, a.transition) for a in net.input_arcs}
+    normal_out = {(a.transition, a.place) for a in net.output_arcs}
+    seen_in: set[tuple[str, str]] = set()
+    seen_out: set[tuple[str, str]] = set()
+    for arc in net.transport_arcs:
+        if (arc.source not in pset or arc.target not in pset
+                or arc.transition not in tset):
+            raise ValueError("dangling transport arc %s" % (arc,))
+        if (arc.source, arc.transition) in seen_in:
+            raise ValueError("two transport arcs leave %s via %s"
+                             % (arc.source, arc.transition))
+        if (arc.transition, arc.target) in seen_out:
+            raise ValueError("two transport arcs reach %s via %s"
+                             % (arc.target, arc.transition))
+        seen_in.add((arc.source, arc.transition))
+        seen_out.add((arc.transition, arc.target))
+        if (arc.source, arc.transition) in normal_in:
+            raise ValueError("%s->%s is both a normal and a transport arc"
+                             % (arc.source, arc.transition))
+        if (arc.transition, arc.target) in normal_out:
+            raise ValueError("%s->%s is both a normal and a transport arc"
+                             % (arc.transition, arc.target))
+    fed = {a.transition for a in net.input_arcs}
+    fed.update(a.transition for a in net.transport_arcs)
+    for t in net.transitions:
+        if t.id not in fed:
+            # Such a transition is always enabled: no search would end.
+            raise ValueError("transition %s has no incoming arc" % t.id)

@@ -155,6 +155,21 @@ def test_translate_to_an_unwritable_path_is_io_error(tmp_path, capsys):
     assert code == 2 and out.startswith("%s: " % tmp_path), out
 
 
+def test_check_report_to_an_unwritable_path_is_io_error(tmp_path, capsys):
+    # The verdicts are printed, then the report's path and why it could
+    # not be written, and the exit is 2 whatever the verdict.
+    for files, arch in ((REPAIRED, REPAIRED_ARCH), (BSCU, BSCU_ARCH)):
+        code, verdicts = run_cli(capsys, "check", *files, "--arch", arch)
+        assert code in (0, 1)
+        for report, reason in ((tmp_path / "missing" / "r.json", "No such file or directory"),
+                               (tmp_path, "Is a directory")):
+            code, out = run_cli(capsys, "check", *files, "--arch", arch,
+                                "--report", str(report))
+            assert code == 2, (files, report)
+            assert out == verdicts + "%s: %s\n" % (report, reason), out
+    assert not (tmp_path / "missing").exists()
+
+
 def test_validate_rejects_an_integer_longer_than_the_limit(tmp_path, capsys):
     src = tmp_path / "long.tcsd"
     src.write_text("tcsd T {\n  sut S\n  test A\n  msg A -> S : x\n  at %s\n}\n"

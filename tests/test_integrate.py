@@ -522,3 +522,38 @@ def test_blocking_labels_equal_the_reference(seed, frontier):
         for markings in (dead, res.frontier, res.frontier + dead):
             assert (integrate._blocking_labels(net, markings)
                     == merge_reference._blocking_labels(net, markings))
+
+
+def test_check_never_fires_a_binding_by_the_general_rule(monkeypatch):
+    # Every net check searches is a merged marked graph with one token per
+    # place, so the engine assembles every successor from a shape's plan and
+    # never calls fire_all, the general rule of nets with several tokens in
+    # a place.  So a change to that rule leaves the cost of check alone.
+    calls = []
+    fire_all = tapn._SearchNet.fire_all
+    monkeypatch.setattr(tapn._SearchNet, "fire_all",
+                        lambda self, plan, img: calls.append(plan) or fire_all(self, plan, img))
+    # The count works: two tokens in one place take the general rule.
+    net = Tapn("n", ("p", "q"), (Transition("t"),), (InputArc("p", "t"),),
+               (OutputArc("t", "q"),), ())
+    assert tapn.reachable(net, {"p": (0, 0)}, {"q": 2}).verdict == tapn.REACHABLE
+    assert calls
+    calls.clear()
+    searched = 0
+    for path in sorted(FIXTURES.glob("*/*.arch")):
+        tcsds = [load_tcsd(p) for p in sorted(path.parent.glob("*.tcsd"))]
+        units = [translate.translate(t) for t in tcsds]
+        imap = build_instance_map(load_arch(path), tcsds)
+        for policy, require_all in itertools.product(("maximal", "strict"), (False, True)):
+            report = check_consistency(units, imap, policy=policy, require_all=require_all)
+            searched += sum(v.states_explored > 0 for v in report.verdicts)
+    for seed in range(120):
+        rng = random.Random(seed)
+        units, imap = random_diagram_pair(rng, max_sut_events=6, timing=seed % 2 == 1)
+        report = check_consistency(units, imap, max_matchings=4)
+        searched += sum(v.states_explored > 0 for v in report.verdicts)
+        for unit in random_merged_units(random.Random(seed), max_sut_events=6):
+            tapn.reachable(unit.net, unit.m0, unit.target)
+            searched += 1
+    assert searched >= 150
+    assert calls == []

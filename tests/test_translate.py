@@ -2,6 +2,7 @@ import gc
 import random
 import re
 import time
+import types
 from collections import Counter
 
 from unittest import mock
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import random_tcsd_source
+import tapn_reference
+from gen import random_tapn, random_tcsd_source
 from virtint import cli, model, parser, stp, tapn, translate
 from virtint.model import (Event, Message, SequenceDiagram, Tcsd, Timeout)
 from virtint.translate import TranslationError
@@ -490,22 +492,6 @@ def test_builder_check_raises_for_each_fault_before_a_unit_is_returned(monkeypat
         translate.translate(tcsd)
 
 
-def test_builder_check_runs_tapn_check_only_where_a_fault_is_possible(fixtures_dir,
-                                                                      monkeypatch):
-    def refuse(net):
-        raise AssertionError("Tapn.check ran on a net the builder showed sound")
-
-    monkeypatch.setattr(tapn.Tapn, "check", refuse)
-    units = [_unit(_FOLDED)]
-    for path in sorted(fixtures_dir.glob("*/*.tcsd")):
-        checked = model.validate(parser.parse_tcsd(path.read_text(encoding="utf-8")).tcsd)
-        if checked.ok:
-            units.append(translate.translate(checked.tcsd, checked.regions))
-    monkeypatch.undo()
-    for unit in units:
-        unit.net.check()
-
-
 def test_builder_check_lets_a_sound_net_through_that_its_shortcut_cannot_show():
     # A transition with two transport arcs through distinct pairs is sound,
     # though the builder never makes one: Tapn.check decides, and passes it.
@@ -515,3 +501,49 @@ def test_builder_check_lets_a_sound_net_through_that_its_shortcut_cannot_show():
     t = b.transition(None, translate.START)
     b.transport_arcs += [tapn.TransportArc(p, t, q), tapn.TransportArc(q, t, r)]
     assert b.net().transport_arcs == tuple(b.transport_arcs)
+
+
+def _check_message(check, net):
+    try:
+        check(net)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _move_first_transport(b, **fields):
+    b.transport_arcs[0] = _first_transport(b)._replace(**fields)
+
+
+# The builder's faults, an output arc from no transition, and a transport
+# arc with one end dangling that, unlike the copy ``_FAULTS`` appends,
+# repeats no pair.
+_INJECT = {name: inject for name, (inject, _) in _FAULTS.items()}
+_INJECT.update({
+    "output arc from nothing": lambda b: b.output_arcs.append(
+        tapn.OutputArc("F.nothing", b.places[0])),
+    "transport arc from nowhere": lambda b: _move_first_transport(b, source="F.nowhere"),
+    "transport arc to nowhere": lambda b: _move_first_transport(b, target="F.nowhere"),
+    "transport arc via nothing": lambda b: _move_first_transport(b, transition="F.nothing"),
+})
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(sorted(_INJECT)), max_size=2, unique=True))
+def test_tapn_check_raises_where_the_reference_check_raises(seed, faults):
+    # Tapn.check against its copy from when it walked every arc, on random
+    # nets with up to two faults injected: it raises exactly where the
+    # reference does, with the same message.  Random nets put places on a
+    # normal arc of one transition and a transport arc of another, where
+    # the check must compare pairs to pass the net.
+    net, _, _ = random_tapn(random.Random(seed))
+    if not net.transport_arcs:
+        faults = [f for f in faults if "transport" not in f]
+    parts = types.SimpleNamespace(**{f: list(getattr(net, f)) for f in net._fields[1:]})
+    for fault in faults:
+        _INJECT[fault](parts)
+    faulty = net._replace(**{f: tuple(arcs) for f, arcs in vars(parts).items()})
+    expected = _check_message(tapn_reference.check, faulty)
+    assert _check_message(tapn.Tapn.check, faulty) == expected
+    assert (expected is None) == (not faults)
