@@ -100,24 +100,23 @@ def cmd_validate(args, out: _Printer) -> int:
     for path in args.files:
         try:
             parsed, checked = _load_tcsd(path)
-        except OSError as exc:
-            out.bad("%s: %s" % (path, exc.strerror or exc))
-            return EXIT_USAGE
         except parser.ParseError as exc:
             out.bad(str(exc))
-            status = max(status, EXIT_FAIL)
+            status = EXIT_FAIL
             continue
         if checked.ok:
             out.good("ok %s (%s)" % (path, parsed.tcsd.base.name))
         else:
             _print_violations(out, path, parsed, checked)
-            status = max(status, EXIT_FAIL)
+            status = EXIT_FAIL
     return status
 
 
-def _check_output_paths(args, inputs, out: _Printer):
-    outputs = [p for p in (getattr(args, "dot", None), getattr(args, "tapaal", None),
-                           getattr(args, "report", None)) if p]
+def _check_output_paths(outputs, inputs, out: _Printer):
+    """False, said why, if two outputs or an output and an input are one
+    file.  An output whose directory is missing, or that is a directory,
+    raises the OSError that writing it would, before any input is read."""
+    outputs = [p for p in outputs if p]
     inputs = {os.path.abspath(i) for i in inputs}
     written = set()
     for path in outputs:
@@ -129,12 +128,17 @@ def _check_output_paths(args, inputs, out: _Printer):
             out.bad("output path %s is named by two outputs" % path)
             return False
         written.add(target)
+    for path in outputs:
+        if not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     return True
 
 
-def _write(path: str, lines, out: _Printer) -> bool:
+def _write(path: str, lines, out: _Printer):
     """Write the strings ``lines`` yields to ``path`` and say so.  An
-    OSError prints ``path: reason`` and gives False (exit 2)."""
+    OSError names ``path``, also one that only the write itself raised."""
     lines = iter(lines)
     try:
         with open(path, "w", encoding="utf-8") as fp:
@@ -143,23 +147,15 @@ def _write(path: str, lines, out: _Printer) -> bool:
             while chunk := "".join(itertools.islice(lines, 256)):
                 fp.write(chunk)
     except OSError as exc:
-        out.bad("%s: %s" % (path, exc.strerror or exc))
-        return False
+        exc.filename = path
+        raise
     out.line("wrote %s" % path)
-    return True
 
 
 def cmd_translate(args, out: _Printer) -> int:
-    if not _check_output_paths(args, [args.file], out):
+    if not _check_output_paths([args.dot, args.tapaal], [args.file], out):
         return EXIT_USAGE
-    try:
-        parsed, checked = _load_tcsd(args.file)
-    except OSError as exc:
-        out.bad("%s: %s" % (args.file, exc.strerror or exc))
-        return EXIT_USAGE
-    except parser.ParseError as exc:
-        out.bad(str(exc))
-        return EXIT_FAIL
+    parsed, checked = _load_tcsd(args.file)
     if not checked.ok:
         _print_violations(out, args.file, parsed, checked)
         return EXIT_FAIL
@@ -167,8 +163,8 @@ def cmd_translate(args, out: _Printer) -> int:
     del parsed, checked  # the export needs neither the spans nor the region tree
     for path, lines in ((args.dot, export.dot_lines(unit.net, unit.m0)),
                         (args.tapaal, export.tapaal_xml_lines(unit))):
-        if path and not _write(path, lines, out):
-            return EXIT_USAGE
+        if path:
+            _write(path, lines, out)
     if not args.dot and not args.tapaal:
         out.line(export.to_dot(unit.net, unit.m0))
     return EXIT_OK
@@ -218,7 +214,7 @@ def _run_check(units, imap, args, out: _Printer):
 
 def cmd_check(args, out: _Printer) -> int:
     inputs = [args.arch] + list(args.files)
-    if not _check_output_paths(args, inputs, out):
+    if not _check_output_paths([args.report], inputs, out):
         return EXIT_USAGE
     digests = []  # of each input as it was read, for --report
 
@@ -228,70 +224,45 @@ def cmd_check(args, out: _Printer) -> int:
             digests.append(_sha256(text))
         return text
 
-    try:
-        arch = parser.parse_architecture(read(args.arch), filename=args.arch)
-        loaded = []
-        for path in args.files:
-            parsed, checked = _load_tcsd(path, read)
-            if not checked.ok:
-                _print_violations(out, path, parsed, checked)
-                return EXIT_FAIL
-            loaded.append(checked)
-    except OSError as exc:
-        out.bad("%s" % exc)
-        return EXIT_USAGE
-    except parser.ParseError as exc:
-        out.bad(str(exc))
-        return EXIT_FAIL
+    arch = parser.parse_architecture(read(args.arch), filename=args.arch)
+    loaded = []
+    for path in args.files:
+        parsed, checked = _load_tcsd(path, read)
+        if not checked.ok:
+            _print_violations(out, path, parsed, checked)
+            return EXIT_FAIL
+        loaded.append(checked)
 
-    try:
-        imap = integrate.build_instance_map(arch, [c.tcsd for c in loaded])
-    except integrate.IntegrationError as exc:
-        out.bad(str(exc))
-        return EXIT_USAGE
+    imap = integrate.build_instance_map(arch, [c.tcsd for c in loaded])
     units = [translate.translate(c.tcsd, c.regions) for c in loaded]
 
     by_component: dict[str, list] = {}
     for u in units:
         by_component.setdefault(imap.sut_components[u.name], []).append(u)
-    multi = {c: us for c, us in by_component.items() if len(us) > 1}
-
+    multi = sorted(c for c, us in by_component.items() if len(us) > 1)
     if multi and not args.cross_product:
         out.bad("two diagrams test the same component: %s (use --cross-product)"
-                % ", ".join(sorted(multi)))
+                % ", ".join(multi))
         return EXIT_USAGE
-
-    if not multi:
-        try:
-            report = _run_check(units, imap, args, out)
-        except integrate.IntegrationError as exc:
-            out.bad(str(exc))
-            return EXIT_USAGE
-        if args.report:
-            doc = export.to_report_json(report, list(zip(inputs, digests)))
-            if not _write(args.report, [doc], out):
-                return EXIT_USAGE
-        if report.overall == "consistent":
-            return EXIT_OK
-        return EXIT_INCONCLUSIVE if report.overall == "inconclusive" else EXIT_FAIL
-
-    if args.report:
+    if multi and args.report:
         out.bad("--report is not supported together with --cross-product")
         return EXIT_USAGE
-    components = sorted(by_component)
-    overall = EXIT_OK
-    for selection in itertools.product(*(by_component[c] for c in components)):
-        out.line("== selection: %s" % ", ".join(u.name for u in selection))
-        try:
-            report = _run_check(list(selection), imap, args, out)
-        except integrate.IntegrationError as exc:
-            out.bad(str(exc))
-            return EXIT_USAGE
-        if report.overall == "inconsistent":
-            overall = EXIT_FAIL
-        elif report.overall == "inconclusive" and overall == EXIT_OK:
-            overall = EXIT_INCONCLUSIVE
-    return overall
+
+    # One selection of the units as given, or with --cross-product one
+    # for each choice of a diagram per component.
+    selections = (itertools.product(*(by_component[c] for c in sorted(by_component)))
+                  if multi else [units])
+    overalls = set()
+    for selection in selections:
+        if multi:
+            out.line("== selection: %s" % ", ".join(u.name for u in selection))
+        report = _run_check(list(selection), imap, args, out)
+        overalls.add(report.overall)
+    if args.report:
+        _write(args.report, [export.to_report_json(report, list(zip(inputs, digests)))], out)
+    if "inconsistent" in overalls:
+        return EXIT_FAIL
+    return EXIT_INCONCLUSIVE if "inconclusive" in overalls else EXIT_OK
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -326,10 +297,14 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and give its exit code.  Every command's failures
+    end here, each as one message and an exit code: a file that cannot be
+    read or written, input that fails to parse, an integration error and
+    a translation error."""
     args = build_arg_parser().parse_args(argv)
     out = _Printer()
     for name in ("max_states", "max_matchings"):
-        if getattr(args, name, 1) is not None and getattr(args, name, 1) < 1:
+        if getattr(args, name, 1) < 1:
             out.bad("--%s must be positive" % name.replace("_", "-"))
             return EXIT_USAGE
     if getattr(args, "max_delay", None) is not None and args.max_delay < 0:
@@ -346,6 +321,17 @@ def main(argv=None) -> int:
         if args.command == "translate":
             return cmd_translate(args, out)
         return cmd_check(args, out)
+    except OSError as exc:
+        if exc.filename is None:  # not about a file the user named
+            raise
+        out.bad("%s: %s" % (exc.filename, exc.strerror or exc))
+        return EXIT_USAGE
+    except parser.ParseError as exc:
+        out.bad(str(exc))
+        return EXIT_FAIL
+    except integrate.IntegrationError as exc:
+        out.bad(str(exc))
+        return EXIT_USAGE
     except translate.TranslationError as exc:
         out.bad("translation failed: %s" % exc)
         return EXIT_FAIL

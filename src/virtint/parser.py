@@ -562,14 +562,19 @@ def _parse_statements(c: _Cursor, b: _DiagramBuilder):
     where a name belongs, an ``op`` outside par and alt, a timeout bound of
     0, an integer longer than ``MAX_INT_DIGITS`` and a block nested too
     deep.  Those, and every statement the pattern does not match, go token
-    by token through ``_parse_statement``.
+    by token through ``_parse_statement``.  A ``}`` after any blanks is
+    always the pattern's, so the token path never closes a block.
     """
     lx = c.lexer
     text = lx.text
     lines = b.lines
     stack = b.stack
+    # Re-read the token that ended the declarations, so that every
+    # statement, the first too, starts with no token peeked.
+    lx.pos = c.tok.offset
+    c.tok = None
     while True:
-        m = _STATEMENT(text, lx.pos) if c.tok is None else None
+        m = _STATEMENT(text, lx.pos)
         if m is not None:
             at = m.start("start")
             kind = m.lastgroup
@@ -606,19 +611,10 @@ def _parse_statements(c: _Cursor, b: _DiagramBuilder):
                     continue
             lx.pos = at  # the token path takes it from here
         if stack[-1].word in _OPERAND_LISTS:
-            if c.at_keyword("op"):
-                _open_block(c, b, "op", c.advance().offset)
-            else:
-                c.expect("RBRACE")
-                b.close()
-            continue
-        kind = c.peek().kind
-        if kind == "RBRACE":
-            c.advance()
-            if len(stack) == 1:
-                return
-            b.close()
-        elif kind == "EOF":
+            if not c.at_keyword("op"):
+                c.expect("RBRACE")  # raises: it is no "}"
+            _open_block(c, b, "op", c.advance().offset)
+        elif c.peek().kind == "EOF":
             raise ParseError(c.span(), "unexpected end of input", expected=("}",))
         else:
             _parse_statement(c, b)

@@ -1,7 +1,10 @@
+import errno
 import gc
 import hashlib
+import io
 import json
 import os
+import sys
 import time
 import xml.etree.ElementTree as ET
 
@@ -141,33 +144,91 @@ def test_translate_refuses_two_outputs_on_one_file(tmp_path, capsys):
 
 
 def test_translate_to_an_unwritable_path_is_io_error(tmp_path, capsys):
+    # Every output is tried before the input is read, so nothing is written.
     missing = tmp_path / "no" / "such" / "dir"
-    for outputs, written in ((["--dot", str(missing / "x.dot")], []),
-                             (["--tapaal", str(missing / "x.xml")], []),
-                             (["--dot", str(tmp_path / "ok.dot"), "--tapaal",
-                               str(missing / "x.xml")], [tmp_path / "ok.dot"])):
+    for outputs in (["--dot", str(missing / "x.dot")], ["--tapaal", str(missing / "x.xml")],
+                    ["--dot", str(tmp_path / "ok.dot"), "--tapaal", str(missing / "x.xml")]):
         code, out = run_cli(capsys, "translate", BSCU[2], *outputs)
         assert code == 2, outputs
-        assert out == "".join("wrote %s\n" % p for p in written) + (
-            "%s: No such file or directory\n" % outputs[-1]), out
+        assert out == "%s: No such file or directory\n" % outputs[-1], out
+    assert not (tmp_path / "ok.dot").exists()
     # A directory where the file should go.
     code, out = run_cli(capsys, "translate", BSCU[2], "--dot", str(tmp_path))
-    assert code == 2 and out.startswith("%s: " % tmp_path), out
+    assert code == 2 and out == "%s: Is a directory\n" % tmp_path, out
 
 
 def test_check_report_to_an_unwritable_path_is_io_error(tmp_path, capsys):
-    # The verdicts are printed, then the report's path and why it could
-    # not be written, and the exit is 2 whatever the verdict.
-    for files, arch in ((REPAIRED, REPAIRED_ARCH), (BSCU, BSCU_ARCH)):
-        code, verdicts = run_cli(capsys, "check", *files, "--arch", arch)
-        assert code in (0, 1)
+    # The report's path and why it cannot be written are all that is
+    # printed: the exit is 2 before any input is read, whatever the verdict.
+    for files, arch in ((REPAIRED, REPAIRED_ARCH), (BSCU, BSCU_ARCH),
+                        ([str(tmp_path / "nope.tcsd")], str(tmp_path / "nope.arch"))):
         for report, reason in ((tmp_path / "missing" / "r.json", "No such file or directory"),
                                (tmp_path, "Is a directory")):
             code, out = run_cli(capsys, "check", *files, "--arch", arch,
                                 "--report", str(report))
             assert code == 2, (files, report)
-            assert out == verdicts + "%s: %s\n" % (report, reason), out
+            assert out == "%s: %s\n" % (report, reason), out
     assert not (tmp_path / "missing").exists()
+
+
+class _FullDisk(io.StringIO):
+    """A file that every write fails on, as on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_an_output_that_fails_while_written_is_named_after_the_work(
+        tmp_path, capsys, monkeypatch):
+    # Only a write can show that the disk is full: the work is done, then
+    # the path and the reason are printed, and the exit is 2.
+    code, verdicts = run_cli(capsys, "check", *REPAIRED, "--arch", REPAIRED_ARCH)
+    assert code == 0
+    monkeypatch.setattr(cli, "open", lambda file, mode="r", **kw: _FullDisk()
+                        if "w" in mode else open(file, mode, **kw), raising=False)
+    report = tmp_path / "r.json"
+    code, out = run_cli(capsys, "check", *REPAIRED, "--arch", REPAIRED_ARCH,
+                        "--report", str(report))
+    assert code == 2 and out == verdicts + "%s: No space left on device\n" % report, out
+    dot = tmp_path / "n.dot"
+    code, out = run_cli(capsys, "translate", BSCU[2], "--dot", str(dot))
+    assert code == 2 and out == "%s: No space left on device\n" % dot, out
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def test_an_oserror_that_names_no_file_propagates(tmp_path, capsys, monkeypatch):
+    # A closed stdout, or any OSError with no file to name, is not turned
+    # into "None: reason" and an exit code.
+    monkeypatch.setattr(sys, "stdout", _BrokenPipe())
+    for argv in (["validate", BSCU[0]], ["validate", str(tmp_path / "nope.tcsd")],
+                 ["check", *REPAIRED, "--arch", REPAIRED_ARCH]):
+        with pytest.raises(BrokenPipeError):
+            cli.main(argv)
+    monkeypatch.undo()
+
+    def fail(*args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(translate, "translate", fail)
+    for argv in (["translate", BSCU[2]], ["check", *REPAIRED, "--arch", REPAIRED_ARCH]):
+        with pytest.raises(OSError) as info:
+            cli.main(argv)
+        assert info.value.errno == errno.EIO and info.value.filename is None
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", [["validate"], ["translate"], ["check", "--arch", BSCU_ARCH],
+                                     ["check", BSCU[0], "--arch"]])
+def test_an_unreadable_input_is_named_with_its_reason(tmp_path, capsys, command):
+    for path, reason in ((tmp_path / "nope.tcsd", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        code, out = run_cli(capsys, *command, str(path))
+        assert code == 2, (command, path)
+        assert out == "%s: %s\n" % (path, reason), out
 
 
 def test_validate_rejects_an_integer_longer_than_the_limit(tmp_path, capsys):
@@ -360,6 +421,101 @@ def test_cross_product_mode(tmp_path, capsys):
     assert out.count("== selection:") == 2
 
 
+def _windows_cross(tmp_path):
+    """The timing fixture with two more diagrams for CompA: one consistent
+    with TC_WindowB, and one that deadlocks after a free first message."""
+    for name in ("window_a.tcsd", "window_b.tcsd"):
+        (tmp_path / name).write_bytes((FIXTURES / "timing" / name).read_bytes())
+    (tmp_path / "window_ok.tcsd").write_text(
+        "tcsd TC_WindowOk { sut S test T msg T -> S : sync msg T -> S : x at 9 }\n")
+    (tmp_path / "window_dead.tcsd").write_text(
+        "tcsd TC_WindowDead { sut S test T msg T -> S : hello msg T -> S : x "
+        "msg T -> S : sync }\n")
+    (tmp_path / "cross.arch").write_text(
+        "architecture Cross { components CompA, CompB "
+        + " ".join("bind TC_Window%s { sut = CompA T -> CompB }" % n for n in ("A", "Ok", "Dead"))
+        + " bind TC_WindowB { sut = CompB U -> CompA } }\n")
+    return lambda *names: ([str(tmp_path / ("window_%s.tcsd" % n)) for n in names]
+                           + [str(tmp_path / "window_b.tcsd"), "--arch",
+                              str(tmp_path / "cross.arch"), "--cross-product"])
+
+
+_OK_SELECTION = (
+    "== selection: TC_WindowOk, TC_WindowB\n"
+    "[0] consistent  witness: +0 TC_WindowB.T0 +0 TC_WindowB.T1 +0 TC_WindowOk.T0"
+    " +0 TC_WindowOk.T1 +0 sync +1 TC_WindowB.T3 +5 TC_WindowB.T4 +0 x +3 TC_WindowOk.T4\n"
+    "overall: consistent\n")
+_DEAD_SELECTION = ("== selection: TC_WindowDead, TC_WindowB\n"
+                   "[0] ordering deadlock  blocking: sync, x\n"
+                   "overall: inconsistent (ordering deadlock)\n")
+_CUT_SELECTION = ("== selection: TC_WindowDead, TC_WindowB\n"
+                  "[0] bound exceeded\n"
+                  "overall: inconclusive\n")
+_CONFLICT_SELECTION = ("== selection: TC_WindowA, TC_WindowB\n"
+                       "[0] timing conflict\n"
+                       "overall: inconsistent (timing conflict)\n")
+
+
+def test_cross_product_exit_is_inconsistent_then_inconclusive_then_consistent(
+        tmp_path, capsys):
+    # Selections run in input order for each component; one state is too
+    # few to search the deadlock, but the other two are decided from their
+    # constraints.
+    files = _windows_cross(tmp_path)
+    for names, options, code, selections in (
+            (("ok",), (), 0, [_OK_SELECTION]),
+            (("ok", "dead"), (), 1, [_OK_SELECTION, _DEAD_SELECTION]),
+            (("ok", "dead"), ("--max-states", "1"), 3, [_OK_SELECTION, _CUT_SELECTION]),
+            (("dead", "a"), ("--max-states", "1"), 1, [_CUT_SELECTION, _CONFLICT_SELECTION]),
+            (("a", "dead"), ("--max-states", "1"), 1, [_CONFLICT_SELECTION, _CUT_SELECTION])):
+        got = run_cli(capsys, "check", *files(*names), *options)
+        if len(names) == 1:  # one diagram a component: no selection header
+            selections = [s.split("\n", 1)[1] for s in selections]
+        assert got == (code, "".join(selections)), (names, options)
+
+
+def test_integration_error_inside_a_selection_is_a_usage_error(tmp_path, capsys):
+    # Under the strict policy TC_WindowDead's extra message is unmatched:
+    # the first selection's verdicts stand, then the second is refused.
+    code, out = run_cli(capsys, "check", *_windows_cross(tmp_path)("ok", "dead"),
+                        "--policy", "strict")
+    assert code == 2
+    assert out == _OK_SELECTION + (
+        "== selection: TC_WindowDead, TC_WindowB\n"
+        "unmatched message occurrences between TC_WindowDead and TC_WindowB: hello (1 vs 0)\n")
+
+
+def test_report_with_several_selections_is_refused_before_any_check(tmp_path, capsys):
+    report = tmp_path / "r.json"
+    files = _windows_cross(tmp_path)
+    code, out = run_cli(capsys, "check", *files("ok", "dead"), "--report", str(report))
+    assert (code, out) == (2, "--report is not supported together with --cross-product\n")
+    assert not report.exists()
+    # With one diagram a component there is one selection, and it is reported.
+    code, out = run_cli(capsys, "check", *files("ok"), "--report", str(report))
+    assert code == 0 and out.endswith("wrote %s\n" % report), out
+    assert json.loads(report.read_text())["overall"] == "consistent"
+
+
+def test_check_warns_when_matchings_are_truncated(capsys):
+    files = [str(FIXTURES / "require_all" / n) for n in ("tc_twice_a.tcsd", "tc_twice_b.tcsd")]
+    code, out = run_cli(capsys, "check", *files, "--arch",
+                        str(FIXTURES / "require_all" / "twice.arch"), "--max-matchings", "1")
+    assert code == 0
+    assert out == ("[0] consistent  witness: +0 TC_TwiceA.T0 +0 TC_TwiceA.T1 +0 TC_TwiceB.T0"
+                   " +0 TC_TwiceB.T1 +0 ping +0 done +0 ping\n"
+                   "matching enumeration truncated at --max-matchings=1\n"
+                   "overall: consistent\n")
+
+
+def test_check_refuses_a_report_over_an_input(capsys):
+    before = open(BSCU_ARCH, "rb").read()
+    for target in (BSCU_ARCH, BSCU[1]):
+        code, out = run_cli(capsys, "check", *BSCU, "--arch", BSCU_ARCH, "--report", target)
+        assert (code, out) == (2, "output path %s would overwrite an input\n" % target)
+    assert open(BSCU_ARCH, "rb").read() == before
+
+
 def test_color_env_toggle(capsys):
     code, plain = run_cli(capsys, "validate", BSCU[0], env={"VIRTINT_COLOR": "never"})
     assert "\x1b[" not in plain
@@ -371,6 +527,10 @@ def test_bad_bounds_rejected(capsys):
     code, out = run_cli(capsys, "check", *BSCU, "--arch", BSCU_ARCH,
                         "--max-states", "0")
     assert code == 2
+    code, out = run_cli(capsys, "check", *BSCU, "--arch", BSCU_ARCH, "--max-delay", "-1")
+    assert (code, out) == (2, "--max-delay must be >= 0\n")
+    code, out = run_cli(capsys, "check", *BSCU, "--arch", BSCU_ARCH, "--max-delay", "0")
+    assert code == 3 and "bound exceeded" in out, out
 
 
 CR_LABEL = 'tcsd T {\n  sut S\n  test A\n  msg A -> S : "a\rb"\n}\n'

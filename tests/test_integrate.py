@@ -288,6 +288,40 @@ def test_matching_cap_reports_truncation():
     assert len(report.verdicts) == 5
 
 
+def test_require_all_is_inconclusive_when_matchings_are_truncated():
+    # Both matchings of two unordered equal labels are consistent, but
+    # under --require-all one left unchecked leaves the answer open.
+    body = "par { op { msg %s : x } op { msg %s : x } }"
+    units, imap = _pair(body % ("S -> B", "S -> B"), body % ("C -> R", "C -> R"))
+    full = check_consistency(units, imap, require_all=True)
+    assert [v.status for v in full.verdicts] == ["consistent", "consistent"]
+    assert full.overall == "consistent"
+    for require_all, overall in ((False, "consistent"), (True, "inconclusive")):
+        report = check_consistency(units, imap, require_all=require_all, max_matchings=1)
+        assert report.matchings_truncated
+        assert [v.status for v in report.verdicts] == ["consistent"]
+        assert report.overall == overall
+
+
+def test_check_refuses_an_unknown_policy_and_a_single_diagram():
+    units, imap = _pair("msg S -> B : x", "msg C -> R : x")
+    with pytest.raises(ValueError, match="^unknown policy 'eager'$"):
+        check_consistency(units, imap, policy="eager")
+    with pytest.raises(IntegrationError,
+                       match="^virtual integration needs at least two diagrams$"):
+        check_consistency(units[:1], imap)
+
+
+def test_unbound_test_instance_reported():
+    tcsds = [model.validate(parser.parse_tcsd(
+        "tcsd TA { sut S test B test Ghost msg S -> B : x msg Ghost -> S : y }").tcsd).tcsd]
+    arch = parser.parse_architecture(
+        "architecture A { components C1, C2 bind TA { sut = C1 B -> C2 } }")
+    with pytest.raises(IntegrationError,
+                       match="^instance 'Ghost' of 'TA' is not bound to a component$"):
+        build_instance_map(arch, tcsds)
+
+
 def test_duplicate_sut_component_rejected():
     tcsds = [model.validate(parser.parse_tcsd(s).tcsd).tcsd for s in
              ("tcsd TA { sut S test B msg S -> B : x }",

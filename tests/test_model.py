@@ -263,6 +263,22 @@ def test_fragment_nested_in_timeout_inside_operand_validates_clean():
     assert outer.operands[0].children == (inner.id,)
 
 
+def test_loop_bound_clauses():
+    # The parser gives every loop a bound of at least 0 and no other block
+    # one, so each clause is reached through a diagram built otherwise.
+    tcsd = _parse("tcsd T { sut S test A loop 2 { msg A -> S : x } "
+                  "loop 3 { msg S -> A : y } opt { msg A -> S : z } }")
+    f1, f2, f3 = tcsd.base.fragments
+    bad = tcsd._replace(base=tcsd.base._replace(fragments=(
+        f1._replace(loop_bound=None), f2._replace(loop_bound=-1), f3._replace(loop_bound=4))))
+    res = model.validate(bad)
+    assert [tuple(v) for v in res.violations] == [
+        ("loop-bound", ("f1",), "loop without a constant bound"),
+        ("loop-bound", ("f2",), "negative loop bound"),
+        ("loop-bound", ("f3",), "bound on a non-loop fragment")]
+    _assert_validates_as_the_reference(bad)
+
+
 # --------------------------------------------------------------------------
 # Exact violation lists (clause, elements, detail, order), pinned so that a
 # change to how validate walks the diagram cannot reorder or reword them.

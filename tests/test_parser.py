@@ -123,6 +123,10 @@ def test_empty_architecture():
     ("architecture A { components C, D bind T { sut = C M -> C } }",
      "own SUT component"),
     ("architecture A { components C, C }", "duplicate component"),
+    ("architecture A { components C, D bind T { sut = C M -> Valve } }",
+     "1:56: unknown component 'Valve'"),
+    ("architecture A { components C, D, E bind T { sut = C M -> D\n  M -> E } }",
+     "2:3: instance 'M' mapped twice"),
 ])
 def test_architecture_errors(src, needle):
     with pytest.raises(ParseError) as err:
@@ -361,7 +365,7 @@ def test_matches_reference_on_fixtures_and_generated_sources():
 
 def test_plain_statements_never_reach_the_token_path(monkeypatch):
     src = ("tcsd T {\n  sut S\n  test A\n  test B\n"
-           "  msg A -> S : go\n"  # the first statement follows a peeked token
+           "  msg A -> S : go\n"  # the first statement, after a peeked token
            "\tmsg A->S:m1\n  msg S -> B : 42\n  msg B -> S : -7\n"
            '  msg S -> A : "a label {x} # no comment"\n  msg A -> S : at\n'
            "  at 3\n  timeout 5 {\n    msg A -> S : t1 msg S -> A : t2\n  }\n"
@@ -377,7 +381,7 @@ def test_plain_statements_never_reach_the_token_path(monkeypatch):
                         lambda c, b: calls.append((c.peek().value, c.span().line))
                         or real(c, b))
     assert _outcome(parser.parse_tcsd, src) == expected
-    assert calls == [("msg", 5)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("statement", [
@@ -401,6 +405,9 @@ def test_plain_statements_never_reach_the_token_path(monkeypatch):
     "loop 2\n{ msg A -> S : x }",
     "par { msg A -> S : x }",
     "par { op { msg A -> S : x } }",
+    "par { op\n{ msg A -> S : x } op # c\n{ msg S -> A : y } }",
+    "alt { op { msg A -> S : x }\n}",
+    "alt { op { msg A -> S : x } msg S -> A : y }",
 ])
 def test_statements_off_the_fast_path_parse_as_before(statement):
     for src in ("tcsd T { sut S test A msg A -> S : first\n  %s\n}" % statement,
@@ -430,21 +437,22 @@ def test_integer_longer_than_the_limit_is_a_parse_error(monkeypatch, statement):
     for digits in (limit, limit + 1, 5000):
         text = statement % ("1" * digits)
         column = 3 + text.index(" ") + 1
-        # The statement after the header goes token by token; the one after
-        # it would be matched whole, but is left to the token path.
+        # The statement would be matched whole, after the header or after
+        # another statement, but with a long integer it is left to the
+        # token path.
         for line, src in ((2, "tcsd T { sut S test A\n  %s\n}\n" % text),
                           (3, "tcsd T { sut S test A\n  msg A -> S : x\n  %s\n}\n" % text)):
             calls.clear()
             if digits <= limit:
                 assert parser.parse_tcsd(src).tcsd.base.name == "T"
-                assert calls == [2], calls
+                assert calls == [], calls
                 continue
             with pytest.raises(ParseError) as err:
                 parser.parse_tcsd(src)
             assert str(err.value) == (
                 "<tcsd>:%d:%d: integer of %d digits is longer than the limit of %d"
                 % (line, column, digits, limit))
-            assert calls == [2, 3][:line - 1], calls
+            assert calls == [line], calls
     # A minus sign is not a digit; the error comes before the range check.
     with pytest.raises(ParseError, match=r":2:6: integer of %d digits" % (limit + 1)):
         parser.parse_tcsd("tcsd T { sut S test A\n  at -%s\n}" % ("1" * (limit + 1)))
@@ -654,6 +662,8 @@ _REFUSED_STATEMENTS = ["op { msg A -> S : o }", "timeout 0 { msg A -> S : z }",
 # Block heads, as the pattern reads them and as only the token path does.
 _HEADS = ["opt {", "strict {", "loop 2 {", "loop 0 {", "timeout 3 {", "par {", "alt {",
           "opt\n{", "strict # c\n{", "loop\t1 {", "loop 1\n{", "timeout\n4 {", "par\n{", "alt {"]
+# An operand's head, as the pattern reads it and as only the token path does.
+_OP_HEADS = ["op {", "op{", "op\n{", "op # c\n{"]
 
 
 def _block_program(rnd, depth, heads=_HEADS, refused=0.03):
@@ -674,7 +684,7 @@ def _block_program(rnd, depth, heads=_HEADS, refused=0.03):
         body = (["msg A -> S : a%d" % level] if rnd.random() < 0.95 else []) + statements()
         rnd.shuffle(body)
         if head.startswith(("par", "alt")):
-            opening.append("%s\n  op {\n%s" % (head, "\n".join(body)))
+            opening.append("%s\n  %s\n%s" % (head, rnd.choice(_OP_HEADS), "\n".join(body)))
             closing.append("%s\n  }\n  op { msg S -> A : b%d }\n}" % ("\n".join(statements()),
                                                                     level))
         else:

@@ -8,7 +8,7 @@ import tapn_reference
 from gen import _random_guard, random_merged_units, random_tapn
 from oracle import naive_reachable
 from virtint import integrate, model, parser, tapn, translate
-from virtint.tapn import (Guard, InputArc, OutputArc, Tapn, Transition,
+from virtint.tapn import (Guard, InputArc, OutputArc, Tapn, TraceStep, Transition,
                           TransportArc, UnsupportedGuardError)
 
 
@@ -228,6 +228,42 @@ def test_witness_replays():
         assert tapn.marking_counts(final) == {p: n for p, n in target.items() if n}
         replayed += 1
     assert replayed >= 5
+
+
+def _late_read_net():
+    """t reads p through [2,oo) only after u and v have each waited 5
+    ticks, so p's token is 10 ticks old, past the cap of 6."""
+    return _net(["p", "q", "r", "s", "done"], [Transition("u"), Transition("v"), Transition("t")],
+                input_arcs=[InputArc("q", "u", Guard(5, 5)), InputArc("r", "v", Guard(5, 5)),
+                            InputArc("p", "t", Guard(2)), InputArc("s", "t")],
+                output_arcs=[OutputArc("u", "r"), OutputArc("v", "s"), OutputArc("t", "done")])
+
+
+def test_replay_takes_a_recorded_age_at_the_cap_for_any_older_token():
+    net = _late_read_net()
+    m0 = {"p": (0,), "q": (0,)}
+    res = tapn.reachable(net, m0, {"done": 1})
+    assert res.verdict == "reachable"
+    assert res.trace[-1] == TraceStep(0, "t", None, (("p", 6), ("s", None)))
+    assert tapn.replay(net, m0, res.trace) == {"done": (0,)}
+    # Of several tokens at or past the cap, the youngest is taken.
+    assert tapn.replay(net, {"p": (1, 0), "q": (0,)}, res.trace) == {"done": (0,), "p": (11,)}
+    # An age below the cap must be there exactly.
+    exact = res.trace[:-1] + [res.trace[-1]._replace(consumed=(("p", 5), ("s", None)))]
+    with pytest.raises(tapn.ReplayError, match="^no token of age 5 in p$"):
+        tapn.replay(net, m0, exact)
+
+
+@pytest.mark.parametrize("m0,consumed,error", [
+    ({"p": (0,), "s": (0,)}, (("p", None),), "step arity mismatch on t"),
+    ({"p": (0,), "s": (0,)}, (("s", None), ("p", None)), "step consumes from s, arc reads p"),
+    ({"p": (0,), "s": (0,)}, (("p", 6), ("s", None)), "no token of age 6 in p"),
+    ({"p": (1,), "s": (0,)}, (("p", 1), ("s", None)), "age 1 violates guard [2,∞) on t"),
+])
+def test_replay_refuses_a_step_that_cannot_fire(m0, consumed, error):
+    with pytest.raises(tapn.ReplayError) as err:
+        tapn.replay(_late_read_net(), m0, [TraceStep(0, "t", None, consumed)])
+    assert str(err.value) == error
 
 
 def test_bound_exceeded_reported():
