@@ -95,20 +95,34 @@ def _print_violations(out: _Printer, path: str, parsed, checked):
         out.bad("%s: %s" % (where, violation))
 
 
+def _file_error(exc: OSError) -> str:
+    """``path: reason`` for an OSError that names a file."""
+    return "%s: %s" % (exc.filename, exc.strerror or exc)
+
+
 def cmd_validate(args, out: _Printer) -> int:
+    """Validate each file in turn.  A file that cannot be read or parsed is
+    reported like an invalid one, and the next file is checked; an
+    unreadable file (exit 2) wins over an invalid one (exit 1)."""
     status = EXIT_OK
     for path in args.files:
         try:
             parsed, checked = _load_tcsd(path)
         except parser.ParseError as exc:
             out.bad(str(exc))
-            status = EXIT_FAIL
+            status = max(status, EXIT_FAIL)
+            continue
+        except OSError as exc:
+            if exc.filename is None:  # not about a file the user named
+                raise
+            out.bad(_file_error(exc))
+            status = EXIT_USAGE
             continue
         if checked.ok:
             out.good("ok %s (%s)" % (path, parsed.tcsd.base.name))
         else:
             _print_violations(out, path, parsed, checked)
-            status = EXIT_FAIL
+            status = max(status, EXIT_FAIL)
     return status
 
 
@@ -300,7 +314,8 @@ def main(argv=None) -> int:
     """Run one command and give its exit code.  Every command's failures
     end here, each as one message and an exit code: a file that cannot be
     read or written, input that fails to parse, an integration error and
-    a translation error."""
+    the unroll limit of translation.  Only ``validate`` reports a file it
+    cannot read or parse itself, to go on to the next file."""
     args = build_arg_parser().parse_args(argv)
     out = _Printer()
     for name in ("max_states", "max_matchings"):
@@ -324,7 +339,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         if exc.filename is None:  # not about a file the user named
             raise
-        out.bad("%s: %s" % (exc.filename, exc.strerror or exc))
+        out.bad(_file_error(exc))
         return EXIT_USAGE
     except parser.ParseError as exc:
         out.bad(str(exc))

@@ -230,12 +230,9 @@ class _Union(tuple):
         self.places = set(places)
         self.m0: dict[str, tuple[int, ...]] = {}
         self.target: dict[str, int] = {}
-        self.kinds = []
         for u in self:
             self.m0.update(u.m0)
             self.target.update(u.target)
-            self.kinds.extend(u.transition_kinds.items())
-        self.wait_places = frozenset(p for u in self for p in u.wait_places)
         self.fused: dict[tuple[str, str], _Fused] = {}
         return self
 
@@ -304,15 +301,12 @@ def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUn
     mids = [f.mid for f in fused]
     if not union.ok or len(set(mids)) != len(mids) or any(f.clash for f in fused):
         net.check()
-    rename = {tid: f.mid for f, pair in zip(fused, matching.pairs) for tid in pair}
     return TranslationUnit(
         tcsd=None,
         net=net,
         m0=dict(union.m0),
         target=dict(union.target),
         event_map={},
-        transition_kinds={rename.get(tid, tid): kind for tid, kind in union.kinds},
-        wait_places=union.wait_places,
     )
 
 

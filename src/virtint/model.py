@@ -233,6 +233,12 @@ def _region_tree(tcsd: Tcsd, members) -> list:
     border inside is a slice of them.  Faults are raised in the order a
     walk of the line from the left meets them, a fragment's own before
     those inside it.
+
+    Then every fragment must list, of the SUT line's events, exactly
+    those drawn between its borders.  Each node's inner events are listed,
+    so when the line repeats no id and draws no fragment twice, a count
+    shows it: the fragments list as many SUT events as their borders
+    enclose.  Only when they do not are the listings searched.
     """
     events = _sut_events(tcsd)
     kinds = list(map(_KIND, events))
@@ -245,15 +251,31 @@ def _region_tree(tcsd: Tcsd, members) -> list:
         else:
             exit_of[b] = after.get(events[b].fragment)
     nodes = list(map(_new_event_node, zip(events)))
-    line = (events, list(map(_ID, events)), nodes, borders, exit_of,
-            _index_fragments(tcsd), members)
-    return _parse_items(line, 0, len(events))
+    ids = list(map(_ID, events))
+    frags = _index_fragments(tcsd)
+    items = _parse_items((events, ids, nodes, borders, exit_of, frags, members), 0, len(events))
+    # Every enter is now a node, and exit_of holds each node's borders.
+    sut = set(ids)
+    listed = len(list(filter(sut.__contains__, itertools.chain.from_iterable(members.values()))))
+    enclosed = sum(exit_of.values()) - sum(exit_of) - len(exit_of)
+    if listed != enclosed or len(sut) < len(ids) or len(after) + len(exit_of) < len(borders):
+        # The nodes by enter position, then the fragments with no node.
+        inside = [(events[b].fragment, ids[b + 1:exit_of[b]]) for b in sorted(exit_of)]
+        drawn = set(map(_ID, inside))
+        inside += [(fid, ()) for fid in frags if fid not in drawn]
+        for fid, inner in inside:
+            outside = sut.difference(inner)
+            for eid in (e for op in frags[fid].operands for e in op.events if e in outside):
+                raise LayoutError("fragment %s lists %s, not drawn between its borders on "
+                                  "the SUT line" % (fid, eid))
+    return items
 
 
 def sut_regions(tcsd: Tcsd) -> list:
     """Parse the SUT line into the nested item tree used by the translator.
 
-    Raises LayoutError when borders are unmatched or operands interleave;
+    Raises LayoutError when borders are unmatched, operands interleave or
+    a fragment lists a SUT event not drawn between its borders;
     ``validate`` reports that as a ``fragment-layout`` violation.
     ``ValidationResult.regions`` is this tree of the normalized diagram.
     """
@@ -618,6 +640,11 @@ def validate(tcsd: Tcsd) -> ValidationResult:
             if eid in part_of:
                 _add(v, "completeness", [eid], "event shared between partition lines")
             part_of[eid] = n
+    # Every partition event lies on a partition line, which may also use
+    # events of other kinds.  ``kinds`` is in the order of ``event``.
+    for eid, kind in zip(event, kinds):
+        if kind == PARTITION and eid not in part_of:
+            _add(v, "completeness", [eid], "partition event lies on no partition line")
     at = _positions(tcsd, {eid for c in tcsd.timeouts for eid in (c.start, c.end)}.union(
         part_of))
     _check_ordering(tcsd.partitions, event, at, v)
@@ -635,7 +662,8 @@ def validate(tcsd: Tcsd) -> ValidationResult:
         for eid in members[f.id].keys() & anchors:
             owners.setdefault(eid, []).append(f.id)
     frag_pos = {f.id: n for n, f in enumerate(frags)} if anchors else {}
-    for c in tcsd.timeouts:
+    spans = []  # (start, end, number) of each ordered timeout on the SUT line
+    for n, c in enumerate(tcsd.timeouts):
         start, end = event[c.start], event[c.end]
         if start.instance != sut or end.instance != sut:
             _add(v, "timeout-endpoints", [c.start, c.end],
@@ -645,6 +673,8 @@ def validate(tcsd: Tcsd) -> ValidationResult:
         if sn >= en:
             _add(v, "timeout-ordered", [c.start, c.end],
                  "timeout start must precede its end")
+        else:
+            spans.append((sn, en, n))
         for fid in sorted(set(owners.get(c.start, ())) | set(owners.get(c.end, ())),
                           key=frag_pos.get):
             listed = members[fid]
@@ -659,6 +689,24 @@ def validate(tcsd: Tcsd) -> ValidationResult:
                 if e.kind == PARTITION:
                     _add(v, "timeout-partition-span", [c.start, c.end, e.id],
                          "timeout spans the partition event %s" % e.id)
+        # A strict fragment's borders are built into no step of the net.
+        for e in dict.fromkeys((start, end)):
+            if e.kind in _BORDERS and frags[frag_pos[e.fragment]].operator == "strict":
+                _add(v, "timeout-strict-border", [c.start, c.end, e.fragment],
+                     "timeout anchored on %s, a border of strict fragment %s"
+                     % (e.id, e.fragment))
+    # Two spans overlap without nesting when one starts inside the other
+    # and ends after it.  In start order, the spans that start inside a
+    # span are a run after it; sharing an anchor is no overlap.
+    spans.sort()
+    starts = [s1 for s1, _, _ in spans]
+    for a, b in sorted((min(m, n), max(m, n)) for k, (s1, e1, m) in enumerate(spans)
+                       for s2, e2, n in spans[k + 1:bisect.bisect_left(starts, e1)]
+                       if s1 < s2 and e1 < e2):
+        c1, c2 = tcsd.timeouts[a], tcsd.timeouts[b]
+        _add(v, "timeout-nesting", [c1.start, c1.end, c2.start, c2.end],
+             "timeouts %s..%s and %s..%s overlap without nesting"
+             % (c1.start, c1.end, c2.start, c2.end))
 
     if v:
         return ValidationResult(v)

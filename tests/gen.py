@@ -4,6 +4,8 @@ import itertools
 import random
 
 from virtint import integrate, model, parser, translate
+from virtint.model import (Event, Fragment, Message, Operand, PartitionLine, SequenceDiagram,
+                           Tcsd, Timeout)
 from virtint.tapn import (Guard, InputArc, OutputArc, Tapn, TargetSpec,
                           Transition, TransportArc, delay, enabled, fire,
                           marking_counts, normalize_marking)
@@ -226,3 +228,110 @@ def random_merged_units(rng: random.Random, max_sut_events: int = 8,
     matchings = itertools.islice(integrate.enumerate_matchings(units, imap),
                                  max_matchings)
     return [integrate.merge(units, m) for m in matchings]
+
+
+def mutated_diagram(rnd: random.Random, tcsd: Tcsd) -> Tcsd:
+    """``tcsd`` after zero to four random edits of its model: events moved,
+    retyped, copied, dropped or filed under another line, and operands,
+    children, partitions, messages and timeouts rewired."""
+    base = tcsd.base
+    lines = {inst: list(evs) for inst, evs in base.events.items()}
+    frags = [[f.id, f.operator, [[list(op.events), list(op.children)] for op in f.operands],
+              f.loop_bound] for f in base.fragments]
+    messages = [list(m) for m in base.messages]
+    partitions = [[list(p.events), p.timestamp] for p in tcsd.partitions]
+    timeouts = [list(c) for c in tcsd.timeouts]
+
+    def any_event():
+        ids = [e.id for evs in lines.values() for e in evs]
+        return rnd.choice(ids) if ids else "ghost"
+
+    def any_operand():
+        ops = [op for f in frags for op in f[2]]
+        return rnd.choice(ops) if ops else None
+
+    for _ in range(rnd.choice([0, 1, 1, 2, 2, 3, 4])):
+        edit = rnd.choice(["move", "move", "kind", "op_drop", "op_add", "op_share", "op_share",
+                           "op_move", "child",
+                           "stamp", "stamp", "cut", "cut", "timeout", "timeout", "endpoint",
+                           "border", "drop", "refile", "copy"])
+        inst = rnd.choice(list(lines))
+        line = lines[inst]
+        op = any_operand()
+        if edit == "move" and line:
+            line.insert(rnd.randrange(len(line) + 1), line.pop(rnd.randrange(len(line))))
+        elif edit == "kind" and line:
+            k = rnd.randrange(len(line))
+            kind = rnd.choice(model.EVENT_KINDS)
+            fragment = rnd.choice([f[0] for f in frags] or [None]) if kind in (
+                model.FRAGMENT_ENTER, model.FRAGMENT_EXIT) else None
+            line[k] = line[k]._replace(kind=kind, fragment=fragment)
+        elif edit == "op_drop" and op and op[0]:
+            op[0].pop(rnd.randrange(len(op[0])))
+        elif edit == "op_add" and op is not None:
+            op[0].insert(rnd.randrange(len(op[0]) + 1), any_event())
+        elif edit == "op_share" and op is not None:  # an event another fragment lists
+            other = any_operand()
+            if other[0]:
+                op[0].append(rnd.choice(other[0]))
+        elif edit == "op_move" and frags:
+            f = rnd.choice(frags)
+            src, dst = rnd.choice(f[2]), rnd.choice(f[2])
+            if src[0]:
+                dst[0].append(src[0].pop(rnd.randrange(len(src[0]))))
+        elif edit == "child" and op is not None and frags:
+            if op[1] and rnd.random() < 0.5:
+                op[1].pop(rnd.randrange(len(op[1])))
+            else:
+                op[1].append(rnd.choice(frags)[0])
+        elif edit == "stamp" and partitions:
+            stamps = [p[1] for p in partitions]
+            rnd.choice(partitions)[1] = rnd.choice(stamps + [0, rnd.randint(0, 12)])
+        elif edit == "cut":
+            if partitions and rnd.random() < 0.6:
+                p = rnd.choice(partitions)
+                p[0][rnd.randrange(len(p[0]))] = any_event()
+            else:  # a whole new line, cutting each instance at a random place
+                events = []
+                for name, evs in lines.items():
+                    eid = "p%d%s" % (len(partitions), name)
+                    evs.insert(rnd.randrange(len(evs) + 1), Event(eid, name, model.PARTITION))
+                    events.append(eid)
+                partitions.append([events, rnd.randint(0, 12)])
+        elif edit == "timeout":
+            sut_ids = [e.id for e in lines.get(tcsd.sut, ())]
+            if timeouts and rnd.random() < 0.4:
+                rnd.choice(timeouts)[rnd.randrange(2)] = any_event()
+            elif sut_ids:
+                timeouts.append([rnd.choice(sut_ids), rnd.choice(sut_ids), rnd.randint(1, 5)])
+        elif edit == "endpoint" and messages:
+            m = rnd.choice(messages)
+            if rnd.random() < 0.5:
+                m[0], m[2] = m[2], m[0]
+            else:
+                m[rnd.choice([0, 2])] = any_event()
+        elif edit == "border" and frags:
+            borders = [k for k, e in enumerate(line)
+                       if e.kind in (model.FRAGMENT_ENTER, model.FRAGMENT_EXIT)]
+            if borders:
+                k = rnd.choice(borders)
+                line[k] = line[k]._replace(fragment=rnd.choice(frags)[0])
+        elif edit == "drop" and line:
+            line.pop(rnd.randrange(len(line)))
+        elif edit == "copy" and line:  # the same id twice, or an unknown kind
+            e = rnd.choice(line)
+            if rnd.random() < 0.3:
+                e = e._replace(kind="jump")
+            line.insert(rnd.randrange(len(line) + 1), e)
+        elif edit == "refile" and line:
+            other = rnd.choice(list(lines))
+            lines[other].insert(rnd.randrange(len(lines[other]) + 1),
+                                line.pop(rnd.randrange(len(line))))
+    sd = SequenceDiagram(base.name, base.instances,
+                         {inst: tuple(evs) for inst, evs in lines.items()},
+                         tuple(Message(*m) for m in messages),
+                         tuple(Fragment(fid, operator, tuple(Operand(tuple(e), tuple(c))
+                                                             for e, c in ops), bound)
+                               for fid, operator, ops, bound in frags))
+    return Tcsd(sd, tcsd.sut, tuple(PartitionLine(tuple(e), t) for e, t in partitions),
+                tuple(Timeout(*c) for c in timeouts))

@@ -78,8 +78,6 @@ def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUn
     transport_arcs = []
     m0: dict[str, tuple[int, ...]] = {}
     target: dict[str, int] = {}
-    kinds: dict[str, str] = {}
-    waits: set[str] = set()
     for u in units:
         places.extend(u.net.places)
         transitions.extend(t for t in u.net.transitions if t.id not in rename)
@@ -91,9 +89,6 @@ def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUn
                               for a in u.net.transport_arcs)
         m0.update(u.m0)
         target.update(u.target)
-        for tid, kind in u.transition_kinds.items():
-            kinds[rename.get(tid, tid)] = kind
-        waits |= set(u.wait_places)
 
     net = Tapn(
         name="+".join(sorted(names)),
@@ -111,8 +106,6 @@ def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUn
         m0=m0,
         target=target,
         event_map={},
-        transition_kinds=kinds,
-        wait_places=frozenset(waits),
     )
 
 

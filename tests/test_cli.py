@@ -1,14 +1,19 @@
+import contextlib
 import errno
 import gc
 import hashlib
 import io
 import json
 import os
+import re
 import sys
+import tempfile
 import time
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from virtint import cli, model, parser, tapn, translate
@@ -99,6 +104,26 @@ def test_non_utf8_input_is_io_error_naming_the_path(tmp_path, capsys):
 def test_validate_missing_file_is_io_error(capsys):
     code, out = run_cli(capsys, "validate", str(FIXTURES / "nope.tcsd"))
     assert code == 2
+
+
+def test_validate_checks_every_file_past_an_unreadable_one(tmp_path, capsys):
+    ok, invalid = BSCU[2], str(FIXTURES / "invalid" / "double_partition.tcsd")
+    missing, broken = tmp_path / "nope.tcsd", tmp_path / "broken.tcsd"
+    broken.write_text("tcsd B { sut S test A msg A -> S }\n", encoding="utf-8")
+    violation = ("%s:6:6: uniqueness: 2 partition lines share timestamp 5 [e3 e4 e5 e6]"
+                 % invalid)
+    code, out = run_cli(capsys, "validate", ok, str(missing), invalid)
+    assert code == 2
+    assert out.splitlines() == ["ok %s (TC_Switch)" % ok,
+                                "%s: No such file or directory" % missing, violation]
+    # An unreadable file (2) wins over an invalid one (1) in either order,
+    # and a parse error after it is reported too.
+    code, out = run_cli(capsys, "validate", invalid, str(tmp_path), str(broken), ok)
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[:2] == [violation, "%s: Is a directory" % tmp_path]
+    assert lines[2].startswith("%s:1:" % broken) and lines[3] == "ok %s (TC_Switch)" % ok
+    assert len(lines) == 4
 
 
 def test_translate_writes_deterministic_dot(tmp_path, capsys):
@@ -218,6 +243,11 @@ def test_an_oserror_that_names_no_file_propagates(tmp_path, capsys, monkeypatch)
         with pytest.raises(OSError) as info:
             cli.main(argv)
         assert info.value.errno == errno.EIO and info.value.filename is None
+    # validate, which goes on past a file it cannot read, stops at this one.
+    monkeypatch.setattr(model, "validate", fail)
+    with pytest.raises(OSError) as info:
+        cli.main(["validate", BSCU[2], BSCU[0]])
+    assert info.value.errno == errno.EIO and info.value.filename is None
     assert capsys.readouterr().out == ""
 
 
@@ -733,3 +763,101 @@ def test_check_runs_with_gc_as_the_caller_left_it(capsys, gc_seen):
         assert cli.main(["check", *REPAIRED, "--arch", REPAIRED_ARCH]) == 0
         assert gc.isenabled() is enabled
         assert gc_seen and all(seen is enabled for seen in gc_seen)
+
+
+# -- any input: an exit code in 0-3 and no traceback -------------------------------
+
+# Each fixture set's diagrams and architecture; the invalid set, which has
+# no architecture, last.
+_SETS = sorted(((sorted(p.read_bytes() for p in d.glob("*.tcsd")),
+                 [p.read_bytes() for p in d.glob("*.arch")])
+                for d in sorted(FIXTURES.iterdir())), key=lambda s: not s[1])
+_NUMBER = re.compile(rb"\d+")
+# Integers that keep a loop's unrolling and a search's ages small, and
+# ones past the search's guard limit, at and past the parser's digit limit.
+_INTEGERS = [b"0", b"1", b"7", b"1" + b"0" * 12, b"9" * 4300, b"9" * 4301]
+
+
+@st.composite
+def _input_file(draw, texts):
+    """Random bytes, or one of ``texts`` after up to four edits; the first
+    choice of each draw is the one that shrinking moves to."""
+    if not texts or draw(st.sampled_from(["text"] * 7 + ["bytes"])) == "bytes":
+        return draw(st.binary(max_size=200))
+    data = draw(st.sampled_from(texts))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 4]))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["bom", "nul", "bad-utf8", "integer", "deep", "cut",
+                                     "bytes"]))
+        if edit == "bom":
+            data = b"\xef\xbb\xbf" * draw(st.integers(1, 2)) + data
+        elif edit == "nul":
+            data = data[:at] + b"\x00" + data[at:]
+        elif edit == "bad-utf8":
+            bad = draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"]))
+            data = data[:at] + bad + data[at:]
+        elif edit == "integer":
+            data = _NUMBER.sub(draw(st.sampled_from(_INTEGERS)), data, count=1)
+        elif edit == "deep":  # blocks around the end of the body, at and past the limit
+            n = draw(st.sampled_from([3, 100, 101]))
+            end = data.rfind(b"}")
+            data = data[:end] + b"opt { " * n + b"at 1 " + b"} " * n + data[end:]
+        elif edit == "cut":
+            data = data[:at]
+        else:
+            data = data[:at] + draw(st.binary(max_size=20)) + data[at:]
+    return data
+
+
+@st.composite
+def _command(draw):
+    """A command line and the files it names, as (argv, {name: bytes}):
+    ``check`` reads every diagram of a fixture set, each perhaps edited."""
+    tcsds, archs = draw(st.sampled_from(_SETS))
+    command = draw(st.sampled_from(["validate", "translate", "check"]))
+    if command == "check":
+        texts = [draw(_input_file([text])) for text in tcsds]
+    else:
+        texts = [draw(_input_file(tcsds)) for _ in range(
+            1 if command == "translate" else draw(st.integers(1, 3)))]
+    files = {"d%d.tcsd" % n: text for n, text in enumerate(texts)}
+    argv = [command, *files]
+    if command == "translate":
+        for flag, name in (("--dot", "out.dot"), ("--tapaal", "out.xml")):
+            if draw(st.booleans()):
+                argv += [flag, name]
+    elif command == "check":
+        files["a.arch"] = draw(_input_file(archs))
+        argv += ["--arch", "a.arch"]
+        for flag in ("--require-all", "--cross-product"):
+            if draw(st.booleans()):
+                argv.append(flag)
+        if draw(st.booleans()):
+            argv += ["--policy", "strict"]
+        for flag, values in (("--max-states", ["5000", "50", "1", "-1"]),
+                             ("--max-delay", ["3", "0", "-1"]),
+                             ("--max-matchings", ["64", "1", "0"])):
+            if draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(values))]
+        if draw(st.booleans()):
+            argv += ["--report", draw(st.sampled_from(["r.json", "missing/r.json", "d0.tcsd"]))]
+    return argv, files
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_command())
+def test_any_input_exits_0_to_3_without_a_traceback(command):
+    argv, files = command
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            with open(os.path.join(tmp, name), "wb") as fp:
+                fp.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([os.path.join(tmp, a) if a in files or a.endswith(
+                    (".dot", ".xml", ".json")) else a for a in argv])
+            except SystemExit as exc:  # argparse refusing the command line
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, out.getvalue(), err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()

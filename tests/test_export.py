@@ -61,9 +61,7 @@ def _minimal_unit():
     net = Tapn("tiny", ("p0", "p1"), (Transition("t0"),), (), (),
                (TransportArc("p0", "t0", "p1", Guard(0)),))
     return TranslationUnit(tcsd=None, net=net, m0={"p0": (0,)},
-                           target={"p1": 1}, event_map={},
-                           transition_kinds={"t0": "message"},
-                           wait_places=frozenset())
+                           target={"p1": 1}, event_map={})
 
 
 def test_tapaal_minimal_unit():
@@ -210,8 +208,7 @@ def test_writers_escape_labels_like_the_references():
 
 def test_writers_match_references_on_empty_net():
     net = Tapn("empty", (), (), (), (), ())
-    unit = TranslationUnit(tcsd=None, net=net, m0={}, target={}, event_map={},
-                           transition_kinds={}, wait_places=frozenset())
+    unit = TranslationUnit(tcsd=None, net=net, m0={}, target={}, event_map={})
     _assert_matches_references(unit)
 
 
@@ -230,8 +227,7 @@ def _awkward_unit(input_arcs=(), output_arcs=(), transport_arcs=()):
                tuple(inputs) + tuple(input_arcs), tuple(outputs) + tuple(output_arcs),
                tuple(transports) + tuple(transport_arcs))
     return TranslationUnit(tcsd=None, net=net, m0={'p"0': (0, 3, 3), "a.b": (1,)},
-                           target={"a-b": 1, "日本-3": 2}, event_map={},
-                           transition_kinds={}, wait_places=frozenset())
+                           target={"a-b": 1, "日本-3": 2}, event_map={})
 
 
 def test_writers_match_references_on_awkward_names():

@@ -439,8 +439,7 @@ def _chain_unit(name, label, places=None, extra=()):
     net = Tapn(name, tuple(p), (Transition(t0), Transition(t1, label)) + tuple(extra),
                (InputArc(p[0], t0), InputArc(p[1], t1)),
                (OutputArc(t0, p[1]), OutputArc(t1, p[2])), ())
-    return TranslationUnit(None, net, {p[0]: (0,)}, {p[2]: 1}, {},
-                           {t0: "start", t1: "message"}, frozenset())
+    return TranslationUnit(None, net, {p[0]: (0,)}, {p[2]: 1}, {})
 
 
 def test_merge_errors_equal_the_reference():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tapn_reference
-from gen import random_tapn, random_tcsd_source
+from gen import mutated_diagram, random_tapn, random_tcsd_source
 from virtint import cli, model, parser, stp, tapn, translate
 from virtint.model import (Event, Message, SequenceDiagram, Tcsd, Timeout)
 from virtint.translate import TranslationError
@@ -22,6 +22,33 @@ def _unit(src):
     checked = model.validate(parser.parse_tcsd(src).tcsd)
     assert checked.ok, checked.violations
     return translate.translate(checked.tcsd)
+
+
+def _wait_places(unit):
+    """The timeouts' wait places: each is drained through a bounded guard."""
+    return {a.place for a in unit.net.input_arcs if a.guard.upper is not None}
+
+
+def _kinds(unit):
+    """Each transition's role, read off the net: the start step consumes
+    the initial token, a labeled step is a message, a step whose transport
+    arc has an exact guard is a partition, a fragment enter feeds operand
+    places and a fragment exit drains them, each through plain arcs."""
+    net, waits = unit.net, _wait_places(unit)
+    kinds = {t.id: "message" for t in net.transitions if t.label is not None}
+    for a in net.input_arcs:
+        if a.place in unit.m0:
+            kinds[a.transition] = "start"
+        elif a.place not in waits:
+            kinds.setdefault(a.transition, "fragment-exit")
+    for a in net.output_arcs:
+        if a.place not in waits:
+            kinds.setdefault(a.transition, "fragment-enter")
+    for a in net.transport_arcs:
+        if a.guard.lower == a.guard.upper:
+            kinds.setdefault(a.transition, "partition")
+    assert len(kinds) == len(net.transitions)
+    return kinds
 
 
 def test_message_chain_shape():
@@ -60,7 +87,7 @@ def test_partition_at_zero_gets_exact_zero_guard():
 def test_structural_report_counts():
     unit = _unit("tcsd T { sut S test A "
                  "msg A -> S : a msg S -> A : b msg A -> S : c at 3 at 9 }")
-    counts = Counter(unit.transition_kinds.values())
+    counts = Counter(_kinds(unit).values())
     assert sum(1 for t in unit.net.transitions if t.label is not None) == 3
     # Two explicit partitions plus the implicit one at time 0.
     assert counts["partition"] == 3
@@ -72,7 +99,7 @@ def test_structural_report_counts():
 def test_par_fragment_branches():
     unit = _unit("tcsd T { sut S test A "
                  "par { op { msg A -> S : a } op { msg A -> S : b } } }")
-    kinds = unit.transition_kinds
+    kinds = _kinds(unit)
     [tfs] = [t for t, k in kinds.items() if k == "fragment-enter"]
     [tfe] = [t for t, k in kinds.items() if k == "fragment-exit"]
     branch_outs = [a for a in unit.net.output_arcs if a.transition == tfs]
@@ -86,7 +113,7 @@ def test_par_fragment_branches():
 
 def test_loop_zero_keeps_border_transitions():
     unit = _unit("tcsd T { sut S test A loop 0 { msg A -> S : a } }")
-    kinds = unit.transition_kinds
+    kinds = _kinds(unit)
     assert "fragment-enter" in kinds.values()
     assert "fragment-exit" in kinds.values()
     assert all(t.label is None for t in unit.net.transitions)
@@ -130,8 +157,7 @@ def test_strict_fragment_adds_nothing():
 def test_timeout_shares_anchor_transition():
     unit = _unit("tcsd T { sut S test A "
                  "timeout 5 { msg A -> S : go msg S -> A : done } }")
-    assert len(unit.wait_places) == 1
-    [wait] = unit.wait_places
+    [wait] = _wait_places(unit)
     feeder = [a for a in unit.net.output_arcs if a.place == wait]
     drain = [a for a in unit.net.input_arcs if a.place == wait]
     assert len(feeder) == 1 and len(drain) == 1
@@ -154,7 +180,7 @@ def test_timeout_window_enforced():
 def test_nested_timeouts_supported():
     unit = _unit("tcsd T { sut S test A timeout 9 { msg A -> S : a "
                  "timeout 3 { msg A -> S : b msg A -> S : c } msg S -> A : d } }")
-    assert len(unit.wait_places) == 2
+    assert len(_wait_places(unit)) == 2
 
 
 def test_overlapping_timeouts_rejected():
@@ -165,10 +191,10 @@ def test_overlapping_timeouts_rejected():
     msgs = tuple(Message("s%d" % n, "m%d" % n, "r%d" % n) for n in range(4))
     sd = SequenceDiagram("X", ("S", "A"), events, msgs, ())
     tcsd = Tcsd(sd, "S", (), (Timeout("s0", "s2", 5), Timeout("s1", "s3", 5)))
-    checked = model.validate(tcsd)
-    assert checked.ok
-    with pytest.raises(TranslationError):
-        translate.translate(checked.tcsd)
+    # The validator rejects the pair, so translate never sees it.
+    assert [tuple(v) for v in model.validate(tcsd).violations] == [
+        ("timeout-nesting", ("s0", "s2", "s1", "s3"),
+         "timeouts s0..s2 and s1..s3 overlap without nesting")]
 
 
 def test_chained_timeouts_allowed():
@@ -186,7 +212,9 @@ def test_chained_timeouts_allowed():
 
 
 def _overlap_pairwise(spans):
-    """Reference rule: some two spans overlap without nesting or chaining."""
+    """Reference rule: the pairs of spans that overlap without nesting or
+    chaining."""
+    pairs = []
     for i in range(len(spans)):
         for j in range(i + 1, len(spans)):
             (s1, e1), (s2, e2) = spans[i], spans[j]
@@ -194,13 +222,15 @@ def _overlap_pairwise(spans):
                 continue
             if (s1 <= s2 and e2 <= e1) or (s2 <= s1 and e1 <= e2):
                 continue
-            return True
-    return False
+            pairs.append((i, j))
+    return pairs
 
 
 def test_timeout_shape_agrees_with_pairwise_rule():
-    line = tuple(Event("s%d" % n, "S", "send") for n in range(8))
-    sd = SequenceDiagram("X", ("S",), {"S": line}, (), ())
+    events = {"S": tuple(Event("s%d" % n, "S", "send") for n in range(8)),
+              "A": tuple(Event("r%d" % n, "A", "receive") for n in range(8))}
+    msgs = tuple(Message("s%d" % n, "m%d" % n, "r%d" % n) for n in range(8))
+    sd = SequenceDiagram("X", ("S", "A"), events, msgs, ())
     rng = random.Random(5)
     rejected = 0
     for _ in range(5000):
@@ -209,13 +239,15 @@ def test_timeout_shape_agrees_with_pairwise_rule():
             start = rng.randrange(7)
             spans.append((start, rng.randrange(start + 1, 8)))
         timeouts = tuple(Timeout("s%d" % a, "s%d" % b, 5) for a, b in spans)
-        tcsd = Tcsd(sd, "S", (), timeouts)
-        if _overlap_pairwise(spans):
+        checked = model.validate(Tcsd(sd, "S", (), timeouts))
+        pairs = _overlap_pairwise(spans)
+        assert [v.elements for v in checked.violations] == [
+            timeouts[i][:2] + timeouts[j][:2] for i, j in pairs]
+        assert {v.clause for v in checked.violations} <= {"timeout-nesting"}
+        if pairs:
             rejected += 1
-            with pytest.raises(TranslationError, match="overlap without nesting"):
-                translate._check_timeout_shape(tcsd)
         else:
-            translate._check_timeout_shape(tcsd)
+            translate.translate(checked.tcsd)
     assert 1000 < rejected < 4000
 
 
@@ -310,11 +342,12 @@ def test_main_token_age_tracks_time_since_start():
                  "msg S -> A : y at 7 msg A -> S : z }")
     res = tapn.reachable(unit.net, unit.m0, unit.target)
     assert res.verdict == "reachable"
+    kinds = _kinds(unit)
     elapsed = None
     for step in res.trace:
         if elapsed is not None:
             elapsed += step.delay
-        if unit.transition_kinds[step.transition] == "start":
+        if kinds[step.transition] == "start":
             elapsed = 0
             continue
         known = [age for _, age in step.consumed if age is not None]
@@ -343,28 +376,40 @@ def test_solo_nets_always_feasible_sample():
         assert res.verdict == "reachable", src
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 30), st.integers(0, 4),
-       st.sampled_from([None, 5, 10]))
-def test_translate_builds_an_ordered_marked_graph_or_refuses(seed, events, depth, limit):
-    # The invariant the difference-constraint decision rests on: every net
-    # translate builds passes Tapn.check and stp.causal_order, which
-    # orders all of its transitions, or translate raises TranslationError
-    # (here: a lowered unroll limit).
+       st.sampled_from([None, 5, 10]), st.booleans(), st.randoms(use_true_random=False))
+def test_translate_builds_an_ordered_marked_graph_or_refuses(seed, events, depth, limit,
+                                                             mutate, rnd):
+    # The invariant the difference-constraint decision rests on: every
+    # diagram that validate accepts translates to a net that passes
+    # Tapn.check and stp.causal_order, which orders all of its
+    # transitions, unless it unrolls to more than the limit (here lowered):
+    # the one TranslationError.  The diagrams are random, or random ones
+    # after random edits of their model.
     src = random_tcsd_source(random.Random(seed), "P", events, depth)
-    tcsd = model.validate(parser.parse_tcsd(src).tcsd).tcsd
+    tcsd = parser.parse_tcsd(src).tcsd
+    if mutate:
+        tcsd = mutated_diagram(rnd, tcsd)
+    checked = model.validate(tcsd)
+    if not checked.ok:
+        assert mutate, checked.violations
+        return
+    tcsd = checked.tcsd
     with mock.patch.object(translate, "MAX_TRANSITIONS",
                            limit or translate.MAX_TRANSITIONS):
         try:
-            unit = translate.translate(tcsd)
-        except TranslationError:
-            assert limit is not None and 1 + translate._unrolled_transitions(
-                model.sut_regions(tcsd)) > limit, src
+            unit = translate.translate(tcsd, checked.regions)
+        except TranslationError as exc:
+            count = 1 + translate._unrolled_transitions(checked.regions)
+            assert limit is not None and count > limit, (src, tcsd)
+            assert str(exc) == ("unrolling the loops of P gives %d transitions, more "
+                                "than the limit of %d" % (count, limit))
             return
     unit.net.check()
     found = stp.causal_order(unit.net, unit.m0, unit.target)
-    assert found is not None, src
-    assert len(found[0]) == len(unit.net.transitions), src
+    assert found is not None, (src, tcsd)
+    assert len(found[0]) == len(unit.net.transitions), (src, tcsd)
 
 
 def _nested_loops(n):
@@ -498,7 +543,7 @@ def test_builder_check_lets_a_sound_net_through_that_its_shortcut_cannot_show():
     tcsd = model.validate(parser.parse_tcsd(_FOLDED).tcsd).tcsd
     b = translate._Builder(tcsd)
     p, q, r = b.place(), b.place(), b.place()
-    t = b.transition(None, translate.START)
+    t = b.transition(None)
     b.transport_arcs += [tapn.TransportArc(p, t, q), tapn.TransportArc(q, t, r)]
     assert b.net().transport_arcs == tuple(b.transport_arcs)
 

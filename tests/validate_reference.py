@@ -5,7 +5,12 @@ used to rule out shared events.
 
 A verbatim copy, for the differential tests in ``test_model``: the
 violations, their order, the normalized diagram and the region tree must
-all come out the same.  Nothing in ``src`` uses it.
+all come out the same.  Nothing in ``src`` uses it.  The rules that
+``translate`` relies on were added to both later, each written here
+plainly: a fragment lists exactly the SUT events drawn between its
+borders, every partition event lies on a partition line, no timeout is
+anchored on a strict fragment's border, and any two timeouts nest or
+are disjoint.
 """
 
 from __future__ import annotations
@@ -90,9 +95,53 @@ def _parse_items(events, i, j, frags, operands_of) -> list:
     return items
 
 
+def _check_listing(items, on_sut, drawn: set):
+    """Raise LayoutError for the first fragment in a walk of the tree that
+    lists a SUT event not drawn inside it; gather the fragments met."""
+    for item in items:
+        if isinstance(item, FragmentNode):
+            inside = {e.id for op in item.operand_items for e in _flatten(op)}
+            for op in item.fragment.operands:
+                for eid in op.events:
+                    if eid in on_sut and eid not in inside:
+                        raise LayoutError("fragment %s lists %s, not drawn between its "
+                                          "borders on the SUT line" % (item.fragment.id, eid))
+            drawn.add(item.fragment.id)
+            for op in item.operand_items:
+                _check_listing(op, on_sut, drawn)
+
+
+def _flatten(items) -> list:
+    """The events of a region tree in line order, borders included."""
+    out = []
+    for item in items:
+        if isinstance(item, FragmentNode):
+            out.append(item.enter)
+            for op in item.operand_items:
+                out += _flatten(op)
+            out.append(item.exit)
+        else:
+            out.append(item.event)
+    return out
+
+
 def _region_tree(tcsd: Tcsd, operands_of) -> list:
     events = _sut_events(tcsd)
-    return _parse_items(events, 0, len(events), _index_fragments(tcsd), operands_of)
+    frags = _index_fragments(tcsd)
+    items = _parse_items(events, 0, len(events), frags, operands_of)
+    # Each fragment lists, of the SUT line's events, those drawn inside it.
+    on_sut = {e.id for e in events}
+    drawn: set[str] = set()
+    _check_listing(items, on_sut, drawn)
+    for frag in frags.values():
+        if frag.id in drawn:
+            continue
+        for op in frag.operands:
+            for eid in op.events:
+                if eid in on_sut:
+                    raise LayoutError("fragment %s lists %s, not drawn between its "
+                                      "borders on the SUT line" % (frag.id, eid))
+    return items
 
 
 # --------------------------------------------------------------------------
@@ -348,6 +397,9 @@ def validate(tcsd: Tcsd) -> ValidationResult:
             if eid in part_of:
                 _add(v, "completeness", [eid], "event shared between partition lines")
             part_of[eid] = n
+    for eid, k in kind.items():
+        if k == PARTITION and eid not in part_of:
+            _add(v, "completeness", [eid], "partition event lies on no partition line")
     if _drawn_out_of_order(tcsd.partitions, pos):
         ordered = sorted(tcsd.partitions, key=lambda p: p.timestamp)
         for a in range(len(ordered)):
@@ -370,6 +422,9 @@ def validate(tcsd: Tcsd) -> ValidationResult:
                      "partition event lies inside a fragment operand")
 
     # Timeouts.
+    border_of = {e.id: e.fragment for line in base.events.values() for e in line
+                 if e.kind in _BORDERS}
+    spans = []  # (timeout, start, end) of each ordered timeout on the SUT line
     for c in tcsd.timeouts:
         si, sn = pos[c.start]
         ei, en = pos[c.end]
@@ -380,6 +435,8 @@ def validate(tcsd: Tcsd) -> ValidationResult:
         if sn >= en:
             _add(v, "timeout-ordered", [c.start, c.end],
                  "timeout start must precede its end")
+        else:
+            spans.append((c, sn, en))
         s_ops, e_ops = operands_of.get(c.start, {}), operands_of.get(c.end, {})
         for fid in sorted(s_ops.keys() | e_ops.keys(), key=frag_pos.get):
             for x in sorted(set(s_ops.get(fid, ())) ^ set(e_ops.get(fid, ()))):
@@ -393,6 +450,17 @@ def validate(tcsd: Tcsd) -> ValidationResult:
                 if e.kind == PARTITION:
                     _add(v, "timeout-partition-span", [c.start, c.end, e.id],
                          "timeout spans the partition event %s" % e.id)
+        for eid in [c.start] if c.start == c.end else [c.start, c.end]:
+            fid = border_of.get(eid)
+            if fid is not None and frags[frag_pos[fid]].operator == "strict":
+                _add(v, "timeout-strict-border", [c.start, c.end, fid],
+                     "timeout anchored on %s, a border of strict fragment %s" % (eid, fid))
+    for x, (c1, s1, e1) in enumerate(spans):
+        for c2, s2, e2 in spans[x + 1:]:
+            if s1 < s2 < e1 < e2 or s2 < s1 < e2 < e1:
+                _add(v, "timeout-nesting", [c1.start, c1.end, c2.start, c2.end],
+                     "timeouts %s..%s and %s..%s overlap without nesting"
+                     % (c1.start, c1.end, c2.start, c2.end))
 
     if v:
         return ValidationResult(v)
