@@ -27,7 +27,7 @@ from typing import NamedTuple
 from . import stp, tapn
 from .model import Tcsd
 from .parser import Architecture
-from .tapn import Tapn, TraceStep, Transition
+from .tapn import InputArc, OutputArc, Tapn, TraceStep, Transition, TransportArc
 from .translate import TranslationUnit
 
 CONSISTENT = "consistent"
@@ -89,14 +89,8 @@ def _occurrence_triples(unit: TranslationUnit, imap: InstanceMap):
     tcsd = unit.tcsd
     name = tcsd.base.name
     owner = {e.id: inst for inst, evs in tcsd.base.events.items() for e in evs}
-    msg_by_event = {}
-    for m in tcsd.base.messages:
-        msg_by_event[m.send] = m
-        msg_by_event[m.receive] = m
-    event_of = {}
-    for eid, tids in unit.event_map.items():
-        for tid in tids:
-            event_of[tid] = eid
+    msg_by_event = {e: m for m in tcsd.base.messages for e in (m.send, m.receive)}
+    event_of = {tid: eid for eid, tids in unit.event_map.items() for tid in tids}
     triples: dict[str, tuple[str, str, str]] = {}
     for t in unit.net.transitions:
         if t.label is None:
@@ -124,18 +118,21 @@ def enumerate_matchings(units: list[TranslationUnit], imap: InstanceMap,
     """Yield every combination of synchronization points, deterministically.
 
     Per unit pair and per occurrence class (sender component, label,
-    receiver component), all maximum injective matchings are produced and
-    combined by cartesian product.
+    receiver component), all maximum injective matchings are combined by
+    cartesian product, in ``itertools.product``'s order: the last class
+    advances fastest.  Combinations are made one at a time, each class's
+    permutations generated afresh on every pass, so taking the first few
+    costs only what they cost.
     ``strict`` requires equal occurrence counts for every class whose
-    endpoints are the pair's two components and errors otherwise;
-    ``maximal`` leaves surplus occurrences free-firing.
+    endpoints are the pair's two components and errors otherwise, before
+    the first matching; ``maximal`` leaves surplus occurrences free-firing.
     """
     if policy not in (MAXIMAL, STRICT):
         raise ValueError("unknown policy %r" % policy)
     if len(units) < 2:
         raise IntegrationError("virtual integration needs at least two diagrams")
     groups = [_group_by_triple(_occurrence_triples(u, imap)) for u in units]
-    class_options: list[list[tuple[tuple[str, str], ...]]] = []
+    classes: list[tuple[list[str], list[str]]] = []
     for i in range(len(units)):
         for j in range(i + 1, len(units)):
             ga, gb = groups[i], groups[j]
@@ -154,49 +151,46 @@ def enumerate_matchings(units: list[TranslationUnit], imap: InstanceMap,
                     raise IntegrationError(
                         "unmatched message occurrences between %s and %s: %s"
                         % (units[i].name, units[j].name, ", ".join(unmatched)))
-            for triple in sorted(set(ga) & set(gb)):
-                a, b = ga[triple], gb[triple]
-                if len(a) <= len(b):
-                    options = [tuple(zip(a, perm))
-                               for perm in itertools.permutations(b, len(a))]
-                else:
-                    options = [tuple(zip(perm, b))
-                               for perm in itertools.permutations(a, len(b))]
-                class_options.append(options)
-    for combo in itertools.product(*class_options):
-        pairs = tuple(sorted(pair for part in combo for pair in part))
-        yield SyncMatching(pairs)
+            classes.extend((ga[t], gb[t]) for t in sorted(set(ga) & set(gb)))
+    streams = [_class_options(a, b) for a, b in classes]
+    combo = [next(s) for s in streams]
+    while True:
+        yield SyncMatching(tuple(sorted(pair for part in combo for pair in part)))
+        for n in reversed(range(len(streams))):
+            combo[n] = next(streams[n], None)
+            if combo[n] is not None:
+                break
+            streams[n] = _class_options(*classes[n])
+            combo[n] = next(streams[n])
+        else:
+            return
 
 
-class _Fused(NamedTuple):
-    """A matched pair fused into one transition, ready to patch the union
-    with: per table (transitions, input, output and transport arcs), the
-    renamed rows to write over the pair's own as (position, row), and the
-    position of the pair's second transition, which the merged net drops."""
-
-    mid: str
-    put: tuple[list[tuple[int, tuple]], ...]
-    gone: int
-    clash: bool  # the merged net may fail Tapn.check where the union passed
+def _class_options(a: list[str], b: list[str]):
+    """Every maximum injective matching of the occurrences ``a`` with ``b``."""
+    if len(a) <= len(b):
+        return (tuple(zip(a, perm)) for perm in itertools.permutations(b, len(a)))
+    return (tuple(zip(perm, b)) for perm in itertools.permutations(a, len(b)))
 
 
-# Per table of the union: the net field, its canonical sort key, and the
-# indices of the transition id and of the places in a row.
-_TABLES = (("transitions", itemgetter(0), 0, ()),
-           ("input_arcs", itemgetter(0, 1), 1, (0,)),
-           ("output_arcs", itemgetter(0, 1), 0, (1,)),
-           ("transport_arcs", itemgetter(0, 1, 2), 1, (0, 2)))
+# Per table of the union: the net field, its canonical sort key, the
+# indices of the places in a row, and the row renamed to another
+# transition (at half the cost of ``_replace``).
+_TABLES = (("transitions", itemgetter(0), (), None),
+           ("input_arcs", itemgetter(0, 1), (0,),
+            lambda a, tid: InputArc(a.place, tid, a.guard)),
+           ("output_arcs", itemgetter(0, 1), (1,), lambda a, tid: OutputArc(tid, a.place)),
+           ("transport_arcs", itemgetter(0, 1, 2), (0, 2),
+            lambda a, tid: TransportArc(a.source, tid, a.target, a.guard)))
 
 
 class _Union(tuple):
     """The units with their disjoint union, built and checked once.
 
-    ``net`` is the canonical merge of the empty matching.  Each table's
-    rows sit at recorded positions, so a matching's merged net replaces
-    only the rows of its fused transitions; each matched pair is fused
-    once, on first use.  A row's rank is its index in the units' own
-    order, which breaks ties between equal sort keys as a stable sort of
-    the concatenated units would.
+    ``net`` holds the places sorted and, per table, the units' rows
+    concatenated in the units' own order; ``merge`` renames and sorts
+    them.  ``places_of`` maps each transition to the places its arcs
+    touch.
     """
 
     def __new__(cls, units):
@@ -210,37 +204,39 @@ class _Union(tuple):
                 if t.id in self.by_tid:
                     raise IntegrationError("transition id %s appears in two nets" % t.id)
                 self.by_tid[t.id] = t
-        tables = []
-        self.rows_of = []  # per table: transition id -> [(position, rank)]
-        for field, key, ti, _ in _TABLES:
-            rows = [r for u in self for r in getattr(u.net, field)]
-            order = sorted(range(len(rows)), key=lambda i: key(rows[i]))
-            at: dict[str, list[tuple[int, int]]] = {}
-            for pos, i in enumerate(order):
-                at.setdefault(rows[i][ti], []).append((pos, i))
-            tables.append(tuple(rows[i] for i in order))
-            self.rows_of.append(at)
         places = tuple(sorted(p for u in self for p in u.net.places))
-        self.net = Tapn("+".join(sorted(names)), places, *tables)
+        self.net = Tapn("+".join(sorted(names)), places,
+                        *(tuple(r for u in self for r in getattr(u.net, field))
+                          for field, *_ in _TABLES))
         try:
             self.net.check()
             self.ok = True
         except ValueError:
             self.ok = False  # every merged net is checked, to raise its own error
         self.places = set(places)
-        self.m0: dict[str, tuple[int, ...]] = {}
-        self.target: dict[str, int] = {}
-        for u in self:
-            self.m0.update(u.m0)
-            self.target.update(u.target)
-        self.fused: dict[tuple[str, str], _Fused] = {}
+        self.places_of: dict[str, set[str]] = {tid: set() for tid in self.by_tid}
+        for rows, (_, _, place_at, _) in zip(self.net[3:], _TABLES[1:]):
+            for row in rows:
+                self.places_of.setdefault(row.transition, set()).update(row[i] for i in place_at)
+        self.m0 = {p: ages for u in self for p, ages in u.m0.items()}
+        self.target = {p: n for u in self for p, n in u.target.items()}
         return self
 
-    def fuse(self, a: str, b: str) -> _Fused:
-        found = self.fused.get((a, b))
-        if found is not None:
-            return found
-        by_tid = self.by_tid
+
+def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUnit:
+    """Disjoint union of the nets with matched transition pairs collapsed.
+
+    The rows of each matched pair (a, b) are renamed to one transition
+    ``a+b`` (ids sorted) carrying the shared label, guards kept, and each
+    table is sorted stably by its canonical key (elements by id).  So the
+    merge order of the units does not matter, and rows that the renaming
+    makes equal keep the units' order.  ``units`` may be a list, or the
+    ``_Union`` that ``check_consistency`` builds once for all its
+    matchings.
+    """
+    union = units if isinstance(units, _Union) else _Union(units)
+    by_tid = union.by_tid
+    for a, b in matching.pairs:
         for tid in (a, b):
             if tid not in by_tid:
                 raise IntegrationError("matching references unknown transition %s" % tid)
@@ -249,65 +245,31 @@ class _Union(tuple):
         if by_tid[a].label != by_tid[b].label:
             raise IntegrationError("matched transitions %s and %s have different labels"
                                    % (a, b))
-        mid = "+".join(sorted((a, b)))
-        put: tuple[list[tuple[int, tuple]], ...] = ([], [], [], [])
-        ends: tuple[set[str], set[str]] = (set(), set())
-        for n, (_, key, _, place_at) in enumerate(_TABLES[1:], 1):
-            rows = self.net[n + 2]
-            slots, moved = [], []
-            for side, tid in enumerate((a, b)):
-                for pos, rank in self.rows_of[n].get(tid, ()):
-                    row = rows[pos]
-                    ends[side].update(row[i] for i in place_at)
-                    row = row._replace(transition=mid)
-                    slots.append(pos)
-                    moved.append((key(row), rank, row))
-            # Rows that the renaming makes equal keep the units' order
-            # through the stable sort in ``merge``.
-            put[n].extend(zip(sorted(slots), [row for _, _, row in sorted(moved)]))
-        first, gone = sorted(self.rows_of[0][tid][0][0] for tid in (a, b))
-        put[0].append((first, Transition(mid, by_tid[a].label)))
-        clash = mid in by_tid or mid in self.places or not ends[0].isdisjoint(ends[1])
-        found = self.fused[(a, b)] = _Fused(mid, put, gone, clash)
-        return found
-
-
-def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUnit:
-    """Disjoint union of the nets with matched transition pairs collapsed.
-
-    Every matched pair is replaced by one transition carrying the shared
-    label; all arcs of both originals are redirected to it, guards kept.
-    The result is canonical (elements sorted by id), so the merge order
-    of the units does not matter.  ``units`` may be a list, or the
-    ``_Union`` that ``check_consistency`` builds once for all its
-    matchings.
-    """
-    union = units if isinstance(units, _Union) else _Union(units)
-    fused = [union.fuse(a, b) for a, b in matching.pairs]
     used = [tid for pair in matching.pairs for tid in pair]
     if len(used) != len(set(used)):
         raise IntegrationError("matching is not injective: %s" % sorted(used))
 
-    tables = [list(rows) for rows in union.net[2:]]
-    for f in fused:
-        for table, put in zip(tables, f.put):
-            for pos, row in put:
-                table[pos] = row
-    for pos in sorted((f.gone for f in fused), reverse=True):
-        del tables[0][pos]
-    for table, (_, key, _, _) in zip(tables, _TABLES):
+    rename: dict[str, str] = {}
+    fused = []
+    for a, b in matching.pairs:
+        rename[a] = rename[b] = mid = "+".join(sorted((a, b)))
+        fused.append(Transition(mid, by_tid[a].label))
+    transitions, *arcs = union.net[2:]
+    tables = [[t for t in transitions if t.id not in rename] + fused]
+    tables += [[renamed(r, rename[r.transition]) if r.transition in rename else r
+                for r in rows] for rows, (*_, renamed) in zip(arcs, _TABLES[1:])]
+    for table, (_, key, *_) in zip(tables, _TABLES):
         table.sort(key=key)
     net = Tapn(union.net.name, union.net.places, *map(tuple, tables))
-    mids = [f.mid for f in fused]
-    if not union.ok or len(set(mids)) != len(mids) or any(f.clash for f in fused):
+    # Where the union passes Tapn.check, only these can make a merged net fail it.
+    mids = [t.id for t in fused]
+    if (not union.ok or len(set(mids)) != len(mids)
+            or any(mid in by_tid or mid in union.places for mid in mids)
+            or any(not union.places_of[a].isdisjoint(union.places_of[b])
+                   for a, b in matching.pairs)):
         net.check()
-    return TranslationUnit(
-        tcsd=None,
-        net=net,
-        m0=dict(union.m0),
-        target=dict(union.target),
-        event_map={},
-    )
+    return TranslationUnit(tcsd=None, net=net, m0=dict(union.m0),
+                           target=dict(union.target), event_map={})
 
 
 class Verdict(NamedTuple):

@@ -176,9 +176,10 @@ class _Builder:
         """Each event with a step and its transitions, in the order built."""
         out = dict(zip(self.stepped, zip(self.steps)))
         if len(out) < len(self.stepped):  # some event was unrolled more than once
-            out = dict.fromkeys(self.stepped, ())
+            gathered: dict[str, list[str]] = {}
             for eid, tid in zip(self.stepped, self.steps):
-                out[eid] += (tid,)
+                gathered.setdefault(eid, []).append(tid)
+            out = {eid: tuple(tids) for eid, tids in gathered.items()}
         return out
 
 

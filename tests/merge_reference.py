@@ -1,18 +1,24 @@
 """``integrate.merge`` and ``integrate._blocking_labels`` as they were
-before the units' union was built once per check.
+before the units' union was built once per check, and
+``integrate.enumerate_matchings`` as it was before matchings were made
+one at a time.
 
 Verbatim copies: ``merge`` builds the whole union again for every
 matching, renames every arc with ``_replace``, sorts the four lists and
-checks the merged net, and ``_blocking_labels`` scans every labeled
-transition against every dead marking.  They are the references that
-``test_integrate``'s differential tests compare the fast paths with;
-nothing in ``src`` uses them.
+checks the merged net, ``_blocking_labels`` scans every labeled
+transition against every dead marking, and ``enumerate_matchings``
+lists every class's permutations before ``itertools.product`` combines
+them.  They are the references that ``test_integrate``'s differential
+tests compare the fast paths with; nothing in ``src`` uses them.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from virtint import tapn
-from virtint.integrate import IntegrationError, SyncMatching
+from virtint.integrate import (MAXIMAL, STRICT, IntegrationError, SyncMatching,
+                               _group_by_triple, _occurrence_triples)
 from virtint.tapn import Tapn, Transition
 from virtint.translate import TranslationUnit
 
@@ -127,3 +133,51 @@ def _blocking_labels(net: Tapn, frontier) -> tuple[str, ...]:
                 found.add(t.label)
                 break
     return tuple(sorted(found))
+
+
+def enumerate_matchings(units, imap, policy=MAXIMAL):
+    """Yield every combination of synchronization points, deterministically.
+
+    Per unit pair and per occurrence class (sender component, label,
+    receiver component), all maximum injective matchings are produced and
+    combined by cartesian product.
+    ``strict`` requires equal occurrence counts for every class whose
+    endpoints are the pair's two components and errors otherwise;
+    ``maximal`` leaves surplus occurrences free-firing.
+    """
+    if policy not in (MAXIMAL, STRICT):
+        raise ValueError("unknown policy %r" % policy)
+    if len(units) < 2:
+        raise IntegrationError("virtual integration needs at least two diagrams")
+    groups = [_group_by_triple(_occurrence_triples(u, imap)) for u in units]
+    class_options: list[list[tuple[tuple[str, str], ...]]] = []
+    for i in range(len(units)):
+        for j in range(i + 1, len(units)):
+            ga, gb = groups[i], groups[j]
+            if policy == STRICT:
+                comp_i = imap.sut_components[units[i].tcsd.base.name]
+                comp_j = imap.sut_components[units[j].tcsd.base.name]
+                unmatched = []
+                for triple in sorted(set(ga) | set(gb)):
+                    s, _, r = triple
+                    if {s, r} != {comp_i, comp_j}:
+                        continue
+                    na, nb = len(ga.get(triple, ())), len(gb.get(triple, ()))
+                    if na != nb:
+                        unmatched.append("%s (%d vs %d)" % (triple[1], na, nb))
+                if unmatched:
+                    raise IntegrationError(
+                        "unmatched message occurrences between %s and %s: %s"
+                        % (units[i].name, units[j].name, ", ".join(unmatched)))
+            for triple in sorted(set(ga) & set(gb)):
+                a, b = ga[triple], gb[triple]
+                if len(a) <= len(b):
+                    options = [tuple(zip(a, perm))
+                               for perm in itertools.permutations(b, len(a))]
+                else:
+                    options = [tuple(zip(perm, b))
+                               for perm in itertools.permutations(a, len(b))]
+                class_options.append(options)
+    for combo in itertools.product(*class_options):
+        pairs = tuple(sorted(pair for part in combo for pair in part))
+        yield SyncMatching(pairs)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -521,6 +522,43 @@ def test_merge_errors_equal_the_reference():
         ("ValueError", "place and transition ids overlap: {'B.T1'}"),
         "merged",
     ]
+
+
+def _matchings(enumerate, units, imap, policy):
+    try:
+        return list(enumerate(units, imap, policy))
+    except IntegrationError as exc:
+        return str(exc)
+
+
+def test_matchings_come_one_at_a_time_in_the_eager_order():
+    sets = [*_fixture_sets(), _window_pair(2), *(_fanout_pair(k) for k in range(2, 6)),
+            _fanout_triple(3, 2)]
+    for units, imap in sets:
+        for policy in ("maximal", "strict"):
+            want = _matchings(merge_reference.enumerate_matchings, units, imap, policy)
+            assert _matchings(enumerate_matchings, units, imap, policy) == want
+    assert len(want) == 12
+    # A strict mismatch in a later pair of units raises before the first
+    # matching of an earlier pair is made.
+    units, imap = _prep(["tcsd TA { sut S test B msg S -> B : ping }",
+                         "tcsd TB { sut R test A test C msg A -> R : ping msg R -> C : pong }",
+                         "tcsd TC { sut T test B msg B -> T : pong msg B -> T : pong }"],
+                        _TRIPLE_ARCH)
+    with pytest.raises(IntegrationError, match="TB and TC: pong \\(1 vs 2\\)"):
+        next(enumerate_matchings(units, imap, "strict"))
+    assert len(list(enumerate_matchings(units, imap))) == 2
+
+
+def test_twelve_pings_under_the_default_cap_stop_at_64_matchings():
+    # 12! = 479 001 600 matchings: only the first 64 are ever made.
+    units, imap = _fanout_pair(12)
+    start = time.perf_counter()
+    report = check_consistency(units, imap)
+    elapsed = time.perf_counter() - start
+    assert len(report.verdicts) == 64 and report.matchings_truncated
+    assert report.overall == "consistent"
+    assert elapsed < 1.0, elapsed
 
 
 def test_the_union_is_checked_once_per_check(monkeypatch):
