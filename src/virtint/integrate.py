@@ -21,6 +21,7 @@ bound-exceeded.
 from __future__ import annotations
 
 import itertools
+import sys
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -333,7 +334,8 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
             % sorted(c for c in suts if suts.count(c) > 1))
 
     stream = enumerate_matchings(units, imap, policy)
-    matchings = list(itertools.islice(stream, max_matchings))
+    # No enumeration reaches sys.maxsize matchings; islice takes no more.
+    matchings = list(itertools.islice(stream, min(max_matchings, sys.maxsize)))
     truncated = next(stream, None) is not None
     if matchings:
         union = _Union(units)  # built and checked once for every matching

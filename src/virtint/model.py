@@ -424,66 +424,44 @@ def _check_messages(tcsd: Tcsd, event, v, off_sut):
 
 
 def _descendants(fragments: tuple[Fragment, ...]) -> dict[str, set[str]]:
-    children: dict[str, set[str]] = {}
-    for f in fragments:
-        kids = set()
-        for op in f.operands:
-            kids |= set(op.children)
-        children[f.id] = kids
+    """Each fragment's id and the ids of the fragments nested in it."""
+    children = {f.id: [cid for op in f.operands for cid in op.children] for f in fragments}
     out: dict[str, set[str]] = {}
-    for f in fragments:
+    for fid in children:
         reached: set[str] = set()
-        frontier = set(children[f.id])
+        frontier = list(children[fid])
         while frontier:
-            fid = frontier.pop()
-            if fid in reached:
-                continue
-            reached.add(fid)
-            frontier |= children.get(fid, set()) - reached
-        out[f.id] = reached
+            cid = frontier.pop()
+            if cid not in reached:
+                reached.add(cid)
+                frontier += children[cid]
+        out[fid] = reached
     return out
 
 
-def _tree_listing(fragments, members) -> set[str] | None:
-    """The events the fragments list, when their nesting shows that any
-    two fragments that share an event are nested; None when it does not.
-
-    Given that no fragment is nested in itself and every nested fragment's
-    events are in its operand, it shows that when the fragments nested in
-    any one fragment, and those nested in none, are pairwise disjoint.
-    Follow the nesting out from two fragments that share an event to the
-    first fragment on both paths: unless one path holds the other
-    fragment, the two last steps are disjoint siblings that share it.
-    """
-    nested: set[str] = set()
-    groups = []
+def _owners(fragments, members) -> dict[str, list[str]]:
+    """The owners index: each event that some fragment lists, and the
+    fragments that list it, in fragment order.  ``validate`` builds it
+    once; ``no-shared-events``, ``no-fragment-cutting`` (which names the
+    first owner) and ``timeout-same-fragment`` read it."""
+    owners: dict[str, list[str]] = {}
     for f in fragments:
-        kids = [cid for op in f.operands for cid in op.children]
-        if len(kids) > 1:
-            groups.append(kids)
-        nested.update(kids)
-    roots = [f.id for f in fragments if f.id not in nested]
-    groups.append(roots)
-    for kids in groups:
-        union = set().union(*map(members.__getitem__, kids))
-        if len(union) != sum(len(members[k]) for k in kids):
-            return None
-    return union  # of the roots, which list every listed event
+        fid = f.id
+        for eid in members[fid]:
+            owners.setdefault(eid, []).append(fid)
+    return owners
 
 
-def _check_shared_events(fragments, members, desc, v) -> dict[str, tuple[str, ...]]:
+def _check_shared_events(fragments, owners, desc, v):
     """Add a ``no-shared-events`` violation for each two fragments, neither
-    nested in the other, that list a common event; give each listed
-    event's owners, the fragments that list it in order."""
-    owners: dict[str, tuple[str, ...]] = {}
-    for f in fragments:
-        listed = members[f.id]
-        owners.update(zip(listed, map(tuple.__add__, map(owners.get, listed, itertools.repeat(())),
-                                      itertools.repeat((f.id,)))))
-    # Events with the same owners share the same fragment pairs, so each
-    # distinct owner tuple is checked once.
+    nested in the other, that list a common event, in fragment order.
+
+    This is the one statement of the rule, run on every diagram.  Events
+    with the same owners share the same fragment pairs, so each distinct
+    chain is checked once, as a tuple; only a fault looks at the events.
+    """
     disjoint = {}
-    for chain in set(owners.values()):
+    for chain in {tuple(c) for c in owners.values() if len(c) > 1}:
         pairs = [(f1, f2) for x, f1 in enumerate(chain) for f2 in chain[x + 1:]
                  if f1 not in desc[f2] and f2 not in desc[f1]]
         if pairs:
@@ -492,12 +470,11 @@ def _check_shared_events(fragments, members, desc, v) -> dict[str, tuple[str, ..
         frag_pos = {f.id: n for n, f in enumerate(fragments)}
         shared: dict[tuple[int, int], set[str]] = {}
         for eid, chain in owners.items():
-            for f1, f2 in disjoint.get(chain, ()):
+            for f1, f2 in disjoint.get(tuple(chain), ()):
                 shared.setdefault((frag_pos[f1], frag_pos[f2]), set()).add(eid)
         for a, b in sorted(shared):
             _add(v, "no-shared-events", [fragments[a].id, fragments[b].id],
                  "disjoint fragments share events %s" % ",".join(sorted(shared[a, b])))
-    return owners
 
 
 def _check_ordering(partitions, event, at, v):
@@ -585,11 +562,12 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     # Fragment consistency: self-nesting, shared events, containment.
     frags = base.fragments
     desc = _descendants(frags)
-    self_nested = [f.id for f in frags if f.id in desc[f.id]]
-    for fid in self_nested:
-        _add(v, "no-self-nesting", [fid], "fragment is nested inside itself")
+    for f in frags:
+        if f.id in desc[f.id]:
+            _add(v, "no-self-nesting", [f.id], "fragment is nested inside itself")
     members = _members(frags)
-    contained: list[Violation] = []  # reported after the shared events
+    owners = _owners(frags, members)
+    _check_shared_events(frags, owners, desc, v)
     for f in frags:
         listed = members[f.id]
         for x, op in enumerate(f.operands):
@@ -598,13 +576,9 @@ def validate(tcsd: Tcsd) -> ValidationResult:
                 if set(map(listed.get, nested)) != {(x,)}:
                     missing = [eid for eid in nested if x not in listed.get(eid, ())]
                     if missing:
-                        _add(contained, "event-containment", [f.id, cid],
+                        _add(v, "event-containment", [f.id, cid],
                              "operand %d misses nested events %s"
                              % (x, ",".join(sorted(missing))))
-    listed_any = None if self_nested or contained else _tree_listing(frags, members)
-    if listed_any is None:
-        listed_any = _check_shared_events(frags, members, desc, v)
-    v += contained
 
     # SUT-line layout must parse into a region tree (translation precondition).
     sut_line = _sut_events(tcsd)
@@ -650,18 +624,14 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     _check_ordering(tcsd.partitions, event, at, v)
     for p in tcsd.partitions:
         for eid in p.events:
-            if eid in listed_any:
-                first = next(f.id for f in frags if eid in members[f.id])
-                _add(v, "no-fragment-cutting", [eid, first],
+            if eid in owners:
+                _add(v, "no-fragment-cutting", [eid, owners[eid][0]],
                      "partition event lies inside a fragment operand")
 
-    # Timeouts.  Each anchor's owners: the fragments that list it, in order.
-    anchors = {eid for c in tcsd.timeouts for eid in (c.start, c.end)}
-    owners: dict[str, list[str]] = {}
-    for f in frags if anchors else ():
-        for eid in members[f.id].keys() & anchors:
-            owners.setdefault(eid, []).append(f.id)
-    frag_pos = {f.id: n for n, f in enumerate(frags)} if anchors else {}
+    # Timeouts.  A strict fragment's items are inlined into the enclosing
+    # operand, so a timeout may cross its borders, but not anchor on them.
+    strict = {f.id for f in frags if f.operator == "strict"} if tcsd.timeouts else ()
+    frag_pos = {f.id: n for n, f in enumerate(frags)} if tcsd.timeouts else {}
     spans = []  # (start, end, number) of each ordered timeout on the SUT line
     for n, c in enumerate(tcsd.timeouts):
         start, end = event[c.start], event[c.end]
@@ -675,8 +645,8 @@ def validate(tcsd: Tcsd) -> ValidationResult:
                  "timeout start must precede its end")
         else:
             spans.append((sn, en, n))
-        for fid in sorted(set(owners.get(c.start, ())) | set(owners.get(c.end, ())),
-                          key=frag_pos.get):
+        for fid in sorted(set(owners.get(c.start, ())).union(owners.get(c.end, ()))
+                          .difference(strict), key=frag_pos.get):
             listed = members[fid]
             for x in sorted(set(listed.get(c.start, ())) ^ set(listed.get(c.end, ()))):
                 _add(v, "timeout-same-fragment", [c.start, c.end, fid],
@@ -689,9 +659,8 @@ def validate(tcsd: Tcsd) -> ValidationResult:
                 if e.kind == PARTITION:
                     _add(v, "timeout-partition-span", [c.start, c.end, e.id],
                          "timeout spans the partition event %s" % e.id)
-        # A strict fragment's borders are built into no step of the net.
         for e in dict.fromkeys((start, end)):
-            if e.kind in _BORDERS and frags[frag_pos[e.fragment]].operator == "strict":
+            if e.kind in _BORDERS and e.fragment in strict:
                 _add(v, "timeout-strict-border", [c.start, c.end, e.fragment],
                      "timeout anchored on %s, a border of strict fragment %s"
                      % (e.id, e.fragment))

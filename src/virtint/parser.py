@@ -722,6 +722,7 @@ def format_tcsd(tcsd: Tcsd) -> str:
     for cst in tcsd.timeouts:
         starts.setdefault(cst.start, []).append(cst)
 
+    at = {e.id: n for n, e in enumerate(base.events.get(tcsd.sut, ()))}
     out: list[str] = []
 
     def emit(line, depth):
@@ -729,28 +730,43 @@ def format_tcsd(tcsd: Tcsd) -> str:
 
     def direct_events(item):
         # Anchors handled at this nesting level: plain events and fragment
-        # borders.  Fragment-interior anchors belong to the recursion.
+        # borders.  The parser anchors no timeout on a strict fragment's
+        # borders, but on the first and last anchors inside it.
         if isinstance(item, model.EventNode):
             return [item.event.id]
-        return [item.enter.id, item.exit.id]
+        if item.fragment.operator != "strict":
+            return [item.enter.id, item.exit.id]
+        inner = [eid for sub in item.operand_items[0] for eid in direct_events(sub)]
+        return inner[:1] + inner[-1:]
 
     def emit_items(items, depth):
         open_ends: list[str] = []
         for item in items:
-            covered = set(direct_events(item))
+            covered = direct_events(item)
             wrapped = []
             spanning = []
-            for eid in direct_events(item):
-                for cst in starts.get(eid, ()):
-                    if cst.end in covered:
+            for eid in dict.fromkeys(covered):
+                # A timeout is printed once, in the innermost item list that
+                # holds both its anchors: one that also ends inside this
+                # fragment is left to the fragment's items.
+                for cst in starts.pop(eid, ()):
+                    if (isinstance(item, model.FragmentNode)
+                            and at[item.enter.id] < at.get(cst.end, -1) < at[item.exit.id]):
+                        starts.setdefault(eid, []).append(cst)
+                    elif cst.end in covered:
                         wrapped.append(cst)
                     else:
                         spanning.append(cst)
+            # Timeouts from one anchor open outermost first: the one with the
+            # later end, or with the same end the one declared later, as the
+            # parser declares a timeout when its block closes.
+            spanning = sorted(reversed(spanning), key=lambda cst: at.get(cst.end, -1),
+                              reverse=True)
             for cst in spanning:
                 emit("timeout %d {" % cst.bound, depth)
                 depth += 1
                 open_ends.append(cst.end)
-            for cst in wrapped:
+            for cst in reversed(wrapped):
                 emit("timeout %d {" % cst.bound, depth)
                 depth += 1
             emit_item(item, depth)

@@ -173,3 +173,44 @@ def overlapping_fragments():
         ],
         timeouts=[Timeout("s3", "s4", 5)],
     )
+
+
+def owner_index_cases():
+    """[(name, Tcsd, expected violations as tuples)] that read the owners
+    of an event listed by two nested fragments in different operands:
+    which owner comes first, and both anchors' owners.  A timeout may
+    cross a strict fragment's border, but not that of a fragment round
+    it."""
+    def build(src, *timeouts):
+        tcsd = parser.parse_tcsd("tcsd C { sut S test A %s }" % src).tcsd
+        if timeouts:
+            tcsd = tcsd._replace(timeouts=tuple(Timeout(*c) for c in timeouts))
+        return tcsd
+
+    nested = "msg A -> S : a par { op { msg A -> S : b } op { opt { msg S -> A : c } } }"
+    return [
+        # The partition events are listed by opt f1 and par f2, in that order.
+        ("cut-by-nested",
+         build("par { op { msg A -> S : x } op { opt { at 3 } msg S -> A : y } }"),
+         [("no-fragment-cutting", ("e3", "f1"), "partition event lies inside a fragment operand"),
+          ("no-fragment-cutting", ("e4", "f1"), "partition event lies inside a fragment operand")]),
+        # Only the end e5 is listed, by f1's operand 0 and f2's operand 1.
+        ("end-in-nested", build(nested, ("e2", "e5", 5)),
+         [("timeout-same-fragment", ("e2", "e5", "f1"),
+           "endpoints split across operand 0 of fragment f1"),
+          ("timeout-same-fragment", ("e2", "e5", "f2"),
+           "endpoints split across operand 1 of fragment f2")]),
+        ("start-in-nested", build(nested, ("e5", "e12", 5)),
+         [("timeout-same-fragment", ("e5", "e12", "f1"),
+           "endpoints split across operand 0 of fragment f1"),
+          ("timeout-same-fragment", ("e5", "e12", "f2"),
+           "endpoints split across operand 1 of fragment f2")]),
+        # From inside strict f1, inside opt f2, to after both.
+        ("across-strict-and-opt",
+         build("opt { strict { msg A -> S : x } } msg S -> A : y", ("e2", "e11", 5)),
+         [("timeout-same-fragment", ("e2", "e11", "f2"),
+           "endpoints split across operand 0 of fragment f2")]),
+        ("across-strict", build("timeout 5 { strict { msg A -> S : x } msg S -> A : y }"), []),
+        ("across-strict-last", build("timeout 5 { msg A -> S : x strict { msg S -> A : y } }"),
+         []),
+    ]

@@ -538,6 +538,15 @@ def test_check_warns_when_matchings_are_truncated(capsys):
                    "overall: consistent\n")
 
 
+def test_max_matchings_past_sys_maxsize_caps_at_it(capsys):
+    # No enumeration reaches sys.maxsize matchings, so any larger cap
+    # checks and prints as that one does.
+    runs = [run_cli(capsys, "check", *BSCU, "--arch", BSCU_ARCH, "--max-matchings", value)
+            for value in (str(sys.maxsize), str(sys.maxsize + 1), "1" * 30)]
+    assert runs[0][0] == 1
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_check_refuses_a_report_over_an_input(capsys):
     before = open(BSCU_ARCH, "rb").read()
     for target in (BSCU_ARCH, BSCU[1]):
@@ -776,6 +785,7 @@ _NUMBER = re.compile(rb"\d+")
 # Integers that keep a loop's unrolling and a search's ages small, and
 # ones past the search's guard limit, at and past the parser's digit limit.
 _INTEGERS = [b"0", b"1", b"7", b"1" + b"0" * 12, b"9" * 4300, b"9" * 4301]
+_HUGE = [str(2 ** 63), "1" * 30]
 
 
 @st.composite
@@ -834,9 +844,10 @@ def _command(draw):
                 argv.append(flag)
         if draw(st.booleans()):
             argv += ["--policy", "strict"]
-        for flag, values in (("--max-states", ["5000", "50", "1", "-1"]),
-                             ("--max-delay", ["3", "0", "-1"]),
-                             ("--max-matchings", ["64", "1", "0"])):
+        # Each bound also past sys.maxsize, which no search or enumeration reaches.
+        for flag, values in (("--max-states", ["5000", "50", "1", "-1"] + _HUGE),
+                             ("--max-delay", ["3", "0", "-1"] + _HUGE),
+                             ("--max-matchings", ["64", "1", "0"] + _HUGE)):
             if draw(st.booleans()):
                 argv += [flag, draw(st.sampled_from(values))]
         if draw(st.booleans()):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import validate_reference
-from clause_fixtures import all_clause_cases, overlapping_fragments
+from clause_fixtures import all_clause_cases, overlapping_fragments, owner_index_cases
 from conftest import FIXTURES
 from gen import mutated_diagram, random_tcsd_source
 from virtint import model, parser, stp, translate
@@ -536,6 +536,13 @@ def test_translation_rules_are_validate_clauses(rule):
     _assert_validates_as_the_reference(good)
 
 
+@pytest.mark.parametrize("case", owner_index_cases(), ids=lambda case: case[0])
+def test_owners_of_an_event_listed_by_nested_fragments(case):
+    _, tcsd, expected = case
+    assert [tuple(v) for v in model.validate(tcsd).violations] == expected
+    _assert_validates_as_the_reference(tcsd)
+
+
 def test_region_tree_of_a_line_that_repeats_an_id():
     # s0 twice between the loop's borders, s1 before them: as many SUT
     # events are listed as drawn inside, yet s1 lies outside.
@@ -577,7 +584,7 @@ def _seed_diagrams():
     diagrams = [_parse(src) for src in sources]
     for _, bad, good in all_clause_cases():
         diagrams += [bad, good]
-    return diagrams + [overlapping_fragments()]
+    return diagrams + [overlapping_fragments()] + [t for _, t, _ in owner_index_cases()]
 
 
 _SEED_DIAGRAMS = _seed_diagrams()

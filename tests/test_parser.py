@@ -184,6 +184,51 @@ def test_fragment_borders_bracket_exactly_the_operand_events():
                 assert exit_ - enter - 1 == len(inside)
 
 
+def _blocks(rng, depth):
+    """Random statements with timeouts round any block, strict ones too."""
+    out = []
+    for _ in range(rng.randint(1, 3)):
+        head = rng.choice(["strict", "strict", "opt", "loop 2", "timeout 3", "timeout %d"
+                           % rng.randint(1, 9), "par", "alt", "msg", "msg"])
+        if depth == 4 or head == "msg":
+            out.append(rng.choice(["msg A -> S : m", "msg S -> A : n"]))
+        elif head in ("par", "alt"):
+            out.append("%s { op { %s } op { %s } }"
+                       % (head, _blocks(rng, depth + 1), _blocks(rng, depth + 1)))
+        else:
+            out.append("%s { %s }" % (head, _blocks(rng, depth + 1)))
+    return " ".join(out)
+
+
+@pytest.mark.parametrize("body", [
+    "timeout 7 { timeout 6 { timeout 5 { msg A -> S : a msg S -> A : b } msg A -> S : c } "
+    "strict { msg S -> A : d } }",
+    "timeout 5 { timeout 3 { opt { msg S -> A : a } msg A -> S : b } } msg S -> A : c",
+], ids=["nested-ends", "same-anchors"])
+def test_timeouts_from_one_anchor_print_outermost_first(body):
+    first = parser.parse_tcsd("tcsd T { sut S test A %s }" % body).tcsd
+    assert len({c.start for c in first.timeouts}) == 1
+    printed = parser.format_tcsd(first)
+    second = parser.parse_tcsd(printed).tcsd
+    assert canonical_form(first) == canonical_form(second)
+    assert parser.format_tcsd(second) == printed
+
+
+def test_round_trip_of_timeouts_round_blocks():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(300):
+        first = parser.parse_tcsd("tcsd T { sut S test A %s }" % _blocks(rng, 0)).tcsd
+        if not model.validate(first).ok:
+            continue
+        checked += 1
+        printed = parser.format_tcsd(first)
+        second = parser.parse_tcsd(printed).tcsd
+        assert canonical_form(first) == canonical_form(second), printed
+        assert parser.format_tcsd(second) == printed
+    assert checked > 80
+
+
 def test_round_trip_after_validation_normalization():
     src = "tcsd T { sut S test A msg A -> S : x at 7 }"
     checked = model.validate(parser.parse_tcsd(src).tcsd)

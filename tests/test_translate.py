@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tapn_reference
+from canon import canonical_form
 from gen import mutated_diagram, random_tapn, random_tcsd_source
 from virtint import cli, model, parser, stp, tapn, translate
 from virtint.model import (Event, Message, SequenceDiagram, Tcsd, Timeout)
@@ -166,6 +167,32 @@ def test_timeout_shares_anchor_transition():
     assert label_of[feeder[0].transition] == "go"
     assert label_of[drain[0].transition] == "done"
     assert str(drain[0].guard) == "[0,5]"
+
+
+@pytest.mark.parametrize("body", [
+    "timeout 5 { strict { msg A -> S : go } msg S -> A : done }",
+    "timeout 5 { msg A -> S : go strict { msg S -> A : done } }",
+    "par { op { timeout 5 { strict { msg A -> S : go } msg S -> A : done } } "
+    "op { msg A -> S : other } }",
+], ids=["strict-first", "strict-last", "inside-par"])
+def test_timeout_across_a_strict_border(body):
+    # The strict block's items are inlined, so the timeout guards go to
+    # done as it would without the block, in a fully ordered net; printed,
+    # the timeout goes round the block.
+    src = "tcsd T { sut S test A %s }" % body
+    unit = _unit(src)
+    found = stp.causal_order(unit.net, unit.m0, unit.target)
+    assert found is not None and len(found[0]) == len(unit.net.transitions)
+    [wait] = _wait_places(unit)
+    label_of = {t.id: t.label for t in unit.net.transitions}
+    [feeder] = [label_of[a.transition] for a in unit.net.output_arcs if a.place == wait]
+    [drain] = [a for a in unit.net.input_arcs if a.place == wait]
+    assert (feeder, label_of[drain.transition], str(drain.guard)) == ("go", "done", "[0,5]")
+    tcsd = parser.parse_tcsd(src).tcsd
+    printed = parser.format_tcsd(tcsd)
+    reparsed = parser.parse_tcsd(printed).tcsd
+    assert canonical_form(reparsed) == canonical_form(tcsd)
+    assert parser.format_tcsd(reparsed) == printed
 
 
 def test_timeout_window_enforced():
