@@ -126,22 +126,35 @@ def cmd_validate(args, out: _Printer) -> int:
     return status
 
 
+def _file_keys(path: str) -> set:
+    """Keys that two names of one file share: its real path, and, if it
+    exists, its device and inode, so that a hard link shares one too."""
+    keys = {os.path.realpath(path)}
+    try:
+        st = os.stat(path)
+    except OSError:
+        return keys
+    keys.add((st.st_dev, st.st_ino))
+    return keys
+
+
 def _check_output_paths(outputs, inputs, out: _Printer):
     """False, said why, if two outputs or an output and an input are one
-    file.  An output whose directory is missing, or that is a directory,
-    raises the OSError that writing it would, before any input is read."""
+    file, also through a link.  An output whose directory is missing, or
+    that is a directory, raises the OSError that writing it would, before
+    any input is read."""
     outputs = [p for p in outputs if p]
-    inputs = {os.path.abspath(i) for i in inputs}
+    inputs = set().union(*map(_file_keys, inputs))
     written = set()
     for path in outputs:
-        target = os.path.abspath(path)
-        if target in inputs:
+        keys = _file_keys(path)
+        if not keys.isdisjoint(inputs):
             out.bad("output path %s would overwrite an input" % path)
             return False
-        if target in written:
+        if not keys.isdisjoint(written):
             out.bad("output path %s is named by two outputs" % path)
             return False
-        written.add(target)
+        written |= keys
     for path in outputs:
         if not os.path.isdir(os.path.dirname(path) or os.curdir):
             raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)

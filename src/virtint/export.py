@@ -90,8 +90,7 @@ def guard_inscription(guard: Guard) -> str:
     """Interval string in the external tool's convention (infinity as inf)."""
     if guard.upper is None:
         return "[%d,inf)" % guard.lower
-    close = "]" if guard.upper_closed else ")"
-    return "[%d,%d%s" % (guard.lower, guard.upper, close)
+    return "[%d,%d]" % (guard.lower, guard.upper)
 
 
 def _xml_id(raw: str) -> str:

@@ -164,8 +164,10 @@ def _line_starts(text: str) -> list[int]:
 
 
 class _Lexer:
-    """The tokens of ``text``, lexed one at a time as the parser asks for
-    them, so a lexical error is raised when the parser reaches it.
+    """The tokens of ``text`` and the parser's view of them: the current
+    token only, since the grammar is LL(1).  A consumed token's successor
+    is lexed on the next ``peek``, so a lexical error is raised when the
+    parser reaches it, and errors come in source order.
 
     ``pos`` is the offset lexing has reached, and each token carries the
     offset it starts at; ``span`` turns an offset into a line and column.
@@ -178,15 +180,63 @@ class _Lexer:
         self.text = text
         self.filename = filename
         self.pos = 1 if text.startswith("\ufeff") else 0
+        self.tok: Token | None = None  # the current token; None once consumed
         self.starts: list[int] | None = None  # _line_starts(text), drawn up on first need
 
-    def span(self, offset: int) -> SourceSpan:
+    def span(self, offset: int | None = None) -> SourceSpan:
+        """Where ``offset`` is, by default the current token's offset."""
+        if offset is None:
+            offset = self.peek().offset
         if self.starts is None:
             self.starts = _line_starts(self.text)
         line = bisect.bisect_right(self.starts, offset)
         return SourceSpan(self.filename, line, offset - self.starts[line - 1] + 1)
 
-    def next(self) -> Token:
+    def peek(self) -> Token:
+        if self.tok is None:
+            self.tok = self._lex()
+        return self.tok
+
+    def advance(self) -> Token:
+        tok = self.peek()
+        if tok.kind != "EOF":
+            self.tok = None
+        return tok
+
+    def at_keyword(self, word) -> bool:
+        tok = self.peek()
+        return tok.kind == "KEYWORD" and tok.value == word
+
+    _LEXEMES = {"ARROW": "->", "LBRACE": "{", "RBRACE": "}", "COLON": ":",
+                "COMMA": ",", "EQUALS": "=", "IDENT": "identifier",
+                "INT": "integer", "STRING": "string", "EOF": "end of input"}
+
+    def expect(self, kind, value=None) -> Token:
+        tok = self.peek()
+        if tok.kind != kind or (value is not None and tok.value != value):
+            want = value if value is not None else self._LEXEMES.get(kind, kind)
+            raise ParseError(self.span(), "found %r" % (tok.value or tok.kind),
+                             expected=(want,))
+        return self.advance()
+
+    def expect_keyword(self, word) -> Token:
+        return self.expect("KEYWORD", word)
+
+    def expect_int(self, what, minimum=0) -> tuple[int, Token]:
+        tok = self.peek()
+        if tok.kind != "INT":
+            raise ParseError(self.span(), "found %r" % (tok.value or tok.kind),
+                             expected=("integer",))
+        digits = len(tok.value) - tok.value.startswith("-")
+        if digits > MAX_INT_DIGITS:
+            raise ParseError(self.span(), "integer of %d digits is longer than the limit of %d"
+                             % (digits, MAX_INT_DIGITS))
+        value = int(tok.value)
+        if value < minimum:
+            raise ParseError(self.span(), "%s must be >= %d, got %d" % (what, minimum, value))
+        return value, self.advance()
+
+    def _lex(self) -> Token:
         text = self.text
         m = _BLANKS(text, self.pos)
         if m["comment"]:  # the end, placed at a comment running to it
@@ -238,66 +288,6 @@ class _Lexer:
             raise ParseError(self.span(start), "unterminated string literal")
         self.pos = i + 1
         return Token("STRING", "".join(out), start)
-
-
-class _Cursor:
-    """The parser's view of the token stream: the current token only.
-
-    The grammar is LL(1), so no more is ever needed.  A consumed token's
-    successor is lexed on the next ``peek``, so errors are raised in the
-    order the parser meets them, which is source order.
-    """
-
-    def __init__(self, lexer: _Lexer):
-        self.lexer = lexer
-        self.tok: Token | None = None  # None once consumed
-
-    def peek(self) -> Token:
-        if self.tok is None:
-            self.tok = self.lexer.next()
-        return self.tok
-
-    def span(self, tok: Token | None = None) -> SourceSpan:
-        return self.lexer.span((tok or self.peek()).offset)
-
-    def advance(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "EOF":
-            self.tok = None
-        return tok
-
-    def at_keyword(self, word) -> bool:
-        tok = self.peek()
-        return tok.kind == "KEYWORD" and tok.value == word
-
-    _LEXEMES = {"ARROW": "->", "LBRACE": "{", "RBRACE": "}", "COLON": ":",
-                "COMMA": ",", "EQUALS": "=", "IDENT": "identifier",
-                "INT": "integer", "STRING": "string", "EOF": "end of input"}
-
-    def expect(self, kind, value=None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (value is not None and tok.value != value):
-            want = value if value is not None else self._LEXEMES.get(kind, kind)
-            raise ParseError(self.span(), "found %r" % (tok.value or tok.kind),
-                             expected=(want,))
-        return self.advance()
-
-    def expect_keyword(self, word) -> Token:
-        return self.expect("KEYWORD", word)
-
-    def expect_int(self, what, minimum=0) -> tuple[int, Token]:
-        tok = self.peek()
-        if tok.kind != "INT":
-            raise ParseError(self.span(), "found %r" % (tok.value or tok.kind),
-                             expected=("integer",))
-        digits = len(tok.value) - tok.value.startswith("-")
-        if digits > MAX_INT_DIGITS:
-            raise ParseError(self.span(), "integer of %d digits is longer than the limit of %d"
-                             % (digits, MAX_INT_DIGITS))
-        value = int(tok.value)
-        if value < minimum:
-            raise ParseError(self.span(), "%s must be >= %d, got %d" % (what, minimum, value))
-        return value, self.advance()
 
 
 # The records of a diagram, made without their Python-level __new__.
@@ -507,52 +497,52 @@ class _Spans(Mapping):
                 + len(self._partition_at) + len(self._timeout_at))
 
 
-def _parse_statement(c: _Cursor, b: _DiagramBuilder):
+def _parse_statement(lx: _Lexer, b: _DiagramBuilder):
     """One statement, token by token: the path that reports every error.
     A block head is read up to its ``{``, and the block opened."""
-    tok = c.peek()
+    tok = lx.peek()
     if tok.kind != "KEYWORD" or tok.value not in _STMT_KEYWORDS:
-        raise ParseError(c.span(), "found %r" % (tok.value or tok.kind),
+        raise ParseError(lx.span(), "found %r" % (tok.value or tok.kind),
                          expected=_STMT_KEYWORDS + ("}",))
-    c.advance()
+    lx.advance()
     at = tok.offset
     if tok.value == "msg":
-        src = c.expect("IDENT")
-        c.expect("ARROW")
-        dst = c.expect("IDENT")
-        c.expect("COLON")
-        lab = c.peek()
+        src = lx.expect("IDENT")
+        lx.expect("ARROW")
+        dst = lx.expect("IDENT")
+        lx.expect("COLON")
+        lab = lx.peek()
         if lab.kind not in ("IDENT", "STRING", "INT", "KEYWORD"):
-            raise ParseError(c.span(), "found %r" % (lab.value or lab.kind),
+            raise ParseError(lx.span(), "found %r" % (lab.value or lab.kind),
                              expected=("label",))
-        c.advance()
+        lx.advance()
         for t in (src, dst):
             if t.value not in b.lines:
-                raise ParseError(c.span(t), "unknown instance %r" % t.value)
+                raise ParseError(lx.span(t.offset), "unknown instance %r" % t.value)
         b.message(src.value, dst.value, lab.value, at, src.offset, dst.offset)
     elif tok.value == "at":
-        delta, dtok = c.expect_int("partition time", minimum=0)
+        delta, dtok = lx.expect_int("partition time", minimum=0)
         b.partition(delta, at, dtok.offset)
     elif tok.value == "timeout":
-        bound, _ = c.expect_int("timeout bound", minimum=1)
-        _open_block(c, b, "timeout", at, bound)
+        bound, _ = lx.expect_int("timeout bound", minimum=1)
+        _open_block(lx, b, "timeout", at, bound)
     elif tok.value in _OPERAND_LISTS:
-        c.expect("LBRACE")
+        lx.expect("LBRACE")
         b.open(tok.value, at, None)
     else:
-        bound = c.expect_int("loop bound", minimum=0)[0] if tok.value == "loop" else None
-        _open_block(c, b, tok.value, at, bound)
+        bound = lx.expect_int("loop bound", minimum=0)[0] if tok.value == "loop" else None
+        _open_block(lx, b, tok.value, at, bound)
 
 
-def _open_block(c: _Cursor, b: _DiagramBuilder, word, at, bound=None):
+def _open_block(lx: _Lexer, b: _DiagramBuilder, word, at, bound=None):
     """Read the ``{`` of a block whose head is read, and open the block."""
-    brace = c.expect("LBRACE")
+    brace = lx.expect("LBRACE")
     if b.depth >= MAX_NESTING:
-        raise ParseError(c.span(brace), "blocks nested deeper than %d" % MAX_NESTING)
+        raise ParseError(lx.span(brace.offset), "blocks nested deeper than %d" % MAX_NESTING)
     b.open(word, at, bound)
 
 
-def _parse_statements(c: _Cursor, b: _DiagramBuilder):
+def _parse_statements(lx: _Lexer, b: _DiagramBuilder):
     """The diagram's statements, up to and with the ``}`` that closes it.
 
     One loop reads the statements of every block; ``b.stack`` holds the
@@ -565,14 +555,13 @@ def _parse_statements(c: _Cursor, b: _DiagramBuilder):
     by token through ``_parse_statement``.  A ``}`` after any blanks is
     always the pattern's, so the token path never closes a block.
     """
-    lx = c.lexer
     text = lx.text
     lines = b.lines
     stack = b.stack
     # Re-read the token that ended the declarations, so that every
     # statement, the first too, starts with no token peeked.
-    lx.pos = c.tok.offset
-    c.tok = None
+    lx.pos = lx.tok.offset
+    lx.tok = None
     while True:
         m = _STATEMENT(text, lx.pos)
         if m is not None:
@@ -611,90 +600,89 @@ def _parse_statements(c: _Cursor, b: _DiagramBuilder):
                     continue
             lx.pos = at  # the token path takes it from here
         if stack[-1].word in _OPERAND_LISTS:
-            if not c.at_keyword("op"):
-                c.expect("RBRACE")  # raises: it is no "}"
-            _open_block(c, b, "op", c.advance().offset)
-        elif c.peek().kind == "EOF":
-            raise ParseError(c.span(), "unexpected end of input", expected=("}",))
+            if not lx.at_keyword("op"):
+                lx.expect("RBRACE")  # raises: it is no "}"
+            _open_block(lx, b, "op", lx.advance().offset)
+        elif lx.peek().kind == "EOF":
+            raise ParseError(lx.span(), "unexpected end of input", expected=("}",))
         else:
-            _parse_statement(c, b)
+            _parse_statement(lx, b)
 
 
 def parse_tcsd(source: str, filename: str = "<tcsd>") -> ParseResult:
     """Parse one diagram; the result is raw and still needs ``model.validate``."""
-    lexer = _Lexer(source, filename)
-    c = _Cursor(lexer)
-    b = _DiagramBuilder(lexer)
-    head = c.expect_keyword("tcsd")
-    b.name = c.expect("IDENT").value
-    c.expect("LBRACE")
-    c.expect_keyword("sut")
-    sut = c.expect("IDENT")
+    lx = _Lexer(source, filename)
+    b = _DiagramBuilder(lx)
+    head = lx.expect_keyword("tcsd")
+    b.name = lx.expect("IDENT").value
+    lx.expect("LBRACE")
+    lx.expect_keyword("sut")
+    sut = lx.expect("IDENT")
     b.declare(sut)
     b.sut = sut.value
-    c.expect_keyword("test")
-    b.declare(c.expect("IDENT"))
-    while c.at_keyword("test"):
-        c.advance()
-        b.declare(c.expect("IDENT"))
-    _parse_statements(c, b)
-    c.expect("EOF")
-    return ParseResult(b.build(), _Spans(lexer, b, head.offset))
+    lx.expect_keyword("test")
+    b.declare(lx.expect("IDENT"))
+    while lx.at_keyword("test"):
+        lx.advance()
+        b.declare(lx.expect("IDENT"))
+    _parse_statements(lx, b)
+    lx.expect("EOF")
+    return ParseResult(b.build(), _Spans(lx, b, head.offset))
 
 
 def parse_architecture(source: str, filename: str = "<arch>") -> Architecture:
-    c = _Cursor(_Lexer(source, filename))
-    c.expect_keyword("architecture")
-    name = c.expect("IDENT").value
-    c.expect("LBRACE")
+    lx = _Lexer(source, filename)
+    lx.expect_keyword("architecture")
+    name = lx.expect("IDENT").value
+    lx.expect("LBRACE")
     components: list[str] = []
-    if c.at_keyword("components"):
-        c.advance()
-        while c.peek().kind == "IDENT":
-            tok = c.advance()
+    if lx.at_keyword("components"):
+        lx.advance()
+        while lx.peek().kind == "IDENT":
+            tok = lx.advance()
             if tok.value in components:
-                raise ParseError(c.span(tok), "duplicate component %r" % tok.value)
+                raise ParseError(lx.span(tok.offset), "duplicate component %r" % tok.value)
             components.append(tok.value)
-            if c.peek().kind == "COMMA":
-                c.advance()
+            if lx.peek().kind == "COMMA":
+                lx.advance()
             else:
                 break
     bindings: dict[str, Binding] = {}
-    while c.at_keyword("bind"):
-        c.advance()
-        target = c.expect("IDENT")
+    while lx.at_keyword("bind"):
+        lx.advance()
+        target = lx.expect("IDENT")
         if target.value in bindings:
-            raise ParseError(c.span(target), "duplicate binding for %r" % target.value)
-        c.expect("LBRACE")
-        c.expect_keyword("sut")
-        c.expect("EQUALS")
-        sut_comp = c.expect("IDENT")
+            raise ParseError(lx.span(target.offset), "duplicate binding for %r" % target.value)
+        lx.expect("LBRACE")
+        lx.expect_keyword("sut")
+        lx.expect("EQUALS")
+        sut_comp = lx.expect("IDENT")
         if sut_comp.value not in components:
-            raise ParseError(c.span(sut_comp), "unknown component %r" % sut_comp.value)
+            raise ParseError(lx.span(sut_comp.offset), "unknown component %r" % sut_comp.value)
         imap: dict[str, str] = {}
-        while c.peek().kind == "IDENT":
-            inst = c.advance()
-            c.expect("ARROW")
-            comp = c.expect("IDENT")
+        while lx.peek().kind == "IDENT":
+            inst = lx.advance()
+            lx.expect("ARROW")
+            comp = lx.expect("IDENT")
             if comp.value not in components:
-                raise ParseError(c.span(comp), "unknown component %r" % comp.value)
+                raise ParseError(lx.span(comp.offset), "unknown component %r" % comp.value)
             if comp.value == sut_comp.value:
                 raise ParseError(
-                    c.span(comp),
+                    lx.span(comp.offset),
                     "test instance %r mapped to the binding's own SUT component" % inst.value,
                 )
             if inst.value in imap:
-                raise ParseError(c.span(inst), "instance %r mapped twice" % inst.value)
+                raise ParseError(lx.span(inst.offset), "instance %r mapped twice" % inst.value)
             imap[inst.value] = comp.value
-        c.expect("RBRACE")
+        lx.expect("RBRACE")
         bindings[target.value] = Binding(target.value, sut_comp.value, imap)
-    c.expect("RBRACE")
-    c.expect("EOF")
+    lx.expect("RBRACE")
+    lx.expect("EOF")
     return Architecture(name, tuple(components), bindings)
 
 
 # --------------------------------------------------------------------------
-# Pretty-printing (round-trip partner of the parsers).
+# Pretty-printing (round-trip partner of ``parse_tcsd``).
 
 
 def _label_text(label: str) -> str:
@@ -814,17 +802,3 @@ def format_tcsd(tcsd: Tcsd) -> str:
     emit("}", 0)
     return "\n".join(out) + "\n"
 
-
-def format_architecture(arch: Architecture) -> str:
-    out = ["architecture %s {" % arch.name]
-    if arch.components:
-        out.append("  components %s" % ", ".join(arch.components))
-    for name in arch.bindings:
-        b = arch.bindings[name]
-        out.append("  bind %s {" % name)
-        out.append("    sut = %s" % b.sut_component)
-        for inst, comp in b.instance_map.items():
-            out.append("    %s -> %s" % (inst, comp))
-        out.append("  }")
-    out.append("}")
-    return "\n".join(out) + "\n"

@@ -116,9 +116,7 @@ class Constraints(NamedTuple):
 
 def constraints(net: Tapn, m0: Marking, found) -> Constraints:
     """The constraints of a net whose ``causal_order``, ``found``, lists
-    every transition, whatever its guard constants.  Open guards raise as
-    in the search."""
-    tapn._reject_open_guards(net)
+    every transition, whatever its guard constants."""
     order, causes = found
     node = {t.id: v for v, t in enumerate(net.transitions, 1)}
     incoming, outputs = tapn.transition_arcs(net)

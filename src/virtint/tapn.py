@@ -1,16 +1,15 @@
 """Timed-arc Petri nets with transport arcs and a reachability engine.
 
 Tokens carry integer ages.  Input arcs (normal and transport) are guarded
-by intervals; firing consumes one token of matching age per incoming arc
-and produces age-0 tokens on normal output arcs and age-preserving tokens
-on transport arcs.  A delay increases every age uniformly.
+by closed intervals, ``[a,b]`` or ``[a,oo)``; firing consumes one token of
+matching age per incoming arc and produces age-0 tokens on normal output
+arcs and age-preserving tokens on transport arcs.  A delay increases every
+age uniformly.
 
 The engine works in discrete time.  Token ages above the largest finite
-guard constant C are indistinguishable to every ``[a,b]``/``[a,oo)`` guard,
-so states store ages capped at C+1 and single-step delays range over
-0..C+1; this keeps the state space finite without losing reachability.
-Finite right-open guards ``[a,b)`` are representable but rejected at
-analysis time.
+guard constant C are indistinguishable to every guard, so states store
+ages capped at C+1 and single-step delays range over 0..C+1; this keeps
+the state space finite without losing reachability.
 
 A search state is sparse: only its marked places, as ``(place index,
 ages)`` pairs sorted by index, so firing, hashing and the target test cost
@@ -55,43 +54,32 @@ from typing import NamedTuple
 _FIRST, _SECOND, _THIRD = map(operator.itemgetter, range(3))
 
 
-class UnsupportedGuardError(Exception):
-    """The engine cannot analyse nets with finite right-open guards."""
-
-
 class _GuardFields(NamedTuple):
     lower: int
     upper: int | None = None  # None means unbounded
-    upper_closed: bool = True
 
 
 class Guard(_GuardFields):
-    """An age interval; the constructor checks it.  ``_replace`` would skip
-    the checks, so build a changed guard with ``Guard(...)``."""
+    """An age interval: ``[lower,upper]``, or ``[lower,∞)`` when ``upper``
+    is None.  The constructor checks it.  ``_replace`` would skip the
+    checks, so build a changed guard with ``Guard(...)``."""
 
     __slots__ = ()
 
-    def __new__(cls, lower: int, upper: int | None = None, upper_closed: bool = True):
+    def __new__(cls, lower: int, upper: int | None = None):
         if lower < 0:
             raise ValueError("guard lower bound must be >= 0")
-        if upper is None:
-            upper_closed = False  # an unbounded interval is always right-open
-        elif upper < lower:
+        if upper is not None and upper < lower:
             raise ValueError("guard upper bound below lower bound")
-        return super().__new__(cls, lower, upper, upper_closed)
+        return super().__new__(cls, lower, upper)
 
     def contains(self, age: int) -> bool:
-        if age < self.lower:
-            return False
-        if self.upper is None:
-            return True
-        return age <= self.upper if self.upper_closed else age < self.upper
+        return self.lower <= age and (self.upper is None or age <= self.upper)
 
     def __str__(self):
         if self.upper is None:
             return "[%d,∞)" % self.lower
-        close = "]" if self.upper_closed else ")"
-        return "[%d,%d%s" % (self.lower, self.upper, close)
+        return "[%d,%d]" % (self.lower, self.upper)
 
 
 ANY_AGE = Guard(0)
@@ -441,8 +429,7 @@ class _SearchNet:
         # Per transition: incoming (source idx, lower, upper or None,
         # transport target idx or -1) in incoming_arcs order, and the
         # tokens it produces as (place idx, source idx of a transport arc
-        # or -1).  Finite bounds are closed here; open finite guards are
-        # rejected before any search starts.
+        # or -1).  Both bounds are inclusive, as every guard is closed.
         incoming, outputs = transition_arcs(net)
         self.incoming, self.outputs = incoming, outputs  # fire_all fires by these
         self.inc: list[list[tuple[int, int, int | None, int]]] = []
@@ -617,15 +604,6 @@ class _SearchNet:
         return TraceStep(d, tid, label, consumed)
 
 
-def _reject_open_guards(net: Tapn):
-    for arc in list(net.input_arcs) + list(net.transport_arcs):
-        g = arc.guard
-        if g.upper is not None and not g.upper_closed:
-            raise UnsupportedGuardError(
-                "finite right-open guard %s on %s is not supported by the engine"
-                % (g, arc.transition))
-
-
 def reachable(net: Tapn, m0: Marking, target: TargetSpec,
               max_states: int = 1_000_000,
               max_total_delay: int | None = None) -> ReachResult:
@@ -641,7 +619,6 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
     Unreachable results carry the dead markings found, which feed the
     deadlock diagnostics.
     """
-    _reject_open_guards(net)
     for p in target:
         if p not in net.places:
             raise ValueError("target names unknown place %r" % p)

@@ -124,30 +124,21 @@ class _Builder:
     def emit_items(self, items, p: str) -> str:
         """Fold ``items`` into steps from place ``p``; give the last place.
 
-        An event's step is built here without a call, unless the event
-        anchors a timeout; fragments go through ``emit_fragment``.  Only
-        message and partition events are items: a message's step carries
+        Fragments go through ``emit_fragment``.  The other items are
+        message and partition events, each one step: a message's carries
         its label, a partition's its guard.
         """
-        prefix = self.prefix
-        places, transitions, arcs = self.places, self.transitions, self.transport_arcs
-        stepped, steps = self.stepped, self.steps
-        label_of, guard_of, anchors = self.label_of, self.guard_of, self.anchors
         for item in items:
             if type(item) is not EventNode:
                 p = self.emit_fragment(item, p)
                 continue
             eid = item.event[0]
-            t = "%s.T%d" % (prefix, len(transitions))
-            transitions.append(_new_transition((t, label_of.get(eid))))
-            p2 = "%s.P%d" % (prefix, len(places))
-            places.append(p2)
-            arcs.append(_new_transport_arc((p, t, p2, guard_of.get(eid, ANY_AGE))))
+            t = self.transition(self.label_of.get(eid))
+            p2 = self.place()
+            self.transport_arcs.append(
+                _new_transport_arc((p, t, p2, self.guard_of.get(eid, ANY_AGE))))
+            self.attach(eid, t)
             p = p2
-            stepped.append(eid)
-            steps.append(t)
-            if eid in anchors:
-                self.anchor(eid, t)
         return p
 
     def emit_fragment(self, item, p: str) -> str:
@@ -173,14 +164,12 @@ class _Builder:
         return pend
 
     def event_map(self) -> dict[str, tuple[str, ...]]:
-        """Each event with a step and its transitions, in the order built."""
-        out = dict(zip(self.stepped, zip(self.steps)))
-        if len(out) < len(self.stepped):  # some event was unrolled more than once
-            gathered: dict[str, list[str]] = {}
-            for eid, tid in zip(self.stepped, self.steps):
-                gathered.setdefault(eid, []).append(tid)
-            out = {eid: tuple(tids) for eid, tids in gathered.items()}
-        return out
+        """Each event with a step and its transitions, in the order built:
+        an event in a loop's body has one per round."""
+        gathered: dict[str, list[str]] = {}
+        for eid, tid in zip(self.stepped, self.steps):
+            gathered.setdefault(eid, []).append(tid)
+        return {eid: tuple(tids) for eid, tids in gathered.items()}
 
 
 def _unrolled_transitions(items) -> int:

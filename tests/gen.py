@@ -13,7 +13,8 @@ from virtint.tapn import (Guard, InputArc, OutputArc, Tapn, TargetSpec,
 
 def random_tcsd_source(rng: random.Random, name: str, max_sut_events: int = 12,
                        max_depth: int = 2, label_pool: int = 0, max_ticks: int = 6,
-                       tail: tuple[str, int] | None = None) -> str:
+                       tail: tuple[str, int] | None = None,
+                       nest_in_timeouts: bool = False) -> str:
     """A syntactically and semantically valid random diagram program.
 
     Partitions ascend and stay at the top level, timeouts nest properly,
@@ -21,6 +22,10 @@ def random_tcsd_source(rng: random.Random, name: str, max_sut_events: int = 12,
     Labels are m1, m2, ... in order, or drawn from m1..m<label_pool>
     when that is set.  Partitions step by 1..min(4, max_ticks) ticks and
     timeouts last 1..max_ticks.
+
+    A timeout holds two or three messages, or, with ``nest_in_timeouts``,
+    a block like a fragment's operand, fragments and timeouts too, then a
+    message.
 
     ``tail`` appends two messages labeled c1 and c2, which no other message
     has: ("timeout", n) sends both from S to A inside ``timeout n``, and
@@ -78,10 +83,15 @@ def random_tcsd_source(rng: random.Random, name: str, max_sut_events: int = 12,
                     lines.append("%s}" % indent)
             elif roll < 0.5 and state["budget"] >= 2:
                 lines.append("%stimeout %d {" % (indent, rng.randint(1, max_ticks)))
-                for _ in range(rng.randint(2, 3)):
-                    if state["budget"] <= 0:
-                        break
+                if nest_in_timeouts:  # a timeout is no fragment: the depth stays
+                    # A message after the block: two anchors at least.
+                    lines.extend(gen_block(depth, False, indent + "  "))
                     lines.append(msg_line(indent + "  "))
+                else:
+                    for _ in range(rng.randint(2, 3)):
+                        if state["budget"] <= 0:
+                            break
+                        lines.append(msg_line(indent + "  "))
                 lines.append("%s}" % indent)
             else:
                 lines.append(msg_line(indent))
@@ -196,7 +206,8 @@ architecture Pair {
 
 
 def random_diagram_pair(rng: random.Random, max_sut_events: int = 8,
-                        max_depth: int = 2, max_ticks: int = 6, timing: bool = False):
+                        max_depth: int = 2, max_ticks: int = 6, timing: bool = False,
+                        nest_in_timeouts: bool = False):
     """Translated units TA and TB plus their instance map.
 
     Both diagrams come from ``random_tcsd_source`` and draw their labels
@@ -206,7 +217,7 @@ def random_diagram_pair(rng: random.Random, max_sut_events: int = 8,
     With ``timing`` TA ends on c1 and c2 inside a timeout of n ticks and TB
     on c1 and c2 with partitions n - 1, n or n + 1 ticks apart between
     them: a timing conflict when the gap is n + 1 and the rest of the pair
-    can run.
+    can run.  ``nest_in_timeouts`` is ``random_tcsd_source``'s.
     """
     pool = rng.randint(1, 4)
     tails = (None, None)
@@ -214,7 +225,8 @@ def random_diagram_pair(rng: random.Random, max_sut_events: int = 8,
         ticks = rng.randint(1, max_ticks)
         tails = (("timeout", ticks), ("gap", max(1, ticks + rng.randint(-1, 1))))
     tcsds = [model.validate(parser.parse_tcsd(random_tcsd_source(
-        rng, name, max_sut_events, max_depth, pool, max_ticks, tail)).tcsd).tcsd
+        rng, name, max_sut_events, max_depth, pool, max_ticks, tail,
+        nest_in_timeouts)).tcsd).tcsd
         for name, tail in zip(("TA", "TB"), tails)]
     imap = integrate.build_instance_map(parser.parse_architecture(_PAIR_ARCH), tcsds)
     return [translate.translate(t) for t in tcsds], imap

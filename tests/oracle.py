@@ -24,7 +24,7 @@ def _satisfies(guard, age):
         return False
     if guard.upper is None:
         return True
-    return age <= guard.upper if guard.upper_closed else age < guard.upper
+    return age <= guard.upper
 
 
 def _freeze(m):

@@ -4,7 +4,8 @@ A verbatim copy of ``tapn._SearchNet`` and ``tapn.reachable`` as they
 were when every state was a dense vector over all places, every delay
 0..C+1 was imaged and every transition was tried on every image.  It is
 the reference that ``test_tapn``'s differential test compares the
-engine with; nothing in ``src`` uses it.
+engine with; nothing in ``src`` uses it.  Since every guard became a
+closed interval, it no longer rejects right-open ones before searching.
 
 ``check`` is a verbatim copy of ``Tapn.check`` as it was when it walked
 every arc, the reference for ``test_translate``'s differential test of
@@ -18,8 +19,7 @@ from collections import deque
 
 from virtint.tapn import (BOUND_EXCEEDED, REACHABLE, UNREACHABLE, InputArc,
                           Marking, ReachResult, TargetSpec, Tapn, TraceStep,
-                          _reject_open_guards, incoming_arcs,
-                          max_guard_constant, normalize_marking)
+                          incoming_arcs, max_guard_constant, normalize_marking)
 
 
 def _arc_source(arc) -> str:
@@ -36,8 +36,7 @@ class _SearchNet:
         self.trans = [(t.id, t.label) for t in net.transitions]
         # Per transition: incoming (source idx, lower, upper or None,
         # transport target idx or -1) in incoming_arcs order, plus normal
-        # output place idxs.  Finite bounds are closed here; open finite
-        # guards are rejected before any search starts.
+        # output place idxs.
         self.inc: list[list[tuple[int, int, int | None, int]]] = []
         self.out: list[list[int]] = []
         self.distinct_sources: list[bool] = []
@@ -179,7 +178,6 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
     Unreachable results carry the dead markings found, which feed the
     deadlock diagnostics.
     """
-    _reject_open_guards(net)
     for p in target:
         if p not in net.places:
             raise ValueError("target names unknown place %r" % p)

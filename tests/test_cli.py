@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
-from virtint import cli, model, parser, tapn, translate
+from virtint import cli, integrate, model, parser, tapn, translate
 
 
 def run_cli(capsys, *args, env=None):
@@ -166,6 +166,37 @@ def test_translate_refuses_two_outputs_on_one_file(tmp_path, capsys):
     assert "wrote" not in out
     assert not out_path.exists()
 
+
+
+def test_an_output_linked_to_an_input_or_another_output_is_refused(tmp_path, capsys):
+    # A symbolic or a hard link is one more name of a file: writing through
+    # it would replace the input, or two outputs would share one file.
+    diagram, arch = tmp_path / "a.tcsd", tmp_path / "a.arch"
+    diagram.write_bytes(open(BSCU[2], "rb").read())
+    arch.write_bytes(open(BSCU_ARCH, "rb").read())
+    before = diagram.read_bytes(), arch.read_bytes()
+    (tmp_path / "sym.dot").symlink_to(diagram)
+    os.link(diagram, tmp_path / "hard.dot")
+    (tmp_path / "sym.json").symlink_to(arch)
+    for argv in (["translate", diagram, "--dot", "sym.dot"],
+                 ["translate", diagram, "--tapaal", "hard.dot"],
+                 ["check", *BSCU[:2], diagram, "--arch", arch, "--report", "sym.json"]):
+        path = str(tmp_path / argv[-1])
+        code, out = run_cli(capsys, *map(str, argv[:-1]), path)
+        assert (code, out) == (2, "output path %s would overwrite an input\n" % path), argv
+        assert (diagram.read_bytes(), arch.read_bytes()) == before
+    # Two outputs on one file: a link to an output yet to be written, and
+    # a hard link to one that exists.
+    (tmp_path / "out.dot").symlink_to(tmp_path / "out.xml")
+    (tmp_path / "old.xml").write_text("")
+    os.link(tmp_path / "old.xml", tmp_path / "old.dot")
+    for dot, xml in (("out.dot", "out.xml"), ("old.dot", "old.xml")):
+        code, out = run_cli(capsys, "translate", BSCU[2], "--dot", str(tmp_path / dot),
+                            "--tapaal", str(tmp_path / xml))
+        assert (code, out) == (2, "output path %s is named by two outputs\n"
+                               % (tmp_path / xml)), dot
+    assert not (tmp_path / "out.xml").exists()
+    assert (tmp_path / "old.xml").read_text() == ""
 
 
 def test_translate_to_an_unwritable_path_is_io_error(tmp_path, capsys):
@@ -821,10 +852,14 @@ def _input_file(draw, texts):
 
 @st.composite
 def _command(draw):
-    """A command line and the files it names, as (argv, {name: bytes}):
-    ``check`` reads every diagram of a fixture set, each perhaps edited."""
+    """A draw mode, a command line and the files it names, as (mode, argv,
+    {name: bytes}): ``check`` reads every diagram of a fixture set, each
+    perhaps edited; ``bounds`` checks such a set as it is, under bounds
+    the command line accepts."""
+    command = draw(st.sampled_from(["validate", "translate", "check", "bounds"]))
+    if command == "bounds":
+        return (command, *draw(_bounded_check()))
     tcsds, archs = draw(st.sampled_from(_SETS))
-    command = draw(st.sampled_from(["validate", "translate", "check"]))
     if command == "check":
         texts = [draw(_input_file([text])) for text in tcsds]
     else:
@@ -852,23 +887,58 @@ def _command(draw):
                 argv += [flag, draw(st.sampled_from(values))]
         if draw(st.booleans()):
             argv += ["--report", draw(st.sampled_from(["r.json", "missing/r.json", "d0.tcsd"]))]
+    return command, argv, files
+
+
+@st.composite
+def _bounded_check(draw):
+    """``check`` of one fixture set with an architecture, its texts intact,
+    each bound drawn or left out; every value, ``2**63`` too, is one the
+    command line accepts."""
+    tcsds, archs = draw(st.sampled_from([s for s in _SETS if s[1]]))
+    files = {"d%d.tcsd" % n: text for n, text in enumerate(tcsds)}
+    argv = ["check", *files, "--arch", "a.arch"]
+    files["a.arch"] = archs[0]
+    for flag, values in (("--max-states", ["5000", "50", "1"] + _HUGE),
+                         ("--max-delay", ["3", "0"] + _HUGE),
+                         ("--max-matchings", ["64", "2", "1"] + _HUGE)):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    for flag in ("--require-all", "--cross-product"):
+        if draw(st.booleans()):
+            argv.append(flag)
     return argv, files
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_command())
-def test_any_input_exits_0_to_3_without_a_traceback(command):
-    argv, files = command
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, data in files.items():
-            with open(os.path.join(tmp, name), "wb") as fp:
-                fp.write(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main([os.path.join(tmp, a) if a in files or a.endswith(
-                    (".dot", ".xml", ".json")) else a for a in argv])
-            except SystemExit as exc:  # argparse refusing the command line
-                code = exc.code
-    assert code in (0, 1, 2, 3), (argv, out.getvalue(), err.getvalue())
-    assert "Traceback" not in out.getvalue() + err.getvalue()
+def test_any_input_exits_0_to_3_without_a_traceback(monkeypatch):
+    calls = []
+    real = integrate.check_consistency
+    monkeypatch.setattr(integrate, "check_consistency",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    bounded = []  # per bounds-mode draw: whether it reached the check, with a huge bound
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_command())
+    def run(command):
+        mode, argv, files = command
+        calls.clear()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in files.items():
+                with open(os.path.join(tmp, name), "wb") as fp:
+                    fp.write(data)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main([os.path.join(tmp, a) if a in files or a.endswith(
+                        (".dot", ".xml", ".json")) else a for a in argv])
+                except SystemExit as exc:  # argparse refusing the command line
+                    code = exc.code
+        assert code in (0, 1, 2, 3), (argv, out.getvalue(), err.getvalue())
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if mode == "bounds":
+            bounded.append((bool(calls), any(a in _HUGE for a in argv)))
+
+    run()
+    # Bounds are tried only by the draws that reach the check itself.
+    assert bounded and 3 * sum(r for r, _ in bounded) >= len(bounded), bounded
+    assert (True, True) in bounded

@@ -217,7 +217,7 @@ def _awkward_unit(input_arcs=(), output_arcs=(), transport_arcs=()):
     places = ('p"0', "p\\1", "a.b", "a-b", "Ström.P2", "日本-3", 'q\\"x', "a_b")
     transitions = (Transition('t"0'), Transition("t\\1", 'lab"el\\'),
                    Transition("a.b.T", "x"), Transition("a-b-T"), Transition("Ström.T9", "ü"))
-    guards = (tapn.ANY_AGE, tapn.at_most(3), tapn.exact(7), Guard(2, 5, False))
+    guards = (tapn.ANY_AGE, tapn.at_most(3), tapn.exact(7), Guard(2, 5))
     inputs = [tapn.InputArc(p, t.id, guards[n % 4])
               for n, (p, t) in enumerate(zip(places, transitions))]
     outputs = [tapn.OutputArc(t.id, p) for t, p in zip(transitions, reversed(places))]

@@ -134,15 +134,6 @@ def test_architecture_errors(src, needle):
     assert needle in str(err.value)
 
 
-def test_architecture_round_trip():
-    src = ("architecture BSCU { components Command1, Monitor1, Switch "
-           "bind TC_Com { sut = Command1 M -> Monitor1 Sw -> Switch } "
-           "bind TC_Mon { sut = Monitor1 C -> Command1 } }")
-    first = parser.parse_architecture(src)
-    second = parser.parse_architecture(parser.format_architecture(first))
-    assert first == second
-
-
 def test_round_trip_on_fixture_files():
     for path in sorted(FIXTURES.rglob("*.tcsd")):
         if "invalid" in str(path):
@@ -154,13 +145,14 @@ def test_round_trip_on_fixture_files():
 
 
 def test_round_trip_on_random_sources():
-    rng = random.Random(4711)
-    for n in range(40):
-        src = random_tcsd_source(rng, "R%d" % n)
-        first = parser.parse_tcsd(src).tcsd
-        printed = parser.format_tcsd(first)
-        second = parser.parse_tcsd(printed).tcsd
-        assert canonical_form(first) == canonical_form(second), src
+    for nest in (False, True):  # blocks in timeouts, or only messages
+        rng = random.Random(4711)
+        for n in range(40):
+            src = random_tcsd_source(rng, "R%d" % n, nest_in_timeouts=nest)
+            first = parser.parse_tcsd(src).tcsd
+            printed = parser.format_tcsd(first)
+            second = parser.parse_tcsd(printed).tcsd
+            assert canonical_form(first) == canonical_form(second), src
 
 
 def test_fragment_borders_bracket_exactly_the_operand_events():

@@ -9,7 +9,7 @@ from gen import _random_guard, random_merged_units, random_tapn
 from oracle import naive_reachable
 from virtint import integrate, model, parser, tapn, translate
 from virtint.tapn import (Guard, InputArc, OutputArc, Tapn, TraceStep, Transition,
-                          TransportArc, UnsupportedGuardError)
+                          TransportArc)
 
 
 def _net(places, transitions, input_arcs=(), output_arcs=(), transport_arcs=()):
@@ -26,8 +26,7 @@ def test_guard_membership():
     assert not g.contains(5)
     assert str(g) == "[2,4]"
     assert str(Guard(0)) == "[0,∞)"
-    assert Guard(1, 3, upper_closed=False).contains(2)
-    assert not Guard(1, 3, upper_closed=False).contains(3)
+    assert Guard(3).contains(3) and Guard(3).contains(10 ** 9) and not Guard(3).contains(2)
     with pytest.raises(ValueError):
         Guard(4, 2)
     with pytest.raises(ValueError):
@@ -35,9 +34,12 @@ def test_guard_membership():
 
 
 def test_unbounded_guard_is_right_open():
-    assert Guard(2, None, True).upper_closed is False
-    assert Guard(2, upper_closed=True) == Guard(2) == (2, None, False)
-    assert Guard(2, 5).upper_closed is True
+    # A guard is [lower,upper], or [lower,∞) without an upper bound: no
+    # field says whether a bound is closed.
+    assert Guard(2) == Guard(2, None) == (2, None)
+    assert Guard(2, 5) == (2, 5)
+    with pytest.raises(TypeError):
+        Guard(2, 5, False)
 
 
 def test_enabled_window():
@@ -182,14 +184,6 @@ def test_guard_relaxation_is_monotone():
         timed = tapn.reachable(net, m0, target)
         if timed.verdict == "reachable":
             assert tapn.reachable(tapn.widen_guards(net), m0, target).verdict == "reachable"
-
-
-def test_open_finite_guard_rejected_at_analysis():
-    net = _net(["p", "q"], [Transition("t")],
-               [InputArc("p", "t", Guard(0, 3, upper_closed=False))],
-               [OutputArc("t", "q")])
-    with pytest.raises(UnsupportedGuardError):
-        tapn.reachable(net, {"p": (0,)}, {"q": 1})
 
 
 def test_structural_conditions():

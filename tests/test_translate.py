@@ -413,15 +413,22 @@ def test_translate_builds_an_ordered_marked_graph_or_refuses(seed, events, depth
     # diagram that validate accepts translates to a net that passes
     # Tapn.check and stp.causal_order, which orders all of its
     # transitions, unless it unrolls to more than the limit (here lowered):
-    # the one TranslationError.  The diagrams are random, or random ones
-    # after random edits of their model.
-    src = random_tcsd_source(random.Random(seed), "P", events, depth)
+    # the one TranslationError.  The diagrams are random, with blocks
+    # nested in timeouts or not, or random ones after random edits of
+    # their model.
+    for nest in (False, True):
+        src = random_tcsd_source(random.Random(seed), "P", events, depth,
+                                 nest_in_timeouts=nest)
+        _builds_an_ordered_marked_graph_or_refuses(src, limit, mutate and rnd)
+
+
+def _builds_an_ordered_marked_graph_or_refuses(src, limit, rnd):
     tcsd = parser.parse_tcsd(src).tcsd
-    if mutate:
+    if rnd:
         tcsd = mutated_diagram(rnd, tcsd)
     checked = model.validate(tcsd)
     if not checked.ok:
-        assert mutate, checked.violations
+        assert rnd, checked.violations
         return
     tcsd = checked.tcsd
     with mock.patch.object(translate, "MAX_TRANSITIONS",
