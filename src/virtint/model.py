@@ -4,9 +4,9 @@ A diagram consists of instance lines (one of which is the system under
 test), per-line ordered event lists, messages between a test line and the
 SUT line, a forest of interaction fragments (strict/par/opt/alt/loop),
 absolute-time partition lines and relative timeouts.  ``validate`` checks
-every well-formedness clause and returns a normalized, immutable diagram
-together with its region tree: ``sut_regions`` parses a SUT line into the
-tree the translator folds over.
+every clause, reading the fragments in one pass, and returns a normalized,
+immutable diagram with its region tree, which the translator folds over:
+``sut_regions`` nests the SUT line's ``Event``s in ``FragmentNode``s.
 """
 
 from __future__ import annotations
@@ -120,10 +120,6 @@ class LayoutError(Exception):
 # Region tree: the SUT line parsed into nested fragment operands.
 
 
-class EventNode(NamedTuple):
-    event: Event
-
-
 class FragmentNode(NamedTuple):
     fragment: Fragment
     enter: Event
@@ -141,48 +137,40 @@ _RECEIVER = itemgetter(2)
 _TIMESTAMP = itemgetter(1)
 
 # The records built here, made without their Python-level __new__.
-_new_event_node = functools.partial(tuple.__new__, EventNode)
 _new_fragment_node = functools.partial(tuple.__new__, FragmentNode)
 _new_violation = functools.partial(tuple.__new__, Violation)
-
-
-def _index_fragments(tcsd: Tcsd) -> dict[str, Fragment]:
-    return {f.id: f for f in tcsd.base.fragments}
 
 
 def _sut_events(tcsd: Tcsd) -> tuple[Event, ...]:
     return tcsd.base.events.get(tcsd.sut, ())
 
 
-def _members(fragments) -> dict[str, dict[str, tuple[int, ...]]]:
-    """Fragment id -> event id -> the numbers of the fragment's operands
-    that list the event, ascending."""
-    out = {}
-    for f in fragments:
-        listed: dict[str, tuple[int, ...]] = {}
-        for x, op in enumerate(f.operands):
-            own = dict.fromkeys(op.events, (x,))
-            if not listed:
-                listed = own
-            elif listed.keys().isdisjoint(own):
-                listed.update(own)
-            else:  # some event is in an earlier operand too
-                for eid in own:
-                    listed[eid] = listed.get(eid, ()) + (x,)
-        out[f.id] = listed
-    return out
+def _listing(operands) -> dict[str, tuple[int, ...]]:
+    """What a fragment lists: each event of its ``operands`` and the
+    numbers of the operands that list it, ascending."""
+    listed: dict[str, tuple[int, ...]] = {}
+    for x, op in enumerate(operands):
+        own = dict.fromkeys(op.events, (x,))
+        if not listed:
+            listed = own
+        elif listed.keys().isdisjoint(own):
+            listed.update(own)
+        else:  # some event is in an earlier operand too
+            for eid in own:
+                listed[eid] = listed.get(eid, ()) + (x,)
+    return listed
 
 
 def _parse_items(line, i, j) -> list:
     """The items of ``events[i:j]``, where ``line`` is what ``_region_tree``
-    works out once: (events, ids, nodes, borders, exit_of, frags, members)."""
-    events, ids, nodes, borders, exit_of, frags, members = line
+    works out once: (events, ids, borders, exit_of, frags, members)."""
+    events, ids, borders, exit_of, frags, members = line
     n = bisect.bisect_left(borders, i)
     items = []
     k = i
     while n < len(borders) and borders[n] < j:
         b = borders[n]
-        items += nodes[k:b]
+        items += events[k:b]
         e = events[b]
         if e.kind == FRAGMENT_EXIT:
             raise LayoutError("unmatched fragment exit %s" % e.id)
@@ -195,10 +183,10 @@ def _parse_items(line, i, j) -> list:
         listed = members[frag.id]
         inner = ids[b + 1:end]
         # With no border inside the fragment, each operand is a slice of
-        # the line's event nodes.
+        # the line.
         leaf = borders[n + 1] == end
         if len(frag.operands) == 1 and all(map(listed.__contains__, inner)):
-            operand_items = [nodes[b + 1:end] if leaf else _parse_items(line, b + 1, end)]
+            operand_items = [events[b + 1:end] if leaf else _parse_items(line, b + 1, end)]
         else:
             owners = list(map(listed.get, inner, itertools.repeat(())))
             if set(map(len, owners)) - {1}:
@@ -214,25 +202,24 @@ def _parse_items(line, i, j) -> list:
             lo = b + 1
             for x in range(len(frag.operands)):
                 hi = bisect.bisect_right(owners, (x,), lo - b - 1) + b + 1
-                operand_items.append(nodes[lo:hi] if leaf else _parse_items(line, lo, hi))
+                operand_items.append(events[lo:hi] if leaf else _parse_items(line, lo, hi))
                 lo = hi
         items.append(_new_fragment_node((frag, e, events[end], operand_items)))
         k = end + 1
         n = bisect.bisect_left(borders, k, n)
-    items += nodes[k:j]
+    items += events[k:j]
     return items
 
 
-def _region_tree(tcsd: Tcsd, members) -> list:
-    """The SUT line's item tree; ``members`` is ``_members`` of the
-    fragments.
+def _region_tree(tcsd: Tcsd, frags, members) -> list:
+    """The SUT line's item tree of events and ``FragmentNode``s; ``frags``
+    and ``members`` map each fragment id to its fragment and ``_listing``.
 
     Every fragment's exit is found from one pass over the line's borders,
     from the right: an enter closes at the first exit of its fragment
-    after it.  Each event's node is made once, and an operand with no
-    border inside is a slice of them.  Faults are raised in the order a
-    walk of the line from the left meets them, a fragment's own before
-    those inside it.
+    after it.  An operand with no border inside is a slice of the line's
+    events.  Faults are raised in the order a walk of the line from the
+    left meets them, a fragment's own before those inside it.
 
     Then every fragment must list, of the SUT line's events, exactly
     those drawn between its borders.  Each node's inner events are listed,
@@ -240,7 +227,7 @@ def _region_tree(tcsd: Tcsd, members) -> list:
     shows it: the fragments list as many SUT events as their borders
     enclose.  Only when they do not are the listings searched.
     """
-    events = _sut_events(tcsd)
+    events = list(_sut_events(tcsd))
     kinds = list(map(_KIND, events))
     borders = list(itertools.compress(range(len(events)), map(_BORDERS.__contains__, kinds)))
     exit_of: dict[int, int | None] = {}  # enter position -> exit position
@@ -250,16 +237,14 @@ def _region_tree(tcsd: Tcsd, members) -> list:
             after[events[b].fragment] = b
         else:
             exit_of[b] = after.get(events[b].fragment)
-    nodes = list(map(_new_event_node, zip(events)))
     ids = list(map(_ID, events))
-    frags = _index_fragments(tcsd)
-    items = _parse_items((events, ids, nodes, borders, exit_of, frags, members), 0, len(events))
-    # Every enter is now a node, and exit_of holds each node's borders.
+    items = _parse_items((events, ids, borders, exit_of, frags, members), 0, len(events))
+    # Every enter is now a fragment node, and exit_of holds its borders.
     sut = set(ids)
     listed = len(list(filter(sut.__contains__, itertools.chain.from_iterable(members.values()))))
     enclosed = sum(exit_of.values()) - sum(exit_of) - len(exit_of)
     if listed != enclosed or len(sut) < len(ids) or len(after) + len(exit_of) < len(borders):
-        # The nodes by enter position, then the fragments with no node.
+        # The fragment nodes by enter position, then the fragments with none.
         inside = [(events[b].fragment, ids[b + 1:exit_of[b]]) for b in sorted(exit_of)]
         drawn = set(map(_ID, inside))
         inside += [(fid, ()) for fid in frags if fid not in drawn]
@@ -279,7 +264,8 @@ def sut_regions(tcsd: Tcsd) -> list:
     ``validate`` reports that as a ``fragment-layout`` violation.
     ``ValidationResult.regions`` is this tree of the normalized diagram.
     """
-    return _region_tree(tcsd, _members(_index_fragments(tcsd).values()))
+    frags = {f.id: f for f in tcsd.base.fragments}
+    return _region_tree(tcsd, frags, {fid: _listing(f.operands) for fid, f in frags.items()})
 
 
 # --------------------------------------------------------------------------
@@ -291,16 +277,24 @@ def _add(violations, clause, elements, detail):
 
 
 def _index_events(tcsd: Tcsd):
-    """Index the declared lines' events: (event, kinds, malformed violations).
+    """Index the declared lines' events and the fragments: (event, kinds,
+    malformed violations, fragment index).
 
     ``event`` maps each event id to its event and ``kinds`` lists the
     events' kinds; dangling references are ``malformed`` violations.  The
     events are indexed and checked in bulk, and only a fault in them is
     looked for event by event.
+
+    One pass over the fragments checks them and builds the fragment index,
+    (frags, members, children, position, owners, strict, shape): each
+    fragment id's fragment, ``_listing``, direct children and place in
+    ``base.fragments``; each listed event's fragments, in fragment order;
+    the strict fragments; the ``operand-count``, ``loop-bound`` and
+    ``empty-operand`` violations.
     """
     v: list[Violation] = []
     base = tcsd.base
-    frag_ids = {f.id for f in base.fragments}
+    frags = {f.id: f for f in base.fragments}
     lines = list(map(base.events.get, base.instances, itertools.repeat(())))
     events = list(itertools.chain.from_iterable(lines))
     event = dict(zip(map(_ID, events), events))
@@ -308,8 +302,8 @@ def _index_events(tcsd: Tcsd):
     if not (len(event) == len(events) and _KINDS.issuperset(kinds)
             and all(map(_filed_on, base.instances, lines))):
         _name_event_faults(base, v)
-    stray_border = not frag_ids.issuperset(
-        itertools.compress(map(_FRAGMENT, events), map(_BORDERS.__contains__, kinds)))
+    stray_border = not all(map(frags.__contains__, itertools.compress(
+        map(_FRAGMENT, events), map(_BORDERS.__contains__, kinds))))
     undeclared = False
     for inst in base.events:
         if inst not in base.instances:
@@ -319,21 +313,48 @@ def _index_events(tcsd: Tcsd):
         _add(v, "malformed", [tcsd.sut], "SUT is not a declared instance")
 
     known = event.__contains__
-    dup = set()
-    for f in base.fragments:
-        if f.id in dup:
-            _add(v, "malformed", [f.id], "duplicate fragment id")
-        dup.add(f.id)
-        if f.operator not in OPERATORS:
-            _add(v, "malformed", [f.id], "unknown operator %r" % f.operator)
-        for op in f.operands:
-            if not all(map(known, op.events)):
-                for eid in op.events:
+    members: dict[str, dict[str, tuple[int, ...]]] = {}
+    children: dict[str, list[str]] = {}
+    position: dict[str, int] = {}
+    owners: dict[str, list[str]] = {}
+    strict, shape = set(), []
+    for n, (fid, operator, operands, loop_bound) in enumerate(base.fragments):
+        if fid in position:
+            _add(v, "malformed", [fid], "duplicate fragment id")
+        position[fid] = n
+        if operator not in OPERATORS:
+            _add(v, "malformed", [fid], "unknown operator %r" % operator)
+        elif operator == "strict":
+            strict.add(fid)
+        n_ops = len(operands)
+        if operator in ("strict", "opt", "loop") and n_ops != 1:
+            _add(shape, "operand-count", [fid],
+                 "%s requires exactly 1 operand, has %d" % (operator, n_ops))
+        if operator in ("par", "alt") and n_ops < 2:
+            _add(shape, "operand-count", [fid],
+                 "%s requires at least 2 operands, has %d" % (operator, n_ops))
+        if operator == "loop":
+            if loop_bound is None:
+                _add(shape, "loop-bound", [fid], "loop without a constant bound")
+            elif loop_bound < 0:
+                _add(shape, "loop-bound", [fid], "negative loop bound")
+        elif loop_bound is not None:
+            _add(shape, "loop-bound", [fid], "bound on a non-loop fragment")
+        nested = children[fid] = []
+        for x, (op_events, op_children) in enumerate(operands):
+            if not op_events:
+                _add(shape, "empty-operand", [fid], "operand %d is empty" % x)
+            elif not all(map(known, op_events)):
+                for eid in op_events:
                     if eid not in event:
-                        _add(v, "malformed", [f.id, eid], "operand references unknown event")
-            for cid in op.children:
-                if cid not in frag_ids:
-                    _add(v, "malformed", [f.id, cid], "operand references unknown fragment")
+                        _add(v, "malformed", [fid, eid], "operand references unknown event")
+            for cid in op_children:
+                if cid not in frags:
+                    _add(v, "malformed", [fid, cid], "operand references unknown fragment")
+            nested += op_children
+        listed = members[fid] = _listing(operands)
+        for eid in listed:
+            owners.setdefault(eid, []).append(fid)
     messages = base.messages
     if not (all(map(known, map(_ID, messages))) and all(map(known, map(_RECEIVER, messages)))):
         for m in messages:
@@ -356,9 +377,9 @@ def _index_events(tcsd: Tcsd):
     if stray_border or undeclared:
         for e_list in base.events.values():
             for e in e_list:
-                if e.kind in _BORDERS and e.fragment not in frag_ids:
+                if e.kind in _BORDERS and e.fragment not in frags:
                     _add(v, "malformed", [e.id], "border event names unknown fragment")
-    return event, kinds, v
+    return event, kinds, v, (frags, members, children, position, owners, strict, shape)
 
 
 def _filed_on(inst: str, line) -> bool:
@@ -423,13 +444,12 @@ def _check_messages(tcsd: Tcsd, event, v, off_sut):
             _add(v, "message-endpoints", [eid], "%s event belongs to no message" % e.kind)
 
 
-def _descendants(fragments: tuple[Fragment, ...]) -> dict[str, set[str]]:
+def _descendants(children: dict[str, list[str]]) -> dict[str, set[str]]:
     """Each fragment's id and the ids of the fragments nested in it."""
-    children = {f.id: [cid for op in f.operands for cid in op.children] for f in fragments}
     out: dict[str, set[str]] = {}
-    for fid in children:
+    for fid, direct in children.items():
         reached: set[str] = set()
-        frontier = list(children[fid])
+        frontier = list(direct)
         while frontier:
             cid = frontier.pop()
             if cid not in reached:
@@ -439,20 +459,7 @@ def _descendants(fragments: tuple[Fragment, ...]) -> dict[str, set[str]]:
     return out
 
 
-def _owners(fragments, members) -> dict[str, list[str]]:
-    """The owners index: each event that some fragment lists, and the
-    fragments that list it, in fragment order.  ``validate`` builds it
-    once; ``no-shared-events``, ``no-fragment-cutting`` (which names the
-    first owner) and ``timeout-same-fragment`` read it."""
-    owners: dict[str, list[str]] = {}
-    for f in fragments:
-        fid = f.id
-        for eid in members[fid]:
-            owners.setdefault(eid, []).append(fid)
-    return owners
-
-
-def _check_shared_events(fragments, owners, desc, v):
+def _check_shared_events(owners, desc, position, v):
     """Add a ``no-shared-events`` violation for each two fragments, neither
     nested in the other, that list a common event, in fragment order.
 
@@ -467,14 +474,13 @@ def _check_shared_events(fragments, owners, desc, v):
         if pairs:
             disjoint[chain] = pairs
     if disjoint:
-        frag_pos = {f.id: n for n, f in enumerate(fragments)}
-        shared: dict[tuple[int, int], set[str]] = {}
+        shared: dict[tuple[str, str], set[str]] = {}
         for eid, chain in owners.items():
-            for f1, f2 in disjoint.get(tuple(chain), ()):
-                shared.setdefault((frag_pos[f1], frag_pos[f2]), set()).add(eid)
-        for a, b in sorted(shared):
-            _add(v, "no-shared-events", [fragments[a].id, fragments[b].id],
-                 "disjoint fragments share events %s" % ",".join(sorted(shared[a, b])))
+            for pair in disjoint.get(tuple(chain), ()):
+                shared.setdefault(pair, set()).add(eid)
+        for f1, f2 in sorted(shared, key=lambda pair: (position[pair[0]], position[pair[1]])):
+            _add(v, "no-shared-events", [f1, f2],
+                 "disjoint fragments share events %s" % ",".join(sorted(shared[f1, f2])))
 
 
 def _check_ordering(partitions, event, at, v):
@@ -508,14 +514,16 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     """Check every well-formedness clause of a raw diagram.
 
     Dangling references are reported as ``malformed`` violations and block
-    the semantic checks.  On success the result carries a normalized copy
-    (partitions sorted by timestamp and the implicit start partition, time
-    0, inserted when absent) and that copy's region tree, which
-    ``translate.translate`` takes instead of building it again.
+    the semantic checks, which read the fragment index ``_index_events``
+    builds.  On success the result carries a normalized copy (partitions
+    sorted by timestamp and the implicit start partition, time 0, inserted
+    when absent) and that copy's region tree, which ``translate.translate``
+    takes instead of building it again.
     """
-    event, kinds, malformed = _index_events(tcsd)
+    event, kinds, malformed, index = _index_events(tcsd)
     if malformed:
         return ValidationResult(malformed)
+    frags, members, children, position, owners, strict, shape = index
 
     v: list[Violation] = []
     base = tcsd.base
@@ -540,35 +548,15 @@ def validate(tcsd: Tcsd) -> ValidationResult:
         _check_messages(tcsd, event, v, off_sut)
 
     # Fragment shape: operand counts, loop bounds, empty operands.
-    for f in base.fragments:
-        n_ops = len(f.operands)
-        if f.operator in ("strict", "opt", "loop") and n_ops != 1:
-            _add(v, "operand-count", [f.id],
-                 "%s requires exactly 1 operand, has %d" % (f.operator, n_ops))
-        if f.operator in ("par", "alt") and n_ops < 2:
-            _add(v, "operand-count", [f.id],
-                 "%s requires at least 2 operands, has %d" % (f.operator, n_ops))
-        if f.operator == "loop":
-            if f.loop_bound is None:
-                _add(v, "loop-bound", [f.id], "loop without a constant bound")
-            elif f.loop_bound < 0:
-                _add(v, "loop-bound", [f.id], "negative loop bound")
-        elif f.loop_bound is not None:
-            _add(v, "loop-bound", [f.id], "bound on a non-loop fragment")
-        for x, op in enumerate(f.operands):
-            if not op.events:
-                _add(v, "empty-operand", [f.id], "operand %d is empty" % x)
+    v += shape
 
     # Fragment consistency: self-nesting, shared events, containment.
-    frags = base.fragments
-    desc = _descendants(frags)
-    for f in frags:
-        if f.id in desc[f.id]:
-            _add(v, "no-self-nesting", [f.id], "fragment is nested inside itself")
-    members = _members(frags)
-    owners = _owners(frags, members)
-    _check_shared_events(frags, owners, desc, v)
-    for f in frags:
+    desc = _descendants(children)
+    for fid, reached in desc.items():
+        if fid in reached:
+            _add(v, "no-self-nesting", [fid], "fragment is nested inside itself")
+    _check_shared_events(owners, desc, position, v)
+    for f in base.fragments:
         listed = members[f.id]
         for x, op in enumerate(f.operands):
             for cid in op.children:
@@ -584,7 +572,7 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     sut_line = _sut_events(tcsd)
     regions = None
     try:
-        regions = _region_tree(tcsd, members)
+        regions = _region_tree(tcsd, frags, members)
     except LayoutError as exc:
         _add(v, "fragment-layout", [sut], str(exc))
     v.extend(off_sut)
@@ -630,8 +618,6 @@ def validate(tcsd: Tcsd) -> ValidationResult:
 
     # Timeouts.  A strict fragment's items are inlined into the enclosing
     # operand, so a timeout may cross its borders, but not anchor on them.
-    strict = {f.id for f in frags if f.operator == "strict"} if tcsd.timeouts else ()
-    frag_pos = {f.id: n for n, f in enumerate(frags)} if tcsd.timeouts else {}
     spans = []  # (start, end, number) of each ordered timeout on the SUT line
     for n, c in enumerate(tcsd.timeouts):
         start, end = event[c.start], event[c.end]
@@ -646,7 +632,7 @@ def validate(tcsd: Tcsd) -> ValidationResult:
         else:
             spans.append((sn, en, n))
         for fid in sorted(set(owners.get(c.start, ())).union(owners.get(c.end, ()))
-                          .difference(strict), key=frag_pos.get):
+                          .difference(strict), key=position.get):
             listed = members[fid]
             for x in sorted(set(listed.get(c.start, ())) ^ set(listed.get(c.end, ()))):
                 _add(v, "timeout-same-fragment", [c.start, c.end, fid],
@@ -682,7 +668,7 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     normalized = _normalize(tcsd, event)
     line = _sut_events(normalized)
     if len(line) > len(sut_line):  # the time-0 partition event was put first
-        regions.insert(0, EventNode(line[0]))
+        regions.insert(0, line[0])
     return ValidationResult([], normalized, regions)
 
 

@@ -720,8 +720,8 @@ def format_tcsd(tcsd: Tcsd) -> str:
         # Anchors handled at this nesting level: plain events and fragment
         # borders.  The parser anchors no timeout on a strict fragment's
         # borders, but on the first and last anchors inside it.
-        if isinstance(item, model.EventNode):
-            return [item.event.id]
+        if not isinstance(item, model.FragmentNode):
+            return [item.id]
         if item.fragment.operator != "strict":
             return [item.enter.id, item.exit.id]
         inner = [eid for sub in item.operand_items[0] for eid in direct_events(sub)]
@@ -767,12 +767,11 @@ def format_tcsd(tcsd: Tcsd) -> str:
                 emit("}", depth)
 
     def emit_item(item, depth):
-        if isinstance(item, model.EventNode):
-            e = item.event
-            if e.kind == model.PARTITION:
-                emit("at %d" % part_by_event[e.id].timestamp, depth)
+        if not isinstance(item, model.FragmentNode):  # a message or partition event
+            if item.kind == model.PARTITION:
+                emit("at %d" % part_by_event[item.id].timestamp, depth)
                 return
-            m = msg_by_event[e.id]
+            m = msg_by_event[item.id]
             emit("msg %s -> %s : %s"
                  % (owner[m.send], owner[m.receive], _label_text(m.label)), depth)
             return

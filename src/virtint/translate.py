@@ -19,7 +19,7 @@ import functools
 from typing import NamedTuple
 
 from . import model, tapn
-from .model import EventNode, Tcsd
+from .model import FragmentNode, Tcsd
 from .tapn import (ANY_AGE, InputArc, Marking, OutputArc, Tapn, TargetSpec,
                    Transition, TransportArc)
 
@@ -129,10 +129,10 @@ class _Builder:
         its label, a partition's its guard.
         """
         for item in items:
-            if type(item) is not EventNode:
+            if type(item) is FragmentNode:
                 p = self.emit_fragment(item, p)
                 continue
-            eid = item.event[0]
+            eid = item[0]
             t = self.transition(self.label_of.get(eid))
             p2 = self.place()
             self.transport_arcs.append(
@@ -176,7 +176,7 @@ def _unrolled_transitions(items) -> int:
     """Transitions that ``_Builder.emit_items`` builds for a region list."""
     n = 0
     for item in items:
-        if isinstance(item, EventNode):
+        if not isinstance(item, FragmentNode):
             n += 1
             continue
         f = item.fragment

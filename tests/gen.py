@@ -347,3 +347,17 @@ def mutated_diagram(rnd: random.Random, tcsd: Tcsd) -> Tcsd:
                                for fid, operator, ops, bound in frags))
     return Tcsd(sd, tcsd.sut, tuple(PartitionLine(tuple(e), t) for e, t in partitions),
                 tuple(Timeout(*c) for c in timeouts))
+
+
+def reordered_fragments(rnd: random.Random, tcsd: Tcsd) -> Tcsd:
+    """``tcsd`` with its fragments listed in reverse or in a shuffled order.
+
+    The parser lists a child before its parent, as the child closes first,
+    and no edit of ``mutated_diagram`` reorders the fragments; here a
+    parent may come first."""
+    fragments = list(tcsd.base.fragments)
+    if rnd.random() < 0.5:
+        fragments.reverse()
+    else:
+        rnd.shuffle(fragments)
+    return tcsd._replace(base=tcsd.base._replace(fragments=tuple(fragments)))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import validate_reference
 from clause_fixtures import all_clause_cases, overlapping_fragments, owner_index_cases
 from conftest import FIXTURES
-from gen import mutated_diagram, random_tcsd_source
+from gen import mutated_diagram, random_tcsd_source, reordered_fragments
 from virtint import model, parser, stp, translate
 from virtint.model import (Event, Fragment, Message, Operand, PartitionLine,
                            SequenceDiagram, Tcsd, Timeout, Violation)
@@ -114,13 +114,13 @@ def _flatten(items):
     """The region tree in SUT-line order: borders around their operands."""
     out = []
     for item in items:
-        if isinstance(item, model.EventNode):
-            out.append(item.event)
-        else:
+        if isinstance(item, model.FragmentNode):
             out.append(item.enter)
             for op in item.operand_items:
                 out.extend(_flatten(op))
             out.append(item.exit)
+        else:
+            out.append(item)
     return out
 
 
@@ -128,7 +128,7 @@ def test_sut_walk_total_order():
     res = model.validate(_parse(
         "tcsd T { sut S test A msg A -> S : a msg S -> A : b msg A -> S : c }"))
     regions = model.sut_regions(res.tcsd)
-    assert all(isinstance(item, model.EventNode) for item in regions)
+    assert all(isinstance(item, model.Event) for item in regions)
     kinds = [e.kind for e in _flatten(regions)]
     assert kinds == ["partition", "receive", "send", "receive"]
 
@@ -171,8 +171,8 @@ def test_sut_walk_nested_fragment_visited_inside_outer_operand():
     # The par sits inside the alt's second operand, ahead of d.
     inner, d = second
     assert inner.fragment.operator == "par"
-    assert msg_by_event[d.event.id] == "d"
-    assert [[msg_by_event[n.event.id] for n in op] for op in inner.operand_items] \
+    assert msg_by_event[d.id] == "d"
+    assert [[msg_by_event[e.id] for e in op] for op in inner.operand_items] \
         == [["b"], ["c"]]
 
 
@@ -599,6 +599,19 @@ def test_seed_diagrams_validate_as_the_reference():
 @given(st.integers(0, len(_SEED_DIAGRAMS) - 1), st.randoms(use_true_random=False))
 def test_mutated_diagrams_validate_as_the_reference(k, rnd):
     _assert_validates_as_the_reference(mutated_diagram(rnd, _SEED_DIAGRAMS[k]))
+
+
+def test_seed_diagrams_listed_parents_first_validate_as_the_reference():
+    for tcsd in _SEED_DIAGRAMS:
+        for seed in range(4):
+            _assert_validates_as_the_reference(reordered_fragments(random.Random(seed), tcsd))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, len(_SEED_DIAGRAMS) - 1), st.randoms(use_true_random=False))
+def test_mutated_diagrams_listed_parents_first_validate_as_the_reference(k, rnd):
+    _assert_validates_as_the_reference(
+        reordered_fragments(rnd, mutated_diagram(rnd, _SEED_DIAGRAMS[k])))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

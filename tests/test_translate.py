@@ -284,9 +284,9 @@ def _count_region_trees(monkeypatch):
     calls = []
     real = model._region_tree
 
-    def counting(tcsd, operands_of):
+    def counting(tcsd, *index):
         calls.append(tcsd.base.name)
-        return real(tcsd, operands_of)
+        return real(tcsd, *index)
 
     monkeypatch.setattr(model, "_region_tree", counting)
     return calls
@@ -335,8 +335,8 @@ def test_validation_regions_are_the_region_tree_of_the_normalized_diagram(seed, 
     zero = [p for p in result.tcsd.partitions if p.timestamp == 0]
     assert len(zero) == 1
     assert result.regions == model.sut_regions(result.tcsd)
-    assert isinstance(result.regions[0], model.EventNode)
-    assert result.regions[0].event.kind == model.PARTITION
+    assert isinstance(result.regions[0], model.Event)
+    assert result.regions[0].kind == model.PARTITION
     try:
         expected = translate.translate(result.tcsd)
     except TranslationError as exc:

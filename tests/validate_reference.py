@@ -11,13 +11,14 @@ plainly: a fragment lists exactly the SUT events drawn between its
 borders, every partition event lies on a partition line, no timeout is
 anchored on a strict fragment's border, and any two timeouts nest or
 are disjoint.  A timeout may cross a strict fragment's borders, as the
-translator inlines its items.
+translator inlines its items.  The region tree holds the SUT line's
+events themselves next to ``FragmentNode``s, as ``model``'s does.
 """
 
 from __future__ import annotations
 
 from virtint.model import (EVENT_KINDS, FRAGMENT_ENTER, FRAGMENT_EXIT, OPERATORS, PARTITION,
-                           RECEIVE, SEND, Event, EventNode, Fragment, FragmentNode, PartitionLine,
+                           RECEIVE, SEND, Event, Fragment, FragmentNode, PartitionLine,
                            Tcsd, ValidationResult, Violation)
 
 _BORDERS = (FRAGMENT_ENTER, FRAGMENT_EXIT)
@@ -53,7 +54,7 @@ def _parse_items(events, i, j, frags, operands_of) -> list:
         if e.kind == FRAGMENT_EXIT:
             raise LayoutError("unmatched fragment exit %s" % e.id)
         if e.kind != FRAGMENT_ENTER:
-            items.append(EventNode(e))
+            items.append(e)
             k += 1
             continue
         frag = frags.get(e.fragment)
@@ -122,7 +123,7 @@ def _flatten(items) -> list:
                 out += _flatten(op)
             out.append(item.exit)
         else:
-            out.append(item.event)
+            out.append(item)
     return out
 
 
@@ -470,7 +471,7 @@ def validate(tcsd: Tcsd) -> ValidationResult:
     normalized = _normalize(tcsd, pos)
     line = _sut_events(normalized)
     if len(line) > len(sut_line):  # the time-0 partition event was put first
-        regions.insert(0, EventNode(line[0]))
+        regions.insert(0, line[0])
     return ValidationResult([], normalized, regions)
 
 
