@@ -2,7 +2,8 @@
 
 Exit codes: 0 success/consistent, 1 invalid input or inconsistent test
 cases, 2 I/O and usage errors (missing files, unbound diagrams), 3
-inconclusive analysis (search bounds hit).
+inconclusive analysis (feasible only past --max-delay, or matchings cut
+at --max-matchings).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 import os
 import sys
 
-from . import export, integrate, model, parser, tapn, translate
+from . import export, integrate, model, parser, translate
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -193,7 +194,7 @@ def cmd_translate(args, out: _Printer) -> int:
         if path:
             _write(path, lines, out)
     if not args.dot and not args.tapaal:
-        out.line(export.to_dot(unit.net, unit.m0))
+        out.stream.writelines(export.dot_lines(unit.net, unit.m0))
     return EXIT_OK
 
 
@@ -219,15 +220,6 @@ def _run_check(units, imap, args, out: _Printer):
                 "+%d %s" % (s.delay, s.label or s.transition) for s in v.witness
             )
         (out.good if v.status == integrate.CONSISTENT else out.bad)(line)
-    # A searched verdict counts at least its start state; one decided from
-    # the constraints counts none, and no guard constant played a part.
-    if any(v.status == integrate.BOUND_EXCEEDED and v.states_explored
-           for v in report.verdicts):
-        constant = max(tapn.max_guard_constant(u.net) for u in units)
-        if constant > tapn.MAX_GUARD_CONSTANT:
-            out.warn("guard constant %d exceeds the search limit "
-                     "MAX_GUARD_CONSTANT = %d; no search was run"
-                     % (constant, tapn.MAX_GUARD_CONSTANT))
     if report.matchings_truncated:
         out.warn("matching enumeration truncated at --max-matchings=%d"
                  % args.max_matchings)

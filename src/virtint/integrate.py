@@ -13,9 +13,9 @@ matching with no search: feasible is consistent, with the search's own
 witness, infeasible is a timing conflict, and feasible only past
 ``max_total_delay`` is bound-exceeded.  When some transition cannot be
 ordered, it can never fire, so the target is unreachable whatever the
-guards: an ordering deadlock.  Only these matchings are searched, for
-the dead markings behind ``blocking``; a search cut short by a bound is
-bound-exceeded.
+guards and bounds: an ordering deadlock.  Only these matchings are
+searched, under ``max_states`` alone, for the dead markings behind
+``blocking``; a search cut short leaves ``blocking`` empty.
 """
 
 from __future__ import annotations
@@ -321,10 +321,10 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
     unreachable matching is a timing conflict when its causal order is
     complete and an ordering deadlock otherwise (see the module
     docstring).  ``max_states`` and the guard-constant limit bound only
-    the search of an incomplete order, which is bound-exceeded when cut
-    short; a matching decided from the difference constraints reports
-    ``states_explored`` 0.  The overall verdict accepts the first
-    consistent matching unless ``require_all`` is set.
+    the search behind an ordering deadlock's ``blocking``, which is empty
+    when the search is cut short; a matching decided from the difference
+    constraints reports ``states_explored`` 0.  The overall verdict
+    accepts the first consistent matching unless ``require_all`` is set.
     """
     names = [u.name for u in units]
     suts = [imap.sut_components[n] for n in names]
@@ -359,18 +359,15 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
                 status, witness = BOUND_EXCEEDED, None
             verdicts.append(Verdict(status, matching, pair_labels, witness, (), 0))
             continue
-        # Some transition can never fire, so the target is unreachable;
-        # the search finds the dead markings behind ``blocking``.
+        # Some transition can never fire, whatever the delays: an ordering
+        # deadlock.  The search only finds the dead markings behind
+        # ``blocking``, which stays empty when a bound cuts it short.
         timed = tapn.reachable(merged.net, merged.m0, merged.target,
-                               max_states=max_states,
-                               max_total_delay=max_total_delay)
-        if timed.verdict == tapn.UNREACHABLE:
-            verdicts.append(Verdict(ORDERING_DEADLOCK, matching, pair_labels, None,
-                                    _blocking_labels(merged.net, timed.frontier),
-                                    timed.states_explored))
-        else:
-            verdicts.append(Verdict(BOUND_EXCEEDED, matching, pair_labels, None,
-                                    (), timed.states_explored))
+                               max_states=max_states)
+        blocking = (_blocking_labels(merged.net, timed.frontier)
+                    if timed.verdict == tapn.UNREACHABLE else ())
+        verdicts.append(Verdict(ORDERING_DEADLOCK, matching, pair_labels, None,
+                                blocking, timed.states_explored))
 
     concluded = [v.status for v in verdicts]
     if require_all:

@@ -40,8 +40,9 @@ built only for a witness.
 its difference constraints (``stp``), whose earliest schedule gives the
 very witness this search returns.  In ``check`` the search runs only for
 an ordering deadlock, a net with an incomplete causal order, to find the
-dead markings behind its ``blocking`` labels.  ``age_relevant`` is the
-one rule, shared with ``stp``, for which consumed ages a witness records.
+dead markings behind its ``blocking`` labels; it never sets a status.
+``age_relevant`` is the one rule, shared with ``stp``, for which consumed
+ages a witness records.
 """
 
 from __future__ import annotations

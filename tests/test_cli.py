@@ -136,6 +136,16 @@ def test_translate_writes_deterministic_dot(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_translate_without_outputs_prints_the_dot_file(tmp_path, capsys):
+    # stdout is the document --dot writes, with no line added after it.
+    for path in BSCU + REPAIRED:
+        dot = tmp_path / "net.dot"
+        assert run_cli(capsys, "translate", path, "--dot", str(dot)) \
+            == (0, "wrote %s\n" % dot)
+        code, out = run_cli(capsys, "translate", path)
+        assert code == 0 and out.encode("utf-8") == dot.read_bytes(), path
+
+
 def test_translate_writes_tapaal_xml(tmp_path, capsys):
     out = tmp_path / "net.xml"
     code, _ = run_cli(capsys, "translate", BSCU[2], "--tapaal", str(out))
@@ -431,11 +441,24 @@ def test_check_require_all_flips_verdict(capsys):
     assert code == 1
 
 
-def test_check_inconclusive_with_tiny_bounds(capsys):
-    code, out = run_cli(capsys, "check", *BSCU, "--arch", BSCU_ARCH,
-                        "--max-states", "5")
-    assert code == 3
-    assert "inconclusive" in out
+_BSCU_LABELS = ["AntiSkid1", "AntiSkid1m", "CMD1", "CMD1m", "Status"]
+_BSCU_BLOCKING = "  blocking: " + ", ".join(_BSCU_LABELS)
+_BSCU_DEADLOCK = "[0] ordering deadlock%s\noverall: inconsistent (ordering deadlock)\n"
+
+
+def test_check_inconclusive_with_tiny_bounds(tmp_path, capsys):
+    # Only constraints feasible past --max-delay are inconclusive.
+    code, out = run_cli(capsys, "check", *_timing_with(tmp_path, 5, 6), "--max-delay", "3")
+    assert (code, out) == (3, "[0] bound exceeded\noverall: inconclusive\n")
+    # An incomplete causal order is a deadlock under any bound: --max-delay
+    # does not reach its search, and --max-states cuts it short, which
+    # leaves only `blocking` empty.
+    for bounds, blocking in ((("--max-delay", "0"), _BSCU_BLOCKING),
+                             (("--max-delay", "3"), _BSCU_BLOCKING),
+                             (("--max-states", "5"), ""),
+                             (("--max-states", "1", "--max-delay", "1"), "")):
+        got = run_cli(capsys, "check", *BSCU, "--arch", BSCU_ARCH, *bounds)
+        assert got == (1, _BSCU_DEADLOCK % blocking), bounds
 
 
 def test_check_duplicate_diagram_usage_error(capsys):
@@ -509,9 +532,12 @@ _OK_SELECTION = (
 _DEAD_SELECTION = ("== selection: TC_WindowDead, TC_WindowB\n"
                    "[0] ordering deadlock  blocking: sync, x\n"
                    "overall: inconsistent (ordering deadlock)\n")
-_CUT_SELECTION = ("== selection: TC_WindowDead, TC_WindowB\n"
-                  "[0] bound exceeded\n"
-                  "overall: inconclusive\n")
+_CUT_DEAD_SELECTION = ("== selection: TC_WindowDead, TC_WindowB\n"
+                       "[0] ordering deadlock\n"
+                       "overall: inconsistent (ordering deadlock)\n")
+_LATE_SELECTION = ("== selection: TC_WindowOk, TC_WindowB\n"
+                   "[0] bound exceeded\n"
+                   "overall: inconclusive\n")
 _CONFLICT_SELECTION = ("== selection: TC_WindowA, TC_WindowB\n"
                        "[0] timing conflict\n"
                        "overall: inconsistent (timing conflict)\n")
@@ -519,16 +545,21 @@ _CONFLICT_SELECTION = ("== selection: TC_WindowA, TC_WindowB\n"
 
 def test_cross_product_exit_is_inconsistent_then_inconclusive_then_consistent(
         tmp_path, capsys):
-    # Selections run in input order for each component; one state is too
-    # few to search the deadlock, but the other two are decided from their
-    # constraints.
+    # Selections run in input order for each component.  The consistent
+    # selection needs 9 ticks, so --max-delay 3 leaves it inconclusive;
+    # one state is too few to search the deadlock for `blocking`, but it
+    # is a deadlock all the same.
     files = _windows_cross(tmp_path)
     for names, options, code, selections in (
             (("ok",), (), 0, [_OK_SELECTION]),
+            (("ok",), ("--max-delay", "3"), 3, [_LATE_SELECTION]),
             (("ok", "dead"), (), 1, [_OK_SELECTION, _DEAD_SELECTION]),
-            (("ok", "dead"), ("--max-states", "1"), 3, [_OK_SELECTION, _CUT_SELECTION]),
-            (("dead", "a"), ("--max-states", "1"), 1, [_CUT_SELECTION, _CONFLICT_SELECTION]),
-            (("a", "dead"), ("--max-states", "1"), 1, [_CONFLICT_SELECTION, _CUT_SELECTION])):
+            (("ok", "dead"), ("--max-delay", "3"), 1, [_LATE_SELECTION, _DEAD_SELECTION]),
+            (("ok", "dead"), ("--max-states", "1"), 1, [_OK_SELECTION, _CUT_DEAD_SELECTION]),
+            (("dead", "a"), ("--max-states", "1"), 1,
+             [_CUT_DEAD_SELECTION, _CONFLICT_SELECTION]),
+            (("a", "dead"), ("--max-states", "1"), 1,
+             [_CONFLICT_SELECTION, _CUT_DEAD_SELECTION])):
         got = run_cli(capsys, "check", *files(*names), *options)
         if len(names) == 1:  # one diagram a component: no selection header
             selections = [s.split("\n", 1)[1] for s in selections]
@@ -599,8 +630,9 @@ def test_bad_bounds_rejected(capsys):
     assert code == 2
     code, out = run_cli(capsys, "check", *BSCU, "--arch", BSCU_ARCH, "--max-delay", "-1")
     assert (code, out) == (2, "--max-delay must be >= 0\n")
+    # 0 is a bound, and no bound undoes a deadlock.
     code, out = run_cli(capsys, "check", *BSCU, "--arch", BSCU_ARCH, "--max-delay", "0")
-    assert code == 3 and "bound exceeded" in out, out
+    assert (code, out) == (1, _BSCU_DEADLOCK % _BSCU_BLOCKING)
 
 
 CR_LABEL = 'tcsd T {\n  sut S\n  test A\n  msg A -> S : "a\rb"\n}\n'
@@ -693,21 +725,20 @@ def _bscu_with(tmp_path, timeout):
         + ["--arch", str(tmp_path / "bscu.arch")]
 
 
-def test_guard_constant_above_the_search_limit_is_inconclusive(tmp_path, capsys):
+def test_guard_constant_above_the_search_limit_leaves_blocking_empty(tmp_path, capsys):
     # Delay windows are bit sets as wide as the largest constant: 2e12
-    # used to ask for about 250 GB and die with a MemoryError.  An
-    # ordering deadlock is still searched, so it stops at once.
+    # used to ask for about 250 GB and die with a MemoryError.  The search
+    # for an ordering deadlock's `blocking` refuses it at once, and the
+    # deadlock stands.
     report = tmp_path / "r.json"
     t0 = time.perf_counter()
     code, out = run_cli(capsys, "check", *_bscu_with(tmp_path, 2 * 10**12),
                         "--report", str(report))
     elapsed = time.perf_counter() - t0
-    assert code == 3, out
-    assert ("guard constant 2000000000000 exceeds the search limit "
-            "MAX_GUARD_CONSTANT = 1000000; no search was run") in out
-    assert "overall: inconclusive" in out
+    assert (code, out) == (1, _BSCU_DEADLOCK % "" + "wrote %s\n" % report)
     [verdict] = json.loads(report.read_text())["verdicts"]
-    assert verdict["status"] == "bound-exceeded" and verdict["states_explored"] == 1
+    assert (verdict["status"], verdict["blocking"], verdict["states_explored"]) \
+        == ("ordering-deadlock", [], 1)
     assert elapsed < 1.0, elapsed
     # A matching whose causal order is complete is decided from its
     # constraints, whatever the constants.
@@ -719,22 +750,24 @@ def test_guard_constant_above_the_search_limit_is_inconclusive(tmp_path, capsys)
     [verdict] = json.loads(report.read_text())["verdicts"]
     assert verdict["status"] == "consistent" and verdict["states_explored"] == 0
     assert elapsed < 1.0, elapsed
-    # Under --max-delay 3 it is bound-exceeded, also from its constraints:
-    # no search was refused, so there is no warning.
+    # Under --max-delay 3 it is bound-exceeded, also from its constraints.
     code, out = run_cli(capsys, "check", *_timing_with(tmp_path, 2 * 10**12, 6 * 10**7),
                         "--max-delay", "3")
-    assert code == 3 and "bound exceeded" in out and "MAX_GUARD" not in out, out
+    assert (code, out) == (3, "[0] bound exceeded\noverall: inconclusive\n")
 
 
 def test_guard_constant_limit_is_inclusive(tmp_path, capsys, monkeypatch):
-    args = _bscu_with(tmp_path, 6)
-    monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 6)
-    code, out = run_cli(capsys, "check", *args)
-    assert code == 1 and "ordering deadlock" in out and "MAX_GUARD" not in out
-    monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 5)
-    code, out = run_cli(capsys, "check", *args)
-    assert code == 3
-    assert "guard constant 6 exceeds the search limit MAX_GUARD_CONSTANT = 5" in out
+    # At the limit the search runs and lists `blocking`; above it the
+    # search is refused, with one state, and the deadlock stands.
+    args = [*_bscu_with(tmp_path, 6), "--report", str(tmp_path / "r.json")]
+    for limit, labels in ((6, _BSCU_LABELS), (5, [])):
+        monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", limit)
+        code, out = run_cli(capsys, "check", *args)
+        blocking = _BSCU_BLOCKING if labels else ""
+        assert (code, out) == (1, _BSCU_DEADLOCK % blocking + "wrote %s\n" % args[-1])
+        [verdict] = json.loads((tmp_path / "r.json").read_text())["verdicts"]
+        assert verdict["blocking"] == labels
+        assert verdict["states_explored"] > 1 if labels else verdict["states_explored"] == 1
 
 
 @pytest.fixture

@@ -274,11 +274,21 @@ def test_require_all_demands_every_matching():
 
 
 def test_bound_exceeded_becomes_inconclusive():
+    # Constraints feasible only past max_total_delay are bound-exceeded.
+    units, imap = _window_pair(5)
+    report = check_consistency(units, imap, max_total_delay=3)
+    assert report.overall == "inconclusive"
+    assert [v.status for v in report.verdicts] == ["bound-exceeded"]
+    # A state bound that cuts a deadlock's search short leaves only its
+    # `blocking` empty: the deadlock is not inconclusive.
     units, imap = _pair("msg S -> B : m1 msg S -> B : m2",
                         "msg C -> R : m2 msg C -> R : m1")
-    report = check_consistency(units, imap, max_states=3)
-    assert report.overall == "inconclusive"
-    assert report.verdicts[0].status == "bound-exceeded"
+    for max_states, blocking in ((3, ()), (1_000_000, ("m1", "m2"))):
+        report = check_consistency(units, imap, max_states=max_states)
+        assert report.overall == "inconsistent"
+        [verdict] = report.verdicts
+        assert (verdict.status, verdict.blocking) == ("ordering-deadlock", blocking)
+        assert verdict.states_explored <= max_states
 
 
 def test_matching_cap_reports_truncation():

@@ -35,7 +35,8 @@ def test_check_statuses_equal_the_search(seed, timing, window_a, window_b,
                                          max_states, max_total_delay):
     # Every merged net has a causal order.  A complete one is decided as
     # the search decides it with the same --max-delay and no state bound;
-    # an incomplete one is searched, under both bounds, as the search is.
+    # an incomplete one is an ordering deadlock whatever the bounds, whose
+    # `blocking` comes from a search under the state bound alone.
     pairs = [random_diagram_pair(random.Random(seed), timing=timing),
              _window_pair(window_a, window_b),
              random_diagram_pair(random.Random(seed), timing=timing, nest_in_timeouts=True)]
@@ -59,15 +60,11 @@ def test_check_statuses_equal_the_search(seed, timing, window_a, window_b,
                 assert (verdict.status, verdict.witness, verdict.blocking,
                         verdict.states_explored) == (expected, engine.trace, (), 0)
                 continue
-            engine = tapn.reachable(net, m0, target, max_states=max_states,
-                                    max_total_delay=max_total_delay)
+            engine = tapn.reachable(net, m0, target, max_states=max_states)
             assert engine.verdict != tapn.REACHABLE
-            if engine.verdict == tapn.UNREACHABLE:
-                expected = ("ordering-deadlock",
-                            integrate._blocking_labels(net, engine.frontier))
-            else:
-                expected = ("bound-exceeded", ())
-            assert (verdict.status, verdict.blocking) == expected
+            blocking = (integrate._blocking_labels(net, engine.frontier)
+                        if engine.verdict == tapn.UNREACHABLE else ())
+            assert (verdict.status, verdict.blocking) == ("ordering-deadlock", blocking)
             assert verdict.witness is None
             assert verdict.states_explored == engine.states_explored
 
@@ -85,24 +82,19 @@ def test_check_consistency_statuses_equal_widened_search_classification(
         # cannot cut that answer short: it is the unbounded classification.
         found = stp.causal_order(merged.net, merged.m0, merged.target)
         ordered = found is not None and len(found[0]) == len(merged.net.transitions)
-        bound = 1_000_000 if ordered else max_states
-        # Every status from the search, then a second, widened one.
-        timed = tapn.reachable(merged.net, merged.m0, merged.target,
-                               max_states=bound)
-        expected = {tapn.REACHABLE: "consistent",
-                    tapn.BOUND_EXCEEDED: "bound-exceeded"}.get(timed.verdict)
-        if expected is None:
-            expected = {tapn.REACHABLE: "timing-conflict",
-                        tapn.UNREACHABLE: "ordering-deadlock",
-                        tapn.BOUND_EXCEEDED: "bound-exceeded"}[
-                tapn.reachable(tapn.widen_guards(merged.net), merged.m0, merged.target,
-                               max_states=bound).verdict]
+        # Nor can it change an ordering deadlock: every status is the
+        # search's, then a second, widened one's, with no state bound.
+        timed = tapn.reachable(merged.net, merged.m0, merged.target)
+        expected = "consistent" if timed.verdict == tapn.REACHABLE else {
+            tapn.REACHABLE: "timing-conflict", tapn.UNREACHABLE: "ordering-deadlock"}[
+            tapn.reachable(tapn.widen_guards(merged.net), merged.m0, merged.target).verdict]
         assert verdict.status == expected
         if ordered:
             assert verdict.status in ("consistent", "timing-conflict")
             assert verdict.states_explored == 0
         else:
-            assert verdict.status in ("ordering-deadlock", "bound-exceeded")
+            assert verdict.status == "ordering-deadlock"
+            assert 1 <= verdict.states_explored <= max_states
 
 
 def _net(transitions, input_arcs=(), output_arcs=(), transport_arcs=()):
@@ -223,7 +215,8 @@ _FIXTURE_SETS = {
 
 def test_fixture_classifications_need_no_second_search(monkeypatch):
     # The search runs only for a matching whose causal order is
-    # incomplete, once, and never on widened guards.
+    # incomplete, once, never on widened guards and never under a delay
+    # bound, which cannot undo a deadlock.
     from conftest import FIXTURES, load_arch, load_tcsd
     from virtint import translate
 
@@ -233,6 +226,7 @@ def test_fixture_classifications_need_no_second_search(monkeypatch):
     def incomplete_only(net, m0, target, **bounds):
         order, _ = stp.causal_order(net, m0, target)
         assert len(order) < len(net.transitions), "a complete order was searched"
+        assert "max_total_delay" not in bounds
         searched.append(net)
         return real(net, m0, target, **bounds)
 
@@ -250,7 +244,8 @@ def test_fixture_classifications_need_no_second_search(monkeypatch):
                                 for v in report.verdicts if v.states_explored]
             statuses[name, tuple(bounds)] = {v.status for v in report.verdicts}
     assert statuses["bscu", ()] == {"ordering-deadlock"}
-    assert statuses["bscu", ("max_states",)] == {"bound-exceeded"}
+    assert statuses["bscu", ("max_states",)] == {"ordering-deadlock"}
+    assert statuses["bscu", ("max_total_delay",)] == {"ordering-deadlock"}
     assert statuses["bscu_repaired", ()] == {"consistent"}
     assert statuses["timing", ()] == {"timing-conflict"}
     # Feasible only past --max-delay: bound-exceeded, also with no search.
