@@ -13,6 +13,7 @@ import errno
 import gc
 import itertools
 import os
+import stat
 import sys
 
 from . import export, integrate, model, parser, translate
@@ -141,9 +142,9 @@ def _file_keys(path: str) -> set:
 
 def _check_output_paths(outputs, inputs, out: _Printer):
     """False, said why, if two outputs or an output and an input are one
-    file, also through a link.  An output whose directory is missing, or
-    that is a directory, raises the OSError that writing it would, before
-    any input is read."""
+    file, also through a link.  An output whose directory is missing or
+    not a directory, or that is a directory, raises the OSError that
+    writing it would, before any input is read."""
     outputs = [p for p in outputs if p]
     inputs = set().union(*map(_file_keys, inputs))
     written = set()
@@ -157,10 +158,14 @@ def _check_output_paths(outputs, inputs, out: _Printer):
             return False
         written |= keys
     for path in outputs:
-        if not os.path.isdir(os.path.dirname(path) or os.curdir):
-            raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
-        if os.path.isdir(path):
-            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        try:
+            parent = os.stat(os.path.dirname(path) or os.curdir)
+            code = (errno.ENOTDIR if not stat.S_ISDIR(parent.st_mode)
+                    else errno.EISDIR if os.path.isdir(path) else 0)
+        except OSError as exc:  # the parent is missing, or under a file
+            code = exc.errno
+        if code:
+            raise OSError(code, os.strerror(code), path)
     return True
 
 
@@ -309,7 +314,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="iterate runs over multiple diagrams per component")
     p_chk.add_argument("--max-states", type=int, default=1_000_000)
     p_chk.add_argument("--max-delay", type=int, default=None,
-                       help="cap on the total delay along one path (default: unlimited)")
+                       help="cap on the time of the last firing in a matching's "
+                       "earliest schedule (default: unlimited)")
     p_chk.add_argument("--max-matchings", type=int, default=64)
     p_chk.add_argument("--report", metavar="OUT.json")
     return ap

@@ -9,13 +9,14 @@ and each merged net is checked for reachability of the union target.
 A merged net is a marked graph, and ``stp.causal_order`` orders its
 transitions; a net it cannot read that way is an internal error.  When
 every transition is ordered, the difference constraints decide the
-matching with no search: feasible is consistent, with the search's own
-witness, infeasible is a timing conflict, and feasible only past
-``max_total_delay`` is bound-exceeded.  When some transition cannot be
-ordered, it can never fire, so the target is unreachable whatever the
-guards and bounds: an ordering deadlock.  Only these matchings are
-searched, under ``max_states`` alone, for the dead markings behind
-``blocking``; a search cut short leaves ``blocking`` empty.
+matching with no search: infeasible is a timing conflict, and feasible
+is consistent, with the search's own witness, unless the earliest
+schedule ends past the delay bound: then it is bound-exceeded.  When
+some transition cannot be ordered, it can never fire, so the target is
+unreachable whatever the guards and bounds: an ordering deadlock.  Only
+these matchings are searched, under ``max_states`` alone, for the dead
+markings behind ``blocking``; a search cut short leaves ``blocking``
+empty.
 """
 
 from __future__ import annotations
@@ -317,13 +318,14 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
                       max_matchings: int = 64) -> AnalysisReport:
     """Run the full analysis: one verdict per synchronization combination.
 
-    A matching is consistent when the merged target is reachable.  An
-    unreachable matching is a timing conflict when its causal order is
-    complete and an ordering deadlock otherwise (see the module
-    docstring).  ``max_states`` and the guard-constant limit bound only
-    the search behind an ordering deadlock's ``blocking``, which is empty
-    when the search is cut short; a matching decided from the difference
-    constraints reports ``states_explored`` 0.  The overall verdict
+    A matching is consistent when the merged target is reachable, and
+    bound-exceeded when its earliest schedule ends after
+    ``max_total_delay``.  An unreachable matching is a timing conflict
+    when its causal order is complete and an ordering deadlock otherwise
+    (see the module docstring).  ``max_states`` and the guard-constant
+    limit bound only the search behind an ordering deadlock's
+    ``blocking``, empty when the search is cut short; a matching decided
+    from the difference constraints reports ``states_explored`` 0.  The overall verdict
     accepts the first consistent matching unless ``require_all`` is set.
     """
     names = [u.name for u in units]
@@ -350,13 +352,13 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
                                    "ordered marked graph" % (matching.pairs,))
         if len(found[0]) == len(merged.net.transitions):
             cons = stp.constraints(merged.net, merged.m0, found)
-            times = stp.earliest_times(cons, max_total_delay)
-            if times is not None:
-                status, witness = CONSISTENT, stp.earliest_witness(merged.net, cons, times)
-            elif max_total_delay is None or stp.earliest_times(cons) is None:
+            times = stp.earliest_times(cons)
+            if times is None:
                 status, witness = TIMING_CONFLICT, None
-            else:  # feasible, but only past max_total_delay
+            elif max_total_delay is not None and max(times) > max_total_delay:
                 status, witness = BOUND_EXCEEDED, None
+            else:
+                status, witness = CONSISTENT, stp.earliest_witness(merged.net, cons, times)
             verdicts.append(Verdict(status, matching, pair_labels, witness, (), 0))
             continue
         # Some transition can never fire, whatever the delays: an ordering

@@ -25,11 +25,12 @@ transition index, is the least (delay, transition) sequence to the
 target, which is the witness the breadth-first search returns.  When
 they are infeasible, no firing times reach the target although every
 transition can be ordered: a timing conflict, found without a search.
-``constraints`` builds them once, and ``earliest_times`` solves them with
-or without a bound on every t.  The bounds are integers, so the
-discrete-time answer is the dense-time one.  Their cost does not depend
-on the size of the guard constants, so, unlike the search, they need no
-limit on them.
+``constraints`` builds them once, and ``earliest_times`` solves them.
+Every run fires every transition, so the last time of the earliest
+schedule is the least total delay of any run.  The bounds are integers,
+so the discrete-time answer is the dense-time one.  Their cost does not
+depend on the size of the guard constants, so, unlike the search, they
+need no limit on them.
 """
 
 from __future__ import annotations
@@ -144,17 +145,13 @@ def constraints(net: Tapn, m0: Marking, found) -> Constraints:
     return Constraints(edges, node, reads, causes, tapn.max_guard_constant(net))
 
 
-def earliest_times(cons: Constraints,
-                   max_total_delay: int | None = None) -> list[int] | None:
-    """Each node's least time >= 0 (and <= ``max_total_delay``, when
-    given), by Bellman-Ford; None when the constraints are infeasible."""
+def earliest_times(cons: Constraints) -> list[int] | None:
+    """Each node's least time >= 0, by Bellman-Ford; None when the
+    constraints are infeasible."""
     t = [0] * (len(cons.node) + 1)
-    edges = cons.edges
-    if max_total_delay is not None:
-        edges = edges + [(v, 0, -max_total_delay) for v in range(1, len(t))]
     for _ in range(len(t)):
         changed = False
-        for u, v, c in edges:
+        for u, v, c in cons.edges:
             if t[u] + c > t[v]:
                 t[v] = t[u] + c
                 changed = True

@@ -40,7 +40,9 @@ built only for a witness.
 its difference constraints (``stp``), whose earliest schedule gives the
 very witness this search returns.  In ``check`` the search runs only for
 an ordering deadlock, a net with an incomplete causal order, to find the
-dead markings behind its ``blocking`` labels; it never sets a status.
+dead markings behind its ``blocking`` labels; it never sets a status,
+and it takes no delay bound: ``check`` compares ``--max-delay`` with
+the earliest schedule.
 ``age_relevant`` is the one rule, shared with ``stp``, for which consumed
 ages a witness records.
 """
@@ -606,19 +608,14 @@ class _SearchNet:
 
 
 def reachable(net: Tapn, m0: Marking, target: TargetSpec,
-              max_states: int = 1_000_000,
-              max_total_delay: int | None = None) -> ReachResult:
+              max_states: int = 1_000_000) -> ReachResult:
     """Decide whether some delay/fire sequence reaches the target counts.
 
     The target names the exact token count per place (token ages do not
     matter); every unlisted place must be empty.  Search is breadth-first
-    over (delay, fire) successors, so without ``max_total_delay`` a
-    returned witness has a minimal number of steps.  With it, each state
-    keeps the least total delay of the paths found to it and is expanded
-    again when a path with less delay reaches it, so the bound cuts only
-    paths that no cheaper path to the same state makes unnecessary.
-    Unreachable results carry the dead markings found, which feed the
-    deadlock diagnostics.
+    over (delay, fire) successors, so a returned witness has a minimal
+    number of steps.  Unreachable results carry the dead markings found,
+    which feed the deadlock diagnostics.
     """
     for p in target:
         if p not in net.places:
@@ -634,14 +631,10 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
     # Per stored state: None for the start, else (parent, delay,
     # transition index, binding); trace steps are built only for a witness.
     parents: dict = {start: None}
-    queue = deque([(start, start_shape, 0)])
-    dead: dict = {}  # dead states in discovery order
+    queue = deque([(start, start_shape)])
+    dead = []  # dead states in discovery order
     peak = 1
     truncated = False  # max_states was hit
-    # Under max_total_delay: each state's least total delay, and the states
-    # whose expansion at that delay had to skip a delay past the bound.
-    best = None if max_total_delay is None else {start: 0}
-    clipped: set = set()
 
     def build_trace(state):
         steps = []
@@ -655,26 +648,16 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
     while queue:
         if len(queue) > peak:
             peak = len(queue)
-        state, shape, total_delay = queue.popleft()
-        if best is not None:
-            if total_delay > best[state]:
-                continue  # queued again with less delay
-            clipped.discard(state)
-            dead.pop(state, None)
-        # Images past the saturation delay repeat its image, so the
-        # bound clips this state iff the saturation delay lies past it.
+        state, shape = queue.popleft()
+        # Images past the saturation delay repeat its image.
         horizon = sn.saturation(state, shape)
-        if best is not None and total_delay + horizon > max_total_delay:
-            clipped.add(state)
-            horizon = max_total_delay - total_delay
         windows = []
         pending = 0
-        if horizon >= 0:
-            for plan in sn.plans(shape):
-                window = sn.window(state, plan.guards, horizon)
-                if window:
-                    windows.append((plan, window))
-                    pending |= window
+        for plan in sn.plans(shape):
+            window = sn.window(state, plan.guards, horizon)
+            if window:
+                windows.append((plan, window))
+                pending |= window
         expanded = False
         while pending:
             low = pending & -pending
@@ -695,24 +678,21 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
                 for succ, binding in fired:
                     expanded = True
                     if succ in parents:
-                        if best is None or total_delay + d >= best[succ]:
-                            continue
-                    elif len(parents) >= max_states:
+                        continue
+                    if len(parents) >= max_states:
                         truncated = True
                         continue
                     if binding is None:
                         binding = tuple([img[k][1][0] for k in plan.sources])
                     parents[succ] = (state, d, plan.ti, binding)
-                    if best is not None:
-                        best[succ] = total_delay + d
                     if plan.succ.goal:
                         return ReachResult(REACHABLE, build_trace(succ), [],
                                            len(parents), peak)
-                    queue.append((succ, plan.succ, total_delay + d))
+                    queue.append((succ, plan.succ))
         if not expanded:
-            dead[state] = None
+            dead.append(state)
 
-    verdict = BOUND_EXCEEDED if truncated or clipped else UNREACHABLE
+    verdict = BOUND_EXCEEDED if truncated else UNREACHABLE
     frontier = [sn.decode(s) for s in dead]
     return ReachResult(verdict, None, frontier, len(parents), peak)
 

@@ -237,6 +237,23 @@ def test_check_report_to_an_unwritable_path_is_io_error(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_an_output_under_a_regular_file_is_not_a_directory(tmp_path, capsys):
+    # Writing under a file fails with ENOTDIR, as deep as the path goes,
+    # and that is the reason given, before any input is read.
+    under = [tmp_path / "empty.arch", FIXTURES / "bscu" / "bscu.arch"]
+    under[0].write_text("")
+    for parent in under:
+        for out in (parent / "x.out", parent / "a" / "b" / "x.out"):
+            for argv in (["translate", BSCU[2], "--dot", str(out)],
+                         ["translate", str(tmp_path / "nope.tcsd"), "--tapaal", str(out)],
+                         ["check", *BSCU, "--arch", BSCU_ARCH, "--report", str(out)],
+                         ["check", *REPAIRED, "--arch", str(under[0]), "--report",
+                          str(out)]):
+                code, printed = run_cli(capsys, *argv)
+                assert (code, printed) == (2, "%s: Not a directory\n" % out), argv
+    assert under[0].read_text() == ""
+
+
 class _FullDisk(io.StringIO):
     """A file that every write fails on, as on a full disk."""
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tapaal_reader
 from conftest import FIXTURES, ROOT, load_arch, load_tcsd
 from gen import random_tcsd_source
 from virtint import cli, export, integrate, model, parser, tapn, translate
@@ -191,6 +192,37 @@ def test_writers_match_references_on_generated_diagrams():
     for n in range(60):
         src = random_tcsd_source(rng, "G%d" % n, max_sut_events=30, max_depth=3)
         _assert_matches_references(_unit(src))
+
+
+def _assert_tapaal_reads_back(unit):
+    """The ``--tapaal`` document of ``unit`` read back is the unit's net,
+    initial token counts and target, with ids mapped through ``_xml_id``."""
+    x = export._xml_id
+    net = unit.net
+    assert all(a == 0 for ages in unit.m0.values() for a in ages)  # counts suffice
+    expected = tapaal_reader.Document(
+        x(net.name), tuple(map(x, net.places)),
+        tuple((x(t.id), t.label) for t in net.transitions),
+        tuple((x(a.place), x(a.transition), a.guard) for a in net.input_arcs),
+        tuple((x(a.transition), x(a.place)) for a in net.output_arcs),
+        tuple((x(a.source), x(a.transition), x(a.target), a.guard)
+              for a in net.transport_arcs),
+        {x(p): len(unit.m0.get(p, ())) for p in net.places},
+        {x(p): unit.target.get(p, 0) for p in net.places})
+    assert tapaal_reader.read(export.to_tapaal_xml(unit)) == expected
+
+
+@pytest.mark.parametrize("path", VALID_FIXTURES,
+                         ids=lambda p: "%s/%s" % (p.parent.name, p.name))
+def test_tapaal_export_reads_back_on_fixtures(path):
+    _assert_tapaal_reads_back(_unit(path.read_text(encoding="utf-8")))
+
+
+def test_tapaal_export_reads_back_on_generated_diagrams():
+    rng = random.Random(47)
+    for n in range(240):
+        src = random_tcsd_source(rng, "G%d" % n, max_depth=3, nest_in_timeouts=n % 2 == 1)
+        _assert_tapaal_reads_back(_unit(src))
 
 
 def test_writers_escape_labels_like_the_references():

@@ -136,6 +136,49 @@ def test_bounds_never_change_an_ordering_deadlock(pair, max_states, max_total_de
             == (v.status == integrate.ORDERING_DEADLOCK), (v, w)
 
 
+def _overall(statuses, truncated, require_all):
+    """The overall verdict of ``statuses``, by the rule of ``check``."""
+    if require_all:
+        if {integrate.ORDERING_DEADLOCK, integrate.TIMING_CONFLICT} & set(statuses):
+            return "inconsistent"
+    elif integrate.CONSISTENT in statuses:
+        return integrate.CONSISTENT
+    if truncated or integrate.BOUND_EXCEEDED in statuses:
+        return "inconclusive"
+    return integrate.CONSISTENT if require_all else "inconsistent"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_PAIRS, st.booleans())
+def test_max_delay_bound_is_the_last_time_of_each_witness(pair, require_all):
+    # A consistent matching whose witness waits T in all meets a delay
+    # bound of T and not one of T - 1; no other verdict notices a bound.
+    seed, _, nest = pair
+    units, imap = _pair(seed, True, nest)
+    free = integrate.check_consistency(units, imap, require_all=require_all)
+    totals = [sum(s.delay for s in v.witness) if v.status == integrate.CONSISTENT
+              else None for v in free.verdicts]
+    bounds = {t for t in totals if t is not None}
+    bounds |= {t - 1 for t in bounds if t >= 1}
+    for bound in sorted(bounds):
+        report = integrate.check_consistency(units, imap, require_all=require_all,
+                                             max_total_delay=bound)
+        if bound == max(bounds):  # the largest total: no verdict changes
+            assert report == free
+        assert len(report.verdicts) == len(free.verdicts)
+        assert report.matchings_truncated == free.matchings_truncated
+        for v, w, total in zip(free.verdicts, report.verdicts, totals):
+            if total is not None and total > bound:
+                assert w == v._replace(status=integrate.BOUND_EXCEEDED, witness=None)
+                assert (w.blocking, w.states_explored) == ((), 0)
+            else:
+                assert w == v
+        assert report.overall == _overall([w.status for w in report.verdicts],
+                                          report.matchings_truncated, require_all)
+    assert free.overall == _overall([v.status for v in free.verdicts],
+                                    free.matchings_truncated, require_all)
+
+
 def _renaming(names, rng):
     """A bijection of ``names`` onto fresh identifiers, in shuffled order."""
     names = sorted(names)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tapn_reference
 from gen import random_diagram_pair, random_merged_units, random_tapn
 from oracle import naive_reachable
 from virtint import integrate, stp, tapn
@@ -28,15 +29,24 @@ def test_classification_equals_widened_search_on_random_nets(seed):
             == (widened.verdict == tapn.REACHABLE)
 
 
+def _search(net, m0, target, max_total_delay):
+    """The search's result, or under a delay bound the reference's, the
+    one search that takes such a bound."""
+    if max_total_delay is None:
+        return tapn.reachable(net, m0, target)
+    return tapn_reference.reachable(net, m0, target, max_total_delay=max_total_delay)
+
+
 @_SETTINGS
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 5), st.integers(2, 7),
        _BOUNDS, _DELAYS)
 def test_check_statuses_equal_the_search(seed, timing, window_a, window_b,
                                          max_states, max_total_delay):
     # Every merged net has a causal order.  A complete one is decided as
-    # the search decides it with the same --max-delay and no state bound;
-    # an incomplete one is an ordering deadlock whatever the bounds, whose
-    # `blocking` comes from a search under the state bound alone.
+    # the reference search decides it with the same --max-delay and no
+    # state bound; an incomplete one is an ordering deadlock whatever the
+    # bounds, whose `blocking` comes from a search under the state bound
+    # alone.
     pairs = [random_diagram_pair(random.Random(seed), timing=timing),
              _window_pair(window_a, window_b),
              random_diagram_pair(random.Random(seed), timing=timing, nest_in_timeouts=True)]
@@ -49,7 +59,7 @@ def test_check_statuses_equal_the_search(seed, timing, window_a, window_b,
             found = stp.causal_order(net, m0, target)
             assert found is not None
             if len(found[0]) == len(net.transitions):
-                engine = tapn.reachable(net, m0, target, max_total_delay=max_total_delay)
+                engine = _search(net, m0, target, max_total_delay)
                 if engine.verdict == tapn.REACHABLE:
                     expected = "consistent"
                 elif tapn.reachable(net, m0, target).verdict == tapn.REACHABLE:
@@ -260,23 +270,28 @@ def _replays_to_target(net, m0, target, witness):
 
 
 def _witness(net, m0, found, max_total_delay=None):
-    """The earliest witness, or None when the causal order is incomplete
-    or the constraints are infeasible."""
+    """The earliest witness, or None when the causal order is incomplete,
+    the constraints are infeasible or the earliest schedule fires its last
+    transition after ``max_total_delay``."""
     if len(found[0]) < len(net.transitions):
         return None
     cons = stp.constraints(net, m0, found)
-    times = stp.earliest_times(cons, max_total_delay)
-    return None if times is None else stp.earliest_witness(net, cons, times)
+    times = stp.earliest_times(cons)
+    if times is None or max_total_delay is not None and max(times) > max_total_delay:
+        return None
+    return stp.earliest_witness(net, cons, times)
 
 
 @_SETTINGS
 @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 0, 3, 9]))
 def test_earliest_witness_is_the_search_witness(seed, max_total_delay):
+    # Cut at the last time of the earliest schedule, the witness is the
+    # one of the reference search that keeps each state's least delay.
     for unit in random_merged_units(random.Random(seed)):
         net, m0, target = unit.net, unit.m0, unit.target
         witness = _witness(net, m0, stp.causal_order(net, m0, target),
                            max_total_delay)
-        engine = tapn.reachable(net, m0, target, max_total_delay=max_total_delay)
+        engine = _search(net, m0, target, max_total_delay)
         if engine.verdict == tapn.REACHABLE:
             assert witness == engine.trace
             assert _replays_to_target(net, m0, target, witness)
@@ -443,13 +458,17 @@ def test_huge_constants_need_no_search(monkeypatch):
     monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 6)
     assert _witness(guarded, old, found) == witness
     assert tapn.reachable(guarded, m0, {"p2": 1}).verdict == tapn.BOUND_EXCEEDED
-    # A delay bound that cannot be met leaves the constraints infeasible.
+    # The earliest schedule's last time is the least total delay: the
+    # reference search meets a delay bound of 4, and not one of 3.
     late = net._replace(input_arcs=(InputArc("p0", "t1", tapn.Guard(4)),
                                     InputArc("p1", "t2")))
     cons = stp.constraints(late, m0, found)
-    assert stp.earliest_times(cons, max_total_delay=3) is None
-    assert stp.earliest_times(cons, max_total_delay=4) == [0, 4, 4]
     assert stp.earliest_times(cons) == [0, 4, 4]
+    assert _witness(late, m0, found, max_total_delay=3) is None
+    assert _witness(late, m0, found, max_total_delay=4) == tapn_reference.reachable(
+        late, m0, {"p2": 1}, max_total_delay=4).trace
+    assert tapn_reference.reachable(late, m0, {"p2": 1}, max_total_delay=3).verdict \
+        == tapn.BOUND_EXCEEDED
     # A token moved on at age 4 or more, then read at age 2 or less: no
     # times meet both, whatever the bound, and the search agrees.
     moved = _net(["t1", "t2"], [InputArc("p1", "t2", tapn.Guard(0, 2))],
@@ -457,5 +476,6 @@ def test_huge_constants_need_no_search(monkeypatch):
                  [TransportArc("p0", "t1", "p1", tapn.Guard(4))])
     cons = stp.constraints(moved, m0, stp.causal_order(moved, m0, {"p2": 1}))
     assert stp.earliest_times(cons) is None
-    assert stp.earliest_times(cons, max_total_delay=10) is None
     assert tapn.reachable(moved, m0, {"p2": 1}).verdict == tapn.UNREACHABLE
+    assert tapn_reference.reachable(moved, m0, {"p2": 1}, max_total_delay=10).verdict \
+        == tapn.UNREACHABLE

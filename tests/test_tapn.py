@@ -261,9 +261,13 @@ def test_replay_refuses_a_step_that_cannot_fire(m0, consumed, error):
 
 
 def test_bound_exceeded_reported():
+    # The search takes no delay bound: its witness waits 5, so the
+    # reference search, the one with a delay bound, cuts it at 3.
     net = _net(["p", "q"], [Transition("t")],
                transport_arcs=[TransportArc("p", "t", "q", Guard(5, 5))])
-    res = tapn.reachable(net, {"p": (0,)}, {"q": 1}, max_total_delay=3)
+    res = tapn.reachable(net, {"p": (0,)}, {"q": 1})
+    assert res.verdict == "reachable" and [s.delay for s in res.trace] == [5]
+    res = tapn_reference.reachable(net, {"p": (0,)}, {"q": 1}, max_total_delay=3)
     assert res.verdict == "bound-exceeded"
     res2 = tapn.reachable(net, {"p": (0,)}, {"q": 1}, max_states=1)
     assert res2.verdict == "bound-exceeded"
@@ -297,13 +301,19 @@ def _detour_net():
 
 
 def test_max_delay_keeps_the_least_delay_per_state():
+    # The delay bound lives in the reference search alone.  The search
+    # finds the two-step witness, which waits 8; under a bound of 6 the
+    # reference finds the three-step one, which waits 3.
     net = _detour_net()
-    res = tapn.reachable(net, {"p": (0,)}, {"s": 1}, max_total_delay=6)
+    res = tapn.reachable(net, {"p": (0,)}, {"s": 1})
+    assert [step.transition for step in res.trace] == ["t1", "t4"]
+    assert sum(step.delay for step in res.trace) == 8
+    res = tapn_reference.reachable(net, {"p": (0,)}, {"s": 1}, max_total_delay=6)
     assert res.verdict == "reachable"
     assert sum(step.delay for step in res.trace) == 3
     final = tapn.replay(net, {"p": (0,)}, res.trace)
     assert tapn.marking_counts(final) == {"s": 1}
-    res = tapn.reachable(net, {"p": (0,)}, {"s": 1}, max_total_delay=2)
+    res = tapn_reference.reachable(net, {"p": (0,)}, {"s": 1}, max_total_delay=2)
     assert res.verdict == "bound-exceeded"
 
 
@@ -321,19 +331,22 @@ def test_max_delay_cuts_only_paths_a_cheaper_one_does_not_replace():
         output_arcs=[OutputArc("t1", "q"), OutputArc("t2", "r"), OutputArc("t3", "u"),
                      OutputArc("t5", "q"), OutputArc("t4", "s")],
     )
-    res = tapn.reachable(net, {"p": (0,)}, {"s": 2}, max_total_delay=6)
+    res = tapn_reference.reachable(net, {"p": (0,)}, {"s": 2}, max_total_delay=6)
     assert res.verdict == "unreachable"
     assert res.frontier == [{"s": (0,)}]
+    assert tapn.reachable(net, {"p": (0,)}, {"s": 2}).verdict == "unreachable"
 
 
 def test_max_delay_verdict_is_monotone_and_witnesses_respect_it():
+    # Of the reference search, the one with a delay bound, against the
+    # search without one.
     rng = random.Random(21)
     for _ in range(25):
         net, m0, target = random_tapn(rng)
         unbounded = tapn.reachable(net, m0, target).verdict
         previous = None
         for bound in range(0, 2 * tapn.max_guard_constant(net) + 3):
-            res = tapn.reachable(net, m0, target, max_total_delay=bound)
+            res = tapn_reference.reachable(net, m0, target, max_total_delay=bound)
             if previous == "reachable":
                 assert res.verdict == "reachable"
             if res.verdict == "reachable":
@@ -364,45 +377,41 @@ def test_engine_matches_reference_engine():
     # The reference images every delay 0..C+1 of dense states and tries
     # every transition on each image; the engine must give the very same
     # result: verdict, trace with consumed ages, frontier and counters.
-    verdicts = {name: Counter() for name in ("none", "delay", "states", "both")}
+    # The delay bound is the reference's alone; its draw is kept, so the
+    # nets and state bounds are those it was drawn with.
+    verdicts = {name: Counter() for name in ("none", "states")}
     shared = 0
     for rng, net, m0, target in _differential_nets(2000):
         shared += len({a.place for a in net.input_arcs}) < len(net.input_arcs)
-        bound = rng.randint(0, 2 * tapn.max_guard_constant(net) + 2)
+        rng.randint(0, 2 * tapn.max_guard_constant(net) + 2)  # the delay bound
         states = rng.randint(1, 40)
-        for name, kwargs in (("none", {}),
-                             ("delay", {"max_total_delay": bound}),
-                             ("states", {"max_states": states}),
-                             ("both", {"max_total_delay": bound, "max_states": states})):
+        for name, kwargs in (("none", {}), ("states", {"max_states": states})):
             got = tapn.reachable(net, m0, target, **kwargs)
             assert got == tapn_reference.reachable(net, m0, target, **kwargs), kwargs
             verdicts[name][got.verdict] += 1
     assert shared >= 1500
     assert set(verdicts["none"]) == {"reachable", "unreachable"}
-    for name in ("delay", "states", "both"):
-        assert len(verdicts[name]) == 3, (name, verdicts[name])
+    assert len(verdicts["states"]) == 3, verdicts["states"]
 
 
 def test_engine_matches_reference_engine_on_merged_diagram_pairs():
     # The nets every check searches: merged translator nets, where every
     # place holds at most one token, so nearly every firing is assembled
     # from a shape's plan instead of enumerated.
-    verdicts = {name: Counter() for name in ("none", "delay", "states")}
+    verdicts = {name: Counter() for name in ("none", "states")}
     for seed in range(120):
         rng = random.Random(seed)
         for unit in random_merged_units(rng, max_sut_events=6):
             net, m0, target = unit.net, unit.m0, unit.target
-            bound = rng.randint(0, 2 * tapn.max_guard_constant(net) + 2)
+            rng.randint(0, 2 * tapn.max_guard_constant(net) + 2)  # the delay bound
             for name, kwargs in (("none", {}),
-                                 ("delay", {"max_total_delay": bound}),
                                  ("states", {"max_states": rng.randint(1, 60)})):
                 got = tapn.reachable(net, m0, target, **kwargs)
                 assert got == tapn_reference.reachable(net, m0, target, **kwargs), (
                     seed, kwargs)
                 verdicts[name][got.verdict] += 1
     assert set(verdicts["none"]) == {"reachable", "unreachable"}
-    for name in ("delay", "states"):
-        assert len(verdicts[name]) == 3, (name, verdicts[name])
+    assert len(verdicts["states"]) == 3, verdicts["states"]
 
 
 def _chain_unit(messages):
