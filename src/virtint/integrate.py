@@ -6,7 +6,13 @@ receiver lines map to the same components.  Such transitions are merged
 pairwise, every maximum matching of same-class occurrences is tried,
 and each merged net is checked for reachability of the union target.
 
-A merged net is a marked graph, and ``stp.causal_order`` orders its
+``check_consistency`` builds no merged net per matching.  Its ``_Union``
+holds, once per check, the union's net, checked once, and the union's
+event graph (``stp.Graph``) in the merged nets' order; each matching
+fuses its pairs into that graph, with ``merge``'s ids, labels and arc
+order.  ``merge`` builds the merged net itself, for library users.
+
+A merged net is a marked graph, and ``stp.graph_order`` orders its
 transitions; a net it cannot read that way is an internal error.  When
 every transition is ordered, the difference constraints decide the
 matching with no search: infeasible is a timing conflict, and feasible
@@ -14,13 +20,15 @@ is consistent, with the search's own witness, unless the earliest
 schedule ends past the delay bound: then it is bound-exceeded.  When
 some transition cannot be ordered, it can never fire, so the target is
 unreachable whatever the guards and bounds: an ordering deadlock.  Only
-these matchings are searched, under ``max_states`` alone, for the dead
+these matchings are searched, by ``tapn.search`` on the union's search
+tables with the pairs fused, under ``max_states`` alone, for the dead
 markings behind ``blocking``; a search cut short leaves ``blocking``
 empty.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from operator import itemgetter
@@ -192,7 +200,9 @@ class _Union(tuple):
     ``net`` holds the places sorted and, per table, the units' rows
     concatenated in the units' own order; ``merge`` renames and sorts
     them.  ``places_of`` maps each transition to the places its arcs
-    touch.
+    touch.  ``check_consistency`` decides each matching on ``fuse``'s
+    event graph and builds the search tables, ``tables``, on its first
+    ordering deadlock.
     """
 
     def __new__(cls, units):
@@ -222,7 +232,123 @@ class _Union(tuple):
                 self.places_of.setdefault(row.transition, set()).update(row[i] for i in place_at)
         self.m0 = {p: ages for u in self for p, ages in u.m0.items()}
         self.target = {p: n for u in self for p, n in u.target.items()}
+        self.mids: dict[tuple[str, str], tuple[str, bool]] = {}  # pair -> (id, clash)
+        self.fused: dict[tuple[str, str], tuple] = {}  # pair -> _fused_node's
+        self.tables = None
         return self
+
+    def merged_net(self, pairs) -> Tapn:
+        """The union with each pair (a, b) renamed to one transition
+        ``a+b`` (ids sorted) carrying a's label, guards kept, and each
+        table sorted stably by its canonical key (elements by id)."""
+        by_tid = self.by_tid
+        rename: dict[str, str] = {}
+        fused = []
+        for a, b in pairs:
+            rename[a] = rename[b] = mid = "+".join(sorted((a, b)))
+            fused.append(Transition(mid, by_tid[a].label))
+        transitions, *arcs = self.net[2:]
+        tables = [[t for t in transitions if t.id not in rename] + fused]
+        tables += [[renamed(r, rename[r.transition]) if r.transition in rename else r
+                    for r in rows] for rows, (*_, renamed) in zip(arcs, _TABLES[1:])]
+        for table, (_, key, *_) in zip(tables, _TABLES):
+            table.sort(key=key)
+        return Tapn(self.net.name, self.net.places, *map(tuple, tables))
+
+    def clashes(self, pairs) -> bool:
+        """Whether the merged net of ``pairs`` can fail ``Tapn.check``:
+        where the union passes it, only a pair whose transitions share a
+        place, or a merged id that names a place, a transition or another
+        pair's merged id, can make it fail."""
+        if not self.ok:
+            return True
+        mids = set()
+        for pair in pairs:
+            found = self.mids.get(pair)
+            if found is None:
+                a, b = pair
+                mid = "+".join(sorted(pair))
+                found = self.mids[pair] = (mid, mid in self.by_tid or mid in self.places
+                                           or not self.places_of[a].isdisjoint(self.places_of[b]))
+            if found[1] or found[0] in mids:
+                return True
+            mids.add(found[0])
+        return False
+
+    @functools.cached_property
+    def graph(self):
+        """The event graph of the merged net of no pair, and its marked
+        places; None when that net is not of ``stp``'s shape.  Fusing
+        keeps the shape, so this decides it for every matching that does
+        not clash."""
+        return _graph(self, self.merged_net(()))
+
+    def fuse(self, pairs):
+        """The event graph of the merged net of ``pairs`` and its marked
+        places, or None when that net is not of ``stp``'s shape.
+
+        Where a pair can clash the merged net is built and checked, as
+        ``merge`` does.  Otherwise the union's graph has each pair's nodes
+        fused into one with ``merge``'s id, label and arc order, and the
+        producer and consumer maps renamed: so node numbers, witness
+        tie-breaks and printed ids are the merged net's.
+        """
+        if self.clashes(pairs):
+            net = self.merged_net(pairs)
+            net.check()
+            return _graph(self, net)
+        if self.graph is None:
+            return None
+        graph, marked = self.graph
+        nodes = graph.nodes
+        producer, consumer = dict(graph.producer), dict(graph.consumer)
+        fused = {}
+        for pair in pairs:
+            found = self.fused.get(pair)
+            if found is None:
+                found = self.fused[pair] = _fused_node(nodes, *pair,
+                                                       self.by_tid[pair[0]].label)
+            mid, node, consumes, produces = found
+            fused[mid] = node
+            consumer.update(consumes)
+            producer.update(produces)
+        renamed = {tid for pair in pairs for tid in pair}
+        ids = [tid for tid in nodes if tid not in renamed]
+        ids += fused
+        ids.sort()
+        return stp.Graph({tid: fused[tid] if tid in fused else nodes[tid] for tid in ids},
+                         producer, consumer, graph.relevant, graph.cmax), marked
+
+
+def _graph(union: _Union, net: Tapn):
+    """(The event graph of a merged net of ``union``, its marked places),
+    or None when the net is not of ``stp``'s shape."""
+    graph = stp.event_graph(net)
+    marked = None if graph is None else stp.marked_places(graph, net.places, union.m0,
+                                                           union.target)
+    if marked is None or not stp.leads_to_target(graph, union.target):
+        return None
+    return graph, marked
+
+
+def _fused_node(nodes, a: str, b: str, label: str):
+    """(``a+b``, the node of a and b fused, and the consumer and producer
+    entries that rename them) in a marked graph, where no two of their arcs
+    share a key, so that sorting by key gives ``merge``'s order."""
+    mid = "+".join(sorted((a, b)))
+    normal, transport = [], []
+    for arc in nodes[a].arcs + nodes[b].arcs:
+        if isinstance(arc, TransportArc):
+            transport.append(TransportArc(arc.source, mid, arc.target, arc.guard))
+        else:
+            normal.append(InputArc(arc.place, mid, arc.guard))
+    normal.sort(key=_TABLES[1][1])
+    transport.sort(key=_TABLES[3][1])
+    outputs = sorted(nodes[a].outputs + nodes[b].outputs)
+    node = stp.Node(label, normal + transport, outputs,
+                    [x.place for x in normal] + [x.source for x in transport],
+                    outputs + [x.target for x in transport])
+    return mid, node, dict.fromkeys(node.inputs, mid), dict.fromkeys(node.produces, mid)
 
 
 def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUnit:
@@ -232,9 +358,9 @@ def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUn
     ``a+b`` (ids sorted) carrying the shared label, guards kept, and each
     table is sorted stably by its canonical key (elements by id).  So the
     merge order of the units does not matter, and rows that the renaming
-    makes equal keep the units' order.  ``units`` may be a list, or the
-    ``_Union`` that ``check_consistency`` builds once for all its
-    matchings.
+    makes equal keep the units' order.  ``units`` may be a list, or a
+    ``_Union``.  ``check_consistency`` does not merge: it decides each
+    matching on ``_Union.fuse``'s graph.
     """
     union = units if isinstance(units, _Union) else _Union(units)
     by_tid = union.by_tid
@@ -250,25 +376,8 @@ def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUn
     used = [tid for pair in matching.pairs for tid in pair]
     if len(used) != len(set(used)):
         raise IntegrationError("matching is not injective: %s" % sorted(used))
-
-    rename: dict[str, str] = {}
-    fused = []
-    for a, b in matching.pairs:
-        rename[a] = rename[b] = mid = "+".join(sorted((a, b)))
-        fused.append(Transition(mid, by_tid[a].label))
-    transitions, *arcs = union.net[2:]
-    tables = [[t for t in transitions if t.id not in rename] + fused]
-    tables += [[renamed(r, rename[r.transition]) if r.transition in rename else r
-                for r in rows] for rows, (*_, renamed) in zip(arcs, _TABLES[1:])]
-    for table, (_, key, *_) in zip(tables, _TABLES):
-        table.sort(key=key)
-    net = Tapn(union.net.name, union.net.places, *map(tuple, tables))
-    # Where the union passes Tapn.check, only these can make a merged net fail it.
-    mids = [t.id for t in fused]
-    if (not union.ok or len(set(mids)) != len(mids)
-            or any(mid in by_tid or mid in union.places for mid in mids)
-            or any(not union.places_of[a].isdisjoint(union.places_of[b])
-                   for a, b in matching.pairs)):
+    net = union.merged_net(matching.pairs)
+    if union.clashes(matching.pairs):
         net.check()
     return TranslationUnit(tcsd=None, net=net, m0=dict(union.m0),
                            target=dict(union.target), event_map={})
@@ -297,18 +406,18 @@ class AnalysisReport(NamedTuple):
                              if v.status in (ORDERING_DEADLOCK, TIMING_CONFLICT)}))
 
 
-def _blocking_labels(net: Tapn, frontier) -> tuple[str, ...]:
+def _blocking_labels(graph: stp.Graph, frontier) -> tuple[str, ...]:
     """Labeled transitions with some marked input place in a dead marking.
 
     A heuristic presentation of the deadlock cause, not claimed minimal:
     every dead marking disables all transitions, so any labeled transition
     whose input side is partly supplied is a stuck synchronization point.
+    In a marked graph that is the consumer of a marked place.
     """
     marked = {p for m in frontier for p, ages in m.items() if ages}
-    fed = {a.transition for a in net.input_arcs if a.place in marked}
-    fed.update(a.transition for a in net.transport_arcs if a.source in marked)
-    return tuple(sorted({t.label for t in net.transitions
-                         if t.label is not None and t.id in fed}))
+    consumer, nodes = graph.consumer, graph.nodes
+    return tuple(sorted({nodes[consumer[p]].label for p in marked if p in consumer}
+                        - {None}))
 
 
 def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
@@ -344,29 +453,33 @@ def check_consistency(units: list[TranslationUnit], imap: InstanceMap,
 
     verdicts: list[Verdict] = []
     for matching in matchings:
-        merged = merge(union, matching)
-        pair_labels = tuple(union.by_tid[a].label for a, _ in matching.pairs)
-        found = stp.causal_order(merged.net, merged.m0, merged.target)
-        if found is None:
+        fused = union.fuse(matching.pairs)
+        if fused is None:
             raise IntegrationError("internal error: the merged net of %s is not an "
                                    "ordered marked graph" % (matching.pairs,))
-        if len(found[0]) == len(merged.net.transitions):
-            cons = stp.constraints(merged.net, merged.m0, found)
+        graph, marked = fused
+        found = stp.graph_order(graph, marked)
+        pair_labels = tuple(union.by_tid[a].label for a, _ in matching.pairs)
+        if len(found[0]) == len(graph.nodes):
+            cons = stp.graph_constraints(graph, union.m0, found)
             times = stp.earliest_times(cons)
             if times is None:
                 status, witness = TIMING_CONFLICT, None
             elif max_total_delay is not None and max(times) > max_total_delay:
                 status, witness = BOUND_EXCEEDED, None
             else:
-                status, witness = CONSISTENT, stp.earliest_witness(merged.net, cons, times)
+                status, witness = CONSISTENT, stp.graph_witness(graph, cons, times)
             verdicts.append(Verdict(status, matching, pair_labels, witness, (), 0))
             continue
         # Some transition can never fire, whatever the delays: an ordering
         # deadlock.  The search only finds the dead markings behind
         # ``blocking``, which stays empty when a bound cuts it short.
-        timed = tapn.reachable(merged.net, merged.m0, merged.target,
-                               max_states=max_states)
-        blocking = (_blocking_labels(merged.net, timed.frontier)
+        if union.tables is None:
+            union.tables = tapn.SearchTables(union.net.places, graph.relevant, graph.cmax,
+                                             union.target)
+        timed = tapn.search(union.tables.search_net(graph.nodes), union.m0,
+                            max_states=max_states)
+        blocking = (_blocking_labels(graph, timed.frontier)
                     if timed.verdict == tapn.UNREACHABLE else ())
         verdicts.append(Verdict(ORDERING_DEADLOCK, matching, pair_labels, None,
                                 blocking, timed.states_explored))

@@ -122,7 +122,7 @@ _WORD = re.compile(r"\w*").match
 _STATEMENT = re.compile(_BLANK + r"""
     (?P<start>)
     (?: msg [ \t]+ (?P<src>[A-Za-z_]\w*) [ \t]* -> [ \t]* (?P<dst>[A-Za-z_]\w*) [ \t]* : [ \t]*
-            (?P<label> [A-Za-z_]\w* | -?\d+ | "[^"\\\x00-\x1f\ud800-\udfff\ufffe\uffff]*" )
+            (?P<label> [A-Za-z_]\w* | -?\d+ | "[^"\\\x00-\x1f\ud800-\udfff\ufffe\uffff]+" )
       | at [ \t]+ (?P<at>\d+)
       | (?P<close>\})
       | (?P<head>par|alt|opt|strict|op) [ \t]* \{
@@ -519,6 +519,8 @@ def _parse_statement(lx: _Lexer, b: _DiagramBuilder):
         for t in (src, dst):
             if t.value not in b.lines:
                 raise ParseError(lx.span(t.offset), "unknown instance %r" % t.value)
+        if not lab.value:  # "": no TAPAAL file tells it from no label
+            raise ParseError(lx.span(lab.offset), "empty label")
         b.message(src.value, dst.value, lab.value, at, src.offset, dst.offset)
     elif tok.value == "at":
         delta, dtok = lx.expect_int("partition time", minimum=0)

@@ -31,6 +31,12 @@ schedule is the least total delay of any run.  The bounds are integers,
 so the discrete-time answer is the dense-time one.  Their cost does not
 depend on the size of the guard constants, so, unlike the search, they
 need no limit on them.
+
+Every function reads an event graph (``Graph``): per transition its
+incoming arcs and output places, and each place's producer and
+consumer.  ``event_graph`` reads one off a net, and ``integrate`` fuses
+a matching's pairs into the union's; ``causal_order``, ``constraints``
+and ``earliest_witness`` are the graph functions on a net's graph.
 """
 
 from __future__ import annotations
@@ -42,65 +48,123 @@ from . import tapn
 from .tapn import Marking, TargetSpec, Tapn, TraceStep
 
 
-def causal_order(net: Tapn, m0: Marking, target: TargetSpec):
-    """(transitions in a causal order, each one's causes) for a marked
-    graph of the shape above, or None when the net is not one.
+class Node(NamedTuple):
+    """One transition of an event graph."""
 
-    The order lists only the transitions Kahn's algorithm can order; a
-    transition's causes are the producers of its unmarked input places
-    (None for such a place that nothing produces).
-    """
-    producer: dict[str, str] = {}
-    consumer: dict[str, str] = {}
-    inputs: dict[str, list[str]] = {t.id: [] for t in net.transitions}
-    for place, tid in [(a.place, a.transition) for a in net.input_arcs] + [
-            (a.source, a.transition) for a in net.transport_arcs]:
-        if place in consumer:
-            return None
-        consumer[place] = tid
-        inputs[tid].append(place)
-    for tid, place in [(a.transition, a.place) for a in net.output_arcs] + [
-            (a.transition, a.target) for a in net.transport_arcs]:
-        if place in producer:
-            return None
-        producer[place] = tid
+    label: str | None
+    arcs: list  # incoming arcs, in ``tapn.transition_arcs`` order
+    outputs: list  # normal output places
+    inputs: list  # each incoming arc's source place
+    produces: list  # the output places, then each transport arc's target
+
+
+class Graph(NamedTuple):
+    """A marked graph's events: node v is the v-th transition of ``nodes``,
+    in net order; each place has at most one producer and one consumer."""
+
+    nodes: dict  # transition -> Node
+    producer: dict  # place -> transition
+    consumer: dict  # place -> transition
+    relevant: set  # ``tapn.age_relevant``
+    cmax: int  # ``tapn.max_guard_constant``
+
+
+def event_graph(net: Tapn) -> Graph | None:
+    """The net's event graph, or None when some place has two producing
+    or two consuming arcs."""
+    rows = {t.id: ([], [], [], []) for t in net.transitions}  # Node's lists
+    producer, consumer = {}, {}
+    for a in net.input_arcs:
+        arcs, _, inputs, _ = rows[a.transition]
+        arcs.append(a)
+        inputs.append(a.place)
+        consumer[a.place] = a.transition
+    for a in net.output_arcs:
+        _, outputs, _, produces = rows[a.transition]
+        outputs.append(a.place)
+        produces.append(a.place)
+        producer[a.place] = a.transition
+    for a in net.transport_arcs:
+        arcs, _, inputs, produces = rows[a.transition]
+        arcs.append(a)
+        inputs.append(a.source)
+        produces.append(a.target)
+        consumer[a.source] = producer[a.target] = a.transition
+    moved = len(net.transport_arcs)
+    if (len(consumer) != len(net.input_arcs) + moved
+            or len(producer) != len(net.output_arcs) + moved):
+        return None
+    return Graph({t.id: Node(t.label, *rows[t.id]) for t in net.transitions}, producer,
+                 consumer, tapn.age_relevant(net), tapn.max_guard_constant(net))
+
+
+def marked_places(graph: Graph, places, m0: Marking, target: TargetSpec) -> set | None:
+    """The places ``m0`` marks, or None when ``m0`` or ``target`` breaks
+    the shape above: more than one token in a place, a token on a
+    produced place, or a target other than one token on each place that
+    nothing consumes and something produces or marks."""
     marked = set()
     for place, ages in m0.items():
-        if len(ages) > 1 or (ages and place in producer):
+        if len(ages) > 1 or (ages and place in graph.producer):
             return None
         if ages:
             marked.add(place)
-    final = {p for p in net.places
-             if p not in consumer and (p in producer or p in marked)}
+    final = {p for p in places
+             if p not in graph.consumer and (p in graph.producer or p in marked)}
     if any(n not in (0, 1) for n in target.values()) or \
             {p for p, n in target.items() if n} != final:
         return None
-    # Every transition must lead to a target place: walk back from them.
+    return marked
+
+
+def leads_to_target(graph: Graph, target: TargetSpec) -> bool:
+    """Whether every transition has a causal path (output place, its
+    consumer, ...) to a target place.  Fusing transitions keeps every
+    path, so what holds for a graph holds for it with any pairs fused."""
+    nodes, producer = graph.nodes, graph.producer
     reached = set()
-    stack = [producer[p] for p in final if p in producer]
+    stack = [producer[p] for p, n in target.items() if n and p in producer]
     while stack:
         tid = stack.pop()
         if tid not in reached:
             reached.add(tid)
-            stack.extend(producer[p] for p in inputs[tid] if p in producer)
-    if len(reached) != len(net.transitions):
-        return None
-    # Kahn's algorithm; an input place that is neither marked nor
-    # produced keeps its consumer out of the order for good.
-    causes = {tid: [producer.get(p) for p in places if p not in marked]
-              for tid, places in inputs.items()}
+            stack.extend(producer[p] for p in nodes[tid].inputs if p in producer)
+    return len(reached) == len(nodes)
+
+
+def graph_order(graph: Graph, marked: set):
+    """(transitions in a causal order, each one's causes) of a graph whose
+    ``marked_places`` are ``marked``.
+
+    The order lists only the transitions Kahn's algorithm can order; a
+    transition's causes are the producers of its unmarked input places
+    (None for such a place that nothing produces), which keep it out of
+    the order for good.
+    """
+    nodes, producer = graph.nodes, graph.producer
+    causes = {tid: [producer.get(p) for p in n.inputs if p not in marked]
+              for tid, n in nodes.items()}
     waiting = {tid: len(c) for tid, c in causes.items()}
-    order = [tid for tid in inputs if not waiting[tid]]
-    outputs: dict[str, list[str]] = {tid: [] for tid in inputs}
-    for place, tid in producer.items():
-        if place in consumer:
-            outputs[tid].append(consumer[place])
+    order = [tid for tid, n in waiting.items() if not n]
+    consumer = graph.consumer
     for tid in order:  # grows while it is walked
-        for nxt in outputs[tid]:
-            waiting[nxt] -= 1
-            if not waiting[nxt]:
-                order.append(nxt)
+        for p in nodes[tid].produces:
+            nxt = consumer.get(p)
+            if nxt is not None:
+                waiting[nxt] -= 1
+                if not waiting[nxt]:
+                    order.append(nxt)
     return order, causes
+
+
+def causal_order(net: Tapn, m0: Marking, target: TargetSpec):
+    """``graph_order`` of a net of the shape above, or None when the net
+    is not one."""
+    graph = event_graph(net)
+    marked = None if graph is None else marked_places(graph, net.places, m0, target)
+    if marked is None or not leads_to_target(graph, target):
+        return None
+    return graph_order(graph, marked)
 
 
 class Constraints(NamedTuple):
@@ -115,12 +179,12 @@ class Constraints(NamedTuple):
     cmax: int
 
 
-def constraints(net: Tapn, m0: Marking, found) -> Constraints:
-    """The constraints of a net whose ``causal_order``, ``found``, lists
+def graph_constraints(graph: Graph, m0: Marking, found) -> Constraints:
+    """The constraints of a graph whose ``graph_order``, ``found``, lists
     every transition, whatever its guard constants."""
     order, causes = found
-    node = {t.id: v for v, t in enumerate(net.transitions, 1)}
-    incoming, outputs = tapn.transition_arcs(net)
+    nodes = graph.nodes
+    node = {tid: v for v, tid in enumerate(nodes, 1)}
     origin = {p: (0, ages[0]) for p, ages in m0.items() if ages}  # (node, age there)
     made: dict[str, int] = {}  # place -> producer node
     reads: dict[str, list] = {}
@@ -128,8 +192,8 @@ def constraints(net: Tapn, m0: Marking, found) -> Constraints:
     for tid in order:
         v = node[tid]
         reads[tid] = []
-        for arc in incoming[tid]:
-            p = tapn._arc_source(arc)
+        n = nodes[tid]
+        for arc, p in zip(n.arcs, n.inputs):
             o, a0 = origin[p]
             reads[tid].append((p, o, a0))
             if p in made:
@@ -140,9 +204,14 @@ def constraints(net: Tapn, m0: Marking, found) -> Constraints:
                 edges.append((v, o, a0 - arc.guard.upper))
             if isinstance(arc, tapn.TransportArc):
                 origin[arc.target], made[arc.target] = (o, a0), v
-        for p in outputs[tid]:
+        for p in n.outputs:
             origin[p], made[p] = (v, 0), v
-    return Constraints(edges, node, reads, causes, tapn.max_guard_constant(net))
+    return Constraints(edges, node, reads, causes, graph.cmax)
+
+
+def constraints(net: Tapn, m0: Marking, found) -> Constraints:
+    """``graph_constraints`` of a net whose ``causal_order`` is ``found``."""
+    return graph_constraints(event_graph(net), m0, found)
 
 
 def earliest_times(cons: Constraints) -> list[int] | None:
@@ -162,10 +231,10 @@ def earliest_times(cons: Constraints) -> list[int] | None:
     return None if t[0] else t  # time 0 may not move
 
 
-def earliest_witness(net: Tapn, cons: Constraints, t: list[int]) -> list[TraceStep]:
+def graph_witness(graph: Graph, cons: Constraints, t: list[int]) -> list[TraceStep]:
     """The witness ``tapn.reachable`` returns, from the ``earliest_times``
-    ``t`` of the net's constraints."""
-    relevant = tapn.age_relevant(net)
+    ``t`` of the graph's constraints."""
+    relevant = graph.relevant
     node = cons.node
     after: dict[str, list[str]] = {tid: [] for tid in cons.causes}
     waiting = {}
@@ -179,7 +248,7 @@ def earliest_witness(net: Tapn, cons: Constraints, t: list[int]) -> list[TraceSt
     now = 0
     while heap:
         x, v, tid = heapq.heappop(heap)
-        trace.append(TraceStep(x - now, tid, net.transitions[v - 1].label, tuple(
+        trace.append(TraceStep(x - now, tid, graph.nodes[tid].label, tuple(
             (p, min(a0 + x - t[o], cons.cmax + 1) if p in relevant else None)
             for p, o, a0 in cons.reads[tid])))
         now = x
@@ -188,3 +257,8 @@ def earliest_witness(net: Tapn, cons: Constraints, t: list[int]) -> list[TraceSt
             if not waiting[nxt]:
                 heapq.heappush(heap, (t[node[nxt]], node[nxt], nxt))
     return trace
+
+
+def earliest_witness(net: Tapn, cons: Constraints, t: list[int]) -> list[TraceStep]:
+    """``graph_witness`` of a net whose ``constraints`` are ``cons``."""
+    return graph_witness(event_graph(net), cons, t)

@@ -42,7 +42,10 @@ very witness this search returns.  In ``check`` the search runs only for
 an ordering deadlock, a net with an incomplete causal order, to find the
 dead markings behind its ``blocking`` labels; it never sets a status,
 and it takes no delay bound: ``check`` compares ``--max-delay`` with
-the earliest schedule.
+the earliest schedule.  ``search`` is the one search loop:
+``reachable`` compiles a net and runs it, and ``check`` runs it on the
+union's ``SearchTables`` with a matching's pairs fused, which equal the
+merged net's compiled tables.
 ``age_relevant`` is the one rule, shared with ``stp``, for which consumed
 ages a witness records.
 """
@@ -413,6 +416,66 @@ class _Plan:
 _AGE_0 = (0,)
 
 
+class SearchTables:
+    """What a search reads of a net's places, guards and target, and a
+    memo of per-transition rows, shared by the ``_SearchNet`` made from
+    them.
+
+    ``reachable`` makes one per search.  ``integrate`` makes one per check
+    for the union of its units, on the first ordering deadlock, and a
+    search net per deadlock from the event graph with that matching's
+    pairs fused: fusing renames transitions but adds no place, arc or
+    guard, so the places, target and guards stay the union's, and a
+    transition's row is reused for as long as its arc list is the same.
+    """
+
+    def __init__(self, places, relevant: set[str], cmax: int, target: TargetSpec):
+        self.places = list(places)
+        self.pidx = {p: i for i, p in enumerate(self.places)}
+        self.goal = tuple(sorted((self.pidx[p], n) for p, n in target.items() if n))
+        self.cmax = cmax
+        # Age-irrelevant places store age 0: an exact quotient, since every
+        # guard touching their tokens accepts any age.
+        self.age_relevant = [p in relevant for p in self.places]
+        self.rows: dict[str, tuple] = {}
+
+    def row(self, tid: str, arcs, outputs) -> tuple:
+        """(incoming (source idx, lower, upper or None, transport target
+        idx or -1) per arc, produced (place idx, source idx of a transport
+        arc or -1) per token, the distinct source places, whether one token
+        per source fires it in exactly one way, the arcs, the output
+        places) of a transition with these incoming arcs, in
+        ``transition_arcs`` order, and normal output places."""
+        row = self.rows.get(tid)
+        if row is not None and row[4] is arcs:
+            return row
+        pidx = self.pidx
+        inc = []
+        produced = []
+        for arc in arcs:
+            g = arc.guard
+            if isinstance(arc, InputArc):
+                inc.append((pidx[arc.place], g.lower, g.upper, -1))
+            else:
+                src, tgt = pidx[arc.source], pidx[arc.target]
+                inc.append((src, g.lower, g.upper, tgt))
+                produced.append((tgt, src))
+        produced += [(pidx[p], -1) for p in outputs]
+        sources = tuple(dict.fromkeys(pi for pi, _, _, _ in inc))
+        distinct = (len(sources) == len(inc)
+                    and len({pi for pi, _ in produced}) == len(produced))
+        row = self.rows[tid] = (inc, produced, sources, distinct, arcs, outputs)
+        return row
+
+    def search_net(self, nodes) -> _SearchNet:
+        """The search net of the transitions ``nodes``, in index order:
+        transition id -> (label, incoming arcs, normal output places, ...),
+        as ``stp.Graph.nodes`` holds them."""
+        sn = _SearchNet.__new__(_SearchNet)
+        sn._compile(self, nodes)
+        return sn
+
+
 class _SearchNet:
     """The net compiled for search: places and transitions by index.
 
@@ -422,53 +485,27 @@ class _SearchNet:
     """
 
     def __init__(self, net: Tapn, target: TargetSpec):
-        self.net = net
-        self.places = list(net.places)
-        self.pidx = {p: i for i, p in enumerate(self.places)}
-        self.goal = tuple(sorted((self.pidx[p], n) for p, n in target.items() if n))
-        self.cmax = max_guard_constant(net)
-        self.cap = self.cmax + 1
-        self.trans = [(t.id, t.label) for t in net.transitions]
-        # Per transition: incoming (source idx, lower, upper or None,
-        # transport target idx or -1) in incoming_arcs order, and the
-        # tokens it produces as (place idx, source idx of a transport arc
-        # or -1).  Both bounds are inclusive, as every guard is closed.
         incoming, outputs = transition_arcs(net)
-        self.incoming, self.outputs = incoming, outputs  # fire_all fires by these
-        self.inc: list[list[tuple[int, int, int | None, int]]] = []
-        self.produced: list[list[tuple[int, int]]] = []
-        # Whether a transition reads distinct places and writes distinct
-        # places: then one token per source fires it in exactly one way.
-        self.distinct_arcs: list[bool] = []
-        # Per transition its distinct source places, and per place the
-        # transitions reading it, in index order.
-        self.sources: list[tuple[int, ...]] = []
+        tables = SearchTables(net.places, age_relevant(net), max_guard_constant(net), target)
+        self._compile(tables, {t.id: (t.label, incoming[t.id], outputs[t.id])
+                               for t in net.transitions})
+
+    def _compile(self, tables: SearchTables, nodes):
+        self.places, self.pidx, self.goal = tables.places, tables.pidx, tables.goal
+        self.cmax = tables.cmax
+        self.cap = self.cmax + 1
+        self.age_relevant = tables.age_relevant
+        self.trans = [(tid, n[0]) for tid, n in nodes.items()]
+        # Per transition index the fields of ``SearchTables.row``; both
+        # guard bounds are inclusive, as every guard is closed.
+        rows = [tables.row(tid, n[1], n[2]) for tid, n in nodes.items()]
+        (self.inc, self.produced, self.sources, self.distinct_arcs, self.incoming,
+         self.outputs) = list(zip(*rows)) or [()] * 6
+        # Per place the transitions reading it, in index order.
         self.consumers: list[list[int]] = [[] for _ in self.places]
-        for ti, t in enumerate(net.transitions):
-            row = []
-            produced = []
-            for arc in incoming[t.id]:
-                g = arc.guard
-                if isinstance(arc, InputArc):
-                    row.append((self.pidx[arc.place], g.lower, g.upper, -1))
-                else:
-                    src, tgt = self.pidx[arc.source], self.pidx[arc.target]
-                    row.append((src, g.lower, g.upper, tgt))
-                    produced.append((tgt, src))
-            produced += [(self.pidx[p], -1) for p in outputs[t.id]]
-            self.inc.append(row)
-            self.produced.append(produced)
-            sources = tuple(dict.fromkeys(pi for pi, _, _, _ in row))
-            self.sources.append(sources)
-            self.distinct_arcs.append(
-                len(sources) == len(row)
-                and len({pi for pi, _ in produced}) == len(produced))
+        for ti, sources in enumerate(self.sources):
             for pi in sources:
                 self.consumers[pi].append(ti)
-        # Age-irrelevant places store age 0: an exact quotient, since every
-        # guard touching their tokens accepts any age.
-        relevant = age_relevant(net)
-        self.age_relevant = [p in relevant for p in self.places]
         self.shapes: dict[tuple, _Shape] = {}
 
     def encode(self, m: Marking):
@@ -595,7 +632,7 @@ class _SearchNet:
         binding order: each binding fired by ``tapn.fire``'s rule."""
         m = self.decode(img)
         tid = self.trans[plan.ti][0]
-        arcs, outputs = self.incoming[tid], self.outputs[tid]
+        arcs, outputs = self.incoming[plan.ti], self.outputs[plan.ti]
         return [(self.encode(_fire(arcs, outputs, m, tid, b)), b)
                 for b in _bindings(arcs, m)]
 
@@ -620,7 +657,13 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
     for p in target:
         if p not in net.places:
             raise ValueError("target names unknown place %r" % p)
-    sn = _SearchNet(net, target)
+    return search(_SearchNet(net, target), m0, max_states)
+
+
+def search(sn: _SearchNet, m0: Marking, max_states: int = 1_000_000) -> ReachResult:
+    """``reachable``'s breadth-first search, on a compiled net; the one
+    search loop, also run by ``integrate`` on the fused tables of a
+    deadlocked matching."""
     start = sn.encode(m0)
     start_shape = sn.shape(tuple((pi, len(ages)) for pi, ages in start))
     if start_shape.goal:

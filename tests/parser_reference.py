@@ -262,6 +262,8 @@ def _parse_statement(c: _Cursor, b: _DiagramBuilder):
         for name, t in ((src.value, src), (dst.value, dst)):
             if name not in b.instances:
                 raise ParseError(c.span(t), "unknown instance %r" % name)
+        if not lab.value:
+            raise ParseError(c.span(lab), "empty label")
         send = b.new_event(src.value, model.SEND, c.span(src))
         recv = b.new_event(dst.value, model.RECEIVE, c.span(dst))
         b.messages.append(Message(send, lab.value, recv))

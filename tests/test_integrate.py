@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import check_reference
 import merge_reference
 from conftest import FIXTURES, load_arch, load_tcsd
 from gen import random_diagram_pair, random_merged_units
 from test_stp import _window_pair
-from virtint import integrate, model, parser, tapn, translate
+from virtint import integrate, model, parser, stp, tapn, translate
 from virtint.integrate import (IntegrationError, SyncMatching, build_instance_map,
                                check_consistency, enumerate_matchings, merge)
 from virtint.tapn import InputArc, OutputArc, Tapn, TraceStep, Transition, TransportArc
@@ -581,7 +582,9 @@ def test_the_union_is_checked_once_per_check(monkeypatch):
     report = check_consistency(units, imap, require_all=True)
     assert len(report.verdicts) == 24
     assert checks == ["TA+TB"]
-    assert merges == [v.matching for v in report.verdicts]
+    # Each matching is decided on the union's graph with its pairs fused:
+    # no merge, and no merged net to check again.
+    assert merges == []
     # A merge from a list checks its own union, once.
     checks.clear()
     merge(units, report.verdicts[0].matching)
@@ -600,9 +603,104 @@ def test_blocking_labels_equal_the_reference(seed, frontier):
         places = net.places
         dead = [{places[i % len(places)]: ages for i, ages in m.items()} for m in frontier]
         res = tapn.reachable(net, merged.m0, merged.target, max_states=2000)
+        graph = stp.event_graph(net)
         for markings in (dead, res.frontier, res.frontier + dead):
-            assert (integrate._blocking_labels(net, markings)
+            assert (integrate._blocking_labels(graph, markings)
                     == merge_reference._blocking_labels(net, markings))
+
+
+def _checked(check, units, imap, options):
+    try:
+        return check(units, imap, **options)
+    except IntegrationError as exc:
+        return str(exc)
+
+
+def _assert_checks_as_the_reference(units, imap, options):
+    """The whole report, every verdict's status, matching, witness,
+    ``blocking`` and ``states_explored`` with ``overall`` and
+    ``matchings_truncated``, or the error, is the reference's."""
+    got = _checked(check_consistency, units, imap, options)
+    assert got == _checked(check_reference.check_consistency, units, imap, options), options
+    return got
+
+
+_CHECK_OPTIONS = {"policy": ("maximal", "strict"), "require_all": (False, True),
+                  "max_states": (1, 5, 50, 1_000_000), "max_total_delay": (None, 0, 1, 3, 8),
+                  "max_matchings": (1, 4, 64)}
+
+
+def _drawn_pair(seed, timing, nest, reverse):
+    """A generated pair; reversed, each pair's first transition is TB's,
+    so that a fused transition's arcs must be sorted."""
+    units, imap = random_diagram_pair(random.Random(seed), timing=timing,
+                                      nest_in_timeouts=nest)
+    return units[::-1] if reverse else units, imap
+
+
+def _check_draw(seed):
+    """A generated pair, with or without timing, timeouts nested and the
+    units reversed, and drawn options; the draws ``check_reference``'s
+    sweep makes.  Its largest state bound is 20 000: at the default, the
+    deadlock searches of draw 2947 alone take 49 s on each side."""
+    rnd = random.Random(seed)
+    units, imap = _drawn_pair(seed, *(rnd.random() < 0.5 for _ in range(3)))
+    options = {k: rnd.choice(v) for k, v in _CHECK_OPTIONS.items()}
+    options["max_states"] = min(options["max_states"], 20_000)
+    return units, imap, options
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans(),
+       st.fixed_dictionaries({k: st.sampled_from(v) for k, v in _CHECK_OPTIONS.items()}))
+def test_check_equals_the_per_matching_reference(seed, timing, nest, reverse, options):
+    _assert_checks_as_the_reference(*_drawn_pair(seed, timing, nest, reverse), options)
+
+
+def test_check_equals_the_per_matching_reference_on_fixtures():
+    statuses = set()
+    for units, imap in [*_fixture_sets(), _window_pair(2), _window_pair(7), _fanout_pair(4, 2),
+                        _fanout_triple(3, 2)]:
+        for values in itertools.product(("maximal", "strict"), (False, True),
+                                         (None, 0, 1, 3, 5), (5, 1_000_000), (1, 64)):
+            options = dict(zip(("policy", "require_all", "max_total_delay", "max_states",
+                                "max_matchings"), values))
+            report = _assert_checks_as_the_reference(units, imap, options)
+            if not isinstance(report, str):
+                statuses.update(v.status for v in report.verdicts)
+    assert statuses == {"consistent", "ordering-deadlock", "timing-conflict", "bound-exceeded"}
+
+
+def _assert_fuses_as_merged(units, matchings):
+    """One union and one set of search tables serve every matching, and
+    both equal what the merged net of the matching gives, field for field."""
+    union = integrate._Union(units)
+    tables = None
+    for matching in matchings:
+        graph, marked = union.fuse(matching.pairs)
+        merged = merge(union, matching)
+        want = stp.event_graph(merged.net)
+        assert list(graph.nodes.items()) == list(want.nodes.items())
+        assert graph == want
+        assert marked == stp.marked_places(want, merged.net.places, merged.m0,
+                                           merged.target)
+        if tables is None:
+            tables = tapn.SearchTables(union.net.places, graph.relevant, graph.cmax,
+                                       union.target)
+        assert vars(tables.search_net(graph.nodes)) \
+            == vars(tapn._SearchNet(merged.net, merged.target))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+def test_fused_graph_and_search_tables_equal_the_merged_nets(seed, timing, nest, reverse):
+    units, imap = _drawn_pair(seed, timing, nest, reverse)
+    _assert_fuses_as_merged(units, itertools.islice(enumerate_matchings(units, imap), 16))
+    # A translated message moves its clock token by a transport arc; these
+    # fused transitions read and write places by normal arcs, the first
+    # pair's in the reverse of the merged order.
+    a, b, c = _chain_unit("A", "x"), _chain_unit("B", "x"), _chain_unit("C", "y")
+    _assert_fuses_as_merged([c, b, a], [SyncMatching(()), SyncMatching((("B.T1", "A.T1"),))])
 
 
 def test_check_never_fires_a_binding_by_the_general_rule(monkeypatch):

@@ -249,6 +249,29 @@ def test_labels_reject_characters_xml_cannot_hold(ch, escape):
     assert "U+%04X" % ord(ch) in str(err.value)
 
 
+def test_an_empty_label_on_a_plain_line_is_a_parse_error():
+    # The pattern would take the statement whole but refuses "": the token
+    # path reports it at the label, after an undeclared instance.
+    src = 'tcsd T { sut S test A\n  msg A -> S : "" }'
+    with pytest.raises(ParseError) as err:
+        parser.parse_tcsd(src)
+    assert str(err.value) == "<tcsd>:2:16: empty label"
+    assert _outcome(parser.parse_tcsd, src) == _outcome(parser_reference.parse_tcsd, src)
+    with pytest.raises(ParseError) as err:
+        parser.parse_tcsd(src.replace("-> S", "-> Q"))
+    assert err.value.message == "unknown instance 'Q'"
+
+
+def test_an_empty_label_split_from_its_statement_is_a_parse_error():
+    # Only the token path reads a statement split by a comment and a line
+    # break; it refuses "" there too.
+    src = 'tcsd T { sut S test A\n  msg A -> S : # c\n  ""\n  msg S -> A : y }'
+    with pytest.raises(ParseError) as err:
+        parser.parse_tcsd(src)
+    assert str(err.value) == "<tcsd>:3:3: empty label"
+    assert _outcome(parser.parse_tcsd, src) == _outcome(parser_reference.parse_tcsd, src)
+
+
 def test_leading_byte_order_mark_is_skipped():
     bom = "\ufeff"
     src = (FIXTURES / "timing" / "window_a.tcsd").read_text(encoding="utf-8")
@@ -505,9 +528,10 @@ def test_integer_longer_than_the_limit_is_a_parse_error(monkeypatch, statement):
 # a block's "}" or an operand, "name" for an instance, "label", "int", and
 # "other".  Edits then work token by token.
 
-_LABELS = ["m1", "go", "_x", "xé", "at", "42", "-7", "0", '"a b {c}"', '""']
-# Labels with escapes or characters a plain label cannot hold.
-_ODD_LABELS = ['"a\\\\b"', '"a\\"b"', '"a\\\nb"', '"a\\\r\nb"', '"a\\\rb"',
+_LABELS = ["m1", "go", "_x", "xé", "at", "42", "-7", "0", '"a b {c}"']
+# Labels with escapes or characters a plain label cannot hold, and the
+# empty label, which is a parse error.
+_ODD_LABELS = ['""', '"a\\\\b"', '"a\\"b"', '"a\\\nb"', '"a\\\r\nb"', '"a\\\rb"',
                '"tab\tc"', '"cr\rd"', '"\\\x01"', '"\x7f"', '"open']
 # Keywords and undeclared or odd names, for an instance.
 _ODD_NAMES = ["msg", "at", "op", "sut", "test", "timeout", "Q", "Z9", "é", "Aé"]
@@ -695,7 +719,8 @@ _TOKEN_STATEMENTS = ["msg A -> S : c # note", "msg A\n-> S : n", "at\n7", 'msg S
                      "opt\n{ msg S -> A : o }", "loop 2\n{ msg A -> S : l }", "msg A -> S : at"]
 _REFUSED_STATEMENTS = ["op { msg A -> S : o }", "timeout 0 { msg A -> S : z }",
                        "loop %s { msg A -> S : d }" % _LONG, "at %s" % _LONG,
-                       "timeout %s { msg A -> S : t }" % _LONG, "msg A -> Q : u"]
+                       "timeout %s { msg A -> S : t }" % _LONG, "msg A -> Q : u",
+                       'msg A -> S : ""']
 # Block heads, as the pattern reads them and as only the token path does.
 _HEADS = ["opt {", "strict {", "loop 2 {", "loop 0 {", "timeout 3 {", "par {", "alt {",
           "opt\n{", "strict # c\n{", "loop\t1 {", "loop 1\n{", "timeout\n4 {", "par\n{", "alt {"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import check_reference
 import tapn_reference
 from gen import random_diagram_pair, random_merged_units, random_tapn
 from oracle import naive_reachable
@@ -72,7 +73,7 @@ def test_check_statuses_equal_the_search(seed, timing, window_a, window_b,
                 continue
             engine = tapn.reachable(net, m0, target, max_states=max_states)
             assert engine.verdict != tapn.REACHABLE
-            blocking = (integrate._blocking_labels(net, engine.frontier)
+            blocking = (check_reference._blocking_labels(net, engine.frontier)
                         if engine.verdict == tapn.UNREACHABLE else ())
             assert (verdict.status, verdict.blocking) == ("ordering-deadlock", blocking)
             assert verdict.witness is None
@@ -226,21 +227,20 @@ _FIXTURE_SETS = {
 def test_fixture_classifications_need_no_second_search(monkeypatch):
     # The search runs only for a matching whose causal order is
     # incomplete, once, never on widened guards and never under a delay
-    # bound, which cannot undo a deadlock.
+    # bound, which cannot undo a deadlock.  ``tapn.search`` is the one
+    # search loop, which ``check`` runs on the fused tables.
     from conftest import FIXTURES, load_arch, load_tcsd
     from virtint import translate
 
-    real = tapn.reachable
+    real = tapn.search
     searched = []
 
-    def incomplete_only(net, m0, target, **bounds):
-        order, _ = stp.causal_order(net, m0, target)
-        assert len(order) < len(net.transitions), "a complete order was searched"
-        assert "max_total_delay" not in bounds
-        searched.append(net)
-        return real(net, m0, target, **bounds)
+    def incomplete_only(sn, m0, **bounds):
+        assert set(bounds) == {"max_states"} and not sn.shapes
+        searched.append(dict(vars(sn), shapes={}))  # before the search fills them
+        return real(sn, m0, **bounds)
 
-    monkeypatch.setattr(tapn, "reachable", incomplete_only)
+    monkeypatch.setattr(tapn, "search", incomplete_only)
     statuses = {}
     for name, (arch, *files) in _FIXTURE_SETS.items():
         tcsds = [load_tcsd(FIXTURES / name / f) for f in files]
@@ -250,8 +250,12 @@ def test_fixture_classifications_need_no_second_search(monkeypatch):
                        {"max_states": 5}):
             searched.clear()
             report = integrate.check_consistency(units, imap, **bounds)
-            assert searched == [integrate.merge(units, v.matching).net
-                                for v in report.verdicts if v.states_explored]
+            merged = [integrate.merge(units, v.matching) for v in report.verdicts
+                      if v.states_explored]
+            assert searched == [vars(tapn._SearchNet(m.net, m.target)) for m in merged]
+            for m in merged:
+                order, _ = stp.causal_order(m.net, m.m0, m.target)
+                assert len(order) < len(m.net.transitions), "a complete order was searched"
             statuses[name, tuple(bounds)] = {v.status for v in report.verdicts}
     assert statuses["bscu", ()] == {"ordering-deadlock"}
     assert statuses["bscu", ("max_states",)] == {"ordering-deadlock"}
@@ -322,7 +326,7 @@ def _refuse_to_search(*args, **kwargs):
 
 def test_consistent_pair_with_a_large_constant_needs_no_search(monkeypatch):
     units, imap = _window_pair(100_000)
-    monkeypatch.setattr(tapn, "reachable", _refuse_to_search)
+    monkeypatch.setattr(tapn, "search", _refuse_to_search)
     t0 = time.perf_counter()
     report = integrate.check_consistency(units, imap)
     elapsed = time.perf_counter() - t0
@@ -349,7 +353,7 @@ def test_conflicting_pair_with_a_large_constant_needs_no_search(monkeypatch):
     # x at most 2 ticks after sync in TC_WindowA, at least 99 999 in
     # TC_WindowB: a timing conflict with C = 100 000, however it is bounded.
     units, imap = _window_pair(2, 100_000)
-    monkeypatch.setattr(tapn, "reachable", _refuse_to_search)
+    monkeypatch.setattr(tapn, "search", _refuse_to_search)
     t0 = time.perf_counter()
     for bounds in ({}, {"max_total_delay": 3}, {"max_states": 50}):
         report = integrate.check_consistency(units, imap, **bounds)
@@ -367,7 +371,7 @@ def test_widened_timing_fixture_is_a_timing_conflict(monkeypatch):
     # at 1000): the search used to run until the default --max-states
     # stopped it, as bound-exceeded.
     units, imap = _window_pair(333, 1000)
-    monkeypatch.setattr(tapn, "reachable", _refuse_to_search)
+    monkeypatch.setattr(tapn, "search", _refuse_to_search)
     [verdict] = integrate.check_consistency(units, imap).verdicts
     assert verdict.status == "timing-conflict" and verdict.states_explored == 0
 
@@ -416,22 +420,35 @@ def test_broken_preconditions_are_internal_errors(monkeypatch, capsys):
     from virtint import cli
 
     units, imap = _window_pair(2)
-    monkeypatch.setattr(tapn, "reachable", _refuse_to_search)
+    monkeypatch.setattr(tapn, "search", _refuse_to_search)
     # A timing conflict: infeasible constraints decide it, with no search.
     [verdict] = integrate.check_consistency(units, imap).verdicts
     assert verdict.status == "timing-conflict"
     assert verdict.states_explored == 0
     assert verdict.witness is None and verdict.blocking == ()
     # Every merged net is an ordered marked graph; one that is not is a
-    # bug, reported as such instead of searched.
+    # bug, reported as such instead of searched.  A broken net in place of
+    # TC_WindowA's, with no labeled transition, leaves one empty matching,
+    # decided on the union with TC_WindowB's net.
     argv = ["check"] + [str(FIXTURES / "timing" / n) for n in ("window_a.tcsd",
                                                               "window_b.tcsd")] \
         + ["--arch", str(FIXTURES / "timing" / "windows.arch")]
+    real_translate = cli.translate.translate
     for name, net, m0, target in _broken_preconditions():
-        unit = units[0]._replace(tcsd=None, net=net, m0=m0, target=target)
-        monkeypatch.setattr(integrate, "merge", lambda *args, u=unit: u)
+        def broken(tcsd, *args, net=net, m0=m0, target=target):
+            unit = real_translate(tcsd, *args)
+            if unit.name != units[0].name:
+                return unit
+            return unit._replace(net=net._replace(name=unit.net.name), m0=m0, target=target)
+
+        monkeypatch.setattr(cli.translate, "translate", broken)
+        broken_units = [broken(u.tcsd) for u in units]
+        assert [m.pairs for m in integrate.enumerate_matchings(broken_units, imap)] == [()]
+        # The union passes Tapn.check, and its graph is refused once.
+        union = integrate._Union(broken_units)
+        assert union.ok and union.graph is None and union.fuse(()) is None, name
         with pytest.raises(integrate.IntegrationError, match="^internal error: "):
-            integrate.check_consistency(units, imap)
+            integrate.check_consistency(broken_units, imap)
         capsys.readouterr()
         assert cli.main(argv) == 2, name
         out, err = capsys.readouterr()

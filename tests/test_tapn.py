@@ -7,7 +7,7 @@ import pytest
 import tapn_reference
 from gen import _random_guard, random_merged_units, random_tapn
 from oracle import naive_reachable
-from virtint import integrate, model, parser, tapn, translate
+from virtint import integrate, model, parser, stp, tapn, translate
 from virtint.tapn import (Guard, InputArc, OutputArc, Tapn, TraceStep, Transition,
                           TransportArc)
 
@@ -431,7 +431,7 @@ def test_long_chain_search_replay_and_blocking_are_linear():
     t0 = time.perf_counter()
     res = tapn.reachable(net, unit.m0, unit.target)
     final = tapn.replay(net, unit.m0, res.trace)
-    blocking = integrate._blocking_labels(net, [every_place])
+    blocking = integrate._blocking_labels(stp.event_graph(net), [every_place])
     elapsed = time.perf_counter() - t0
     assert res.verdict == "reachable" and res.states_explored == len(net.places)
     assert tapn.marking_counts(final) == unit.target
