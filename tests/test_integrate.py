@@ -454,6 +454,35 @@ def _chain_unit(name, label, places=None, extra=()):
     return TranslationUnit(None, net, {p[0]: (0,)}, {p[2]: 1}, {})
 
 
+def _clash_cases():
+    """(units, pairs) whose merged net Tapn.check rejects, or whose pair
+    may clash: a pair within one unit that shares a place (twice as a
+    normal arc, which passes, and as a normal and a transport arc), a
+    merged id that names a place or another transition, two pairs with
+    one merged id, two units with one place, and a place named as a
+    transition that the matching renames."""
+    a, b = _chain_unit("A", "x"), _chain_unit("B", "x")
+    shared = _chain_unit("C", "x", extra=(Transition("C.T2", "x"),))
+    # The second arc from C.P1 comes first in the unit, so the merged net
+    # lists it first although the union lists it second.
+    twice = shared._replace(net=shared.net._replace(
+        input_arcs=(InputArc("C.P1", "C.T2", tapn.Guard(1, 2)),) + shared.net.input_arcs))
+    moved = shared._replace(net=shared.net._replace(
+        transport_arcs=(TransportArc("C.P1", "C.T2", "C.P0"),)))
+    return [
+        ([a, b], (("A.T1", "B.T1"),)),
+        ([twice, b], (("C.T1", "C.T2"),)),
+        ([moved, b], (("C.T1", "C.T2"),)),
+        ([_chain_unit("A", "x", ["A.P0", "A.T1+B.T1", "A.P2"]), b], (("A.T1", "B.T1"),)),
+        ([a, b, _chain_unit("A.T1+B", "y")], (("A.T1", "B.T1"),)),
+        ([_chain_unit(n, "x") for n in ("p", "p.T1+q", "q.T1+r", "r")],
+         (("p.T1+q.T1", "r.T1"), ("p.T1", "q.T1+r.T1"))),
+        ([a, _chain_unit("B", "x", ["B.P0", "B.P1", "A.P2"])], (("A.T1", "B.T1"),)),
+        ([a, b, _chain_unit("D", "y", ["D.P0", "B.T1", "D.P2"])], ()),
+        ([a, b, _chain_unit("D", "y", ["D.P0", "B.T1", "D.P2"])], (("A.T1", "B.T1"),)),
+    ]
+
+
 def test_merge_errors_equal_the_reference():
     units, imap = _pair("msg S -> B : x msg S -> B : y", "msg C -> R : x msg C -> R : y")
     x_a, y_a = [t.id for t in units[0].net.transitions if t.label is not None]
@@ -471,32 +500,7 @@ def test_merge_errors_equal_the_reference():
         (units, ((x_a, x_a),)),
         (units, ((x_a, y_a),)),
     ]
-    # Nets that Tapn.check rejects once merged, or only as a union: a pair
-    # within one unit that shares a place (twice as a normal arc, which
-    # passes, and as a normal and a transport arc), a merged id that names
-    # a place or another transition, two pairs with one merged id, two
-    # units with one place, and a place named as a transition that the
-    # matching renames.
-    a, b = _chain_unit("A", "x"), _chain_unit("B", "x")
-    shared = _chain_unit("C", "x", extra=(Transition("C.T2", "x"),))
-    # The second arc from C.P1 comes first in the unit, so the merged net
-    # lists it first although the union lists it second.
-    twice = shared._replace(net=shared.net._replace(
-        input_arcs=(InputArc("C.P1", "C.T2", tapn.Guard(1, 2)),) + shared.net.input_arcs))
-    moved = shared._replace(net=shared.net._replace(
-        transport_arcs=(TransportArc("C.P1", "C.T2", "C.P0"),)))
-    cases += [
-        ([a, b], (("A.T1", "B.T1"),)),
-        ([twice, b], (("C.T1", "C.T2"),)),
-        ([moved, b], (("C.T1", "C.T2"),)),
-        ([_chain_unit("A", "x", ["A.P0", "A.T1+B.T1", "A.P2"]), b], (("A.T1", "B.T1"),)),
-        ([a, b, _chain_unit("A.T1+B", "y")], (("A.T1", "B.T1"),)),
-        ([_chain_unit(n, "x") for n in ("p", "p.T1+q", "q.T1+r", "r")],
-         (("p.T1+q.T1", "r.T1"), ("p.T1", "q.T1+r.T1"))),
-        ([a, _chain_unit("B", "x", ["B.P0", "B.P1", "A.P2"])], (("A.T1", "B.T1"),)),
-        ([a, b, _chain_unit("D", "y", ["D.P0", "B.T1", "D.P2"])], ()),
-        ([a, b, _chain_unit("D", "y", ["D.P0", "B.T1", "D.P2"])], (("A.T1", "B.T1"),)),
-    ]
+    cases += _clash_cases()
     outcomes = []
     for units, pairs in cases:
         matching = SyncMatching(pairs)
@@ -533,6 +537,64 @@ def test_merge_errors_equal_the_reference():
         ("ValueError", "place and transition ids overlap: {'B.T1'}"),
         "merged",
     ]
+
+
+def _merged_shape(units, pairs):
+    """What ``_Union.fuse`` must give for ``pairs``: the event graph and
+    marked places of their merged net, None where that net is not an
+    ordered marked graph, or ``merge``'s error."""
+    merged = merge(units, SyncMatching(pairs))
+    graph = stp.event_graph(merged.net)
+    marked = None if graph is None else stp.marked_places(graph, merged.net.places,
+                                                           merged.m0, merged.target)
+    if marked is None or not stp.leads_to_target(graph, merged.target):
+        return None
+    return graph, marked
+
+
+def _fuses_as_merged(units, pairs):
+    """``_Union.fuse`` of ``pairs`` is ``_merged_shape``'s; returns it."""
+    want = _outcome(_merged_shape, units, pairs)
+    union = integrate._Union(units)
+    got = _outcome(union.fuse, pairs)
+    assert got == want, pairs
+    if got is not None and not isinstance(got[0], str):
+        assert list(got[0].nodes.items()) == list(want[0].nodes.items()), pairs
+    return got
+
+
+def _self_loop_units():
+    """A.T1 produces A.P2, which B.T1, its partner, consumes: the pair
+    shares a place, yet every place keeps one producer and one consumer."""
+    a = _chain_unit("A", "x")
+    b = TranslationUnit(None, Tapn("B", ("B.P2",), (Transition("B.T1", "x"),),
+                                   (InputArc("A.P2", "B.T1"),),
+                                   (OutputArc("B.T1", "B.P2"),), ()),
+                        {}, {"B.P2": 1}, {})
+    return [a._replace(target={}), b]
+
+
+def test_fuse_on_every_clash_case_equals_the_merged_net():
+    outcomes = []
+    for units, pairs in _clash_cases() + [(_self_loop_units(), (("A.T1", "B.T1"),))]:
+        got = _fuses_as_merged(units, pairs)
+        outcomes.append(got if got is None or isinstance(got[0], str) else "fused")
+    assert outcomes == [
+        "fused",
+        None,  # C.P1 has two consumers: not a marked graph
+        ("ValueError", "C.P1->C.T1+C.T2 is both a normal and a transport arc"),
+        ("ValueError", "place and transition ids overlap: {'A.T1+B.T1'}"),
+        ("ValueError", "duplicate transition ids"),
+        ("ValueError", "duplicate transition ids"),
+        ("ValueError", "duplicate place ids"),
+        ("ValueError", "place and transition ids overlap: {'B.T1'}"),
+        "fused",
+        "fused",  # a self-loop on A.P2: the fused transition never fires
+    ]
+    graph, marked = integrate._Union(_self_loop_units()).fuse((("A.T1", "B.T1"),))
+    assert graph.producer["A.P2"] == graph.consumer["A.P2"] == "A.T1+B.T1"
+    order, _ = stp.graph_order(graph, marked)
+    assert order == ["A.T0"]
 
 
 def _matchings(enumerate, units, imap, policy):
@@ -612,8 +674,8 @@ def test_blocking_labels_equal_the_reference(seed, frontier):
 def _checked(check, units, imap, options):
     try:
         return check(units, imap, **options)
-    except IntegrationError as exc:
-        return str(exc)
+    except (IntegrationError, ValueError) as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
 
 
 def _assert_checks_as_the_reference(units, imap, options):
@@ -630,31 +692,96 @@ _CHECK_OPTIONS = {"policy": ("maximal", "strict"), "require_all": (False, True),
                   "max_matchings": (1, 4, 64)}
 
 
-def _drawn_pair(seed, timing, nest, reverse):
+def _drawn_pair(seed, timing, nest, reverse, clash=0):
     """A generated pair; reversed, each pair's first transition is TB's,
-    so that a fused transition's arcs must be sorted."""
+    so that a fused transition's arcs must be sorted.  ``clash`` 1 or 2
+    makes one pair clash, as ``_with_clash`` does."""
     units, imap = random_diagram_pair(random.Random(seed), timing=timing,
                                       nest_in_timeouts=nest)
-    return units[::-1] if reverse else units, imap
+    units = units[::-1] if reverse else units
+    if clash:
+        units = _with_clash(units, imap, clash, random.Random(seed))
+    return units, imap
+
+
+def _with_clash(units, imap, mode, rnd):
+    """The units with a pair (a, b) of one of their first matchings made
+    to clash.  Mode 1 renames a place to the pair's merged id.  Mode 2
+    repoints one of b's incoming arcs to a place of a: one that a consumes,
+    which then has two consumers, or one that a produces, whose consumer
+    then reads b's old place, so that every place keeps one consumer."""
+    pairs = [p for m in itertools.islice(enumerate_matchings(units, imap), 4) for p in m.pairs]
+    if not pairs:
+        return units
+    a, b = rnd.choice(pairs)
+    if mode == 1:
+        old, new = rnd.choice([p for u in units for p in u.net.places]), "+".join(sorted((a, b)))
+        return [_rename_place(u, old, new) for u in units]
+    consumes, produces = {}, {}
+    for u in units:
+        for x in u.net.input_arcs:
+            consumes.setdefault(x.transition, []).append(x.place)
+        for x in u.net.transport_arcs:
+            consumes.setdefault(x.transition, []).append(x.source)
+            produces.setdefault(x.transition, []).append(x.target)
+        for x in u.net.output_arcs:
+            produces.setdefault(x.transition, []).append(x.place)
+    q = rnd.choice(consumes[b])
+    if rnd.random() < 0.5 or a not in produces:
+        return _repointed(units, {(b, q): rnd.choice(consumes[a])})
+    p = rnd.choice(produces[a])
+    moves = {(b, q): p}
+    moves.update(((t, p), q) for t, places in consumes.items() if p in places)
+    return _repointed(units, moves)
+
+
+def _rename_place(unit, old, new):
+    net = unit.net
+
+    def rename(p):
+        return new if p == old else p
+    return unit._replace(net=net._replace(
+        places=tuple(map(rename, net.places)),
+        input_arcs=tuple(x._replace(place=rename(x.place)) for x in net.input_arcs),
+        output_arcs=tuple(x._replace(place=rename(x.place)) for x in net.output_arcs),
+        transport_arcs=tuple(x._replace(source=rename(x.source), target=rename(x.target))
+                             for x in net.transport_arcs)),
+        m0={rename(p): ages for p, ages in unit.m0.items()},
+        target={rename(p): n for p, n in unit.target.items()})
+
+
+def _repointed(units, moves):
+    """The units with each incoming arc of transition t from place p
+    reading ``moves[t, p]`` instead, where that is given."""
+    def at(t, p):
+        return moves.get((t, p), p)
+    return [u._replace(net=u.net._replace(
+        input_arcs=tuple(x._replace(place=at(x.transition, x.place))
+                         for x in u.net.input_arcs),
+        transport_arcs=tuple(x._replace(source=at(x.transition, x.source))
+                             for x in u.net.transport_arcs))) for u in units]
 
 
 def _check_draw(seed):
     """A generated pair, with or without timing, timeouts nested and the
-    units reversed, and drawn options; the draws ``check_reference``'s
-    sweep makes.  Its largest state bound is 20 000: at the default, the
-    deadlock searches of draw 2947 alone take 49 s on each side."""
+    units reversed, a pair made to clash in a quarter of the draws, and
+    drawn options; the draws ``check_reference``'s sweep makes.  Its
+    largest state bound is 20 000: at the default, the deadlock searches
+    of draw 2947 alone take 49 s on each side."""
     rnd = random.Random(seed)
-    units, imap = _drawn_pair(seed, *(rnd.random() < 0.5 for _ in range(3)))
+    flags = [rnd.random() < 0.5 for _ in range(3)]
     options = {k: rnd.choice(v) for k, v in _CHECK_OPTIONS.items()}
     options["max_states"] = min(options["max_states"], 20_000)
-    return units, imap, options
+    clash = rnd.choice((1, 2)) if rnd.random() < 0.25 else 0
+    return (*_drawn_pair(seed, *flags, clash), options)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans(),
-       st.fixed_dictionaries({k: st.sampled_from(v) for k, v in _CHECK_OPTIONS.items()}))
-def test_check_equals_the_per_matching_reference(seed, timing, nest, reverse, options):
-    _assert_checks_as_the_reference(*_drawn_pair(seed, timing, nest, reverse), options)
+       st.fixed_dictionaries({k: st.sampled_from(v) for k, v in _CHECK_OPTIONS.items()}),
+       st.sampled_from((0, 0, 1, 2)))
+def test_check_equals_the_per_matching_reference(seed, timing, nest, reverse, options, clash):
+    _assert_checks_as_the_reference(*_drawn_pair(seed, timing, nest, reverse, clash), options)
 
 
 def test_check_equals_the_per_matching_reference_on_fixtures():
