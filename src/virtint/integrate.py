@@ -10,7 +10,9 @@ and each merged net is checked for reachability of the union target.
 holds, once per check, the union's net, checked once, and the union's
 event graph (``stp.Graph``) in the merged nets' order; each matching
 fuses its pairs into that graph, with ``merge``'s ids, labels and arc
-order.  ``merge`` builds the merged net itself, for library users.
+order.  Only a matching with a pair that clashes, whose merged net might
+not be its fused graph, has its merged net built and checked.  ``merge``
+builds and checks the merged net itself, for library users.
 
 A merged net is a marked graph, and ``stp.graph_order`` orders its
 transitions; a net it cannot read that way is an internal error.  When
@@ -183,14 +185,12 @@ def _class_options(a: list[str], b: list[str]):
     return (tuple(zip(perm, b)) for perm in itertools.permutations(a, len(b)))
 
 
-# Per table of the union: the net field, its canonical sort key, the
-# indices of the places in a row, and the row renamed to another
-# transition (at half the cost of ``_replace``).
-_TABLES = (("transitions", itemgetter(0), (), None),
-           ("input_arcs", itemgetter(0, 1), (0,),
-            lambda a, tid: InputArc(a.place, tid, a.guard)),
-           ("output_arcs", itemgetter(0, 1), (1,), lambda a, tid: OutputArc(tid, a.place)),
-           ("transport_arcs", itemgetter(0, 1, 2), (0, 2),
+# Per table of the union: the net field, its canonical sort key, and the
+# row renamed to another transition (at half the cost of ``_replace``).
+_TABLES = (("transitions", itemgetter(0), None),
+           ("input_arcs", itemgetter(0, 1), lambda a, tid: InputArc(a.place, tid, a.guard)),
+           ("output_arcs", itemgetter(0, 1), lambda a, tid: OutputArc(tid, a.place)),
+           ("transport_arcs", itemgetter(0, 1, 2),
             lambda a, tid: TransportArc(a.source, tid, a.target, a.guard)))
 
 
@@ -199,8 +199,7 @@ class _Union(tuple):
 
     ``net`` holds the places sorted and, per table, the units' rows
     concatenated in the units' own order; ``merge`` renames and sorts
-    them.  ``places_of`` maps each transition to the places its arcs
-    touch.  ``check_consistency`` decides each matching on ``fuse``'s
+    them.  ``check_consistency`` decides each matching on ``fuse``'s
     event graph and builds the search tables, ``tables``, on its first
     ordering deadlock.
     """
@@ -226,13 +225,8 @@ class _Union(tuple):
         except ValueError:
             self.ok = False  # every merged net is checked, to raise its own error
         self.places = set(places)
-        self.places_of: dict[str, set[str]] = {tid: set() for tid in self.by_tid}
-        for rows, (_, _, place_at, _) in zip(self.net[3:], _TABLES[1:]):
-            for row in rows:
-                self.places_of.setdefault(row.transition, set()).update(row[i] for i in place_at)
         self.m0 = {p: ages for u in self for p, ages in u.m0.items()}
         self.target = {p: n for u in self for p, n in u.target.items()}
-        self.mids: dict[tuple[str, str], tuple[str, bool]] = {}  # pair -> (id, clash)
         self.fused: dict[tuple[str, str], tuple] = {}  # pair -> _fused_node's
         self.tables = None
         return self
@@ -251,90 +245,80 @@ class _Union(tuple):
         tables = [[t for t in transitions if t.id not in rename] + fused]
         tables += [[renamed(r, rename[r.transition]) if r.transition in rename else r
                     for r in rows] for rows, (*_, renamed) in zip(arcs, _TABLES[1:])]
-        for table, (_, key, *_) in zip(tables, _TABLES):
+        for table, (_, key, _) in zip(tables, _TABLES):
             table.sort(key=key)
         return Tapn(self.net.name, self.net.places, *map(tuple, tables))
 
-    def clashes(self, pairs) -> bool:
-        """Whether the merged net of ``pairs`` can fail ``Tapn.check``:
-        where the union passes it, only a pair whose transitions share a
-        place, or a merged id that names a place, a transition or another
-        pair's merged id, can make it fail."""
-        if not self.ok:
-            return True
-        mids = set()
-        for pair in pairs:
-            found = self.mids.get(pair)
-            if found is None:
-                a, b = pair
-                mid = "+".join(sorted(pair))
-                found = self.mids[pair] = (mid, mid in self.by_tid or mid in self.places
-                                           or not self.places_of[a].isdisjoint(self.places_of[b]))
-            if found[1] or found[0] in mids:
-                return True
-            mids.add(found[0])
-        return False
-
     @functools.cached_property
     def graph(self):
-        """The event graph of the merged net of no pair, and its marked
-        places; None when that net is not of ``stp``'s shape.  Fusing
-        keeps the shape, so this decides it for every matching that does
-        not clash."""
-        return _graph(self, self.merged_net(()))
+        """``_shape`` of the merged net of no pair.  Fusing keeps the
+        shape and every causal path, so only where some transition does
+        not lead to the target is a fused graph tested again."""
+        return _shape(self, self.merged_net(()))
 
     def fuse(self, pairs):
         """The event graph of the merged net of ``pairs`` and its marked
         places, or None when that net is not of ``stp``'s shape.
 
-        Where a pair can clash the merged net is built and checked, as
-        ``merge`` does.  Otherwise the union's graph has each pair's nodes
+        Unless a pair clashes, the union's graph has each pair's nodes
         fused into one with ``merge``'s id, label and arc order, and the
         producer and consumer maps renamed: so node numbers, witness
-        tie-breaks and printed ids are the merged net's.
+        tie-breaks and printed ids are the merged net's.  A pair clashes
+        when its merged id names a transition, a place or another pair's
+        merged id; then, and when the union fails ``Tapn.check`` or is not
+        of the shape, the merged net is built and checked, as ``merge``
+        does.  In a union of the shape each place has one producer and one
+        consumer, so a pair can share a place only as a self-loop (a
+        produces what b consumes), which the merged net reads the same way.
         """
-        if self.clashes(pairs):
-            net = self.merged_net(pairs)
-            net.check()
-            return _graph(self, net)
-        if self.graph is None:
-            return None
-        graph, marked = self.graph
-        nodes = graph.nodes
-        producer, consumer = dict(graph.producer), dict(graph.consumer)
-        fused = {}
-        for pair in pairs:
-            found = self.fused.get(pair)
-            if found is None:
-                found = self.fused[pair] = _fused_node(nodes, *pair,
-                                                       self.by_tid[pair[0]].label)
-            mid, node, consumes, produces = found
-            fused[mid] = node
-            consumer.update(consumes)
-            producer.update(produces)
-        renamed = {tid for pair in pairs for tid in pair}
-        ids = [tid for tid in nodes if tid not in renamed]
-        ids += fused
-        ids.sort()
-        return stp.Graph({tid: fused[tid] if tid in fused else nodes[tid] for tid in ids},
-                         producer, consumer, graph.relevant, graph.cmax), marked
+        if self.ok and self.graph:
+            graph, marked, leads = self.graph
+            nodes = graph.nodes
+            producer, consumer = dict(graph.producer), dict(graph.consumer)
+            fused = {}
+            for pair in pairs:
+                found = self.fused.get(pair)
+                if found is None:
+                    found = self.fused[pair] = _fused_node(self, nodes, *pair)
+                mid, node, consumes, produces, clash = found
+                if clash or mid in fused:
+                    break
+                fused[mid] = node
+                consumer.update(consumes)
+                producer.update(produces)
+            else:
+                renamed = {tid for pair in pairs for tid in pair}
+                ids = [tid for tid in nodes if tid not in renamed]
+                ids += fused
+                ids.sort()
+                graph = stp.Graph({tid: fused[tid] if tid in fused else nodes[tid]
+                                   for tid in ids},
+                                  producer, consumer, graph.relevant, graph.cmax)
+                return (graph, marked) if leads or stp.leads_to_target(
+                    graph, self.target) else None
+        net = self.merged_net(pairs)
+        net.check()
+        found = _shape(self, net)
+        return found[:2] if found and found[2] else None
 
 
-def _graph(union: _Union, net: Tapn):
-    """(The event graph of a merged net of ``union``, its marked places),
-    or None when the net is not of ``stp``'s shape."""
+def _shape(union: _Union, net: Tapn):
+    """(The event graph of a merged net of ``union``, its marked places,
+    whether every transition leads to the target), or None when the net
+    breaks ``stp``'s shape otherwise."""
     graph = stp.event_graph(net)
     marked = None if graph is None else stp.marked_places(graph, net.places, union.m0,
                                                            union.target)
-    if marked is None or not stp.leads_to_target(graph, union.target):
+    if marked is None:
         return None
-    return graph, marked
+    return graph, marked, stp.leads_to_target(graph, union.target)
 
 
-def _fused_node(nodes, a: str, b: str, label: str):
-    """(``a+b``, the node of a and b fused, and the consumer and producer
-    entries that rename them) in a marked graph, where no two of their arcs
-    share a key, so that sorting by key gives ``merge``'s order."""
+def _fused_node(union: _Union, nodes, a: str, b: str):
+    """(``a+b``, the node of a and b fused, the consumer and producer
+    entries that rename them, whether ``a+b`` names a transition or a
+    place) in a marked graph, where no two of their arcs share a key, so
+    that sorting by key gives ``merge``'s order."""
     mid = "+".join(sorted((a, b)))
     normal, transport = [], []
     for arc in nodes[a].arcs + nodes[b].arcs:
@@ -345,10 +329,11 @@ def _fused_node(nodes, a: str, b: str, label: str):
     normal.sort(key=_TABLES[1][1])
     transport.sort(key=_TABLES[3][1])
     outputs = sorted(nodes[a].outputs + nodes[b].outputs)
-    node = stp.Node(label, normal + transport, outputs,
+    node = stp.Node(union.by_tid[a].label, normal + transport, outputs,
                     [x.place for x in normal] + [x.source for x in transport],
                     outputs + [x.target for x in transport])
-    return mid, node, dict.fromkeys(node.inputs, mid), dict.fromkeys(node.produces, mid)
+    return (mid, node, dict.fromkeys(node.inputs, mid), dict.fromkeys(node.produces, mid),
+            mid in union.by_tid or mid in union.places)
 
 
 def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUnit:
@@ -359,8 +344,8 @@ def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUn
     table is sorted stably by its canonical key (elements by id).  So the
     merge order of the units does not matter, and rows that the renaming
     makes equal keep the units' order.  ``units`` may be a list, or a
-    ``_Union``.  ``check_consistency`` does not merge: it decides each
-    matching on ``_Union.fuse``'s graph.
+    ``_Union``; the merged net is always checked.  ``check_consistency``
+    does not merge: it decides each matching on ``_Union.fuse``'s graph.
     """
     union = units if isinstance(units, _Union) else _Union(units)
     by_tid = union.by_tid
@@ -377,8 +362,7 @@ def merge(units: list[TranslationUnit], matching: SyncMatching) -> TranslationUn
     if len(used) != len(set(used)):
         raise IntegrationError("matching is not injective: %s" % sorted(used))
     net = union.merged_net(matching.pairs)
-    if union.clashes(matching.pairs):
-        net.check()
+    net.check()
     return TranslationUnit(tcsd=None, net=net, m0=dict(union.m0),
                            target=dict(union.target), event_map={})
 

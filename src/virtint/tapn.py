@@ -42,10 +42,11 @@ very witness this search returns.  In ``check`` the search runs only for
 an ordering deadlock, a net with an incomplete causal order, to find the
 dead markings behind its ``blocking`` labels; it never sets a status,
 and it takes no delay bound: ``check`` compares ``--max-delay`` with
-the earliest schedule.  ``search`` is the one search loop:
-``reachable`` compiles a net and runs it, and ``check`` runs it on the
-union's ``SearchTables`` with a matching's pairs fused, which equal the
-merged net's compiled tables.
+the earliest schedule.  ``search`` is the one search loop, and
+``SearchTables.search_net`` the one way to compile a net for it:
+``reachable`` compiles a net's own tables and transitions, and
+``check`` the union's tables with a matching's pairs fused, which equal
+the merged net's.
 ``age_relevant`` is the one rule, shared with ``stp``, for which consumed
 ages a witness records.
 """
@@ -418,10 +419,11 @@ _AGE_0 = (0,)
 
 class SearchTables:
     """What a search reads of a net's places, guards and target, and a
-    memo of per-transition rows, shared by the ``_SearchNet`` made from
-    them.
+    memo of per-transition rows; ``search_net`` compiles transitions with
+    them into a ``_SearchNet``.
 
-    ``reachable`` makes one per search.  ``integrate`` makes one per check
+    ``reachable`` makes one per search and compiles the net's transitions
+    as ``transition_arcs`` reads them.  ``integrate`` makes one per check
     for the union of its units, on the first ordering deadlock, and a
     search net per deadlock from the event graph with that matching's
     pairs fused: fusing renames transitions but adds no place, arc or
@@ -471,9 +473,7 @@ class SearchTables:
         """The search net of the transitions ``nodes``, in index order:
         transition id -> (label, incoming arcs, normal output places, ...),
         as ``stp.Graph.nodes`` holds them."""
-        sn = _SearchNet.__new__(_SearchNet)
-        sn._compile(self, nodes)
-        return sn
+        return _SearchNet(self, nodes)
 
 
 class _SearchNet:
@@ -484,13 +484,7 @@ class _SearchNet:
     store age 0).  Shapes are interned per search in ``shapes``.
     """
 
-    def __init__(self, net: Tapn, target: TargetSpec):
-        incoming, outputs = transition_arcs(net)
-        tables = SearchTables(net.places, age_relevant(net), max_guard_constant(net), target)
-        self._compile(tables, {t.id: (t.label, incoming[t.id], outputs[t.id])
-                               for t in net.transitions})
-
-    def _compile(self, tables: SearchTables, nodes):
+    def __init__(self, tables: SearchTables, nodes):
         self.places, self.pidx, self.goal = tables.places, tables.pidx, tables.goal
         self.cmax = tables.cmax
         self.cap = self.cmax + 1
@@ -657,7 +651,10 @@ def reachable(net: Tapn, m0: Marking, target: TargetSpec,
     for p in target:
         if p not in net.places:
             raise ValueError("target names unknown place %r" % p)
-    return search(_SearchNet(net, target), m0, max_states)
+    incoming, outputs = transition_arcs(net)
+    tables = SearchTables(net.places, age_relevant(net), max_guard_constant(net), target)
+    return search(tables.search_net({t.id: (t.label, incoming[t.id], outputs[t.id])
+                                     for t in net.transitions}), m0, max_states)
 
 
 def search(sn: _SearchNet, m0: Marking, max_states: int = 1_000_000) -> ReachResult:

@@ -11,7 +11,7 @@ import check_reference
 import merge_reference
 from conftest import FIXTURES, load_arch, load_tcsd
 from gen import random_diagram_pair, random_merged_units
-from test_stp import _window_pair
+from test_stp import _search_net, _window_pair
 from virtint import integrate, model, parser, stp, tapn, translate
 from virtint.integrate import (IntegrationError, SyncMatching, build_instance_map,
                                check_consistency, enumerate_matchings, merge)
@@ -553,14 +553,19 @@ def _merged_shape(units, pairs):
 
 
 def _fuses_as_merged(units, pairs):
-    """``_Union.fuse`` of ``pairs`` is ``_merged_shape``'s; returns it."""
+    """``_Union.fuse`` of ``pairs`` is ``_merged_shape``'s; returns it and
+    whether ``fuse`` built the merged net."""
     want = _outcome(_merged_shape, units, pairs)
     union = integrate._Union(units)
+    if union.ok:
+        union.graph  # read off the merged net of no pair, once
+    built, merged_net = [], union.merged_net
+    union.merged_net = lambda pairs: built.append(pairs) or merged_net(pairs)
     got = _outcome(union.fuse, pairs)
     assert got == want, pairs
     if got is not None and not isinstance(got[0], str):
         assert list(got[0].nodes.items()) == list(want[0].nodes.items()), pairs
-    return got
+    return got, bool(built)
 
 
 def _self_loop_units():
@@ -575,12 +580,11 @@ def _self_loop_units():
 
 
 def test_fuse_on_every_clash_case_equals_the_merged_net():
-    outcomes = []
-    for units, pairs in _clash_cases() + [(_self_loop_units(), (("A.T1", "B.T1"),))]:
-        got = _fuses_as_merged(units, pairs)
-        outcomes.append(got if got is None or isinstance(got[0], str) else "fused")
-    assert outcomes == [
-        "fused",
+    loop = (_self_loop_units(), (("A.T1", "B.T1"),))
+    found = [_fuses_as_merged(*case) for case in _clash_cases() + [loop]]
+    assert [got if got is None or isinstance(got[0], str) else "graph"
+            for got, _ in found] == [
+        "graph",
         None,  # C.P1 has two consumers: not a marked graph
         ("ValueError", "C.P1->C.T1+C.T2 is both a normal and a transport arc"),
         ("ValueError", "place and transition ids overlap: {'A.T1+B.T1'}"),
@@ -588,13 +592,43 @@ def test_fuse_on_every_clash_case_equals_the_merged_net():
         ("ValueError", "duplicate transition ids"),
         ("ValueError", "duplicate place ids"),
         ("ValueError", "place and transition ids overlap: {'B.T1'}"),
-        "fused",
-        "fused",  # a self-loop on A.P2: the fused transition never fires
+        "graph",
+        "graph",  # a self-loop on A.P2: the fused transition never fires
     ]
-    graph, marked = integrate._Union(_self_loop_units()).fuse((("A.T1", "B.T1"),))
+    # Only a clash, a union that fails Tapn.check or one not of stp's
+    # shape builds the merged net; the self-loop is fused on the graph.
+    assert [built for _, built in found] == [False] + [True] * 8 + [False]
+    graph, marked = found[-1][0]
     assert graph.producer["A.P2"] == graph.consumer["A.P2"] == "A.T1+B.T1"
     order, _ = stp.graph_order(graph, marked)
     assert order == ["A.T0"]
+
+
+def test_a_transition_may_lead_to_the_target_only_through_its_partner(monkeypatch):
+    # A.t consumes its marked place and produces nothing, so alone it has
+    # no causal path to a target place; fused with B.t it has B.t's.
+    a = TranslationUnit(None, Tapn("A", ("A.p0",), (Transition("A.t", "m"),),
+                                   (InputArc("A.p0", "A.t"),), (), ()),
+                        {"A.p0": (0,)}, {}, {})
+    b = TranslationUnit(None, Tapn("B", ("B.p0", "B.p1"), (Transition("B.t", "m"),),
+                                   (InputArc("B.p0", "B.t"),), (OutputArc("B.t", "B.p1"),),
+                                   ()),
+                        {"B.p0": (0,)}, {"B.p1": 1}, {})
+    pairs = (("A.t", "B.t"),)
+    merged = merge([a, b], SyncMatching(pairs))
+    assert stp.causal_order(merged.net, merged.m0, merged.target)[0] == ["A.t+B.t"]
+    assert tapn.reachable(merged.net, merged.m0, merged.target).verdict == tapn.REACHABLE
+    assert integrate._Union([a, b]).fuse(()) is None
+    (graph, marked), built = _fuses_as_merged([a, b], pairs)
+    assert list(graph.nodes) == ["A.t+B.t"] and marked == {"A.p0", "B.p0"} and not built
+    # So check decides the matching instead of calling it an internal error.
+    imap = integrate.InstanceMap({}, {"A": "CA", "B": "CB"})
+    for module in (integrate, check_reference):
+        monkeypatch.setattr(module, "enumerate_matchings",
+                            lambda *args: iter([SyncMatching(pairs)]))
+    report = _assert_checks_as_the_reference([a, b], imap, {})
+    assert [(v.status, v.witness) for v in report.verdicts] == [
+        ("consistent", [TraceStep(0, "A.t+B.t", "m", (("A.p0", None), ("B.p0", None)))])]
 
 
 def _matchings(enumerate, units, imap, policy):
@@ -647,10 +681,10 @@ def test_the_union_is_checked_once_per_check(monkeypatch):
     # Each matching is decided on the union's graph with its pairs fused:
     # no merge, and no merged net to check again.
     assert merges == []
-    # A merge from a list checks its own union, once.
+    # A merge from a list checks its own union, then its merged net.
     checks.clear()
     merge(units, report.verdicts[0].matching)
-    assert checks == ["TA+TB"]
+    assert checks == ["TA+TB", "TA+TB"]
 
 
 _markings = st.dictionaries(st.sampled_from(range(12)),
@@ -706,10 +740,11 @@ def _drawn_pair(seed, timing, nest, reverse, clash=0):
 
 def _with_clash(units, imap, mode, rnd):
     """The units with a pair (a, b) of one of their first matchings made
-    to clash.  Mode 1 renames a place to the pair's merged id.  Mode 2
-    repoints one of b's incoming arcs to a place of a: one that a consumes,
-    which then has two consumers, or one that a produces, whose consumer
-    then reads b's old place, so that every place keeps one consumer."""
+    to clash or to share a place.  Mode 1 renames a place to the pair's
+    merged id.  Mode 2 repoints one of b's incoming arcs to a place of a:
+    one that a consumes, which then has two consumers, or one that a
+    produces, whose consumer then reads b's old place, so that every place
+    keeps one consumer and the pair is a self-loop."""
     pairs = [p for m in itertools.islice(enumerate_matchings(units, imap), 4) for p in m.pairs]
     if not pairs:
         return units
@@ -717,21 +752,14 @@ def _with_clash(units, imap, mode, rnd):
     if mode == 1:
         old, new = rnd.choice([p for u in units for p in u.net.places]), "+".join(sorted((a, b)))
         return [_rename_place(u, old, new) for u in units]
-    consumes, produces = {}, {}
-    for u in units:
-        for x in u.net.input_arcs:
-            consumes.setdefault(x.transition, []).append(x.place)
-        for x in u.net.transport_arcs:
-            consumes.setdefault(x.transition, []).append(x.source)
-            produces.setdefault(x.transition, []).append(x.target)
-        for x in u.net.output_arcs:
-            produces.setdefault(x.transition, []).append(x.place)
-    q = rnd.choice(consumes[b])
-    if rnd.random() < 0.5 or a not in produces:
-        return _repointed(units, {(b, q): rnd.choice(consumes[a])})
-    p = rnd.choice(produces[a])
+    graph = stp.event_graph(integrate._Union(units).net)
+    q = rnd.choice(graph.nodes[b].inputs)
+    if rnd.random() < 0.5 or not graph.nodes[a].produces:
+        return _repointed(units, {(b, q): rnd.choice(graph.nodes[a].inputs)})
+    p = rnd.choice(graph.nodes[a].produces)
     moves = {(b, q): p}
-    moves.update(((t, p), q) for t, places in consumes.items() if p in places)
+    if p in graph.consumer:
+        moves[graph.consumer[p], p] = q
     return _repointed(units, moves)
 
 
@@ -815,7 +843,7 @@ def _assert_fuses_as_merged(units, matchings):
             tables = tapn.SearchTables(union.net.places, graph.relevant, graph.cmax,
                                        union.target)
         assert vars(tables.search_net(graph.nodes)) \
-            == vars(tapn._SearchNet(merged.net, merged.target))
+            == vars(_search_net(merged.net, merged.target))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

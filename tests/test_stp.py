@@ -38,6 +38,16 @@ def _search(net, m0, target, max_total_delay):
     return tapn_reference.reachable(net, m0, target, max_total_delay=max_total_delay)
 
 
+def _search_net(net, target):
+    """The search net ``tapn.reachable`` compiles for a net: its tables,
+    and one node per transition from ``transition_arcs``."""
+    incoming, outputs = tapn.transition_arcs(net)
+    tables = tapn.SearchTables(net.places, tapn.age_relevant(net),
+                               tapn.max_guard_constant(net), target)
+    return tables.search_net({t.id: (t.label, incoming[t.id], outputs[t.id])
+                              for t in net.transitions})
+
+
 @_SETTINGS
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(1, 5), st.integers(2, 7),
        _BOUNDS, _DELAYS)
@@ -252,7 +262,7 @@ def test_fixture_classifications_need_no_second_search(monkeypatch):
             report = integrate.check_consistency(units, imap, **bounds)
             merged = [integrate.merge(units, v.matching) for v in report.verdicts
                       if v.states_explored]
-            assert searched == [vars(tapn._SearchNet(m.net, m.target)) for m in merged]
+            assert searched == [vars(_search_net(m.net, m.target)) for m in merged]
             for m in merged:
                 order, _ = stp.causal_order(m.net, m.m0, m.target)
                 assert len(order) < len(m.net.transitions), "a complete order was searched"
@@ -444,9 +454,15 @@ def test_broken_preconditions_are_internal_errors(monkeypatch, capsys):
         monkeypatch.setattr(cli.translate, "translate", broken)
         broken_units = [broken(u.tcsd) for u in units]
         assert [m.pairs for m in integrate.enumerate_matchings(broken_units, imap)] == [()]
-        # The union passes Tapn.check, and its graph is refused once.
+        # The union passes Tapn.check, and its graph is refused once; one
+        # whose only fault is a transition with no causal path to the target
+        # is kept, for a fused pair may add that path, and refused per matching.
         union = integrate._Union(broken_units)
-        assert union.ok and union.graph is None and union.fuse(()) is None, name
+        assert union.ok and union.fuse(()) is None, name
+        if name == "transition without a path to the target":
+            assert union.graph[2] is False
+        else:
+            assert union.graph is None, name
         with pytest.raises(integrate.IntegrationError, match="^internal error: "):
             integrate.check_consistency(broken_units, imap)
         capsys.readouterr()
