@@ -251,10 +251,10 @@ class _Union(tuple):
 
     @functools.cached_property
     def graph(self):
-        """``_shape`` of the merged net of no pair.  Fusing keeps the
-        shape and every causal path, so only where some transition does
-        not lead to the target is a fused graph tested again."""
-        return _shape(self, self.merged_net(()))
+        """``stp.read_net`` of the merged net of no pair.  Fusing keeps
+        the shape and every causal path, so only where some transition
+        does not lead to the target is a fused graph tested again."""
+        return stp.read_net(self.merged_net(()), self.m0, self.target)
 
     def fuse(self, pairs):
         """The event graph of the merged net of ``pairs`` and its marked
@@ -270,6 +270,12 @@ class _Union(tuple):
         does.  In a union of the shape each place has one producer and one
         consumer, so a pair can share a place only as a self-loop (a
         produces what b consumes), which the merged net reads the same way.
+
+        Translated units never take the merged-net route: each of their
+        ids is a diagram name and ``P`` or ``T`` with a number, words
+        joined by ``.``, while a merged id contains ``+``.  So a merged id
+        names no translated transition or place, and distinct pairs get
+        distinct ids.  The route serves hand-built units.
         """
         if self.ok and self.graph:
             graph, marked, leads = self.graph
@@ -298,20 +304,8 @@ class _Union(tuple):
                     graph, self.target) else None
         net = self.merged_net(pairs)
         net.check()
-        found = _shape(self, net)
+        found = stp.read_net(net, self.m0, self.target)
         return found[:2] if found and found[2] else None
-
-
-def _shape(union: _Union, net: Tapn):
-    """(The event graph of a merged net of ``union``, its marked places,
-    whether every transition leads to the target), or None when the net
-    breaks ``stp``'s shape otherwise."""
-    graph = stp.event_graph(net)
-    marked = None if graph is None else stp.marked_places(graph, net.places, union.m0,
-                                                           union.target)
-    if marked is None:
-        return None
-    return graph, marked, stp.leads_to_target(graph, union.target)
 
 
 def _fused_node(union: _Union, nodes, a: str, b: str):

@@ -25,18 +25,17 @@ transition index, is the least (delay, transition) sequence to the
 target, which is the witness the breadth-first search returns.  When
 they are infeasible, no firing times reach the target although every
 transition can be ordered: a timing conflict, found without a search.
-``constraints`` builds them once, and ``earliest_times`` solves them.
+``graph_constraints`` builds them once, and ``earliest_times`` solves them.
 Every run fires every transition, so the last time of the earliest
 schedule is the least total delay of any run.  The bounds are integers,
 so the discrete-time answer is the dense-time one.  Their cost does not
 depend on the size of the guard constants, so, unlike the search, they
 need no limit on them.
 
-Every function reads an event graph (``Graph``): per transition its
-incoming arcs and output places, and each place's producer and
-consumer.  ``event_graph`` reads one off a net, and ``integrate`` fuses
-a matching's pairs into the union's; ``causal_order``, ``constraints``
-and ``earliest_witness`` are the graph functions on a net's graph.
+The other functions read an event graph (``Graph``): per transition
+its incoming arcs and output places, and each place's producer and
+consumer.  ``read_net`` reads one off a net, with its marked places, and
+``integrate`` fuses a matching's pairs into the union's.
 """
 
 from __future__ import annotations
@@ -69,9 +68,13 @@ class Graph(NamedTuple):
     cmax: int  # ``tapn.max_guard_constant``
 
 
-def event_graph(net: Tapn) -> Graph | None:
-    """The net's event graph, or None when some place has two producing
-    or two consuming arcs."""
+def read_net(net: Tapn, m0: Marking, target: TargetSpec):
+    """(The net's event graph, the places ``m0`` marks, whether every
+    transition ``leads_to_target``), or None when the net, ``m0`` or
+    ``target`` breaks the shape above otherwise: a place with two
+    producing or two consuming arcs, more than one token in a place, a
+    token on a produced place, or a target other than one token on each
+    place that nothing consumes and something produces or marks."""
     rows = {t.id: ([], [], [], []) for t in net.transitions}  # Node's lists
     producer, consumer = {}, {}
     for a in net.input_arcs:
@@ -94,27 +97,20 @@ def event_graph(net: Tapn) -> Graph | None:
     if (len(consumer) != len(net.input_arcs) + moved
             or len(producer) != len(net.output_arcs) + moved):
         return None
-    return Graph({t.id: Node(t.label, *rows[t.id]) for t in net.transitions}, producer,
-                 consumer, tapn.age_relevant(net), tapn.max_guard_constant(net))
-
-
-def marked_places(graph: Graph, places, m0: Marking, target: TargetSpec) -> set | None:
-    """The places ``m0`` marks, or None when ``m0`` or ``target`` breaks
-    the shape above: more than one token in a place, a token on a
-    produced place, or a target other than one token on each place that
-    nothing consumes and something produces or marks."""
     marked = set()
     for place, ages in m0.items():
-        if len(ages) > 1 or (ages and place in graph.producer):
+        if len(ages) > 1 or (ages and place in producer):
             return None
         if ages:
             marked.add(place)
-    final = {p for p in places
-             if p not in graph.consumer and (p in graph.producer or p in marked)}
+    final = {p for p in net.places
+             if p not in consumer and (p in producer or p in marked)}
     if any(n not in (0, 1) for n in target.values()) or \
             {p for p, n in target.items() if n} != final:
         return None
-    return marked
+    graph = Graph({t.id: Node(t.label, *rows[t.id]) for t in net.transitions}, producer,
+                  consumer, tapn.age_relevant(net), tapn.max_guard_constant(net))
+    return graph, marked, leads_to_target(graph, target)
 
 
 def leads_to_target(graph: Graph, target: TargetSpec) -> bool:
@@ -134,7 +130,7 @@ def leads_to_target(graph: Graph, target: TargetSpec) -> bool:
 
 def graph_order(graph: Graph, marked: set):
     """(transitions in a causal order, each one's causes) of a graph whose
-    ``marked_places`` are ``marked``.
+    marked places are ``marked``.
 
     The order lists only the transitions Kahn's algorithm can order; a
     transition's causes are the producers of its unmarked input places
@@ -157,16 +153,6 @@ def graph_order(graph: Graph, marked: set):
     return order, causes
 
 
-def causal_order(net: Tapn, m0: Marking, target: TargetSpec):
-    """``graph_order`` of a net of the shape above, or None when the net
-    is not one."""
-    graph = event_graph(net)
-    marked = None if graph is None else marked_places(graph, net.places, m0, target)
-    if marked is None or not leads_to_target(graph, target):
-        return None
-    return graph_order(graph, marked)
-
-
 class Constraints(NamedTuple):
     """A marked graph's difference constraints: t_v >= t_u + c per edge
     (u, v, c) over node 0, time 0, and nodes 1.. , the transitions in net
@@ -176,7 +162,6 @@ class Constraints(NamedTuple):
     node: dict  # transition -> node
     reads: dict  # per transition (place, origin node, age there) per input
     causes: dict
-    cmax: int
 
 
 def graph_constraints(graph: Graph, m0: Marking, found) -> Constraints:
@@ -206,12 +191,7 @@ def graph_constraints(graph: Graph, m0: Marking, found) -> Constraints:
                 origin[arc.target], made[arc.target] = (o, a0), v
         for p in n.outputs:
             origin[p], made[p] = (v, 0), v
-    return Constraints(edges, node, reads, causes, graph.cmax)
-
-
-def constraints(net: Tapn, m0: Marking, found) -> Constraints:
-    """``graph_constraints`` of a net whose ``causal_order`` is ``found``."""
-    return graph_constraints(event_graph(net), m0, found)
+    return Constraints(edges, node, reads, causes)
 
 
 def earliest_times(cons: Constraints) -> list[int] | None:
@@ -233,32 +213,25 @@ def earliest_times(cons: Constraints) -> list[int] | None:
 
 def graph_witness(graph: Graph, cons: Constraints, t: list[int]) -> list[TraceStep]:
     """The witness ``tapn.reachable`` returns, from the ``earliest_times``
-    ``t`` of the graph's constraints."""
-    relevant = graph.relevant
-    node = cons.node
-    after: dict[str, list[str]] = {tid: [] for tid in cons.causes}
-    waiting = {}
-    for tid, cs in cons.causes.items():
-        waiting[tid] = len(cs)
-        for c in cs:
-            after[c].append(tid)
+    ``t`` of the graph's constraints: ``graph_order``'s walk, taking the
+    ready transitions by (time, node)."""
+    nodes, consumer, relevant = graph.nodes, graph.consumer, graph.relevant
+    node, cap = cons.node, graph.cmax + 1
+    waiting = {tid: len(cs) for tid, cs in cons.causes.items()}
     heap = [(t[node[tid]], node[tid], tid) for tid, n in waiting.items() if not n]
     heapq.heapify(heap)
     trace: list[TraceStep] = []
     now = 0
     while heap:
         x, v, tid = heapq.heappop(heap)
-        trace.append(TraceStep(x - now, tid, graph.nodes[tid].label, tuple(
-            (p, min(a0 + x - t[o], cons.cmax + 1) if p in relevant else None)
+        trace.append(TraceStep(x - now, tid, nodes[tid].label, tuple(
+            (p, min(a0 + x - t[o], cap) if p in relevant else None)
             for p, o, a0 in cons.reads[tid])))
         now = x
-        for nxt in after[tid]:
-            waiting[nxt] -= 1
-            if not waiting[nxt]:
-                heapq.heappush(heap, (t[node[nxt]], node[nxt], nxt))
+        for p in nodes[tid].produces:
+            nxt = consumer.get(p)
+            if nxt is not None:
+                waiting[nxt] -= 1
+                if not waiting[nxt]:
+                    heapq.heappush(heap, (t[node[nxt]], node[nxt], nxt))
     return trace
-
-
-def earliest_witness(net: Tapn, cons: Constraints, t: list[int]) -> list[TraceStep]:
-    """``graph_witness`` of a net whose ``constraints`` are ``cons``."""
-    return graph_witness(event_graph(net), cons, t)

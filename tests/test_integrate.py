@@ -544,12 +544,8 @@ def _merged_shape(units, pairs):
     marked places of their merged net, None where that net is not an
     ordered marked graph, or ``merge``'s error."""
     merged = merge(units, SyncMatching(pairs))
-    graph = stp.event_graph(merged.net)
-    marked = None if graph is None else stp.marked_places(graph, merged.net.places,
-                                                           merged.m0, merged.target)
-    if marked is None or not stp.leads_to_target(graph, merged.target):
-        return None
-    return graph, marked
+    found = stp.read_net(merged.net, merged.m0, merged.target)
+    return found[:2] if found and found[2] else None
 
 
 def _fuses_as_merged(units, pairs):
@@ -616,7 +612,8 @@ def test_a_transition_may_lead_to_the_target_only_through_its_partner(monkeypatc
                         {"B.p0": (0,)}, {"B.p1": 1}, {})
     pairs = (("A.t", "B.t"),)
     merged = merge([a, b], SyncMatching(pairs))
-    assert stp.causal_order(merged.net, merged.m0, merged.target)[0] == ["A.t+B.t"]
+    graph, marked, leads = stp.read_net(merged.net, merged.m0, merged.target)
+    assert leads and stp.graph_order(graph, marked)[0] == ["A.t+B.t"]
     assert tapn.reachable(merged.net, merged.m0, merged.target).verdict == tapn.REACHABLE
     assert integrate._Union([a, b]).fuse(()) is None
     (graph, marked), built = _fuses_as_merged([a, b], pairs)
@@ -699,7 +696,7 @@ def test_blocking_labels_equal_the_reference(seed, frontier):
         places = net.places
         dead = [{places[i % len(places)]: ages for i, ages in m.items()} for m in frontier]
         res = tapn.reachable(net, merged.m0, merged.target, max_states=2000)
-        graph = stp.event_graph(net)
+        graph, _, _ = stp.read_net(net, merged.m0, merged.target)
         for markings in (dead, res.frontier, res.frontier + dead):
             assert (integrate._blocking_labels(graph, markings)
                     == merge_reference._blocking_labels(net, markings))
@@ -752,7 +749,8 @@ def _with_clash(units, imap, mode, rnd):
     if mode == 1:
         old, new = rnd.choice([p for u in units for p in u.net.places]), "+".join(sorted((a, b)))
         return [_rename_place(u, old, new) for u in units]
-    graph = stp.event_graph(integrate._Union(units).net)
+    union = integrate._Union(units)
+    graph, _, _ = stp.read_net(union.net, union.m0, union.target)
     q = rnd.choice(graph.nodes[b].inputs)
     if rnd.random() < 0.5 or not graph.nodes[a].produces:
         return _repointed(units, {(b, q): rnd.choice(graph.nodes[a].inputs)})
@@ -790,18 +788,32 @@ def _repointed(units, moves):
                              for x in u.net.transport_arcs))) for u in units]
 
 
+def _balanced(units, imap):
+    """Whether ``strict`` accepts the units' occurrence counts."""
+    try:
+        next(enumerate_matchings(units, imap, "strict"))
+    except IntegrationError:
+        return False
+    return True
+
+
 def _check_draw(seed):
     """A generated pair, with or without timing, timeouts nested and the
     units reversed, a pair made to clash in a quarter of the draws, and
-    drawn options; the draws ``check_reference``'s sweep makes.  Its
-    largest state bound is 20 000: at the default, the deadlock searches
-    of draw 2947 alone take 49 s on each side."""
+    drawn options; the draws ``check_reference``'s sweep makes.  The
+    policy is strict only for a pair whose occurrence counts balance:
+    strict refuses most generated pairs before any matching.  The largest
+    state bound is 20 000: at the default, the deadlock searches of draw
+    2947 alone take 49 s on each side."""
     rnd = random.Random(seed)
     flags = [rnd.random() < 0.5 for _ in range(3)]
     options = {k: rnd.choice(v) for k, v in _CHECK_OPTIONS.items()}
     options["max_states"] = min(options["max_states"], 20_000)
     clash = rnd.choice((1, 2)) if rnd.random() < 0.25 else 0
-    return (*_drawn_pair(seed, *flags, clash), options)
+    units, imap = _drawn_pair(seed, *flags, clash)
+    if options["policy"] == "strict" and not _balanced(units, imap):
+        options["policy"] = "maximal"
+    return units, imap, options
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -826,6 +838,61 @@ def test_check_equals_the_per_matching_reference_on_fixtures():
     assert statuses == {"consistent", "ordering-deadlock", "timing-conflict", "bound-exceeded"}
 
 
+def _deadlock_searches(units, imap, options, cap):
+    """Per ordering deadlock among the check's matchings: (the transitions
+    ``stp.graph_order`` orders, the search on every node of the fused
+    graph, the search on the ordered ones alone), under ``max_states``
+    capped at ``cap``; none for a check that ends in an error."""
+    try:
+        matchings = itertools.islice(enumerate_matchings(units, imap, options["policy"]),
+                                     options["max_matchings"])
+        union = integrate._Union(units)
+        fused = [union.fuse(m.pairs) for m in matchings]
+    except (IntegrationError, ValueError):
+        return []
+    if None in fused:
+        return []
+    found = []
+    for graph, marked in fused:
+        order, _ = stp.graph_order(graph, marked)
+        if len(order) == len(graph.nodes):
+            continue
+        if union.tables is None:
+            union.tables = tapn.SearchTables(union.net.places, graph.relevant, graph.cmax,
+                                             union.target)
+        ordered = frozenset(order)
+        bound = min(options["max_states"], cap)
+        found.append((ordered, *(
+            tapn.search(union.tables.search_net(nodes), union.m0, max_states=bound)
+            for nodes in (graph.nodes, {tid: n for tid, n in graph.nodes.items()
+                                        if tid in ordered}))))
+    return found
+
+
+def test_a_deadlock_search_reads_only_the_ordered_transitions():
+    # A transition that Kahn's algorithm cannot order never fires, so a
+    # deadlock's search on the ordered transitions alone gives the
+    # verdict, dead markings and state count of the search on the whole
+    # fused graph; and the deadlocks of one check whose ordered sets are
+    # equal get equal ones.  One search per ordered set, shared across a
+    # check's matchings, rests on this.
+    [twice] = [pair for pair in _fixture_sets() if pair[0][0].name == "TC_TwiceA"]
+    cases = [_check_draw(seed) for seed in range(800)]
+    cases.append((*twice, dict(policy="maximal", max_matchings=64, max_states=1_000_000)))
+    searches, repeats, verdicts = 0, 0, set()
+    for units, imap, options in cases:
+        seen = {}
+        for ordered, whole, alone in _deadlock_searches(units, imap, options, 1000):
+            got = (whole.verdict, whole.frontier, whole.states_explored)
+            assert got == (alone.verdict, alone.frontier, alone.states_explored), options
+            repeats += ordered in seen
+            assert seen.setdefault(ordered, got[1:]) == got[1:], options
+            searches += 1
+            verdicts.add(whole.verdict)
+    assert verdicts == {tapn.UNREACHABLE, tapn.BOUND_EXCEEDED}
+    assert searches >= 100 and repeats >= 40, (searches, repeats)
+
+
 def _assert_fuses_as_merged(units, matchings):
     """One union and one set of search tables serve every matching, and
     both equal what the merged net of the matching gives, field for field."""
@@ -834,11 +901,10 @@ def _assert_fuses_as_merged(units, matchings):
     for matching in matchings:
         graph, marked = union.fuse(matching.pairs)
         merged = merge(union, matching)
-        want = stp.event_graph(merged.net)
+        want, want_marked, _ = stp.read_net(merged.net, merged.m0, merged.target)
         assert list(graph.nodes.items()) == list(want.nodes.items())
         assert graph == want
-        assert marked == stp.marked_places(want, merged.net.places, merged.m0,
-                                           merged.target)
+        assert marked == want_marked
         if tables is None:
             tables = tapn.SearchTables(union.net.places, graph.relevant, graph.cmax,
                                        union.target)

@@ -8,7 +8,8 @@ import validate_reference
 from clause_fixtures import all_clause_cases, overlapping_fragments, owner_index_cases
 from conftest import FIXTURES
 from gen import mutated_diagram, random_tcsd_source, reordered_fragments
-from virtint import model, parser, stp, translate
+from test_stp import _read
+from virtint import model, parser, translate
 from virtint.model import (Event, Fragment, Message, Operand, PartitionLine,
                            SequenceDiagram, Tcsd, Timeout, Violation)
 
@@ -530,8 +531,8 @@ def test_translation_rules_are_validate_clauses(rule):
     checked = model.validate(good)
     assert checked.ok, checked.violations
     unit = translate.translate(checked.tcsd, checked.regions)
-    found = stp.causal_order(unit.net, unit.m0, unit.target)
-    assert found is not None and len(found[0]) == len(unit.net.transitions)
+    found = _read(unit.net, unit.m0, unit.target)
+    assert found is not None and len(found[1][0]) == len(unit.net.transitions)
     _assert_validates_as_the_reference(bad)
     _assert_validates_as_the_reference(good)
 

@@ -20,14 +20,25 @@ _DELAYS = st.one_of(st.none(), st.integers(0, 6))
 @_SETTINGS
 @given(st.integers(0, 2**32 - 1))
 def test_classification_equals_widened_search_on_random_nets(seed):
-    # On a net of any shape, causal_order refuses it or reads it exactly:
-    # every transition ordered iff the widened search reaches the target.
+    # On a net of any shape, _read refuses it or reads it exactly: every
+    # transition ordered iff the widened search reaches the target.
     net, m0, target = random_tapn(random.Random(seed), max_tokens=4)
-    found = stp.causal_order(net, m0, target)
+    found = _read(net, m0, target)
     if found is not None:
         widened = tapn.reachable(tapn.widen_guards(net), m0, target)
-        assert (len(found[0]) == len(net.transitions)) \
+        assert (len(found[1][0]) == len(net.transitions)) \
             == (widened.verdict == tapn.REACHABLE)
+
+
+def _read(net, m0, target):
+    """(``stp.read_net``'s graph, its ``graph_order``), or None when the
+    net is not an ordered marked graph whose every transition leads to the
+    target."""
+    found = stp.read_net(net, m0, target)
+    if found is None or not found[2]:
+        return None
+    graph, marked, _ = found
+    return graph, stp.graph_order(graph, marked)
 
 
 def _search(net, m0, target, max_total_delay):
@@ -67,9 +78,9 @@ def test_check_statuses_equal_the_search(seed, timing, window_a, window_b,
         for verdict in report.verdicts:
             merged = integrate.merge(units, verdict.matching)
             net, m0, target = merged.net, merged.m0, merged.target
-            found = stp.causal_order(net, m0, target)
+            found = _read(net, m0, target)
             assert found is not None
-            if len(found[0]) == len(net.transitions):
+            if len(found[1][0]) == len(net.transitions):
                 engine = _search(net, m0, target, max_total_delay)
                 if engine.verdict == tapn.REACHABLE:
                     expected = "consistent"
@@ -101,8 +112,8 @@ def test_check_consistency_statuses_equal_widened_search_classification(
         # A marked graph whose transitions can all be ordered is decided
         # from its difference constraints without a search, so --max-states
         # cannot cut that answer short: it is the unbounded classification.
-        found = stp.causal_order(merged.net, merged.m0, merged.target)
-        ordered = found is not None and len(found[0]) == len(merged.net.transitions)
+        found = _read(merged.net, merged.m0, merged.target)
+        ordered = found is not None and len(found[1][0]) == len(merged.net.transitions)
         # Nor can it change an ordering deadlock: every status is the
         # search's, then a second, widened one's, with no state bound.
         timed = tapn.reachable(merged.net, merged.m0, merged.target)
@@ -172,7 +183,7 @@ def test_causal_order_refuses_broken_preconditions():
     names = []
     for name, net, m0, target in _broken_preconditions():
         names.append(name)
-        assert stp.causal_order(net, m0, target) is None, name
+        assert _read(net, m0, target) is None, name
         widened = tapn.reachable(tapn.widen_guards(net), m0, target).verdict
         # The precondition matters: the naive reading disagrees.
         naive = _naive_kahn(net, m0) == len(net.transitions)
@@ -206,7 +217,7 @@ def test_marked_graph_verdicts_and_state_bound():
     # The causal order needs no states: it orders the chain, whose three
     # search states (nothing, t1, t1 t2) fit in 3 but not in 2.
     net, m0 = _chain()
-    assert stp.causal_order(net, m0, {"p2": 1}) == (["t1", "t2"], {
+    assert _read(net, m0, {"p2": 1})[1] == (["t1", "t2"], {
         "t1": [], "t2": ["t1"]})
     widened = tapn.widen_guards(net)
     assert tapn.reachable(widened, m0, {"p2": 1}, max_states=3).verdict == tapn.REACHABLE
@@ -219,7 +230,7 @@ def test_marked_graph_verdicts_and_state_bound():
                  [OutputArc("t1", "d"), OutputArc("t2", "b"), OutputArc("t3", "c"),
                   OutputArc("t3", "e")])
     m0 = {"a": (0,)}
-    assert stp.causal_order(cycle, m0, {"e": 1}) == ([], {
+    assert _read(cycle, m0, {"e": 1})[1] == ([], {
         "t1": ["t2"], "t2": ["t3"], "t3": ["t1"]})
     assert tapn.reachable(tapn.widen_guards(cycle), m0, {"e": 1}).verdict \
         == tapn.UNREACHABLE
@@ -264,7 +275,7 @@ def test_fixture_classifications_need_no_second_search(monkeypatch):
                       if v.states_explored]
             assert searched == [vars(_search_net(m.net, m.target)) for m in merged]
             for m in merged:
-                order, _ = stp.causal_order(m.net, m.m0, m.target)
+                _, (order, _) = _read(m.net, m.m0, m.target)
                 assert len(order) < len(m.net.transitions), "a complete order was searched"
             statuses[name, tuple(bounds)] = {v.status for v in report.verdicts}
     assert statuses["bscu", ()] == {"ordering-deadlock"}
@@ -283,17 +294,18 @@ def _replays_to_target(net, m0, target, witness):
     return reached == {p: n for p, n in target.items() if n}
 
 
-def _witness(net, m0, found, max_total_delay=None):
+def _witness(net, m0, target, max_total_delay=None):
     """The earliest witness, or None when the causal order is incomplete,
     the constraints are infeasible or the earliest schedule fires its last
     transition after ``max_total_delay``."""
-    if len(found[0]) < len(net.transitions):
+    graph, found = _read(net, m0, target)
+    if len(found[0]) < len(graph.nodes):
         return None
-    cons = stp.constraints(net, m0, found)
+    cons = stp.graph_constraints(graph, m0, found)
     times = stp.earliest_times(cons)
     if times is None or max_total_delay is not None and max(times) > max_total_delay:
         return None
-    return stp.earliest_witness(net, cons, times)
+    return stp.graph_witness(graph, cons, times)
 
 
 @_SETTINGS
@@ -303,8 +315,7 @@ def test_earliest_witness_is_the_search_witness(seed, max_total_delay):
     # one of the reference search that keeps each state's least delay.
     for unit in random_merged_units(random.Random(seed)):
         net, m0, target = unit.net, unit.m0, unit.target
-        witness = _witness(net, m0, stp.causal_order(net, m0, target),
-                           max_total_delay)
+        witness = _witness(net, m0, target, max_total_delay)
         engine = _search(net, m0, target, max_total_delay)
         if engine.verdict == tapn.REACHABLE:
             assert witness == engine.trace
@@ -313,18 +324,22 @@ def test_earliest_witness_is_the_search_witness(seed, max_total_delay):
             assert witness is None
 
 
-def _window_pair(window_a, window_b=6):
+def _window_pair(window_a, window_b=6, prepend=0):
     """The timing fixture's diagrams with their partition times replaced:
     x at most ``window_a`` ticks after sync in TC_WindowA, and at least
-    ``window_b`` - 1 in TC_WindowB."""
+    ``window_b`` - 1 in TC_WindowB; ``prepend`` messages p0, p1, ... go
+    before sync in both, each matched with its twin."""
     from conftest import FIXTURES, load_arch
     from virtint import model, parser, translate
 
     tcsds = []
-    for name, old, new in (("window_a.tcsd", "at 2\n", "at %d\n" % window_a),
-                           ("window_b.tcsd", "at 6\n", "at %d\n" % window_b)):
+    for name, old, new, msg in (("window_a.tcsd", "at 2\n", "at %d\n" % window_a, "T -> S"),
+                                ("window_b.tcsd", "at 6\n", "at %d\n" % window_b, "R -> U")):
         src = (FIXTURES / "timing" / name).read_text(encoding="utf-8")
-        tcsds.append(model.validate(parser.parse_tcsd(src.replace(old, new)).tcsd).tcsd)
+        sync = "  msg %s : sync\n" % msg
+        src = src.replace(old, new).replace(
+            sync, "".join("  msg %s : p%d\n" % (msg, i) for i in range(prepend)) + sync)
+        tcsds.append(model.validate(parser.parse_tcsd(src).tcsd).tcsd)
     imap = integrate.build_instance_map(load_arch(FIXTURES / "timing" / "windows.arch"),
                                         tcsds)
     return [translate.translate(t) for t in tcsds], imap
@@ -384,6 +399,38 @@ def test_widened_timing_fixture_is_a_timing_conflict(monkeypatch):
     monkeypatch.setattr(tapn, "search", _refuse_to_search)
     [verdict] = integrate.check_consistency(units, imap).verdicts
     assert verdict.status == "timing-conflict" and verdict.states_explored == 0
+
+
+def _relaxations(monkeypatch, units, imap):
+    """(The statuses of a check, the edges its Bellman-Ford runs read):
+    ``stp.earliest_times`` runs on constraints whose edge list counts
+    each pass over it."""
+    count = [0]
+
+    class Counted(list):
+        def __iter__(self):
+            for edge in list.__iter__(self):
+                count[0] += 1
+                yield edge
+
+    real = stp.earliest_times
+    monkeypatch.setattr(stp, "earliest_times",
+                        lambda cons: real(cons._replace(edges=Counted(cons.edges))))
+    report = integrate.check_consistency(units, imap)
+    monkeypatch.undo()
+    return [v.status for v in report.verdicts], count[0]
+
+
+def test_check_relaxations_grow_linearly_on_the_consistent_window_ladder(monkeypatch):
+    # The window pair with n and 8n messages before sync, x allowed 6
+    # ticks after it: each check is one consistent matching, and the
+    # feasible constraints settle in a fixed number of passes, so 8 times
+    # the messages read at most 10 times the edges.  (The conflicting
+    # twin, x allowed 2 ticks, runs all V + 1 passes: about 60 times.)
+    small, large = (_relaxations(monkeypatch, *_window_pair(6, prepend=n))
+                    for n in (250, 2000))
+    assert small[0] == large[0] == ["consistent"]
+    assert large[1] <= 10 * small[1], (small, large)
 
 
 def _classification(net, m0, target, reachable):
@@ -473,32 +520,32 @@ def test_broken_preconditions_are_internal_errors(monkeypatch, capsys):
 
 def test_huge_constants_need_no_search(monkeypatch):
     net, m0 = _chain()
-    found = stp.causal_order(net, m0, {"p2": 1})
-    assert _witness(net, m0, found) == [
+    goal = {"p2": 1}
+    assert _witness(net, m0, goal) == [
         tapn.TraceStep(0, "t1", None, (("p0", None),)),
         tapn.TraceStep(0, "t2", None, (("p1", None),))]
     guarded = net._replace(input_arcs=(InputArc("p0", "t1", tapn.Guard(7)),
                                        InputArc("p1", "t2")))
-    assert _witness(guarded, m0, found)[0] == tapn.TraceStep(
+    assert _witness(guarded, m0, goal)[0] == tapn.TraceStep(
         7, "t1", None, (("p0", 7),))
     # An age past the cap is recorded as the cap, as the search does.
     old = {"p0": (12,)}
-    witness = _witness(guarded, old, found)
+    witness = _witness(guarded, old, goal)
     assert witness[0] == tapn.TraceStep(0, "t1", None, (("p0", 8),))
     assert witness == tapn.reachable(guarded, old, {"p2": 1}).trace
     # Past the search's limit on guard constants, the constraints
     # still give the same witness.
     monkeypatch.setattr(tapn, "MAX_GUARD_CONSTANT", 6)
-    assert _witness(guarded, old, found) == witness
+    assert _witness(guarded, old, goal) == witness
     assert tapn.reachable(guarded, m0, {"p2": 1}).verdict == tapn.BOUND_EXCEEDED
     # The earliest schedule's last time is the least total delay: the
     # reference search meets a delay bound of 4, and not one of 3.
     late = net._replace(input_arcs=(InputArc("p0", "t1", tapn.Guard(4)),
                                     InputArc("p1", "t2")))
-    cons = stp.constraints(late, m0, found)
-    assert stp.earliest_times(cons) == [0, 4, 4]
-    assert _witness(late, m0, found, max_total_delay=3) is None
-    assert _witness(late, m0, found, max_total_delay=4) == tapn_reference.reachable(
+    graph, found = _read(late, m0, goal)
+    assert stp.earliest_times(stp.graph_constraints(graph, m0, found)) == [0, 4, 4]
+    assert _witness(late, m0, goal, max_total_delay=3) is None
+    assert _witness(late, m0, goal, max_total_delay=4) == tapn_reference.reachable(
         late, m0, {"p2": 1}, max_total_delay=4).trace
     assert tapn_reference.reachable(late, m0, {"p2": 1}, max_total_delay=3).verdict \
         == tapn.BOUND_EXCEEDED
@@ -507,8 +554,8 @@ def test_huge_constants_need_no_search(monkeypatch):
     moved = _net(["t1", "t2"], [InputArc("p1", "t2", tapn.Guard(0, 2))],
                  [OutputArc("t2", "p2")],
                  [TransportArc("p0", "t1", "p1", tapn.Guard(4))])
-    cons = stp.constraints(moved, m0, stp.causal_order(moved, m0, {"p2": 1}))
-    assert stp.earliest_times(cons) is None
+    graph, found = _read(moved, m0, goal)
+    assert stp.earliest_times(stp.graph_constraints(graph, m0, found)) is None
     assert tapn.reachable(moved, m0, {"p2": 1}).verdict == tapn.UNREACHABLE
     assert tapn_reference.reachable(moved, m0, {"p2": 1}, max_total_delay=10).verdict \
         == tapn.UNREACHABLE

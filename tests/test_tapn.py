@@ -431,7 +431,8 @@ def test_long_chain_search_replay_and_blocking_are_linear():
     t0 = time.perf_counter()
     res = tapn.reachable(net, unit.m0, unit.target)
     final = tapn.replay(net, unit.m0, res.trace)
-    blocking = integrate._blocking_labels(stp.event_graph(net), [every_place])
+    graph, _, _ = stp.read_net(net, unit.m0, unit.target)
+    blocking = integrate._blocking_labels(graph, [every_place])
     elapsed = time.perf_counter() - t0
     assert res.verdict == "reachable" and res.states_explored == len(net.places)
     assert tapn.marking_counts(final) == unit.target

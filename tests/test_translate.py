@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import tapn_reference
 from canon import canonical_form
 from gen import mutated_diagram, random_tapn, random_tcsd_source
-from virtint import cli, model, parser, stp, tapn, translate
+from test_stp import _read
+from virtint import cli, model, parser, tapn, translate
 from virtint.model import (Event, Message, SequenceDiagram, Tcsd, Timeout)
 from virtint.translate import TranslationError
 
@@ -181,8 +182,8 @@ def test_timeout_across_a_strict_border(body):
     # the timeout goes round the block.
     src = "tcsd T { sut S test A %s }" % body
     unit = _unit(src)
-    found = stp.causal_order(unit.net, unit.m0, unit.target)
-    assert found is not None and len(found[0]) == len(unit.net.transitions)
+    found = _read(unit.net, unit.m0, unit.target)
+    assert found is not None and len(found[1][0]) == len(unit.net.transitions)
     [wait] = _wait_places(unit)
     label_of = {t.id: t.label for t in unit.net.transitions}
     [feeder] = [label_of[a.transition] for a in unit.net.output_arcs if a.place == wait]
@@ -411,7 +412,7 @@ def test_translate_builds_an_ordered_marked_graph_or_refuses(seed, events, depth
                                                              mutate, rnd):
     # The invariant the difference-constraint decision rests on: every
     # diagram that validate accepts translates to a net that passes
-    # Tapn.check and stp.causal_order, which orders all of its
+    # Tapn.check and stp.read_net, whose graph_order lists all of its
     # transitions, unless it unrolls to more than the limit (here lowered):
     # the one TranslationError.  The diagrams are random, with blocks
     # nested in timeouts or not, or random ones after random edits of
@@ -442,9 +443,9 @@ def _builds_an_ordered_marked_graph_or_refuses(src, limit, rnd):
                                 "than the limit of %d" % (count, limit))
             return
     unit.net.check()
-    found = stp.causal_order(unit.net, unit.m0, unit.target)
+    found = _read(unit.net, unit.m0, unit.target)
     assert found is not None, (src, tcsd)
-    assert len(found[0]) == len(unit.net.transitions), (src, tcsd)
+    assert len(found[1][0]) == len(unit.net.transitions), (src, tcsd)
 
 
 def _nested_loops(n):
