@@ -25,7 +25,10 @@ unreachable whatever the guards and bounds: an ordering deadlock.  Only
 these matchings are searched, by ``tapn.search`` on the union's search
 tables with the pairs fused, under ``max_states`` alone, for the dead
 markings behind ``blocking``; a search cut short leaves ``blocking``
-empty.
+empty.  The tables are made on the check's first deadlock and end with
+the check; they keep the shapes and firing plans that its searches work
+out, so each plan is worked out once per check, and each search visits
+the states it would visit on fresh tables.
 """
 
 from __future__ import annotations

@@ -26,15 +26,17 @@ every delay 0..C+1 and trying every transition on each image.
 The untimed structure is paid for once per *shape*, a state's marked
 places with their token counts, not once per state: many timed states
 share a shape.  Per search and per shape the engine keeps the candidate
-transitions, and per candidate a firing plan: which state entries its
-guards read, the successor's shape, and, when each source holds one token
-and each produced token lands in an empty place (always so in the marked
-graphs the translator emits), where each entry of the successor comes
-from.  Such a successor is assembled from the delayed image without
-copying, sorting or enumerating bindings.  Any other firing, as in a net
-with several tokens in a place, goes through ``fire``'s rule: the
-bindings of ``_bindings``, each fired by ``_fire``.  Trace steps are
-built only for a witness.
+transitions.  Per ``SearchTables``, which ``reachable`` makes per call
+and ``integrate`` once per check, and per shape and transition row it
+keeps a firing plan, shared by every search on those tables: which state
+entries its guards read, the successor's shape, and, when each source
+holds one token and each produced token lands in an empty place (always
+so in the marked graphs the translator emits), where each entry of the
+successor comes from.  Such a successor is assembled from the delayed
+image without copying, sorting or enumerating bindings.  Any other
+firing, as in a net with several tokens in a place, goes through
+``fire``'s rule: the bindings of ``_bindings``, each fired by ``_fire``.
+Trace steps are built only for a witness.
 
 ``integrate`` decides a merged net whose causal order is complete from
 its difference constraints (``stp``), whose earliest schedule gives the
@@ -317,14 +319,6 @@ def max_guard_constant(net: Tapn) -> int:
     return c
 
 
-def widen_guards(net: Tapn) -> Tapn:
-    """Copy of the net with every guard relaxed to allow any age."""
-    return net._replace(
-        input_arcs=tuple(a._replace(guard=ANY_AGE) for a in net.input_arcs),
-        transport_arcs=tuple(a._replace(guard=ANY_AGE) for a in net.transport_arcs),
-    )
-
-
 def age_relevant(net: Tapn) -> set[str]:
     """The places whose token ages matter: those read through a guard
     other than ``[0,oo)``, directly or further down a transport-arc chain.
@@ -374,8 +368,9 @@ class _Shape:
     """The untimed part of search states: their marked places, with counts.
 
     Delays never change a shape, and firing a transition from one shape
-    always gives the same successor shape, so what depends on the shape
-    alone is worked out once per search, on the shape's first expansion.
+    always gives the same successor shape.  Shapes are interned per
+    ``SearchTables``, and each keeps the plans worked out from it for as
+    long as the tables live: in ``check``, the whole check.
     """
 
     __slots__ = ("key", "relevant", "goal", "plans")
@@ -384,11 +379,11 @@ class _Shape:
         self.key = key  # ((place index, token count), ...) sorted by index
         self.relevant = relevant  # entry indexes of the age-relevant places
         self.goal = goal  # whether the shape is the target's
-        self.plans = None  # a _Plan per candidate transition, in index order
+        self.plans = {}  # per transition id, the _Plan made from its row
 
 
 class _Plan:
-    """How one transition fires from one shape.
+    """How the transition of ``row`` fires from one shape.
 
     ``guards`` holds (entry index, lower, upper or None) per incoming arc
     whose source is age-relevant; ``succ`` is the successor's shape, or
@@ -400,13 +395,13 @@ class _Plan:
     ``layout`` is a kept entry of the delayed image (index >= 0) or the
     new one-token entry ``~index`` of ``new``, made from (place index,
     entry whose age is transported, or -1 for age 0).  Any other plan has
-    ``layout`` None, and ``_SearchNet.fire_all`` fires it.
+    ``layout`` None, and ``SearchTables.fire_all`` fires it.
     """
 
-    __slots__ = ("ti", "guards", "succ", "sources", "layout", "new")
+    __slots__ = ("row", "guards", "succ", "sources", "layout", "new")
 
-    def __init__(self, ti, guards, succ, sources=None, layout=None, new=None):
-        self.ti = ti
+    def __init__(self, row, guards, succ, sources=None, layout=None, new=None):
+        self.row = row
         self.guards = guards
         self.succ = succ
         self.sources = sources
@@ -414,21 +409,39 @@ class _Plan:
         self.new = new
 
 
+class _Row(NamedTuple):
+    """A transition as the search reads it.  Both guard bounds are
+    inclusive, as every guard is closed."""
+
+    tid: str
+    inc: list  # (source idx, lower, upper or None, transport target idx or -1) per arc
+    produced: list  # (place idx, source idx of a transport arc or -1) per token
+    sources: tuple  # the distinct source places
+    distinct: bool  # whether one token per source fires it in exactly one way
+    arcs: list  # the incoming arcs, in ``transition_arcs`` order
+    outputs: list  # the normal output places
+
+
 _AGE_0 = (0,)
 
 
 class SearchTables:
-    """What a search reads of a net's places, guards and target, and a
-    memo of per-transition rows; ``search_net`` compiles transitions with
-    them into a ``_SearchNet``.
+    """What a search reads of a net's places, guards and target, with the
+    memo that depends on nothing else: per-transition rows, shapes, and
+    per shape and row a firing plan.  ``search_net`` compiles transitions
+    with them into a ``_SearchNet``.
 
-    ``reachable`` makes one per search and compiles the net's transitions
+    ``reachable`` makes one per call and compiles the net's transitions
     as ``transition_arcs`` reads them.  ``integrate`` makes one per check
     for the union of its units, on the first ordering deadlock, and a
     search net per deadlock from the event graph with that matching's
     pairs fused: fusing renames transitions but adds no place, arc or
-    guard, so the places, target and guards stay the union's, and a
-    transition's row is reused for as long as its arc list is the same.
+    guard, so the places, target and guards stay the union's.  A
+    transition's row, with the plans built from it, is reused for as long
+    as its arc list is the same, so each plan is worked out once per check,
+    whichever of the check's searches meets it first.  A plan depends only
+    on its shape, its row and these tables, so every search visits the
+    states that fresh tables would, in the same order.
     """
 
     def __init__(self, places, relevant: set[str], cmax: int, target: TargetSpec):
@@ -436,20 +449,18 @@ class SearchTables:
         self.pidx = {p: i for i, p in enumerate(self.places)}
         self.goal = tuple(sorted((self.pidx[p], n) for p, n in target.items() if n))
         self.cmax = cmax
+        self.cap = cmax + 1
         # Age-irrelevant places store age 0: an exact quotient, since every
         # guard touching their tokens accepts any age.
         self.age_relevant = [p in relevant for p in self.places]
-        self.rows: dict[str, tuple] = {}
+        self.rows: dict[str, _Row] = {}
+        self.shapes: dict[tuple, _Shape] = {}
 
-    def row(self, tid: str, arcs, outputs) -> tuple:
-        """(incoming (source idx, lower, upper or None, transport target
-        idx or -1) per arc, produced (place idx, source idx of a transport
-        arc or -1) per token, the distinct source places, whether one token
-        per source fires it in exactly one way, the arcs, the output
-        places) of a transition with these incoming arcs, in
+    def row(self, tid: str, arcs, outputs) -> _Row:
+        """The row of a transition with these incoming arcs, in
         ``transition_arcs`` order, and normal output places."""
         row = self.rows.get(tid)
-        if row is not None and row[4] is arcs:
+        if row is not None and row.arcs is arcs:
             return row
         pidx = self.pidx
         inc = []
@@ -466,7 +477,7 @@ class SearchTables:
         sources = tuple(dict.fromkeys(pi for pi, _, _, _ in inc))
         distinct = (len(sources) == len(inc)
                     and len({pi for pi, _ in produced}) == len(produced))
-        row = self.rows[tid] = (inc, produced, sources, distinct, arcs, outputs)
+        row = self.rows[tid] = _Row(tid, inc, produced, sources, distinct, arcs, outputs)
         return row
 
     def search_net(self, nodes) -> _SearchNet:
@@ -475,34 +486,10 @@ class SearchTables:
         as ``stp.Graph.nodes`` holds them."""
         return _SearchNet(self, nodes)
 
-
-class _SearchNet:
-    """The net compiled for search: places and transitions by index.
-
-    A state holds only its marked places, as ``(place index, ages)`` pairs
-    sorted by index, with ages sorted and capped (age-irrelevant places
-    store age 0).  Shapes are interned per search in ``shapes``.
-    """
-
-    def __init__(self, tables: SearchTables, nodes):
-        self.places, self.pidx, self.goal = tables.places, tables.pidx, tables.goal
-        self.cmax = tables.cmax
-        self.cap = self.cmax + 1
-        self.age_relevant = tables.age_relevant
-        self.trans = [(tid, n[0]) for tid, n in nodes.items()]
-        # Per transition index the fields of ``SearchTables.row``; both
-        # guard bounds are inclusive, as every guard is closed.
-        rows = [tables.row(tid, n[1], n[2]) for tid, n in nodes.items()]
-        (self.inc, self.produced, self.sources, self.distinct_arcs, self.incoming,
-         self.outputs) = list(zip(*rows)) or [()] * 6
-        # Per place the transitions reading it, in index order.
-        self.consumers: list[list[int]] = [[] for _ in self.places]
-        for ti, sources in enumerate(self.sources):
-            for pi in sources:
-                self.consumers[pi].append(ti)
-        self.shapes: dict[tuple, _Shape] = {}
-
     def encode(self, m: Marking):
+        """A search state: the marked places, as ``(place index, ages)``
+        pairs sorted by index, with ages sorted and capped (age-irrelevant
+        places store age 0)."""
         state = []
         for p, ages in normalize_marking(m).items():
             i = self.pidx[p]
@@ -525,62 +512,49 @@ class _SearchNet:
                 key == self.goal)
         return found
 
+    def plan(self, shape, index, row) -> _Plan:
+        """How ``row``'s transition fires from ``shape``, whose entry
+        ``index[pi]`` holds place pi; made on the first call per shape and
+        row."""
+        plan = shape.plans.get(row.tid)
+        if plan is not None and plan.row is row:
+            return plan
+        rel = self.age_relevant
+        key = shape.key
+        guards = tuple([(index[pi], lo, hi) for pi, lo, hi, _ in row.inc if rel[pi]])
+        sources, produced = row.sources, row.produced
+        if (row.distinct and all(key[index[pi]][1] == 1 for pi in sources)
+                and all(pi in sources or pi not in index for pi, _ in produced)):
+            slots = [(pi, k) for k, (pi, _) in enumerate(key) if pi not in sources]
+            slots += [(pi, ~j) for j, (pi, _) in enumerate(produced)]
+            slots.sort()
+            layout = tuple([k for _, k in slots])
+            succ = self.shape(tuple([key[k] if k >= 0 else (pi, 1) for pi, k in slots]))
+            plan = _Plan(row, guards, succ,
+                         sources=tuple([index[pi] for pi, _, _, _ in row.inc]),
+                         layout=layout,
+                         new=tuple([(pi, index[src] if src >= 0 and rel[pi] else -1)
+                                    for pi, src in produced]))
+        else:
+            counts = dict(key)
+            for pi, _, _, _ in row.inc:
+                counts[pi] -= 1
+            if min(counts.values()) < 0:
+                plan = _Plan(row, guards, None)  # no binding exists
+            else:
+                for pi, _ in produced:
+                    counts[pi] = counts.get(pi, 0) + 1
+                plan = _Plan(row, guards, self.shape(
+                    tuple(sorted((pi, n) for pi, n in counts.items() if n))))
+        shape.plans[row.tid] = plan
+        return plan
+
     def saturation(self, state, shape) -> int:
         """The least delay after which no delay changes the state: every
         age-relevant token is capped by then (0 when there is none)."""
         if not shape.relevant:
             return 0
         return self.cap - min([state[k][1][0] for k in shape.relevant])
-
-    def candidates(self, marked) -> list[int]:
-        """Transitions whose source places are all marked, in index order.
-
-        Delays never change which places are marked, so no other
-        transition can fire after any delay.
-        """
-        found = set()
-        for pi in marked:
-            for ti in self.consumers[pi]:
-                if ti not in found and all(s in marked for s in self.sources[ti]):
-                    found.add(ti)
-        return sorted(found)
-
-    def plans(self, shape) -> list[_Plan]:
-        if shape.plans is None:
-            index = {pi: k for k, (pi, _) in enumerate(shape.key)}
-            shape.plans = [self._plan(shape, index, ti)
-                           for ti in self.candidates(index)]
-        return shape.plans
-
-    def _plan(self, shape, index, ti) -> _Plan:
-        rel = self.age_relevant
-        key = shape.key
-        guards = tuple([(index[pi], lo, hi) for pi, lo, hi, _ in self.inc[ti]
-                        if rel[pi]])
-        sources = self.sources[ti]
-        produced = self.produced[ti]
-        if (self.distinct_arcs[ti] and all(key[index[pi]][1] == 1 for pi in sources)
-                and all(pi in sources or pi not in index for pi, _ in produced)):
-            slots = [(pi, k) for k, (pi, _) in enumerate(key) if pi not in sources]
-            slots += [(pi, ~j) for j, (pi, _) in enumerate(produced)]
-            slots.sort()
-            layout = tuple([k for _, k in slots])
-            succ = self.shape(tuple([key[k] if k >= 0 else (pi, 1)
-                                     for pi, k in slots]))
-            return _Plan(ti, guards, succ,
-                         sources=tuple([index[pi] for pi, _, _, _ in self.inc[ti]]),
-                         layout=layout,
-                         new=tuple([(pi, index[src] if src >= 0 and rel[pi] else -1)
-                                    for pi, src in produced]))
-        counts = dict(key)
-        for pi, _, _, _ in self.inc[ti]:
-            counts[pi] -= 1
-        if min(counts.values()) < 0:
-            return _Plan(ti, guards, None)  # no binding exists
-        for pi, _ in produced:
-            counts[pi] = counts.get(pi, 0) + 1
-        return _Plan(ti, guards,
-                     self.shape(tuple(sorted((pi, n) for pi, n in counts.items() if n))))
 
     def window(self, state, guards, horizon: int) -> int:
         """Bit set of the delays 0..horizon at which every incoming arc of
@@ -625,17 +599,57 @@ class _SearchNet:
         """(successor, binding) pairs of a plan without a layout, in
         binding order: each binding fired by ``tapn.fire``'s rule."""
         m = self.decode(img)
-        tid = self.trans[plan.ti][0]
-        arcs, outputs = self.incoming[plan.ti], self.outputs[plan.ti]
-        return [(self.encode(_fire(arcs, outputs, m, tid, b)), b)
-                for b in _bindings(arcs, m)]
+        row = plan.row
+        return [(self.encode(_fire(row.arcs, row.outputs, m, row.tid, b)), b)
+                for b in _bindings(row.arcs, m)]
 
-    def trace_step(self, ti, d, binding) -> TraceStep:
-        tid, label = self.trans[ti]
-        rel = self.age_relevant
-        consumed = tuple((self.places[pi], age if rel[pi] else None)
-                         for (pi, _, _, _), age in zip(self.inc[ti], binding))
-        return TraceStep(d, tid, label, consumed)
+
+class _SearchNet:
+    """Transitions compiled for one search on shared ``SearchTables``: per
+    transition id its label, per transition index its row, per place the
+    transitions reading it, and per shape met the plans of its candidate
+    transitions."""
+
+    def __init__(self, tables: SearchTables, nodes):
+        self.tables = tables
+        self.labels = {tid: n[0] for tid, n in nodes.items()}
+        self.rows = [tables.row(tid, n[1], n[2]) for tid, n in nodes.items()]
+        # Per place the transitions reading it, in index order.
+        self.consumers: list[list[int]] = [[] for _ in tables.places]
+        for ti, row in enumerate(self.rows):
+            for pi in row.sources:
+                self.consumers[pi].append(ti)
+        self.expanded: dict[_Shape, list[_Plan]] = {}
+
+    def candidates(self, marked) -> list[int]:
+        """Transitions whose source places are all marked, in index order.
+
+        Delays never change which places are marked, so no other
+        transition can fire after any delay.
+        """
+        found = set()
+        rows = self.rows
+        for pi in marked:
+            for ti in self.consumers[pi]:
+                if ti not in found and all(s in marked for s in rows[ti].sources):
+                    found.add(ti)
+        return sorted(found)
+
+    def plans(self, shape) -> list[_Plan]:
+        """The plans of the shape's candidate transitions, in index order."""
+        found = self.expanded.get(shape)
+        if found is None:
+            index = {pi: k for k, (pi, _) in enumerate(shape.key)}
+            plan, rows = self.tables.plan, self.rows
+            found = self.expanded[shape] = [plan(shape, index, rows[ti])
+                                            for ti in self.candidates(index)]
+        return found
+
+    def trace_step(self, row, d, binding) -> TraceStep:
+        places, rel = self.tables.places, self.tables.age_relevant
+        consumed = tuple((places[pi], age if rel[pi] else None)
+                         for (pi, _, _, _), age in zip(row.inc, binding))
+        return TraceStep(d, row.tid, self.labels[row.tid], consumed)
 
 
 def reachable(net: Tapn, m0: Marking, target: TargetSpec,
@@ -661,15 +675,16 @@ def search(sn: _SearchNet, m0: Marking, max_states: int = 1_000_000) -> ReachRes
     """``reachable``'s breadth-first search, on a compiled net; the one
     search loop, also run by ``integrate`` on the fused tables of a
     deadlocked matching."""
-    start = sn.encode(m0)
-    start_shape = sn.shape(tuple((pi, len(ages)) for pi, ages in start))
+    tables = sn.tables
+    start = tables.encode(m0)
+    start_shape = tables.shape(tuple((pi, len(ages)) for pi, ages in start))
     if start_shape.goal:
         return ReachResult(REACHABLE, [], [], 1, 1)
-    if sn.cmax > MAX_GUARD_CONSTANT:
+    if tables.cmax > MAX_GUARD_CONSTANT:
         return ReachResult(BOUND_EXCEEDED, None, [], 1, 1)
 
     # Per stored state: None for the start, else (parent, delay,
-    # transition index, binding); trace steps are built only for a witness.
+    # transition row, binding); trace steps are built only for a witness.
     parents: dict = {start: None}
     queue = deque([(start, start_shape)])
     dead = []  # dead states in discovery order
@@ -679,8 +694,8 @@ def search(sn: _SearchNet, m0: Marking, max_states: int = 1_000_000) -> ReachRes
     def build_trace(state):
         steps = []
         while parents[state] is not None:
-            prev, d, ti, binding = parents[state]
-            steps.append(sn.trace_step(ti, d, binding))
+            prev, d, row, binding = parents[state]
+            steps.append(sn.trace_step(row, d, binding))
             state = prev
         steps.reverse()
         return steps
@@ -690,11 +705,11 @@ def search(sn: _SearchNet, m0: Marking, max_states: int = 1_000_000) -> ReachRes
             peak = len(queue)
         state, shape = queue.popleft()
         # Images past the saturation delay repeat its image.
-        horizon = sn.saturation(state, shape)
+        horizon = tables.saturation(state, shape)
         windows = []
         pending = 0
         for plan in sn.plans(shape):
-            window = sn.window(state, plan.guards, horizon)
+            window = tables.window(state, plan.guards, horizon)
             if window:
                 windows.append((plan, window))
                 pending |= window
@@ -703,7 +718,7 @@ def search(sn: _SearchNet, m0: Marking, max_states: int = 1_000_000) -> ReachRes
             low = pending & -pending
             pending ^= low
             d = low.bit_length() - 1
-            img = sn.delayed(state, shape, d)
+            img = tables.delayed(state, shape, d)
             for plan, window in windows:
                 if not window >> d & 1:
                     continue
@@ -714,7 +729,7 @@ def search(sn: _SearchNet, m0: Marking, max_states: int = 1_000_000) -> ReachRes
                     fired = ((tuple([img[k] if k >= 0 else new[~k]
                                      for k in plan.layout]), None),)
                 else:
-                    fired = sn.fire_all(plan, img)
+                    fired = tables.fire_all(plan, img)
                 for succ, binding in fired:
                     expanded = True
                     if succ in parents:
@@ -724,7 +739,7 @@ def search(sn: _SearchNet, m0: Marking, max_states: int = 1_000_000) -> ReachRes
                         continue
                     if binding is None:
                         binding = tuple([img[k][1][0] for k in plan.sources])
-                    parents[succ] = (state, d, plan.ti, binding)
+                    parents[succ] = (state, d, plan.row, binding)
                     if plan.succ.goal:
                         return ReachResult(REACHABLE, build_trace(succ), [],
                                            len(parents), peak)
@@ -733,7 +748,7 @@ def search(sn: _SearchNet, m0: Marking, max_states: int = 1_000_000) -> ReachRes
             dead.append(state)
 
     verdict = BOUND_EXCEEDED if truncated else UNREACHABLE
-    frontier = [sn.decode(s) for s in dead]
+    frontier = [tables.decode(s) for s in dead]
     return ReachResult(verdict, None, frontier, len(parents), peak)
 
 

@@ -12,12 +12,14 @@ in ``src`` uses it.
     PYTHONPATH=src:tests python tests/check_reference.py [DRAWS]
 
 compares the two on DRAWS (default 3000) generated diagram pairs with
-drawn options, and fails naming the first draw that differs.
+drawn options, and then on ping fan-outs with every matching checked,
+and fails naming the first check that differs.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 
 from virtint import stp, tapn
@@ -101,7 +103,7 @@ def check_consistency(units, imap, policy="maximal", require_all=False,
 
 
 def main(argv) -> int:
-    from test_integrate import _assert_checks_as_the_reference, _check_draw
+    from test_integrate import _assert_checks_as_the_reference, _check_draw, _fanout_pair
 
     draws = int(argv[0]) if argv else 3000
     decided = 0
@@ -113,6 +115,20 @@ def main(argv) -> int:
         decided += not isinstance(report, str)
     print("%d draws agree with check_reference; %d of them decided a matching"
           % (draws, decided))
+    # k equal pings inside `timeout c`, every one of the k! matchings
+    # checked: up to k! - 1 deadlock searches in one check, which share
+    # the check's search tables.
+    searches = []
+    for k, c, policy in itertools.product(range(3, 7), range(1, 4), ("maximal", "strict")):
+        options = dict(policy=policy, require_all=True, max_matchings=math.factorial(k))
+        try:
+            report = _assert_checks_as_the_reference(*_fanout_pair(k, c), options)
+        except AssertionError as exc:
+            raise AssertionError("_fanout_pair(%d, %d) under %s: %s"
+                                 % (k, c, policy, exc)) from exc
+        searches.append(sum(v.status == ORDERING_DEADLOCK for v in report.verdicts))
+    print("%d ping fan-outs agree with check_reference; %d to %d deadlock searches "
+          "per check" % (len(searches), min(searches), max(searches)))
     return 0
 
 

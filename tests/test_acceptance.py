@@ -14,6 +14,7 @@ from clause_fixtures import all_clause_cases
 from conftest import FIXTURES, load_arch, load_tcsd
 from gen import random_tapn, random_tcsd_source
 from oracle import naive_reachable
+from test_tapn import widen_guards
 from virtint import export, integrate, model, parser, tapn, translate
 
 BSCU_LABELS = {"Status", "CMD1m", "AntiSkid1m", "CMD1", "AntiSkid1"}
@@ -109,11 +110,11 @@ def test_criterion_5_timing_conflict_classification():
     merged = integrate.merge(units, verdict.matching)
     bound = 2 * len(merged.net.transitions) * (tapn.max_guard_constant(merged.net) + 2)
     assert not naive_reachable(merged.net, merged.m0, merged.target, step_bound=bound)
-    widened = tapn.widen_guards(merged.net)
+    widened = widen_guards(merged.net)
     assert naive_reachable(widened, merged.m0, merged.target, step_bound=bound)
 
     # Widening every guard flips the verdict to consistent.
-    widened_units = [u._replace(net=tapn.widen_guards(u.net)) for u in units]
+    widened_units = [u._replace(net=widen_guards(u.net)) for u in units]
     relaxed = integrate.check_consistency(widened_units, imap)
     assert relaxed.overall == "consistent"
     print("PASS criterion 5: window fixture is a timing conflict; widened "

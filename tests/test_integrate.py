@@ -11,7 +11,8 @@ import check_reference
 import merge_reference
 from conftest import FIXTURES, load_arch, load_tcsd
 from gen import random_diagram_pair, random_merged_units
-from test_stp import _search_net, _window_pair
+from test_stp import _compiled, _search_net, _window_pair
+from test_tapn import widen_guards
 from virtint import integrate, model, parser, stp, tapn, translate
 from virtint.integrate import (IntegrationError, SyncMatching, build_instance_map,
                                check_consistency, enumerate_matchings, merge)
@@ -198,7 +199,7 @@ def test_classifier_coherence():
         report = check_consistency(units, imap)
         for v in report.verdicts:
             merged = merge(units, v.matching)
-            untimed = tapn.reachable(tapn.widen_guards(merged.net), merged.m0,
+            untimed = tapn.reachable(widen_guards(merged.net), merged.m0,
                                      merged.target)
             if v.status == "timing-conflict":
                 assert untimed.verdict == "reachable"
@@ -839,10 +840,13 @@ def test_check_equals_the_per_matching_reference_on_fixtures():
 
 
 def _deadlock_searches(units, imap, options, cap):
-    """Per ordering deadlock among the check's matchings: (the transitions
-    ``stp.graph_order`` orders, the search on every node of the fused
-    graph, the search on the ordered ones alone), under ``max_states``
-    capped at ``cap``; none for a check that ends in an error."""
+    """Per ordering deadlock among the check's matchings, in the check's
+    order: the transitions ``stp.graph_order`` orders, then three searches
+    under ``max_states`` capped at ``cap``: on every node of the fused
+    graph with the union's tables, shared by these searches as
+    ``check_consistency`` shares them; on the ordered nodes alone, with
+    tables shared by those; and on every node with fresh tables of its
+    own.  None for a check that ends in an error."""
     try:
         matchings = itertools.islice(enumerate_matchings(units, imap, options["policy"]),
                                      options["max_matchings"])
@@ -857,15 +861,20 @@ def _deadlock_searches(units, imap, options, cap):
         order, _ = stp.graph_order(graph, marked)
         if len(order) == len(graph.nodes):
             continue
+
+        def tables():
+            return tapn.SearchTables(union.net.places, graph.relevant, graph.cmax,
+                                     union.target)
         if union.tables is None:
-            union.tables = tapn.SearchTables(union.net.places, graph.relevant, graph.cmax,
-                                             union.target)
+            union.tables, shared_alone = tables(), tables()
         ordered = frozenset(order)
         bound = min(options["max_states"], cap)
         found.append((ordered, *(
-            tapn.search(union.tables.search_net(nodes), union.m0, max_states=bound)
-            for nodes in (graph.nodes, {tid: n for tid, n in graph.nodes.items()
-                                        if tid in ordered}))))
+            tapn.search(searched.search_net(nodes), union.m0, max_states=bound)
+            for searched, nodes in (
+                (union.tables, graph.nodes),
+                (shared_alone, {tid: n for tid, n in graph.nodes.items() if tid in ordered}),
+                (tables(), graph.nodes)))))
     return found
 
 
@@ -875,22 +884,59 @@ def test_a_deadlock_search_reads_only_the_ordered_transitions():
     # verdict, dead markings and state count of the search on the whole
     # fused graph; and the deadlocks of one check whose ordered sets are
     # equal get equal ones.  One search per ordered set, shared across a
-    # check's matchings, rests on this.
-    [twice] = [pair for pair in _fixture_sets() if pair[0][0].name == "TC_TwiceA"]
+    # check's matchings, rests on this.  A search on tables that the
+    # check's earlier searches filled with their shapes and plans gives
+    # what it gives on fresh tables of its own matching.
+    options = dict(max_matchings=64, max_states=1_000_000)
     cases = [_check_draw(seed) for seed in range(800)]
-    cases.append((*twice, dict(policy="maximal", max_matchings=64, max_states=1_000_000)))
+    cases += [(*pair, dict(options, policy=policy)) for pair in _fixture_sets()
+              for policy in ("maximal", "strict")]
+    cases.append((*_fanout_pair(5, 2), dict(options, policy="maximal", max_matchings=120)))
     searches, repeats, verdicts = 0, 0, set()
     for units, imap, options in cases:
         seen = {}
-        for ordered, whole, alone in _deadlock_searches(units, imap, options, 1000):
+        for ordered, whole, alone, fresh in _deadlock_searches(units, imap, options, 1000):
             got = (whole.verdict, whole.frontier, whole.states_explored)
+            assert got == (fresh.verdict, fresh.frontier, fresh.states_explored), options
             assert got == (alone.verdict, alone.frontier, alone.states_explored), options
             repeats += ordered in seen
             assert seen.setdefault(ordered, got[1:]) == got[1:], options
             searches += 1
             verdicts.add(whole.verdict)
     assert verdicts == {tapn.UNREACHABLE, tapn.BOUND_EXCEEDED}
-    assert searches >= 100 and repeats >= 40, (searches, repeats)
+    assert searches >= 300 and repeats >= 200, (searches, repeats)
+
+
+def test_a_check_works_out_each_firing_plan_once(monkeypatch):
+    # A counting gate (ROADMAP item 17) on the searches behind `blocking`:
+    # k pings inside `timeout 2`, every one of the k! matchings checked.
+    # k = 6 has 120 times the matchings of k = 3, and 719 deadlocks where
+    # k = 3 has 5, yet their searches meet about the same shapes; a plan
+    # worked out once per check keeps its count flat.  The memo ends with
+    # its check: a second identical call builds as many plans again.
+    built = []
+
+    class Counting(tapn._Plan):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(tapn, "_Plan", Counting)
+    counts = {}
+    for k in (3, 6):
+        units, imap = _fanout_pair(k, 2)
+        for call in range(2):
+            built.clear()
+            report = check_consistency(units, imap, require_all=True,
+                                       max_matchings=math.factorial(k))
+            assert len(report.verdicts) == math.factorial(k)
+            assert not report.matchings_truncated
+            counts[k, call] = len(built)
+    assert counts[3, 0] > 0
+    assert counts[6, 0] <= 2 * counts[3, 0], counts
+    assert counts[3, 1] == counts[3, 0] and counts[6, 1] == counts[6, 0], counts
 
 
 def _assert_fuses_as_merged(units, matchings):
@@ -908,8 +954,8 @@ def _assert_fuses_as_merged(units, matchings):
         if tables is None:
             tables = tapn.SearchTables(union.net.places, graph.relevant, graph.cmax,
                                        union.target)
-        assert vars(tables.search_net(graph.nodes)) \
-            == vars(_search_net(merged.net, merged.target))
+        assert _compiled(tables.search_net(graph.nodes)) \
+            == _compiled(_search_net(merged.net, merged.target))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -930,8 +976,8 @@ def test_check_never_fires_a_binding_by_the_general_rule(monkeypatch):
     # never calls fire_all, the general rule of nets with several tokens in
     # a place.  So a change to that rule leaves the cost of check alone.
     calls = []
-    fire_all = tapn._SearchNet.fire_all
-    monkeypatch.setattr(tapn._SearchNet, "fire_all",
+    fire_all = tapn.SearchTables.fire_all
+    monkeypatch.setattr(tapn.SearchTables, "fire_all",
                         lambda self, plan, img: calls.append(plan) or fire_all(self, plan, img))
     # The count works: two tokens in one place take the general rule.
     net = Tapn("n", ("p", "q"), (Transition("t"),), (InputArc("p", "t"),),

@@ -9,6 +9,7 @@ import check_reference
 import tapn_reference
 from gen import random_diagram_pair, random_merged_units, random_tapn
 from oracle import naive_reachable
+from test_tapn import widen_guards
 from virtint import integrate, stp, tapn
 from virtint.tapn import InputArc, OutputArc, Tapn, Transition, TransportArc
 
@@ -25,7 +26,7 @@ def test_classification_equals_widened_search_on_random_nets(seed):
     net, m0, target = random_tapn(random.Random(seed), max_tokens=4)
     found = _read(net, m0, target)
     if found is not None:
-        widened = tapn.reachable(tapn.widen_guards(net), m0, target)
+        widened = tapn.reachable(widen_guards(net), m0, target)
         assert (len(found[1][0]) == len(net.transitions)) \
             == (widened.verdict == tapn.REACHABLE)
 
@@ -57,6 +58,15 @@ def _search_net(net, target):
                                tapn.max_guard_constant(net), target)
     return tables.search_net({t.id: (t.label, incoming[t.id], outputs[t.id])
                               for t in net.transitions})
+
+
+def _compiled(sn):
+    """What a search net reads of its net: its tables' places, target,
+    age cap and age relevance, and per transition its label and row; not
+    the shapes and plans, which a check's searches share."""
+    tables = sn.tables
+    return (tables.places, tables.goal, tables.cmax, tables.age_relevant, sn.labels,
+            sn.rows, sn.consumers)
 
 
 @_SETTINGS
@@ -119,7 +129,7 @@ def test_check_consistency_statuses_equal_widened_search_classification(
         timed = tapn.reachable(merged.net, merged.m0, merged.target)
         expected = "consistent" if timed.verdict == tapn.REACHABLE else {
             tapn.REACHABLE: "timing-conflict", tapn.UNREACHABLE: "ordering-deadlock"}[
-            tapn.reachable(tapn.widen_guards(merged.net), merged.m0, merged.target).verdict]
+            tapn.reachable(widen_guards(merged.net), merged.m0, merged.target).verdict]
         assert verdict.status == expected
         if ordered:
             assert verdict.status in ("consistent", "timing-conflict")
@@ -184,7 +194,7 @@ def test_causal_order_refuses_broken_preconditions():
     for name, net, m0, target in _broken_preconditions():
         names.append(name)
         assert _read(net, m0, target) is None, name
-        widened = tapn.reachable(tapn.widen_guards(net), m0, target).verdict
+        widened = tapn.reachable(widen_guards(net), m0, target).verdict
         # The precondition matters: the naive reading disagrees.
         naive = _naive_kahn(net, m0) == len(net.transitions)
         assert naive != (widened == tapn.REACHABLE), name
@@ -219,7 +229,7 @@ def test_marked_graph_verdicts_and_state_bound():
     net, m0 = _chain()
     assert _read(net, m0, {"p2": 1})[1] == (["t1", "t2"], {
         "t1": [], "t2": ["t1"]})
-    widened = tapn.widen_guards(net)
+    widened = widen_guards(net)
     assert tapn.reachable(widened, m0, {"p2": 1}, max_states=3).verdict == tapn.REACHABLE
     assert tapn.reachable(widened, m0, {"p2": 1}, max_states=2).verdict \
         == tapn.BOUND_EXCEEDED
@@ -232,7 +242,7 @@ def test_marked_graph_verdicts_and_state_bound():
     m0 = {"a": (0,)}
     assert _read(cycle, m0, {"e": 1})[1] == ([], {
         "t1": ["t2"], "t2": ["t3"], "t3": ["t1"]})
-    assert tapn.reachable(tapn.widen_guards(cycle), m0, {"e": 1}).verdict \
+    assert tapn.reachable(widen_guards(cycle), m0, {"e": 1}).verdict \
         == tapn.UNREACHABLE
 
 
@@ -257,8 +267,8 @@ def test_fixture_classifications_need_no_second_search(monkeypatch):
     searched = []
 
     def incomplete_only(sn, m0, **bounds):
-        assert set(bounds) == {"max_states"} and not sn.shapes
-        searched.append(dict(vars(sn), shapes={}))  # before the search fills them
+        assert set(bounds) == {"max_states"} and not sn.expanded
+        searched.append(_compiled(sn))
         return real(sn, m0, **bounds)
 
     monkeypatch.setattr(tapn, "search", incomplete_only)
@@ -273,7 +283,7 @@ def test_fixture_classifications_need_no_second_search(monkeypatch):
             report = integrate.check_consistency(units, imap, **bounds)
             merged = [integrate.merge(units, v.matching) for v in report.verdicts
                       if v.states_explored]
-            assert searched == [vars(_search_net(m.net, m.target)) for m in merged]
+            assert searched == [_compiled(_search_net(m.net, m.target)) for m in merged]
             for m in merged:
                 _, (order, _) = _read(m.net, m.m0, m.target)
                 assert len(order) < len(m.net.transitions), "a complete order was searched"
@@ -436,7 +446,7 @@ def test_check_relaxations_grow_linearly_on_the_consistent_window_ladder(monkeyp
 def _classification(net, m0, target, reachable):
     if reachable(net, m0, target):
         return "consistent"
-    if reachable(tapn.widen_guards(net), m0, target):
+    if reachable(widen_guards(net), m0, target):
         return "timing-conflict"
     return "ordering-deadlock"
 

@@ -12,6 +12,14 @@ from virtint.tapn import (Guard, InputArc, OutputArc, Tapn, TraceStep, Transitio
                           TransportArc)
 
 
+def widen_guards(net: Tapn) -> Tapn:
+    """Copy of the net with every guard relaxed to allow any age."""
+    return net._replace(
+        input_arcs=tuple(a._replace(guard=tapn.ANY_AGE) for a in net.input_arcs),
+        transport_arcs=tuple(a._replace(guard=tapn.ANY_AGE) for a in net.transport_arcs),
+    )
+
+
 def _net(places, transitions, input_arcs=(), output_arcs=(), transport_arcs=()):
     net = Tapn("n", tuple(places), tuple(transitions), tuple(input_arcs),
                tuple(output_arcs), tuple(transport_arcs))
@@ -133,6 +141,17 @@ def test_reachable_exact_delay():
     assert [(s.delay, s.transition) for s in res.trace] == [(5, "t")]
 
 
+def test_shared_search_tables_rebuild_a_plan_when_its_transition_changes():
+    # Search nets on one SearchTables share its shapes and plans; a plan
+    # is reused only while its transition's arc list is the one it was
+    # made from, so a transition given new guards fires as they say.
+    tables = tapn.SearchTables(["p", "q"], {"p"}, 6, {"q": 1})
+    for lo in (2, 4, 2):
+        arcs = [InputArc("p", "t", Guard(lo, lo))]
+        res = tapn.search(tables.search_net({"t": ("x", arcs, ["q"])}), {"p": (0,)})
+        assert [(s.delay, s.transition, s.label) for s in res.trace] == [(lo, "t", "x")]
+
+
 def test_guard_constant_above_the_limit_is_bound_exceeded(monkeypatch):
     net = _net(["p", "q"], [Transition("t")],
                transport_arcs=[TransportArc("p", "t", "q", Guard(5, 5))])
@@ -162,7 +181,7 @@ def test_reachable_mutual_wait_deadlock():
     res = tapn.reachable(net, m0, {"b1": 1, "a1": 1, "a2": 1})
     assert res.verdict == "unreachable"
     assert res.frontier == [m0]
-    untimed = tapn.reachable(tapn.widen_guards(net), m0, {"b1": 1, "a1": 1, "a2": 1})
+    untimed = tapn.reachable(widen_guards(net), m0, {"b1": 1, "a1": 1, "a2": 1})
     assert untimed.verdict == "unreachable"
 
 
@@ -174,7 +193,7 @@ def test_timing_conflict_net_untimed_reachable_only():
                                TransportArc("b", "t2", "c", Guard(5, 5))])
     m0 = {"a": (3,)}
     assert tapn.reachable(net, m0, {"c": 1}).verdict == "unreachable"
-    assert tapn.reachable(tapn.widen_guards(net), m0, {"c": 1}).verdict == "reachable"
+    assert tapn.reachable(widen_guards(net), m0, {"c": 1}).verdict == "reachable"
 
 
 def test_guard_relaxation_is_monotone():
@@ -183,7 +202,7 @@ def test_guard_relaxation_is_monotone():
         net, m0, target = random_tapn(rng)
         timed = tapn.reachable(net, m0, target)
         if timed.verdict == "reachable":
-            assert tapn.reachable(tapn.widen_guards(net), m0, target).verdict == "reachable"
+            assert tapn.reachable(widen_guards(net), m0, target).verdict == "reachable"
 
 
 def test_structural_conditions():
